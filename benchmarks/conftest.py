@@ -15,6 +15,7 @@ with each job log.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import sys
@@ -24,6 +25,7 @@ from typing import Dict
 import pytest
 
 from repro.core import HardwareCostModel, TimingModel
+from repro.engine.executor import EvaluationEngine
 from repro.mapping import RSPMapper
 from repro.synthesis import SynthesisSurrogate
 
@@ -47,6 +49,38 @@ def pytest_addoption(parser):
 def bench_metrics(request) -> Dict[str, object]:
     """A per-test dict; everything put here lands in the bench report."""
     return _METRICS.setdefault(request.node.nodeid, {})
+
+
+class ScalarEvaluator:
+    """The scalar models behind the batch evaluator's interface: one
+    ``explorer.evaluate`` call per candidate (the vectorized path's oracle)."""
+
+    def __init__(self, explorer):
+        self.explorer = explorer
+
+    def evaluate(self, parameters, names):
+        return [
+            self.explorer.evaluate(candidate, name=name)
+            for candidate, name in zip(parameters, names)
+        ]
+
+
+@pytest.fixture
+def scalar_evaluation():
+    """A context manager: while it is open, every engine evaluates its
+    waves through :class:`ScalarEvaluator` instead of numpy."""
+
+    @contextlib.contextmanager
+    def substituted():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                EvaluationEngine,
+                "batch_evaluator",
+                lambda engine: ScalarEvaluator(engine.explorer),
+            )
+            yield
+
+    return substituted
 
 
 def pytest_runtest_logreport(report):

@@ -1,11 +1,10 @@
 """Setup shim enabling legacy editable installs on environments without the
-``wheel`` package.  The library itself is stdlib-only; the ``fast`` extra
-pulls in numpy for the vectorized evaluation path (``pip install
-repro[fast]``), which the engine auto-detects and the scalar models back
-up bit-for-bit when it is absent."""
+``wheel`` package.  The library needs networkx (the data-flow graphs of
+:mod:`repro.ir.dfg`) and numpy (the vectorized candidate evaluation of
+:mod:`repro.core.batch`)."""
 
 from setuptools import setup
 
 setup(
-    extras_require={"fast": ["numpy"]},
+    install_requires=["networkx", "numpy>=1.24"],
 )

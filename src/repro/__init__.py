@@ -15,7 +15,7 @@ The package is organised as:
 * :mod:`repro.flow`      — the end-to-end RSP design flow of paper Figure 7,
 * :mod:`repro.flowgraph` — the declarative flow-graph runtime executing the
   mapping stages as a composable DAG,
-* :mod:`repro.engine`    — parallel, cache-backed exploration campaigns
+* :mod:`repro.engine`    — vectorized, cache-backed exploration campaigns
   (``python -m repro.engine``).
 
 Quick start::

@@ -13,12 +13,8 @@ array operations over a candidate-parameter matrix instead:
 * :meth:`BatchEvaluator.compute` produces area, critical-path period,
   per-kernel RS/RP stalls, total cycles and total execution time in a
   handful of numpy passes;
-* :meth:`BatchEvaluator.feasibility_mask` and
-  :meth:`BatchEvaluator.early_reject_mask` vectorize the engine's
-  feasibility and dominance pre-filters;
 * :meth:`BatchEvaluator.evaluate` materializes
-  :class:`~repro.core.exploration.DesignPointEvaluation` objects — for
-  the survivors only, when a ``keep`` selection is given.
+  :class:`~repro.core.exploration.DesignPointEvaluation` objects.
 
 Two structural facts make this fast without changing any semantics:
 
@@ -41,10 +37,10 @@ Two structural facts make this fast without changing any semantics:
 
 The scalar models remain the *oracle*: the property suite
 (``tests/properties/test_batch_equivalence.py``) pins ``vectorized ≡
-scalar`` over random profiles × random parameter grids.  numpy is an
-**optional** dependency — :meth:`BatchEvaluator.available` gates the fast
-path, and every consumer (the engine, the CLI, the benchmarks) falls
-back to the scalar walk when it is absent.
+scalar`` over random profiles × random parameter grids.  The engine
+imports this module lazily (see
+:meth:`repro.engine.executor.EvaluationEngine.batch_evaluator`), so
+importing the engine does not import numpy.
 """
 
 from __future__ import annotations
@@ -52,27 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.arch.array import ArraySpec
 from repro.core.cost_model import HardwareCostModel
-from repro.core.exploration import (
-    DesignPointEvaluation,
-    ExplorationConstraints,
-    RSPDesignSpaceExplorer,
-)
+from repro.core.exploration import DesignPointEvaluation
 from repro.core.rsp_params import RSPParameters
 from repro.core.stalls import ScheduleProfile, StallEstimate
 from repro.core.timing_model import TimingModel
 from repro.errors import ExplorationError
-
-try:  # pragma: no cover - exercised via the no-numpy fallback tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def numpy_available() -> bool:
-    """True when numpy imported successfully (module-level, monkeypatchable)."""
-    return _np is not None
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +274,7 @@ class BatchEvaluator:
 
     Construct one per explorer (the engine builds it lazily per run);
     profile tables are computed once and shared by every wave the
-    evaluator processes.  Raises :class:`ExplorationError` when numpy is
-    unavailable — use :meth:`from_explorer` for a ``None``-returning
-    factory, or :meth:`available` to test first.
+    evaluator processes.
     """
 
     def __init__(
@@ -302,10 +284,6 @@ class BatchEvaluator:
         cost_model: Optional[HardwareCostModel] = None,
         timing_model: Optional[TimingModel] = None,
     ) -> None:
-        if _np is None:
-            raise ExplorationError(
-                "BatchEvaluator requires numpy; install repro[fast] or use the scalar path"
-            )
         if not profiles:
             raise ExplorationError("batch evaluation requires at least one kernel profile")
         from repro.arch.template import default_array_spec
@@ -329,28 +307,6 @@ class BatchEvaluator:
         self._margin = self.timing_model.wiring_margin_ns
         self._resource_memo: Dict[str, Tuple[float, float]] = {}
         self._switch_memo: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
-
-    # ------------------------------------------------------------------
-    # Availability / construction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def available() -> bool:
-        """True when the vectorized fast path can run (numpy importable)."""
-        return numpy_available()
-
-    @classmethod
-    def from_explorer(
-        cls, explorer: RSPDesignSpaceExplorer
-    ) -> Optional["BatchEvaluator"]:
-        """Build an evaluator matching ``explorer``; ``None`` without numpy."""
-        if not cls.available():
-            return None
-        return cls(
-            explorer.profiles,
-            array=explorer.array,
-            cost_model=explorer.cost_model,
-            timing_model=explorer.timing_model,
-        )
 
     # ------------------------------------------------------------------
     # Component lookups (memoized per distinct name / port count)
@@ -380,7 +336,6 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     def encode(self, parameters: Sequence[RSPParameters]) -> WaveColumns:
         """Encode a wave of candidates into column arrays."""
-        np = _np
         count = len(parameters)
         shr = np.empty(count, dtype=np.int64)
         shc = np.empty(count, dtype=np.int64)
@@ -443,7 +398,6 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     def _area_pass(self, columns: WaveColumns) -> Any:
         """Eq. 2 in column arrays, term order matching ``HardwareCostModel``."""
-        np = _np
         rows, cols = self.array.rows, self.array.cols
         num_pes = rows * cols
         registers = self._register_area * (columns.stages - 1)
@@ -467,7 +421,6 @@ class BatchEvaluator:
 
     def _timing_pass(self, columns: WaveColumns) -> Any:
         """The four timing-model branches as masked assignments."""
-        np = _np
         detour = 2.0 * columns.switch_delay
         stage = columns.resource_delay / columns.stages
         stage = np.where(columns.pipelined, stage + self._pipe_register_delay, stage)
@@ -499,7 +452,6 @@ class BatchEvaluator:
 
     def _stall_pass(self, columns: WaveColumns) -> Tuple[Any, Any]:
         """Per-kernel RS/RP stall matrices, ``(kernels, candidates)``."""
-        np = _np
         count = len(columns)
         kernels = len(self.tables)
         rs = np.zeros((kernels, count), dtype=np.int64)
@@ -536,96 +488,24 @@ class BatchEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Vectorized filters
-    # ------------------------------------------------------------------
-    def feasibility_mask(
-        self,
-        batch: BatchEvaluation,
-        base_evaluation: DesignPointEvaluation,
-        constraints: Optional[ExplorationConstraints] = None,
-    ) -> Any:
-        """Vectorized :func:`repro.core.exploration.is_feasible`."""
-        np = _np
-        constraints = constraints or ExplorationConstraints()
-        feasible = np.ones(len(batch), dtype=bool)
-        max_area = constraints.max_area_slices
-        if max_area is None:
-            max_area = base_evaluation.area_slices
-        non_base = np.fromiter(
-            (kind != "base" for kind in batch.columns.kind), dtype=bool, count=len(batch)
-        )
-        feasible &= ~(non_base & (batch.area_slices >= max_area))
-        ratio_bound = constraints.max_execution_time_ratio
-        base_time = base_evaluation.total_execution_time_ns
-        if ratio_bound is not None and base_time > 0:
-            feasible &= ~(batch.total_execution_time_ns / base_time > ratio_bound)
-        if constraints.max_stall_cycles is not None:
-            feasible &= ~(batch.total_stalls > constraints.max_stall_cycles)
-        return feasible
-
-    def early_reject_mask(
-        self, batch: BatchEvaluation, frontier, lower_bound_cycles: int
-    ) -> Any:
-        """Vectorized dominance pre-filter against a 2-objective frontier.
-
-        Mirrors ``EvaluationEngine._early_reject``: a candidate is
-        rejected when a completed feasible point at no larger area
-        already beats its execution-time lower bound strictly.
-        """
-        np = _np
-        vectors = frontier.vectors()
-        if not vectors:
-            return np.zeros(len(batch), dtype=bool)
-        firsts = np.array([vector[0] for vector in vectors], dtype=np.float64)
-        seconds = np.array([vector[1] for vector in vectors], dtype=np.float64)
-        position = np.searchsorted(firsts, batch.area_slices, side="right")
-        best = np.where(
-            position > 0, seconds[np.maximum(position - 1, 0)], np.inf
-        )
-        return best < lower_bound_cycles * batch.critical_path_ns
-
-    def pareto_indices(self, batch: BatchEvaluation, mask: Any = None) -> List[int]:
-        """Front indices over (area, time) — of the masked subset when given."""
-        from repro.engine.frontier import pareto_front_indices
-
-        positions = (
-            range(len(batch)) if mask is None else [int(i) for i in _np.nonzero(mask)[0]]
-        )
-        vectors = [
-            (float(batch.area_slices[i]), float(batch.total_execution_time_ns[i]))
-            for i in positions
-        ]
-        front = pareto_front_indices(vectors)
-        lookup = list(positions)
-        return [lookup[i] for i in front]
-
-    # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
     def materialize(
         self,
         batch: BatchEvaluation,
         names: Optional[Sequence[Optional[str]]] = None,
-        keep: Optional[Sequence[int]] = None,
     ) -> List[DesignPointEvaluation]:
         """Build ``DesignPointEvaluation`` objects from batch arrays.
 
-        ``keep`` selects the candidate positions to materialize (survivors
-        of a pre-filter); by default every candidate is materialized.
         The objects are indistinguishable from the scalar path's output —
         same architecture specs, same floats, same stall dictionaries.
         """
         columns = batch.columns
-        if keep is None:
-            positions: Sequence[int] = range(len(columns))
-        else:
-            positions = [int(index) for index in keep]
         area = batch.area_slices
         critical = batch.critical_path_ns
         rs, rp = batch.rs_stalls, batch.rp_stalls
         evaluations: List[DesignPointEvaluation] = []
-        for position in positions:
-            candidate = columns.parameters[position]
+        for position, candidate in enumerate(columns.parameters):
             name = names[position] if names is not None else None
             architecture = candidate.to_architecture(self.array, name=name)
             estimates: Dict[str, StallEstimate] = {}
@@ -652,8 +532,7 @@ class BatchEvaluator:
         self,
         parameters: Sequence[RSPParameters],
         names: Optional[Sequence[Optional[str]]] = None,
-        keep: Optional[Sequence[int]] = None,
     ) -> List[DesignPointEvaluation]:
         """Encode, compute and materialize one wave in a single call."""
         batch = self.compute(self.encode(parameters))
-        return self.materialize(batch, names=names, keep=keep)
+        return self.materialize(batch, names=names)

@@ -249,12 +249,12 @@ class RSPDesignSpaceExplorer:
         """Run the exploration over ``candidates`` (defaults to the standard sweep).
 
         This is a facade over :func:`repro.engine.executor.run_exploration`:
-        the engine evaluates the candidates (batched, optionally through a
-        parallel backend and a persistent cache), applies the feasibility
-        constraints, keeps the Pareto points and selects the knee.  The
-        base point is evaluated exactly once, even when it appears in the
-        candidate list.  Pass ``executor``/``cache`` to opt into parallel
-        or memoised evaluation; campaign-level features (early reject,
+        the engine evaluates the candidates (in vectorized waves, optionally
+        through a persistent cache), applies the feasibility constraints,
+        keeps the Pareto points and selects the knee.  The base point is
+        evaluated exactly once, even when it appears in the candidate
+        list.  Pass ``executor``/``cache`` to set the wave size or opt into
+        memoised evaluation; campaign-level features (early reject,
         reports, the CLI) live in :mod:`repro.engine`.
         """
         from repro.engine.executor import run_exploration

@@ -1,4 +1,4 @@
-"""repro.engine — parallel, cache-backed exploration campaigns.
+"""repro.engine — vectorized, cache-backed exploration campaigns.
 
 The seed's :meth:`~repro.core.exploration.RSPDesignSpaceExplorer.explore`
 mirrors the paper's Figure 7 literally: every candidate is evaluated
@@ -8,7 +8,7 @@ scan.  This package turns that one-shot loop into an exploration
 
 Campaign lifecycle
     A :class:`~repro.engine.jobs.CampaignSpec` names the kernel suites,
-    the candidate grid, the feasibility constraints and the executor.
+    the candidate grid, the feasibility constraints and the wave size.
     The :class:`~repro.engine.runner.CampaignRunner` profiles each
     suite's kernels on the base architecture, evaluates the grid through
     the engine and emits a :class:`~repro.engine.runner.CampaignReport`
@@ -32,13 +32,13 @@ Unified storage layer
     age-based GC and compaction (``--store-shards``, ``--gc-max-age``
     and ``--compact`` on the CLI).
 
-Executor selection
-    :class:`~repro.engine.executor.ExecutorConfig` picks the backend:
-    ``serial`` (the seed's behaviour), ``thread`` or ``process``
-    (a :class:`~concurrent.futures.ProcessPoolExecutor`; candidates are
-    dispatched in chunks, the evaluation context ships to each worker
-    once).  A dominance-based early-reject filter can skip provably
-    dominated candidates before the expensive stall estimation.
+Wave evaluation
+    The engine evaluates candidates in waves of
+    :class:`~repro.engine.executor.ExecutorConfig` ``chunk_size`` jobs,
+    each wave in one vectorized
+    :class:`~repro.core.batch.BatchEvaluator` call that is bit-identical
+    to the scalar models.  A dominance-based early-reject filter can skip
+    provably dominated candidates before the expensive stall estimation.
 
 Incremental Pareto frontiers
     :class:`~repro.engine.frontier.ParetoFrontier` supports streaming
@@ -48,7 +48,7 @@ Incremental Pareto frontiers
 
 Command line::
 
-    python -m repro.engine --suite paper --workers 4 --output report.json
+    python -m repro.engine --suite paper --output report.json
 
 runs a campaign and writes the JSON report; an identical second
 invocation is served almost entirely from the cache.
@@ -62,7 +62,6 @@ from repro.engine.checkpoint import (
     campaign_fingerprint,
 )
 from repro.engine.executor import (
-    BACKENDS,
     EngineExplorationOutcome,
     EngineRunStats,
     EvaluationEngine,
@@ -96,7 +95,6 @@ from repro.engine.runner import CampaignReport, CampaignRunner, SuiteReport
 from repro.store import StoreJanitor, StoreStats
 
 __all__ = [
-    "BACKENDS",
     "EVENT_TYPES",
     "SUITE_NAMES",
     "ArtifactStore",

@@ -2,9 +2,9 @@
 
 Runs a multi-suite exploration campaign and writes a JSON report, e.g.::
 
-    python -m repro.engine --suite paper --workers 4 --output report.json
-    python -m repro.engine --suite livermore --suite dsp --backend process \\
-        --workers 8 --early-reject --cache-dir .repro_engine_cache
+    python -m repro.engine --suite paper --output report.json
+    python -m repro.engine --suite livermore --suite dsp \\
+        --early-reject --cache-dir .repro_engine_cache
 
 The cache directory persists across invocations; a second identical run
 is served almost entirely from it (the report's ``cache_hits`` /
@@ -57,12 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--name", default="campaign", help="campaign name used in the report")
     parser.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="evaluation backend (default: thread; serial is forced when --workers 1)",
+        default="serial",
+        help="evaluation backend; only serial remains (the thread and "
+        "process backends were removed)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
-    parser.add_argument("--chunk-size", type=int, default=8, help="candidates per dispatch chunk")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="evaluation workers; only 1 remains"
+    )
+    parser.add_argument("--chunk-size", type=int, default=8, help="candidates per evaluation wave")
     parser.add_argument(
         "--max-rows-shared", type=int, default=2, help="largest shr in the candidate grid"
     )
@@ -92,21 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--early-reject",
         action="store_true",
         help="skip provably dominated candidates before stall estimation",
-    )
-    parser.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=None,
-        help="request the vectorized (numpy) evaluation fast path; the "
-        "default engages it automatically whenever numpy is available and "
-        "the backend is serial or thread (results are identical either way)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="force the scalar per-candidate evaluation path",
     )
     parser.add_argument(
         "--cache-dir",
@@ -330,7 +317,6 @@ def _run_worker_mode(args: argparse.Namespace, spec, artifact_dir) -> int:
             store_url=args.store_url,
             store_tier=args.store_tier,
             store_shards=args.store_shards,
-            batch=args.batch,
             poll_interval=args.poll_interval,
             lease_delay=args.lease_delay,
         )
@@ -362,6 +348,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.backend != "serial" or args.workers != 1:
+        raise ReproError(
+            "the parallel evaluation backends were removed: every campaign "
+            "evaluates serially in vectorized waves; drop --backend/--workers "
+            "or pass --backend serial --workers 1"
+        )
     if args.store_tier and args.store_url is None:
         raise ReproError("--store-tier tiers a remote store; it requires --store-url")
     if args.store_url is not None and (args.no_cache or args.no_artifact_cache):
@@ -387,8 +379,6 @@ def _run(args: argparse.Namespace) -> int:
             max_execution_time_ratio=args.max_execution_time_ratio,
             max_stall_cycles=args.max_stall_cycles,
         ),
-        backend=args.backend,
-        workers=args.workers,
         chunk_size=args.chunk_size,
         early_reject=args.early_reject,
     )
@@ -414,7 +404,6 @@ def _run(args: argparse.Namespace) -> int:
         stream_dir=args.stream,
         resume=args.resume,
         trace_dir=args.trace,
-        batch=args.batch,
         flow=args.flow,
     )
     try:
@@ -428,14 +417,14 @@ def _run(args: argparse.Namespace) -> int:
                 report.summary_rows(),
                 headers=list(SUMMARY_HEADERS),
                 title=f"campaign {report.campaign!r} "
-                f"[{report.backend} x{report.workers}, chunk {report.chunk_size}]",
+                f"[chunk {report.chunk_size}]",
             )
         )
         print(
             f"jobs: {report.total_jobs}  cache: {report.cache_hits} hits / "
             f"{report.cache_misses} misses ({100.0 * report.cache_hit_rate:.1f}% hit rate)  "
             f"early-rejected: {report.early_rejected}  "
-            f"batched: {report.batch_evaluations}  wall: {report.wall_seconds:.2f}s"
+            f"wall: {report.wall_seconds:.2f}s"
         )
         stage_summary = "  ".join(
             f"{stage}: {timing['seconds']:.3f}s"

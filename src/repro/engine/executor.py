@@ -1,36 +1,28 @@
-"""Pluggable evaluation backends and the engine's exploration loop.
+"""The evaluation engine and its exploration loop.
 
-The engine turns a candidate list into chunks of
-:class:`~repro.engine.jobs.EvaluationJob` and pushes them through one of
-three backends:
-
-* ``serial`` — plain in-process loop (the seed's behaviour);
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` whose
-  workers receive the (picklable) explorer once via an initializer, so per
-  chunk traffic is just the candidate parameters and the returned
-  evaluations.
-
-Chunks are dispatched in *waves* of up to ``workers`` chunks.  Between
-waves the engine consults the persistent cache
-(:mod:`repro.engine.cache`) and — when enabled — a dominance-based
-**early-reject filter**: before the expensive stall estimation runs, a
-candidate's exact area and an execution-time *lower bound* (base cycles ×
-candidate clock period; stalls only ever add cycles) are compared against
-the incremental Pareto frontier of already-completed feasible points.  A
-candidate whose lower bound is already strictly beaten is provably
-dominated, can never join the Pareto front, and is skipped outright.
+The engine turns a candidate list into
+:class:`~repro.engine.jobs.EvaluationJob`\\ s and evaluates them in
+*waves* of ``chunk_size`` pending jobs.  Each wave gets one batched cache
+lookup and — when enabled — a dominance-based **early-reject filter**:
+before the expensive stall estimation runs, a candidate's exact area and
+an execution-time *lower bound* (base cycles × candidate clock period;
+stalls only ever add cycles) are compared against the incremental Pareto
+frontier of already-completed feasible points.  A candidate whose lower
+bound is already strictly beaten is provably dominated, can never join
+the Pareto front, and is skipped outright.  The wave's remaining jobs are
+evaluated by one vectorized :class:`~repro.core.batch.BatchEvaluator`
+call, stored with one ``put_many`` and merged into the frontier with one
+``add_many``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.core.batch import BatchEvaluator
     from repro.engine.stream import AsyncPrefetcher
 
 from repro.core.exploration import (
@@ -47,10 +39,7 @@ from repro.engine.frontier import ParetoFrontier
 from repro.engine.jobs import EvaluationJob, evaluation_context_hash
 from repro.errors import ExplorationError
 from repro.observers import CampaignObserver
-from repro.trace.spans import Tracer, get_tracer, set_tracer
-
-#: Backends accepted by :class:`ExecutorConfig`.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+from repro.trace.spans import get_tracer
 
 #: The exploration's two objectives (both minimised).
 AREA_TIME_OBJECTIVES = (
@@ -61,52 +50,24 @@ AREA_TIME_OBJECTIVES = (
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Backend selection for one engine run.
+    """Wave sizing for one engine run.
 
-    ``workers <= 1`` always resolves to the serial backend; a parallel
-    backend with one worker would only add overhead.
-
-    ``batch`` controls the vectorized fast path
-    (:class:`repro.core.batch.BatchEvaluator`): ``None`` (the default)
-    engages it automatically whenever numpy is importable and the
-    resolved backend is serial or thread; ``False`` forces the scalar
-    per-candidate walk; ``True`` requests it explicitly but still falls
-    back to the scalar path when numpy is missing or the backend is the
-    process pool (whose workers evaluate per chunk).  The flag never
-    changes results — the batch path is bit-identical to the scalar
-    models — which is also why it lives here rather than on
-    :class:`~repro.engine.jobs.CampaignSpec`: it must not perturb
-    campaign fingerprints or checkpoint identity.
+    ``chunk_size`` is the number of pending jobs per wave: the unit of
+    one batched cache lookup, one vectorized evaluation, one checkpoint
+    and one observer callback pair.
     """
 
-    backend: str = "serial"
-    workers: int = 1
     chunk_size: int = 8
-    batch: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ExplorationError(
-                f"unknown backend {self.backend!r}; choose from {', '.join(BACKENDS)}"
-            )
-        if self.workers < 1:
-            raise ExplorationError("workers must be at least 1")
         if self.chunk_size < 1:
             raise ExplorationError("chunk_size must be at least 1")
-
-    @property
-    def resolved_backend(self) -> str:
-        if self.workers <= 1:
-            return "serial"
-        return self.backend
 
 
 @dataclass
 class EngineRunStats:
     """Counters of one engine exploration run."""
 
-    backend: str = "serial"
-    workers: int = 1
     chunk_size: int = 8
     total_jobs: int = 0
     evaluated: int = 0
@@ -117,9 +78,6 @@ class EngineRunStats:
     checkpoint_hits: int = 0
     #: Waves actually dispatched (checkpoint-served jobs never form waves).
     waves: int = 0
-    #: Evaluations served by the vectorized batch path (a subset of
-    #: ``evaluated``; 0 when the scalar walk ran every candidate).
-    batch_evaluations: int = 0
     wall_seconds: float = 0.0
 
     @property
@@ -181,84 +139,17 @@ class EngineExplorationOutcome:
     rejected: List[RSPParameters] = field(default_factory=list)
 
 
-# ----------------------------------------------------------------------
-# Process-pool plumbing: the explorer is shipped once per worker.
-# ----------------------------------------------------------------------
-_WORKER_EXPLORER: Optional[RSPDesignSpaceExplorer] = None
-
-
-def _init_worker(explorer: RSPDesignSpaceExplorer) -> None:
-    global _WORKER_EXPLORER
-    _WORKER_EXPLORER = explorer
-
-
-def _worker_evaluate(jobs: List[EvaluationJob]) -> List[DesignPointEvaluation]:
-    assert _WORKER_EXPLORER is not None, "worker initializer did not run"
-    return [_WORKER_EXPLORER.evaluate(job.parameters, name=job.name) for job in jobs]
-
-
-_WORKER_TRACER: Optional[Tracer] = None
-
-
-def _worker_tracer() -> Tracer:
-    """The per-process worker tracer (one per pid, reused across chunks).
-
-    One long-lived tracer per worker keeps the span-id sequence
-    monotonically increasing across chunk calls: a fresh tracer per call
-    would restart the sequence at 1 and two chunks handled by the same
-    worker would collide on ``<pid>-1``, silently replacing each other in
-    the DB.  The pid check renews the tracer after a fork so inherited
-    state can never alias another process's ids.
-    """
-    global _WORKER_TRACER
-    if _WORKER_TRACER is None or _WORKER_TRACER.pid != os.getpid():
-        _WORKER_TRACER = Tracer()
-    return _WORKER_TRACER
-
-
-def _worker_evaluate_traced(
-    jobs: List[EvaluationJob],
-) -> Tuple[List[DesignPointEvaluation], List[dict], Dict[str, float]]:
-    """Traced chunk evaluation inside a pool worker.
-
-    The worker never writes the trace DB (SQLite handles are not shareable
-    across processes — see :class:`repro.trace.db.TraceDB`).  Instead it
-    installs its process-local tracer for the duration of the chunk so
-    nested instrumentation lands in it, then drains and ships the
-    finished span records and counter deltas back through the pool's
-    return value; the parent ingests them into its own buffer.  Span ids
-    carry the worker's pid, so records from a whole fleet never collide.
-    """
-    assert _WORKER_EXPLORER is not None, "worker initializer did not run"
-    tracer = _worker_tracer()
-    previous = set_tracer(tracer)
-    try:
-        with tracer.span("evaluate", kind="eval", jobs=len(jobs), backend="process"):
-            evaluations = [
-                _WORKER_EXPLORER.evaluate(job.parameters, name=job.name) for job in jobs
-            ]
-    finally:
-        set_tracer(previous)
-    batch = tracer.drain()
-    return evaluations, batch.spans, batch.counters
-
-
 def _chunked(items: Sequence, size: int) -> List[List]:
     return [list(items[start : start + size]) for start in range(0, len(items), size)]
 
 
-#: Sentinel distinguishing "not resolved yet" from "resolved to None"
-#: (numpy missing or the batch path disabled) in :class:`EvaluationEngine`.
-_BATCH_UNSET = object()
-
-
 class EvaluationEngine:
-    """Evaluates job lists through a backend, a cache and the reject filter.
+    """Evaluates job lists through a cache, the reject filter and numpy.
 
     The engine wraps an :class:`RSPDesignSpaceExplorer` (which carries the
     profiles, the array and the calibrated models) and adds everything the
-    explorer's one-shot loop lacked: batching, parallel dispatch, persistent
-    memoisation and dominance pruning.
+    explorer's one-shot loop lacked: waves, vectorized evaluation,
+    persistent memoisation and dominance pruning.
     """
 
     def __init__(
@@ -271,7 +162,7 @@ class EvaluationEngine:
         self.config = config or ExecutorConfig()
         self.cache = cache
         self._context_hash: Optional[str] = None
-        self._batch_evaluator: Any = _BATCH_UNSET
+        self._batch_evaluator: Optional["BatchEvaluator"] = None
 
     @property
     def context_hash(self) -> str:
@@ -297,21 +188,21 @@ class EvaluationEngine:
             self._context_hash = cached
         return self._context_hash
 
-    def batch_evaluator(self):
-        """The vectorized wave evaluator, or ``None`` on the scalar path.
+    def batch_evaluator(self) -> "BatchEvaluator":
+        """The vectorized wave evaluator (built once per engine).
 
-        Resolved once per engine: ``None`` when the config disables
-        batching, when the backend is the process pool (its workers
-        evaluate chunks remotely) or when numpy is not importable — every
-        one of those cases degrades to the per-candidate scalar walk with
-        identical results.
+        :mod:`repro.core.batch` is imported here rather than at module
+        scope so that importing the engine does not import numpy.
         """
-        if self.config.batch is False or self.config.resolved_backend == "process":
-            return None
-        if self._batch_evaluator is _BATCH_UNSET:
+        if self._batch_evaluator is None:
             from repro.core.batch import BatchEvaluator
 
-            self._batch_evaluator = BatchEvaluator.from_explorer(self.explorer)
+            self._batch_evaluator = BatchEvaluator(
+                self.explorer.profiles,
+                array=self.explorer.array,
+                cost_model=self.explorer.cost_model,
+                timing_model=self.explorer.timing_model,
+            )
         return self._batch_evaluator
 
     # ------------------------------------------------------------------
@@ -338,7 +229,7 @@ class EvaluationEngine:
         return evaluation
 
     # ------------------------------------------------------------------
-    # Batched path
+    # Wave path
     # ------------------------------------------------------------------
     def evaluate_jobs(
         self,
@@ -394,29 +285,14 @@ class EvaluationEngine:
             else:
                 pending_indices.append(index)
 
-        backend = self.config.resolved_backend
-        batch_evaluator = self.batch_evaluator()
-        wave_width = self.config.workers if backend != "serial" else 1
-        waves = _chunked(_chunked(pending_indices, self.config.chunk_size), wave_width)
+        evaluator = self.batch_evaluator()
+        waves = _chunked(pending_indices, self.config.chunk_size)
 
-        def wave_keys(wave: List[List[int]]) -> List[str]:
-            return [
-                jobs[index].content_hash(self.context_hash)
-                for chunk in wave
-                for index in chunk
-            ]
+        def wave_keys(wave: List[int]) -> List[str]:
+            return [jobs[index].content_hash(self.context_hash) for index in wave]
 
-        pool = None
         prefetched = None
         try:
-            if backend == "thread" and batch_evaluator is None:
-                pool = ThreadPoolExecutor(max_workers=self.config.workers)
-            elif backend == "process":
-                pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    initializer=_init_worker,
-                    initargs=(self.explorer,),
-                )
             if self.cache is not None and prefetcher is not None and waves:
                 prefetched = prefetcher.submit(
                     lambda keys=wave_keys(waves[0]): self.cache.prefetch(keys)
@@ -441,138 +317,78 @@ class EvaluationEngine:
                     else:
                         self.cache.prefetch(wave_keys(wave))
                 if observer is not None:
-                    observer.wave_started(
-                        wave_index, sum(len(chunk) for chunk in wave)
-                    )
+                    observer.wave_started(wave_index, len(wave))
                 wave_events: List[WaveResult] = []
                 wave_rejected: List[Tuple[int, str]] = []
-                dispatch: List[List[int]] = []
-                for chunk in wave:
-                    misses: List[int] = []
-                    for index in chunk:
-                        job = jobs[index]
-                        if self.cache is not None:
-                            key = job.content_hash(self.context_hash)
-                            cached = self.cache.get(key, job, self.explorer.array)
-                            if cached is not None:
-                                stats.cache_hits += 1
-                                results[index] = cached
-                                feasible = feasibility(cached)
-                                frontier_add(cached, feasible)
-                                if observer is not None:
-                                    wave_events.append(
-                                        WaveResult(
-                                            index=index,
-                                            key=key,
-                                            label=job.label,
-                                            evaluation=cached,
-                                            source="cache",
-                                            feasible=feasible,
-                                        )
-                                    )
-                                continue
-                            stats.cache_misses += 1
-                        if reject_frontier is not None and self._early_reject(
-                            job, reject_frontier, lower_bound_cycles
-                        ):
-                            stats.early_rejected += 1
-                            rejected.append(index)
-                            if observer is not None:
-                                wave_rejected.append(
-                                    (index, job.content_hash(self.context_hash))
-                                )
-                            continue
-                        misses.append(index)
-                    if misses:
-                        dispatch.append(misses)
-
-                if batch_evaluator is not None:
-                    # Vectorized fast path: the whole wave's cache misses
-                    # are encoded into one candidate matrix and evaluated
-                    # in a handful of numpy passes.  Results are regrouped
-                    # into the dispatch chunks so everything downstream
-                    # (cache writes, observers, stats) is untouched.
-                    flat = [index for chunk in dispatch for index in chunk]
-                    if flat:
-                        tracer = get_tracer()
-                        if tracer.active:
-                            with tracer.span(
-                                "evaluate", kind="eval", jobs=len(flat), batch=True
-                            ):
-                                evaluated = batch_evaluator.evaluate(
-                                    [jobs[index].parameters for index in flat],
-                                    names=[jobs[index].name for index in flat],
-                                )
-                            tracer.counter("eval.batch", len(flat))
-                        else:
-                            evaluated = batch_evaluator.evaluate(
-                                [jobs[index].parameters for index in flat],
-                                names=[jobs[index].name for index in flat],
-                            )
-                        stats.batch_evaluations += len(flat)
-                    wave_results = []
-                    cursor = 0
-                    for chunk in dispatch:
-                        wave_results.append(evaluated[cursor : cursor + len(chunk)])
-                        cursor += len(chunk)
-                elif pool is None:
-                    wave_results = [
-                        _evaluate_with(self.explorer, [jobs[index] for index in chunk])
-                        for chunk in dispatch
-                    ]
-                elif backend == "thread":
-                    wave_results = list(
-                        pool.map(
-                            lambda chunk: _evaluate_with(
-                                self.explorer, [jobs[index] for index in chunk]
-                            ),
-                            dispatch,
-                        )
-                    )
-                else:
-                    payloads = [[jobs[index] for index in chunk] for chunk in dispatch]
-                    tracer = get_tracer()
-                    if tracer.active:
-                        # Workers buffer their spans locally and flush them
-                        # through the parent: the pool's return value is the
-                        # only channel, so the DB stays single-writer.
-                        wave_results = []
-                        for evaluations, span_records, counter_deltas in pool.map(
-                            _worker_evaluate_traced, payloads
-                        ):
-                            wave_results.append(evaluations)
-                            tracer.ingest(span_records)
-                            for name, value in counter_deltas.items():
-                                tracer.counter(name, value)
-                    else:
-                        wave_results = list(pool.map(_worker_evaluate, payloads))
-
-                fresh: Dict[str, DesignPointEvaluation] = {}
-                computed_vectors: List[Tuple[float, float]] = []
-                for chunk, evaluations in zip(dispatch, wave_results):
-                    for index, evaluation in zip(chunk, evaluations):
-                        results[index] = evaluation
-                        stats.evaluated += 1
-                        feasible = feasibility(evaluation)
-                        if reject_frontier is not None and feasible:
-                            computed_vectors.append(
-                                (evaluation.area_slices, evaluation.total_execution_time_ns)
-                            )
-                        if self.cache is not None or observer is not None:
-                            key = jobs[index].content_hash(self.context_hash)
-                            if self.cache is not None:
-                                fresh[key] = evaluation
+                misses: List[int] = []
+                for index in wave:
+                    job = jobs[index]
+                    if self.cache is not None:
+                        key = job.content_hash(self.context_hash)
+                        cached = self.cache.get(key, job, self.explorer.array)
+                        if cached is not None:
+                            stats.cache_hits += 1
+                            results[index] = cached
+                            feasible = feasibility(cached)
+                            frontier_add(cached, feasible)
                             if observer is not None:
                                 wave_events.append(
                                     WaveResult(
                                         index=index,
                                         key=key,
-                                        label=jobs[index].label,
-                                        evaluation=evaluation,
-                                        source="computed",
+                                        label=job.label,
+                                        evaluation=cached,
+                                        source="cache",
                                         feasible=feasible,
                                     )
                                 )
+                            continue
+                        stats.cache_misses += 1
+                    if reject_frontier is not None and self._early_reject(
+                        job, reject_frontier, lower_bound_cycles
+                    ):
+                        stats.early_rejected += 1
+                        rejected.append(index)
+                        if observer is not None:
+                            wave_rejected.append(
+                                (index, job.content_hash(self.context_hash))
+                            )
+                        continue
+                    misses.append(index)
+
+                evaluations: List[DesignPointEvaluation] = []
+                if misses:
+                    with get_tracer().span("evaluate", kind="eval", jobs=len(misses)):
+                        evaluations = evaluator.evaluate(
+                            [jobs[index].parameters for index in misses],
+                            names=[jobs[index].name for index in misses],
+                        )
+
+                fresh: Dict[str, DesignPointEvaluation] = {}
+                computed_vectors: List[Tuple[float, float]] = []
+                for index, evaluation in zip(misses, evaluations):
+                    results[index] = evaluation
+                    stats.evaluated += 1
+                    feasible = feasibility(evaluation)
+                    if reject_frontier is not None and feasible:
+                        computed_vectors.append(
+                            (evaluation.area_slices, evaluation.total_execution_time_ns)
+                        )
+                    if self.cache is not None or observer is not None:
+                        key = jobs[index].content_hash(self.context_hash)
+                        if self.cache is not None:
+                            fresh[key] = evaluation
+                        if observer is not None:
+                            wave_events.append(
+                                WaveResult(
+                                    index=index,
+                                    key=key,
+                                    label=jobs[index].label,
+                                    evaluation=evaluation,
+                                    source="computed",
+                                    feasible=feasible,
+                                )
+                            )
                 if reject_frontier is not None and computed_vectors:
                     # One bulk merge per wave instead of m binary insertions.
                     reject_frontier.add_many(computed_vectors)
@@ -592,8 +408,6 @@ class EvaluationEngine:
         finally:
             if prefetched is not None:
                 prefetched.wait()
-            if pool is not None:
-                pool.shutdown()
         return results, rejected
 
     def _early_reject(
@@ -620,16 +434,6 @@ class EvaluationEngine:
         return frontier.min_second_objective_at_or_below(area) < lower_bound_time
 
 
-def _evaluate_with(
-    explorer: RSPDesignSpaceExplorer, jobs: List[EvaluationJob]
-) -> List[DesignPointEvaluation]:
-    tracer = get_tracer()
-    if not tracer.active:
-        return [explorer.evaluate(job.parameters, name=job.name) for job in jobs]
-    with tracer.span("evaluate", kind="eval", jobs=len(jobs)):
-        return [explorer.evaluate(job.parameters, name=job.name) for job in jobs]
-
-
 # ----------------------------------------------------------------------
 # The engine's exploration loop (the explorer facade delegates here)
 # ----------------------------------------------------------------------
@@ -649,7 +453,7 @@ def run_exploration(
     Reproduces the explorer's serial semantics exactly when
     ``early_reject`` is off: the same candidates in the same order, the
     same feasibility filter, the same Pareto front and the same knee-point
-    selection — only batched, optionally parallel and cached.  With
+    selection — only in waves, vectorized and cached.  With
     ``early_reject`` on, provably dominated candidates are skipped; the
     front and the selected design are unchanged, but the ``evaluated`` and
     ``feasible`` lists omit the rejected points (returned separately).
@@ -666,11 +470,7 @@ def run_exploration(
     candidate_list = list(candidates) if candidates is not None else enumerate_design_space()
     config = config or ExecutorConfig()
     engine = EvaluationEngine(explorer, config=config, cache=cache)
-    stats = EngineRunStats(
-        backend=config.resolved_backend,
-        workers=config.workers,
-        chunk_size=config.chunk_size,
-    )
+    stats = EngineRunStats(chunk_size=config.chunk_size)
 
     # The base point is evaluated exactly once, up front: it anchors the
     # feasibility constraints and stands in for any "base" candidates.

@@ -143,8 +143,8 @@ class CampaignSpec:
         :func:`~repro.core.rsp_params.enumerate_design_space`.
     constraints:
         Feasibility constraints applied before Pareto filtering.
-    backend / workers / chunk_size:
-        Executor selection (see :mod:`repro.engine.executor`).
+    chunk_size:
+        Jobs per evaluation wave (see :mod:`repro.engine.executor`).
     early_reject:
         Enable the dominance-based early-reject filter.  Rejected
         candidates are provably dominated, so the Pareto front and the
@@ -158,8 +158,6 @@ class CampaignSpec:
     max_cols_shared: int = 2
     stage_options: Tuple[int, ...] = (1, 2)
     constraints: ExplorationConstraints = field(default_factory=ExplorationConstraints)
-    backend: str = "serial"
-    workers: int = 1
     chunk_size: int = 8
     early_reject: bool = False
 
@@ -192,8 +190,6 @@ class CampaignSpec:
                 "max_execution_time_ratio": self.constraints.max_execution_time_ratio,
                 "max_stall_cycles": self.constraints.max_stall_cycles,
             },
-            "backend": self.backend,
-            "workers": self.workers,
             "chunk_size": self.chunk_size,
             "early_reject": self.early_reject,
         }
@@ -225,8 +221,6 @@ class CampaignSpec:
                     max_execution_time_ratio=None if max_ratio is None else float(max_ratio),
                     max_stall_cycles=None if max_stalls is None else int(max_stalls),
                 ),
-                backend=str(payload.get("backend", "serial")),
-                workers=int(payload.get("workers", 1)),
                 chunk_size=int(payload.get("chunk_size", 8)),
                 early_reject=bool(payload.get("early_reject", False)),
             )

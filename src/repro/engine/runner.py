@@ -7,9 +7,9 @@ A campaign walks its suites in order.  For every suite the runner
    provider* — by default the staged mapping pipeline
    (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
    artifact store the base scheduling work is fetched instead of re-run,
-2. runs the candidate grid through the evaluation engine — batched,
-   optionally parallel, backed by the persistent cache, optionally with
-   the dominance early-reject filter,
+2. runs the candidate grid through the evaluation engine — in vectorized
+   waves, backed by the persistent cache, optionally with the dominance
+   early-reject filter,
 3. records the outcome as a :class:`SuiteReport`, including per-stage
    mapping timings and artifact-store hit counts.
 
@@ -73,8 +73,6 @@ class SuiteReport:
     cache_misses: int
     profile_seconds: float
     explore_seconds: float
-    #: Evaluations served by the vectorized batch path (0 on scalar runs).
-    batch_evaluations: int = 0
     artifact_hits: int = 0
     artifact_misses: int = 0
     mapping_seconds: float = 0.0
@@ -93,6 +91,8 @@ class CampaignReport:
 
     campaign: str
     suites: List[SuiteReport]
+    #: Always ``"serial"`` and 1: the engine has one evaluation path.  The
+    #: fields stay so that reports keep the format their readers parse.
     backend: str
     workers: int
     chunk_size: int
@@ -103,8 +103,6 @@ class CampaignReport:
     cache_misses: int
     early_rejected: int
     wall_seconds: float
-    #: Evaluations served by the vectorized batch path across all suites.
-    batch_evaluations: int = 0
     artifact_dir: Optional[str] = None
     artifact_hits: int = 0
     artifact_misses: int = 0
@@ -180,7 +178,7 @@ class CampaignRunner:
     Parameters
     ----------
     spec:
-        The campaign description (suites, grid, constraints, executor).
+        The campaign description (suites, grid, constraints, wave size).
     cache_dir:
         Directory for the persistent evaluation store; ``None`` disables
         persistence (evaluations are still memoised within the run).
@@ -246,14 +244,6 @@ class CampaignRunner:
         (``rearrange`` vs ``remap`` vs skip) show up in the suite's
         ``mapping_stages``.  Incompatible with ``mapper`` (a supplied
         mapper already carries its pipeline and flow).
-    batch:
-        Vectorized-evaluation override forwarded to
-        :class:`~repro.engine.executor.ExecutorConfig`: ``None`` engages
-        the numpy fast path automatically where it applies, ``False``
-        forces the scalar walk.  Results are identical either way, which
-        is why the flag is a runner argument and not part of the
-        :class:`~repro.engine.jobs.CampaignSpec` (it must not change
-        campaign fingerprints or checkpoint identity).
     gc_max_age:
         When set, a post-campaign janitor pass evicts store entries not
         written or read for this many seconds.
@@ -278,7 +268,6 @@ class CampaignRunner:
         stream_dir: Optional[Path] = None,
         resume: bool = False,
         trace_dir: Optional[Path] = None,
-        batch: Optional[bool] = None,
         flow=None,
     ) -> None:
         if mapper is not None and flow is not None:
@@ -295,7 +284,6 @@ class CampaignRunner:
         if resume and stream_dir is None:
             raise ValueError("resume replays a stream directory; it needs stream_dir")
         self.spec = spec
-        self.batch = batch
         self.stream_dir = Path(stream_dir) if stream_dir is not None else None
         self.resume = resume
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
@@ -395,12 +383,7 @@ class CampaignRunner:
         collector=None,
     ) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         started = time.perf_counter()
-        config = ExecutorConfig(
-            backend=self.spec.backend,
-            workers=self.spec.workers,
-            chunk_size=self.spec.chunk_size,
-            batch=self.batch,
-        )
+        config = ExecutorConfig(chunk_size=self.spec.chunk_size)
         candidates = self.spec.candidate_grid()
         suite_reports: List[SuiteReport] = []
         results: Dict[str, ExplorationResult] = {}
@@ -418,8 +401,6 @@ class CampaignRunner:
             campaign_span = collector.tracer.span(
                 self.spec.name,
                 kind="campaign",
-                backend=config.resolved_backend,
-                workers=config.workers,
                 suites=len(self.spec.suites),
                 candidates=len(candidates),
             )
@@ -552,7 +533,6 @@ class CampaignRunner:
                     cache_misses=stats.cache_misses,
                     profile_seconds=profile_seconds,
                     explore_seconds=stats.wall_seconds,
-                    batch_evaluations=stats.batch_evaluations,
                     artifact_hits=store_stats.hits - store_suite_hits,
                     artifact_misses=store_stats.misses - store_suite_misses,
                     mapping_seconds=sum(delta.seconds for delta in stage_delta.values()),
@@ -565,7 +545,6 @@ class CampaignRunner:
             totals.early_rejected += stats.early_rejected
             totals.checkpoint_hits += stats.checkpoint_hits
             totals.waves += stats.waves
-            totals.batch_evaluations += stats.batch_evaluations
             if suite_span is not None:
                 suite_span.set("kernels", len(kernels))
                 suite_span.set("candidates", len(candidates))
@@ -603,8 +582,8 @@ class CampaignRunner:
         report = CampaignReport(
             campaign=self.spec.name,
             suites=suite_reports,
-            backend=config.resolved_backend,
-            workers=config.workers,
+            backend="serial",
+            workers=1,
             chunk_size=config.chunk_size,
             early_reject=self.spec.early_reject,
             cache_path=";".join(cache_paths) if cache_paths else None,
@@ -613,7 +592,6 @@ class CampaignRunner:
             cache_misses=totals.cache_misses,
             early_rejected=totals.early_rejected,
             wall_seconds=time.perf_counter() - started,
-            batch_evaluations=totals.batch_evaluations,
             artifact_dir=str(artifact_directory) if artifact_directory is not None else None,
             artifact_hits=store_stats.hits - store_hits_before,
             artifact_misses=store_stats.misses - store_misses_before,

@@ -686,8 +686,6 @@ class CampaignStreamController:
             fingerprint=self.fingerprint,
             resumed=self.resumed,
             checkpoint_records=self.resumed_records,
-            backend=self.spec.backend,
-            workers=self.spec.workers,
             chunk_size=self.spec.chunk_size,
             early_reject=self.spec.early_reject,
         )

@@ -355,7 +355,6 @@ def run_worker(
     store_url: Optional[str] = None,
     store_tier: bool = False,
     store_shards: int = 1,
-    batch: Optional[bool] = None,
     poll_interval: float = 0.5,
     lease_delay: float = 0.0,
     finalize: bool = True,
@@ -391,12 +390,7 @@ def run_worker(
     else:
         artifact_store = ArtifactStore(artifact_dir, shards=store_shards)
     mapper = RSPMapper(store=artifact_store)
-    config = ExecutorConfig(
-        backend=spec.backend,
-        workers=spec.workers,
-        chunk_size=spec.chunk_size,
-        batch=batch,
-    )
+    config = ExecutorConfig(chunk_size=spec.chunk_size)
 
     submission = client.submit(spec.as_payload(), wave_size)
     campaign_id = submission["campaign"]
@@ -407,11 +401,7 @@ def run_worker(
     )
 
     contexts: Dict[str, _SuiteContext] = {}
-    stats = EngineRunStats(
-        backend=config.resolved_backend,
-        workers=config.workers,
-        chunk_size=config.chunk_size,
-    )
+    stats = EngineRunStats(chunk_size=config.chunk_size)
     tracer = get_tracer()
     waves_completed = 0
     records_reported = 0
@@ -503,7 +493,6 @@ def run_worker(
             store_url=store_url,
             store_tier=store_tier,
             store_shards=store_shards,
-            batch=batch,
         )
     client.close()
     return summary
@@ -521,7 +510,6 @@ def _finalize(
     store_url: Optional[str],
     store_tier: bool,
     store_shards: int,
-    batch: Optional[bool],
 ) -> CampaignReport:
     """Derive the canonical report from the coordinator's merged checkpoint.
 
@@ -550,7 +538,6 @@ def _finalize(
         store_shards=store_shards,
         stream_dir=stream_dir,
         resume=True,
-        batch=batch,
     )
     try:
         report, _ = runner.run()

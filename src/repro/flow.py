@@ -106,11 +106,10 @@ def run_rsp_flow(
     cost_model / timing_model:
         Models used for the exploration estimates.
     executor / cache:
-        Evaluation-engine options (see :mod:`repro.engine`): a backend
-        configuration for parallel candidate evaluation and a persistent
-        cache so repeated flows never recompute an evaluation.  The
-        exploration step always runs through the engine; these arguments
-        only tune it.
+        Evaluation-engine options (see :mod:`repro.engine`): the wave
+        size of candidate evaluation and a persistent cache so repeated
+        flows never recompute an evaluation.  The exploration step always
+        runs through the engine; these arguments only tune it.
     artifact_store:
         Optional persistent :class:`~repro.engine.artifacts.ArtifactStore`
         backing the staged mapping pipeline: base schedules, profiles and

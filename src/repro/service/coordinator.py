@@ -429,8 +429,6 @@ class CampaignCoordinator:
                     fingerprint=campaign_fingerprint(spec),
                     resumed=False,
                     checkpoint_records=0,
-                    backend=spec.backend,
-                    workers=spec.workers,
                     chunk_size=spec.chunk_size,
                     early_reject=spec.early_reject,
                 )

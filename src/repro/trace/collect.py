@@ -163,8 +163,7 @@ class TraceCollector:
 
     The collector's tracer buffers in memory; :meth:`flush` moves the
     buffer into SQLite in one batched transaction.  Only the creating
-    process ever writes (forked workers ship their spans back through
-    the pool — see :mod:`repro.trace.spans`).
+    process ever writes (see :mod:`repro.trace.spans`).
     """
 
     def __init__(

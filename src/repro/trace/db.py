@@ -7,11 +7,10 @@ and the query helpers answer the dashboard's questions directly: slowest
 spans, per-name aggregates with p50/p95, wave timelines, counter totals.
 
 Write ownership is per process: the :class:`TraceDB` remembers the pid
-that opened it and refuses writes from any other (a forked worker that
-inherited the handle must ship its spans through the parent instead —
-see :mod:`repro.trace.spans`).  SQLite connections are not fork-safe,
-and two processes appending to one WAL file is exactly the torn-row
-hazard this guard exists to make impossible.
+that opened it and refuses writes from any other (a forked child that
+inherited the handle must open its own database).  SQLite connections
+are not fork-safe, and two processes appending to one WAL file is
+exactly the torn-row hazard this guard exists to make impossible.
 """
 
 from __future__ import annotations
@@ -146,8 +145,8 @@ class TraceDB:
         if os.getpid() != self._pid:
             raise TraceError(
                 "trace databases are single-writer: this handle belongs to "
-                f"pid {self._pid}, not {os.getpid()} — forked workers must "
-                "ship spans through the parent (Tracer.ingest), not write"
+                f"pid {self._pid}, not {os.getpid()} — a forked child must "
+                "open its own trace database, not write through this one"
             )
 
     # ------------------------------------------------------------------

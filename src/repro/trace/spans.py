@@ -16,12 +16,8 @@ null tracer carries no state at all, so it is trivially safe across
 ``fork`` and pickling.
 
 Process model: a real :class:`Tracer` buffers in the process that created
-it.  Forked process-pool workers either inherit a copy (whose buffer the
-parent never sees) or start with the null default; either way the worker
-side builds a *fresh local* tracer, drains it, and ships the finished
-span records back through the pool's return value — the parent then
-:meth:`Tracer.ingest`\\ s them.  The trace DB is only ever written by the
-process that opened it (see :class:`repro.trace.db.TraceDB`).
+it, and the trace DB is only ever written by the process that opened it
+(see :class:`repro.trace.db.TraceDB`).
 """
 
 from __future__ import annotations
@@ -184,9 +180,6 @@ class NullTracer:
     def annotate(self, message: str, **attributes: Any) -> None:
         pass
 
-    def ingest(self, records: List[dict]) -> int:
-        return 0
-
     def drain(self) -> TraceBatch:
         return TraceBatch()
 
@@ -322,15 +315,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Buffer management
     # ------------------------------------------------------------------
-    def ingest(self, records: List[dict]) -> int:
-        """Adopt finished span records produced elsewhere (pool workers)."""
-        if not records:
-            return 0
-        with self._lock:
-            self._spans.extend(records)
-            self.spans_recorded += len(records)
-        return len(records)
-
     def drain(self) -> TraceBatch:
         """Atomically take everything buffered since the previous drain."""
         with self._lock:

@@ -7,6 +7,8 @@ do not re-run the scheduler over and over.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.arch import (
@@ -17,6 +19,7 @@ from repro.arch import (
     rsp_architecture,
 )
 from repro.core import HardwareCostModel, TimingModel
+from repro.engine.executor import EvaluationEngine
 from repro.kernels import get_kernel, matrix_multiplication
 from repro.mapping import RSPMapper
 from repro.synthesis import SynthesisSurrogate
@@ -61,6 +64,38 @@ def rs2_arch():
 @pytest.fixture(scope="session")
 def rsp2_arch():
     return rsp_architecture(2)
+
+
+class ScalarEvaluator:
+    """The scalar models behind the batch evaluator's interface: one
+    ``explorer.evaluate`` call per candidate (the vectorized path's oracle)."""
+
+    def __init__(self, explorer):
+        self.explorer = explorer
+
+    def evaluate(self, parameters, names):
+        return [
+            self.explorer.evaluate(candidate, name=name)
+            for candidate, name in zip(parameters, names)
+        ]
+
+
+@pytest.fixture
+def scalar_evaluation():
+    """A context manager: while it is open, every engine evaluates its
+    waves through :class:`ScalarEvaluator` instead of numpy."""
+
+    @contextlib.contextmanager
+    def substituted():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                EvaluationEngine,
+                "batch_evaluator",
+                lambda engine: ScalarEvaluator(engine.explorer),
+            )
+            yield
+
+    return substituted
 
 
 @pytest.fixture(scope="session")

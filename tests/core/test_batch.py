@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.batch import BatchEvaluator, WaveColumns, numpy_available
-from repro.core.exploration import (
-    ExplorationConstraints,
-    RSPDesignSpaceExplorer,
-    is_feasible,
-)
-from repro.core.pareto import pareto_front
+from repro.core.batch import BatchEvaluator
+from repro.core.exploration import RSPDesignSpaceExplorer
 from repro.core.rsp_params import RSPParameters, base_parameters, enumerate_design_space
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.errors import ExplorationError
-
-numpy = pytest.importorskip("numpy")
 
 
 def dense_profiles() -> dict:
@@ -55,7 +48,12 @@ def explorer():
 
 @pytest.fixture(scope="module")
 def evaluator(explorer):
-    return BatchEvaluator.from_explorer(explorer)
+    return BatchEvaluator(
+        explorer.profiles,
+        array=explorer.array,
+        cost_model=explorer.cost_model,
+        timing_model=explorer.timing_model,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -71,23 +69,8 @@ def batch(evaluator, grid):
 
 
 # ----------------------------------------------------------------------
-# Availability
+# Construction
 # ----------------------------------------------------------------------
-def test_available_with_numpy_present():
-    assert numpy_available()
-    assert BatchEvaluator.available()
-
-
-def test_unavailable_without_numpy(monkeypatch, explorer):
-    import repro.core.batch as batch_module
-
-    monkeypatch.setattr(batch_module, "_np", None)
-    assert not BatchEvaluator.available()
-    assert BatchEvaluator.from_explorer(explorer) is None
-    with pytest.raises(ExplorationError):
-        BatchEvaluator(explorer.profiles)
-
-
 def test_requires_profiles():
     with pytest.raises(ExplorationError):
         BatchEvaluator({})
@@ -122,98 +105,6 @@ def test_evaluate_honours_names(explorer, evaluator):
             assert estimate.architecture == evaluation.architecture.name
 
 
-def test_evaluate_keep_materializes_survivors_only(explorer, evaluator, grid):
-    keep = [0, 5, len(grid) - 1]
-    survivors = evaluator.evaluate(grid, keep=keep)
-    assert len(survivors) == len(keep)
-    for position, evaluation in zip(keep, survivors):
-        assert evaluation == explorer.evaluate(grid[position])
-
-
-# ----------------------------------------------------------------------
-# Vectorized filters
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "constraints",
-    [
-        ExplorationConstraints(),
-        ExplorationConstraints(max_execution_time_ratio=1.1),
-        ExplorationConstraints(max_stall_cycles=4),
-        ExplorationConstraints(max_area_slices=900.0, max_execution_time_ratio=2.0),
-    ],
-)
-def test_feasibility_mask_matches_is_feasible(explorer, evaluator, grid, batch, constraints):
-    base = explorer.evaluate(base_parameters())
-    mask = evaluator.feasibility_mask(batch, base, constraints)
-    scalar = [
-        is_feasible(explorer.evaluate(candidate), base, constraints) for candidate in grid
-    ]
-    assert list(mask) == scalar
-
-
-def test_early_reject_mask_matches_engine_filter(explorer, evaluator, grid, batch):
-    from repro.engine.executor import EvaluationEngine
-    from repro.engine.frontier import ParetoFrontier
-    from repro.engine.jobs import EvaluationJob
-
-    base = explorer.evaluate(base_parameters())
-    frontier = ParetoFrontier(num_objectives=2)
-    frontier.add((base.area_slices, base.total_execution_time_ns))
-    # Seed a few completed feasible points so the filter has teeth.
-    for candidate in grid[:20]:
-        evaluation = explorer.evaluate(candidate)
-        if is_feasible(evaluation, base, ExplorationConstraints()):
-            frontier.add((evaluation.area_slices, evaluation.total_execution_time_ns))
-    lower_bound = sum(profile.length for profile in explorer.profiles.values())
-
-    engine = EvaluationEngine(explorer)
-    mask = evaluator.early_reject_mask(batch, frontier, lower_bound)
-    scalar = [
-        engine._early_reject(EvaluationJob(parameters=candidate), frontier, lower_bound)
-        for candidate in grid
-    ]
-    assert list(mask) == scalar
-    assert any(mask), "filter should reject something on this grid"
-
-
-def test_early_reject_mask_empty_frontier(evaluator, batch):
-    from repro.engine.frontier import ParetoFrontier
-
-    mask = evaluator.early_reject_mask(batch, ParetoFrontier(num_objectives=2), 10)
-    assert not mask.any()
-
-
-def test_pareto_indices_match_scalar_front(explorer, evaluator, grid, batch):
-    evaluations = [explorer.evaluate(candidate) for candidate in grid]
-    front = pareto_front(
-        evaluations,
-        objectives=(
-            lambda e: e.area_slices,
-            lambda e: e.total_execution_time_ns,
-        ),
-    )
-    indices = evaluator.pareto_indices(batch)
-    assert [evaluations[i] for i in indices] == front
-
-
-def test_pareto_indices_with_mask(explorer, evaluator, grid, batch):
-    base = explorer.evaluate(base_parameters())
-    mask = evaluator.feasibility_mask(batch, base)
-    evaluations = [explorer.evaluate(candidate) for candidate in grid]
-    feasible = [
-        e for e, keep in zip(evaluations, mask) if keep
-    ]
-    front = pareto_front(
-        feasible,
-        objectives=(
-            lambda e: e.area_slices,
-            lambda e: e.total_execution_time_ns,
-        ),
-    )
-    indices = evaluator.pareto_indices(batch, mask=mask)
-    assert [evaluations[i] for i in indices] == front
-
-
 # ----------------------------------------------------------------------
 # Encoding details
 # ----------------------------------------------------------------------
@@ -243,28 +134,3 @@ def test_compute_totals_consistent(evaluator, grid, batch):
     assert (
         batch.total_execution_time_ns == batch.total_cycles * batch.critical_path_ns
     ).all()
-
-
-def test_reload_with_numpy_stubbed_out_disables_fast_path():
-    """A clean import with numpy uninstallable must leave the module usable."""
-    import importlib
-    import sys
-
-    import repro.core.batch as batch_module
-
-    saved = sys.modules.get("numpy")
-    sys.modules["numpy"] = None  # makes ``import numpy`` raise ImportError
-    try:
-        importlib.reload(batch_module)
-        assert batch_module._np is None
-        assert not batch_module.numpy_available()
-        assert not batch_module.BatchEvaluator.available()
-        with pytest.raises(ExplorationError):
-            batch_module.BatchEvaluator(dense_profiles())
-    finally:
-        if saved is not None:
-            sys.modules["numpy"] = saved
-        else:
-            del sys.modules["numpy"]
-        importlib.reload(batch_module)
-    assert batch_module.numpy_available()

@@ -1,9 +1,10 @@
-"""Tests for the evaluation engine: backends, cache integration, early reject."""
+"""Tests for the evaluation engine: waves, cache integration, early reject."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.batch import BatchEvaluator
 from repro.core.exploration import (
     ExplorationConstraints,
     RSPDesignSpaceExplorer,
@@ -49,40 +50,12 @@ def serial_reference(explorer):
 # ----------------------------------------------------------------------
 def test_executor_config_validation():
     with pytest.raises(ExplorationError):
-        ExecutorConfig(backend="gpu")
-    with pytest.raises(ExplorationError):
-        ExecutorConfig(workers=0)
-    with pytest.raises(ExplorationError):
         ExecutorConfig(chunk_size=0)
 
 
-def test_single_worker_resolves_to_serial():
-    assert ExecutorConfig(backend="process", workers=1).resolved_backend == "serial"
-    assert ExecutorConfig(backend="process", workers=3).resolved_backend == "process"
-
-
 # ----------------------------------------------------------------------
-# Backend parity
+# Facade parity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_parallel_backends_match_serial(explorer, serial_reference, backend):
-    config = ExecutorConfig(backend=backend, workers=2, chunk_size=3)
-    result = run_exploration(explorer, config=config).result
-    assert [e.parameters for e in result.evaluated] == [
-        e.parameters for e in serial_reference.evaluated
-    ]
-    assert [e.area_slices for e in result.evaluated] == [
-        e.area_slices for e in serial_reference.evaluated
-    ]
-    assert [e.total_estimated_cycles for e in result.evaluated] == [
-        e.total_estimated_cycles for e in serial_reference.evaluated
-    ]
-    assert [e.parameters for e in result.pareto] == [
-        e.parameters for e in serial_reference.pareto
-    ]
-    assert result.selected.parameters == serial_reference.selected.parameters
-
-
 def test_engine_matches_explorer_facade(explorer, serial_reference):
     facade = explorer.explore()
     assert [e.parameters for e in facade.evaluated] == [
@@ -202,14 +175,13 @@ def test_feasibility_helper_matches_method(explorer):
 # ----------------------------------------------------------------------
 # Vectorized batch path
 # ----------------------------------------------------------------------
-def test_batch_path_engages_and_matches_scalar(explorer):
-    pytest.importorskip("numpy")
-    scalar = run_exploration(explorer, config=ExecutorConfig(batch=False))
-    batch = run_exploration(explorer, config=ExecutorConfig())
-    assert scalar.stats.batch_evaluations == 0
-    # The base point is evaluated once up front through the scalar
-    # single-job path; every wave-dispatched candidate is batched.
-    assert batch.stats.batch_evaluations == batch.stats.evaluated - 1 > 0
+def test_batch_path_engages_and_matches_scalar(explorer, scalar_evaluation):
+    assert isinstance(EvaluationEngine(explorer).batch_evaluator(), BatchEvaluator)
+    with scalar_evaluation():
+        scalar = run_exploration(explorer, config=ExecutorConfig(chunk_size=3))
+    batch = run_exploration(explorer, config=ExecutorConfig(chunk_size=3))
+    assert batch.stats.evaluated == scalar.stats.evaluated
+    assert batch.stats.waves == scalar.stats.waves
     # Full dataclass equality: same parameters, architectures, floats and
     # stall dictionaries — the batch path is bit-identical, not just close.
     assert batch.result.evaluated == scalar.result.evaluated
@@ -218,55 +190,25 @@ def test_batch_path_engages_and_matches_scalar(explorer):
     assert batch.result.selected == scalar.result.selected
 
 
-def test_batch_path_engages_on_thread_backend(explorer):
-    pytest.importorskip("numpy")
-    config = ExecutorConfig(backend="thread", workers=2, chunk_size=3)
-    outcome = run_exploration(explorer, config=config)
-    assert outcome.stats.batch_evaluations == outcome.stats.evaluated - 1 > 0
-    scalar = run_exploration(explorer, config=ExecutorConfig(batch=False))
-    assert outcome.result.evaluated == scalar.result.evaluated
-
-
-def test_batch_path_disabled_for_process_backend(explorer):
-    config = ExecutorConfig(backend="process", workers=2, chunk_size=8)
-    outcome = run_exploration(explorer, config=config)
-    assert outcome.stats.batch_evaluations == 0
-    assert outcome.stats.evaluated > 0
-
-
-def test_batch_path_skips_cache_hits(explorer, tmp_path):
-    pytest.importorskip("numpy")
+def test_batch_path_skips_cache_hits(explorer, tmp_path, scalar_evaluation):
     cache = EvaluationCache(tmp_path / "evals.jsonl")
-    cold = run_exploration(explorer, cache=cache)
-    assert cold.stats.batch_evaluations == cold.stats.evaluated - 1 > 0
+    with scalar_evaluation():
+        cold = run_exploration(explorer, cache=cache)
+    assert cold.stats.evaluated == cold.stats.total_jobs > 1
 
     warm = EvaluationCache(tmp_path / "evals.jsonl")
     second = run_exploration(explorer, cache=warm)
-    # A fully warm run computes nothing, so nothing is batched either.
-    assert second.stats.batch_evaluations == 0
+    # A fully warm run computes nothing: the batch path only ever sees
+    # cache misses, and the scalar oracle's records serve it unchanged.
     assert second.stats.evaluated == 0
     assert second.result.evaluated == cold.result.evaluated
 
 
-def test_batch_path_with_early_reject_matches_scalar(explorer):
-    pytest.importorskip("numpy")
-    scalar = run_exploration(
-        explorer, config=ExecutorConfig(batch=False), early_reject=True
-    )
-    batch = run_exploration(explorer, config=ExecutorConfig(), early_reject=True)
+def test_batch_path_with_early_reject_matches_scalar(explorer, scalar_evaluation):
+    with scalar_evaluation():
+        scalar = run_exploration(explorer, early_reject=True)
+    batch = run_exploration(explorer, early_reject=True)
     assert batch.result.pareto == scalar.result.pareto
     assert batch.result.selected == scalar.result.selected
     assert batch.rejected == scalar.rejected
     assert batch.stats.early_rejected == scalar.stats.early_rejected
-
-
-def test_batch_falls_back_without_numpy(explorer, monkeypatch):
-    import repro.core.batch as batch_module
-
-    monkeypatch.setattr(batch_module, "_np", None)
-    outcome = run_exploration(explorer, config=ExecutorConfig(batch=True))
-    assert outcome.stats.batch_evaluations == 0
-    assert outcome.stats.evaluated > 0
-    reference = run_exploration(explorer, config=ExecutorConfig(batch=False))
-    assert outcome.result.evaluated == reference.result.evaluated
-    assert outcome.result.selected == reference.result.selected

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine.__main__ import build_parser, main
 from repro.engine.jobs import CampaignSpec
 from repro.engine.runner import SUMMARY_HEADERS, CampaignRunner
@@ -20,8 +25,6 @@ def small_spec():
         suites=("h264",),
         max_rows_shared=1,
         max_cols_shared=1,
-        workers=2,
-        backend="thread",
         chunk_size=2,
     )
 
@@ -118,8 +121,36 @@ def test_campaign_report_serialises(campaign_outcome):
 def test_cli_parser_defaults():
     args = build_parser().parse_args([])
     assert args.suites is None
-    assert args.backend == "thread"
+    assert args.backend == "serial"
     assert args.workers == 1
+
+
+def test_cli_accepts_only_the_serial_backend(capsys):
+    argv = ["--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
+            "--no-cache", "--no-artifact-cache", "--quiet"]
+    assert main(argv + ["--workers", "1", "--backend", "serial"]) == 0
+    for removed in (["--backend", "thread"], ["--workers", "2"]):
+        assert main(argv + removed) == 2
+        assert "parallel evaluation backends were removed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["repro.engine.__main__", "repro.flow"])
+def test_entry_points_import_neither_numpy_nor_multiprocessing(module):
+    """numpy loads only once a wave is evaluated, and no process pool is left."""
+    code = (
+        f"import sys, {module}; "
+        "print([name for name in ('numpy', 'multiprocessing') if name in sys.modules])"
+    )
+    source_root = Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(source_root)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
@@ -129,7 +160,6 @@ def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
         "--suite", "h264",
         "--max-rows-shared", "1",
         "--max-cols-shared", "1",
-        "--workers", "2",
         "--cache-dir", str(cache_dir),
         "--output", str(output),
     ]
@@ -150,7 +180,7 @@ def test_cli_runs_campaign_and_writes_report(tmp_path, capsys):
 def test_cli_reports_domain_errors_cleanly(capsys):
     assert main(["--suite", "h264", "--workers", "0", "--no-cache", "--quiet"]) == 2
     captured = capsys.readouterr()
-    assert "error: workers must be at least 1" in captured.err
+    assert "error: the parallel evaluation backends were removed" in captured.err
     assert main(["--suite", "h264", "--stages", "0", "--no-cache", "--quiet"]) == 2
     assert "invalid pipeline stage count" in capsys.readouterr().err
 
@@ -230,40 +260,17 @@ def test_cli_artifact_dir_defaults_to_cache_dir(tmp_path):
 # ----------------------------------------------------------------------
 # Vectorized batch path through the runner and the CLI
 # ----------------------------------------------------------------------
-def test_runner_batch_flag_and_counters(small_spec):
-    pytest.importorskip("numpy")
+def test_runner_batch_matches_scalar_oracle(small_spec, scalar_evaluation):
     batched, batched_results = CampaignRunner(small_spec).run()
-    scalar, scalar_results = CampaignRunner(small_spec, batch=False).run()
-    assert scalar.batch_evaluations == 0
-    assert all(suite.batch_evaluations == 0 for suite in scalar.suites)
-    assert batched.batch_evaluations > 0
-    assert batched.batch_evaluations == sum(
-        suite.batch_evaluations for suite in batched.suites
-    )
+    with scalar_evaluation():
+        scalar, scalar_results = CampaignRunner(small_spec).run()
     # The batch path changes throughput, never results: the exploration
     # outcomes serialise byte-identically.
     assert to_json(batched_results["h264"]) == to_json(scalar_results["h264"])
     assert batched.suites[0].selected == scalar.suites[0].selected
 
 
-def test_runner_batch_counters_zero_without_numpy(small_spec, monkeypatch):
-    import repro.core.batch as batch_module
-
-    monkeypatch.setattr(batch_module, "_np", None)
-    report, _ = CampaignRunner(small_spec).run()
-    assert report.batch_evaluations == 0
-    assert report.suites[0].selected is not None
-
-
-def test_cli_batch_flags():
-    parser = build_parser()
-    assert parser.parse_args([]).batch is None
-    assert parser.parse_args(["--batch"]).batch is True
-    assert parser.parse_args(["--no-batch"]).batch is False
-
-
-def test_cli_no_batch_matches_default_report(tmp_path, capsys):
-    pytest.importorskip("numpy")
+def test_cli_no_batch_matches_default_report(tmp_path, capsys, scalar_evaluation):
     base_args = [
         "--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
         "--no-cache", "--no-artifact-cache", "--quiet",
@@ -271,25 +278,14 @@ def test_cli_no_batch_matches_default_report(tmp_path, capsys):
     fast = tmp_path / "fast.json"
     slow = tmp_path / "slow.json"
     assert main(base_args + ["--output", str(fast)]) == 0
-    assert main(base_args + ["--no-batch", "--output", str(slow)]) == 0
+    with scalar_evaluation():
+        assert main(base_args + ["--output", str(slow)]) == 0
     capsys.readouterr()
     fast_payload = json.loads(fast.read_text())
     slow_payload = json.loads(slow.read_text())
-    assert fast_payload["report"]["batch_evaluations"] > 0
-    assert slow_payload["report"]["batch_evaluations"] == 0
     assert fast_payload["suite_selections"] == slow_payload["suite_selections"]
-    for key in ("total_jobs", "cache_hits", "early_rejected"):
+    for key in ("total_jobs", "cache_hits", "early_rejected", "waves"):
         assert fast_payload["report"][key] == slow_payload["report"][key]
-
-
-def test_cli_summary_line_shows_batched_count(tmp_path, capsys):
-    pytest.importorskip("numpy")
-    assert main([
-        "--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
-        "--no-cache", "--no-artifact-cache",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "batched:" in out
 
 
 # ----------------------------------------------------------------------

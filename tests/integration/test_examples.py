@@ -11,8 +11,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -36,7 +34,6 @@ def test_examples_directory_contains_documented_scripts():
 
 
 def test_quickstart_runs_and_verifies_against_numpy(capsys):
-    pytest.importorskip("numpy", reason="the quickstart verifies against numpy")
     module = load_example("quickstart")
     module.main()
     output = capsys.readouterr().out
@@ -53,7 +50,6 @@ def test_matmul_schedules_example_renders_both_figures(capsys):
 
 
 def test_custom_kernel_example_defines_a_valid_kernel():
-    pytest.importorskip("numpy", reason="the example simulates against numpy")
     module = load_example("custom_kernel")
     kernel = module.make_fir_kernel()
     from repro.ir import validate_dfg

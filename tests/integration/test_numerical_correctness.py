@@ -8,9 +8,8 @@ against NumPy reference computations.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy", reason="reference computations need numpy")
 
 from repro.arch import base_architecture, paper_architectures, rs_architecture, rsp_architecture
 from repro.kernels import (

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-np = pytest.importorskip("numpy", reason="reference computations need numpy")
+import numpy as np
 
 from repro.arch import base_architecture, rsp_architecture
 from repro.ir import OpType, validate_dfg

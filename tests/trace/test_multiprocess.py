@@ -1,17 +1,12 @@
-"""Multiprocess tracing: forked workers ship spans through the parent.
+"""A traced campaign end to end: the trace DB reproduces the report.
 
-The process backend is the hard case for the trace DB's single-writer
-rule: eval spans are measured inside pool workers, returned through the
-pool, ingested by the parent's tracer, and flushed from the parent — the
-workers never touch SQLite.  These tests prove the resulting DB is
-consistent (no torn or silently replaced rows) and that its counts
-reproduce the campaign report exactly, which is also what the CI
-trace-smoke job checks via ``python -m repro.trace summary --json``.
+These tests prove the DB a traced campaign leaves behind is consistent
+(no torn or silently replaced rows) and that its counts reproduce the
+campaign report exactly, which is also what the CI trace-smoke job
+checks via ``python -m repro.trace summary --json``.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -22,14 +17,12 @@ from repro.trace.db import TRACE_DB_FILENAME, TraceDB
 
 
 @pytest.fixture(scope="module")
-def traced_process_campaign(tmp_path_factory):
+def traced_campaign(tmp_path_factory):
     spec = CampaignSpec(
-        name="traced-process",
+        name="traced",
         suites=("h264",),
         max_rows_shared=1,
         max_cols_shared=1,
-        workers=2,
-        backend="process",
         chunk_size=2,
     )
     trace_dir = tmp_path_factory.mktemp("trace")
@@ -40,14 +33,14 @@ def traced_process_campaign(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trace_db(traced_process_campaign):
-    _, _, _, trace_dir = traced_process_campaign
+def trace_db(traced_campaign):
+    _, _, _, trace_dir = traced_campaign
     with TraceDB(trace_dir / TRACE_DB_FILENAME, readonly=True) as db:
         yield db
 
 
-def test_trace_db_exists_and_report_carries_the_block(traced_process_campaign):
-    runner, report, _, trace_dir = traced_process_campaign
+def test_trace_db_exists_and_report_carries_the_block(traced_campaign):
+    runner, report, _, trace_dir = traced_campaign
     db_path = trace_dir / TRACE_DB_FILENAME
     assert db_path.is_file() and db_path.stat().st_size > 0
     assert report.trace["db"] == str(db_path)
@@ -57,8 +50,8 @@ def test_trace_db_exists_and_report_carries_the_block(traced_process_campaign):
     assert runner.trace_summary["spans"] >= report.trace["spans"]
 
 
-def test_span_counts_reproduce_the_report(traced_process_campaign, trace_db):
-    _, report, _, _ = traced_process_campaign
+def test_span_counts_reproduce_the_report(traced_campaign, trace_db):
+    _, report, _, _ = traced_campaign
     assert trace_db.span_count() == report.trace["spans"]
     assert trace_db.span_count("wave") == report.waves
     assert trace_db.counter("wave.count") == report.waves
@@ -71,34 +64,21 @@ def test_span_counts_reproduce_the_report(traced_process_campaign, trace_db):
     # dispatched, so wave results account for every job except that one.
     wave_results = sum(span["attrs"]["results"] for span in trace_db.spans(kind="wave"))
     assert wave_results == report.total_jobs - 1
+    # The cold cache makes every wave compute: one eval span per wave.
+    assert trace_db.span_count("eval") == report.waves
+    ids = [span["span_id"] for span in trace_db.spans()]
+    assert len(ids) == len(set(ids))
 
 
-def test_summary_facts_match_report_counts(traced_process_campaign, trace_db):
-    _, report, _, _ = traced_process_campaign
+def test_summary_facts_match_report_counts(traced_campaign, trace_db):
+    _, report, _, _ = traced_campaign
     facts = _summary_facts(trace_db)
-    assert facts["campaign"] == "traced-process"
+    assert facts["campaign"] == "traced"
     assert facts["waves"] == report.waves
     assert facts["results"] == report.total_jobs
     assert facts["eval_store"]["hits"] == report.cache_hits
     assert facts["eval_store"]["misses"] == report.cache_misses
     assert sum(facts["result_sources"].values()) == report.total_jobs
-
-
-def test_worker_eval_spans_survive_the_round_trip(trace_db):
-    """Eval spans are measured in forked workers and shipped back whole."""
-    evals = trace_db.spans(kind="eval")
-    assert evals  # the cold cache forces dispatched waves
-    parent = os.getpid()
-    worker_pids = {span["pid"] for span in evals}
-    assert parent not in worker_pids  # measured in the pool, not the parent
-    # No torn or replaced rows: ids unique, every span fully populated.
-    ids = [span["span_id"] for span in trace_db.spans()]
-    assert len(ids) == len(set(ids))
-    for span in evals:
-        assert span["duration_s"] >= 0.0
-        assert span["status"] == "ok"
-        assert span["attrs"]["jobs"] >= 1
-        assert span["span_id"].startswith(f"{span['pid']:x}-")
 
 
 def test_wave_spans_nest_under_their_suite(trace_db):
@@ -110,8 +90,8 @@ def test_wave_spans_nest_under_their_suite(trace_db):
     assert all(span["parent_id"] == suite_span["span_id"] for span in waves)
 
 
-def test_stage_spans_mirror_the_mapping_stage_stats(traced_process_campaign, trace_db):
-    _, report, _, _ = traced_process_campaign
+def test_stage_spans_mirror_the_mapping_stage_stats(traced_campaign, trace_db):
+    _, report, _, _ = traced_campaign
     for stage, timing in report.mapping_stages.items():
         stage_spans = [span for span in trace_db.spans(kind="stage") if span["name"] == stage]
         assert len(stage_spans) == timing["hits"] + timing["misses"]

@@ -112,20 +112,6 @@ def test_drain_is_atomic_and_resets_buffers():
     assert isinstance(second, TraceBatch)
 
 
-def test_ingest_adopts_foreign_records():
-    tracer = Tracer()
-    foreign = [
-        {"span_id": "dead-1", "parent_id": None, "name": "w", "kind": "eval",
-         "start_ts": 0.0, "duration_s": 0.1, "status": "ok", "pid": 1, "thread": "x",
-         "attrs": {}},
-    ]
-    assert tracer.ingest(foreign) == 1
-    assert tracer.ingest([]) == 0
-    assert tracer.pending == 1
-    assert tracer.drain().spans == foreign
-    assert tracer.spans_recorded == 1
-
-
 def test_concurrent_threads_record_without_loss():
     tracer = Tracer()
 
@@ -158,7 +144,6 @@ def test_null_tracer_is_inert():
         span.set("k", "v")
     null.record_span("z", duration_s=1.0)
     null.counter("c")
-    assert null.ingest([{"span_id": "a"}]) == 0
     assert not null.drain()
     assert null.pending == 0
     assert null.current_span_id is None

@@ -101,12 +101,11 @@ def test_exploration_result_round_trips_through_json():
 def test_engine_run_stats_round_trip():
     from repro.engine.executor import EngineRunStats
 
-    stats = EngineRunStats(backend="process", workers=4, chunk_size=8,
-                           total_jobs=17, evaluated=12, cache_hits=5,
+    stats = EngineRunStats(chunk_size=8, total_jobs=17, evaluated=12, cache_hits=5,
                            cache_misses=12, early_rejected=0, wall_seconds=0.25)
     payload = from_json(to_json(stats))
     assert payload == dataclass_to_dict(stats)
-    assert payload["backend"] == "process"
+    assert payload["chunk_size"] == 8
     assert payload["cache_hits"] == 5
 
 
@@ -121,7 +120,7 @@ def test_campaign_report_round_trip():
         cache_hits=10, cache_misses=7, profile_seconds=0.5, explore_seconds=0.1,
     )
     report = CampaignReport(
-        campaign="nightly", suites=[suite], backend="thread", workers=4,
+        campaign="nightly", suites=[suite], backend="serial", workers=1,
         chunk_size=8, early_reject=True, cache_path="/tmp/cache/evals-abc.jsonl",
         total_jobs=18, cache_hits=10, cache_misses=7, early_rejected=2,
         wall_seconds=1.5,
