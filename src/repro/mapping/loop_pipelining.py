@@ -24,11 +24,24 @@ scheduler:
 
 Ready operations compete in (iteration, criticality) order, matching the
 paper's rule that shared resources are granted in loop-iteration order.
+
+Two shortcuts keep the scheduler from re-proving that the array is full;
+neither changes a single placement:
+
+* :meth:`LoopPipeliningScheduler._find_placement` ORs the tracker's
+  per-cycle PE masks over the operation's occupancy once, skips busy PEs
+  with a bit test and probes :meth:`ResourceTracker.placement_feasible`
+  only on PE-free candidates.
+* Within one cycle, an operation's feasibility at a PE depends on the
+  operation only through its *exhausted key* ``(occupancy, class)``, where
+  the class is LOAD, STORE, MUL on a sharing architecture, or other.  When
+  no PE takes an operation, no later candidate with the same key is
+  probed in that cycle: the search visits every column and row, and the
+  claims made later in the cycle only remove capacity.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.template import ArchitectureSpec
@@ -98,8 +111,15 @@ class LoopPipeliningScheduler:
             op.name for op in schedulable if pending_preds[op.name] == 0
         }
         unscheduled = {op.name for op in schedulable}
+        operations = {op.name: op for op in schedulable}
+        rank = {op.name: (op.iteration, -priorities[op.name], op.name) for op in schedulable}
+        exhausted_keys = {
+            op.name: (self.occupancy_of(op), self._resource_class(op)) for op in schedulable
+        }
         tracker = ResourceTracker(self.architecture)
         placements: Dict[str, Tuple[int, int]] = {}
+        cols = self.architecture.array.cols
+        column_orders = [column_preference(preferred, cols) for preferred in range(cols)]
 
         limit = self.max_cycles or (10 * len(schedulable) + 1000)
         cycle = 0
@@ -111,22 +131,29 @@ class LoopPipeliningScheduler:
                 )
             candidates = sorted(
                 (op_name for op_name in ready if earliest[op_name] <= cycle),
-                key=lambda op_name: (
-                    dfg.operation(op_name).iteration,
-                    -priorities[op_name],
-                    op_name,
-                ),
+                key=rank.__getitem__,
             )
+            exhausted: Set[Tuple[int, Optional[OpType]]] = set()
             for op_name in candidates:
-                operation = dfg.operation(op_name)
-                latency = self.latency_of(operation)
-                occupancy = self.occupancy_of(operation)
+                key = exhausted_keys[op_name]
+                if key in exhausted:
+                    continue
+                operation = operations[op_name]
+                occupancy = key[0]
                 placement = self._find_placement(
-                    operation, cycle, occupancy, tracker, dfg, placements
+                    operation,
+                    cycle,
+                    occupancy,
+                    tracker,
+                    dfg,
+                    placements,
+                    column_orders[operation.iteration % cols],
                 )
                 if placement is None:
+                    exhausted.add(key)
                     continue
                 row, col, shared_unit = placement
+                latency = self.latency_of(operation)
                 tracker.claim(operation, cycle, row, col, occupancy, shared_unit)
                 result.add(
                     ScheduledOperation(
@@ -169,6 +196,19 @@ class LoopPipeliningScheduler:
             priorities[op_name] = latency + downstream
         return priorities
 
+    def _resource_class(self, operation: Operation) -> Optional[OpType]:
+        """What, besides its occupancy, decides which PEs can take ``operation``.
+
+        Loads and stores also need a row bus slot and, on sharing
+        architectures, multiplications a shared-unit issue slot; every
+        other operation needs only a free PE (class ``None``).
+        """
+        if operation.is_memory or (
+            operation.is_multiplication and self.architecture.uses_sharing
+        ):
+            return operation.optype
+        return None
+
     def _find_placement(
         self,
         operation: Operation,
@@ -177,13 +217,17 @@ class LoopPipeliningScheduler:
         tracker: ResourceTracker,
         dfg: DFG,
         placements: Dict[str, Tuple[int, int]],
+        columns: List[int],
     ) -> Optional[Tuple[int, int, Optional[Tuple[str, int, int]]]]:
         """Pick a PE (and shared unit) for ``operation`` at ``cycle``.
 
-        Columns are visited in preference order (the iteration's column
-        first); within a column, rows already holding the operation's
-        predecessors are preferred so operands stay local.
+        Columns are visited in preference order (``columns``, the
+        iteration's column first); within a column, rows already holding
+        the operation's predecessors are preferred so operands stay local.
+        A PE whose bit (``row * cols + col``) is set in the tracker's busy
+        mask over ``duration`` cycles is skipped unprobed.
         """
+        busy = tracker.busy_mask(cycle, duration)
         spec = self.architecture.array
         preferred_rows = [
             placements[pred][0]
@@ -202,8 +246,10 @@ class LoopPipeliningScheduler:
                 row_order,
                 key=lambda row: (tracker.multiplications_in_row(cycle, row), rank[row]),
             )
-        for col in column_preference(operation.iteration, spec.cols):
+        for col in columns:
             for row in row_order:
+                if busy >> (row * spec.cols + col) & 1:
+                    continue
                 feasible, shared_unit = tracker.placement_feasible(
                     operation, cycle, row, col, duration
                 )

@@ -9,6 +9,18 @@ PE) triple:
   slot in that cycle?
 * once the answer is yes, record the claims so later decisions see them.
 
+PE occupancy is one integer bitmask per cycle: bit ``row * cols + col`` of
+a cycle's mask is set while PE (row, col) is busy in that cycle.  A caller
+that has to scan many PEs ORs the masks over an operation's occupancy once
+(:meth:`ResourceTracker.busy_mask`) and skips busy PEs with a bit test, so
+only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`,
+which stays the one place that applies the bus and shared-unit rules.
+
+Claims are atomic: :meth:`ResourceTracker.claim` and
+:meth:`ResourceTracker.claim_pe` check every resource they would take
+before they record any, so a :class:`PlacementError` leaves the tracker
+exactly as it was.
+
 The same tracker is used by the base mapper (:mod:`repro.mapping.loop_pipelining`)
 and by the context rearrangement (:mod:`repro.mapping.rearrange`), which is
 what keeps the two paths consistent.
@@ -17,8 +29,7 @@ what keeps the two paths consistent.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
@@ -41,7 +52,27 @@ class ResourceTracker:
     def __init__(self, architecture: ArchitectureSpec, unlimited_shared: bool = False) -> None:
         self.architecture = architecture
         self.unlimited_shared = unlimited_shared
-        self._pe_busy: Dict[Tuple[int, int, int], str] = {}
+        array = architecture.array
+        sharing = architecture.sharing
+        self._cols = array.cols
+        self._uses_sharing = architecture.uses_sharing
+        row_units = [
+            tuple(("row", row, ordinal) for ordinal in range(sharing.rows_shared))
+            for row in range(array.rows)
+        ]
+        col_units = [
+            tuple(("col", col, ordinal) for ordinal in range(sharing.cols_shared))
+            for col in range(array.cols)
+        ]
+        # Shared units reachable from each PE, indexed by the PE's bit.
+        self._reachable: List[Tuple[SharedUnitId, ...]] = [
+            row_units[row] + col_units[col]
+            for row in range(array.rows)
+            for col in range(array.cols)
+        ]
+        # Busy-PE bitmask per cycle, and the operation holding each busy PE.
+        self._busy: Dict[int, int] = {}
+        self._holders: Dict[Tuple[int, int, int], str] = {}
         self._loads: Dict[Tuple[int, int], int] = defaultdict(int)
         self._stores: Dict[Tuple[int, int], int] = defaultdict(int)
         self._unit_issues: Dict[Tuple[SharedUnitId, int], str] = {}
@@ -52,23 +83,43 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     # Processing elements
     # ------------------------------------------------------------------
+    def busy_mask(self, cycle: int, duration: int) -> int:
+        """PEs busy in any of the ``duration`` cycles from ``cycle``, as a bitmask."""
+        busy = self._busy
+        mask = 0
+        for offset_cycle in range(cycle, cycle + duration):
+            mask |= busy.get(offset_cycle, 0)
+        return mask
+
     def pe_free(self, cycle: int, row: int, col: int, duration: int) -> bool:
         """True when PE (row, col) is idle for ``duration`` cycles from ``cycle``."""
-        return all(
-            (offset_cycle, row, col) not in self._pe_busy
-            for offset_cycle in range(cycle, cycle + duration)
-        )
+        bit = 1 << (row * self._cols + col)
+        busy = self._busy
+        for offset_cycle in range(cycle, cycle + duration):
+            if busy.get(offset_cycle, 0) & bit:
+                return False
+        return True
 
     def claim_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
         """Mark PE (row, col) busy for ``duration`` cycles starting at ``cycle``."""
+        self._check_pe(cycle, row, col, duration)
+        self._mark_pe(cycle, row, col, duration, name)
+
+    def _check_pe(self, cycle: int, row: int, col: int, duration: int) -> None:
+        if self.pe_free(cycle, row, col, duration):
+            return
         for offset_cycle in range(cycle, cycle + duration):
-            key = (offset_cycle, row, col)
-            if key in self._pe_busy:
+            holder = self._holders.get((offset_cycle, row, col))
+            if holder is not None:
                 raise PlacementError(
-                    f"PE ({row},{col}) already busy at cycle {offset_cycle} "
-                    f"with {self._pe_busy[key]!r}"
+                    f"PE ({row},{col}) already busy at cycle {offset_cycle} with {holder!r}"
                 )
-            self._pe_busy[key] = name
+
+    def _mark_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
+        bit = 1 << (row * self._cols + col)
+        for offset_cycle in range(cycle, cycle + duration):
+            self._busy[offset_cycle] = self._busy.get(offset_cycle, 0) | bit
+            self._holders[(offset_cycle, row, col)] = name
 
     # ------------------------------------------------------------------
     # Row data buses
@@ -94,12 +145,7 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     def reachable_units(self, row: int, col: int) -> List[SharedUnitId]:
         """Shared-unit identifiers reachable from PE (row, col)."""
-        sharing = self.architecture.sharing
-        units: List[SharedUnitId] = [
-            ("row", row, ordinal) for ordinal in range(sharing.rows_shared)
-        ]
-        units.extend(("col", col, ordinal) for ordinal in range(sharing.cols_shared))
-        return units
+        return list(self._reachable[row * self._cols + col])
 
     def available_shared_unit(self, cycle: int, row: int, col: int) -> Optional[SharedUnitId]:
         """A reachable shared unit with a free issue slot at ``cycle``, if any.
@@ -111,7 +157,7 @@ class ResourceTracker:
             ordinal = self._unlimited_counter[(cycle, row)]
             self._unlimited_counter[(cycle, row)] += 1
             return ("row", row, ordinal)
-        for unit in self.reachable_units(row, col):
+        for unit in self._reachable[row * self._cols + col]:
             if (unit, cycle) not in self._unit_issues:
                 return unit
         return None
@@ -120,12 +166,15 @@ class ResourceTracker:
         """Record that ``unit`` accepts the multiplication ``name`` at ``cycle``."""
         if self.unlimited_shared:
             return
+        self._check_shared_unit(unit, cycle)
+        self._unit_issues[(unit, cycle)] = name
+
+    def _check_shared_unit(self, unit: SharedUnitId, cycle: int) -> None:
         key = (unit, cycle)
-        if key in self._unit_issues:
+        if not self.unlimited_shared and key in self._unit_issues:
             raise PlacementError(
                 f"shared unit {unit} already issues {self._unit_issues[key]!r} at cycle {cycle}"
             )
-        self._unit_issues[key] = name
 
     # ------------------------------------------------------------------
     # Combined feasibility check
@@ -144,11 +193,12 @@ class ResourceTracker:
         unit to bind a multiplication to (``None`` for non-multiplications
         or architectures without sharing).
         """
+        optype = operation.optype
         if not self.pe_free(cycle, row, col, duration):
             return False, None
-        if operation.is_memory and not self.bus_free(cycle, row, operation.optype):
+        if optype.is_memory and not self.bus_free(cycle, row, optype):
             return False, None
-        if operation.is_multiplication and self.architecture.uses_sharing:
+        if optype is OpType.MUL and self._uses_sharing:
             unit = self.available_shared_unit(cycle, row, col)
             if unit is None:
                 return False, None
@@ -165,10 +215,15 @@ class ResourceTracker:
         shared_unit: Optional[SharedUnitId],
     ) -> None:
         """Record all resource claims of a placed operation."""
-        self.claim_pe(cycle, row, col, duration, operation.name)
-        if operation.is_memory:
-            self.claim_bus(cycle, row, operation.optype)
-        if operation.is_multiplication:
+        optype = operation.optype
+        self._check_pe(cycle, row, col, duration)
+        multiplication = optype is OpType.MUL
+        if multiplication and shared_unit is not None:
+            self._check_shared_unit(shared_unit, cycle)
+        self._mark_pe(cycle, row, col, duration, operation.name)
+        if optype.is_memory:
+            self.claim_bus(cycle, row, optype)
+        if multiplication:
             self._row_mults[(cycle, row)] += 1
             if shared_unit is not None:
                 self.claim_shared_unit(shared_unit, cycle, operation.name)

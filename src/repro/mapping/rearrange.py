@@ -27,7 +27,7 @@ re-mapping for comparison (used by the ablation benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.arch.template import ArchitectureSpec
 from repro.errors import MappingError, SchedulingError
@@ -80,10 +80,16 @@ def rearrange_schedule(
         key=lambda entry: (entry.cycle, entry.operation.iteration, entry.col, entry.row),
     )
     finish_cycle: Dict[str, int] = {}
+    # (latency, PE occupancy) on ``target``; both depend only on the type.
+    timing: Dict[OpType, Tuple[int, int]] = {}
     for entry in ordered:
         operation = entry.operation
-        latency = scheduler.latency_of(operation)
-        occupancy = scheduler.occupancy_of(operation)
+        if operation.optype not in timing:
+            timing[operation.optype] = (
+                scheduler.latency_of(operation),
+                scheduler.occupancy_of(operation),
+            )
+        latency, occupancy = timing[operation.optype]
         earliest = entry.cycle
         for predecessor in dfg.predecessors(operation.name):
             predecessor_op = dfg.operation(predecessor)

@@ -18,6 +18,28 @@ def mul_op(name="mul"):
     return Operation(name, OpType.MUL)
 
 
+def answers(tracker, cycles=4):
+    """Everything the tracker reports about its first ``cycles`` cycles."""
+    spec = tracker.architecture.array
+    pes = [(row, col) for row in range(spec.rows) for col in range(spec.cols)]
+    return [
+        (
+            tracker.busy_mask(cycle, 1),
+            [tracker.pe_free(cycle, row, col, 1) for row, col in pes],
+            [tracker.available_shared_unit(cycle, row, col) for row, col in pes],
+            [
+                (
+                    tracker.bus_free(cycle, row, OpType.LOAD),
+                    tracker.bus_free(cycle, row, OpType.STORE),
+                    tracker.multiplications_in_row(cycle, row),
+                )
+                for row in range(spec.rows)
+            ],
+        )
+        for cycle in range(cycles)
+    ]
+
+
 class TestPEOccupancy:
     def test_claim_and_conflict(self, base_arch):
         tracker = ResourceTracker(base_arch)
@@ -27,6 +49,55 @@ class TestPEOccupancy:
         assert tracker.pe_free(2, 0, 0, duration=1)
         with pytest.raises(PlacementError):
             tracker.claim_pe(1, 0, 0, duration=1, name="b")
+
+    def test_corner_pes_of_a_non_square_array(self):
+        tracker = ResourceTracker(base_architecture(rows=3, cols=5))
+        corners = [(0, 0), (0, 4), (2, 0), (2, 4)]
+        for row, col in corners:
+            tracker.claim_pe(0, row, col, duration=1, name=f"op{row}{col}")
+        # Bit ``row * cols + col`` of the cycle's mask belongs to PE (row, col).
+        assert tracker.busy_mask(0, 1) == (1 << 0) | (1 << 4) | (1 << 10) | (1 << 14)
+        for row in range(3):
+            for col in range(5):
+                assert tracker.pe_free(0, row, col, 1) == ((row, col) not in corners)
+                assert tracker.pe_free(1, row, col, 1)
+
+    def test_multi_cycle_occupancy(self):
+        tracker = ResourceTracker(base_architecture(rows=3, cols=5))
+        tracker.claim_pe(1, 2, 4, duration=3, name="mul")
+        bit = 1 << 14
+        assert [tracker.busy_mask(cycle, 1) for cycle in range(5)] == [0, bit, bit, bit, 0]
+        assert tracker.busy_mask(0, 2) == bit
+        assert tracker.pe_free(0, 2, 4, duration=1)
+        assert not tracker.pe_free(0, 2, 4, duration=2)
+        assert tracker.pe_free(4, 2, 4, duration=5)
+        # A neighbour in the same row or column is unaffected.
+        assert tracker.pe_free(1, 2, 3, duration=3)
+        assert tracker.pe_free(1, 1, 4, duration=3)
+
+    def test_full_cycle_sets_every_bit(self):
+        tracker = ResourceTracker(base_architecture(rows=3, cols=5))
+        for row in range(3):
+            for col in range(5):
+                tracker.claim_pe(0, row, col, duration=1, name=f"op{row}{col}")
+        assert tracker.busy_mask(0, 1) == (1 << 15) - 1
+        assert tracker.busy_mask(1, 1) == 0
+
+    def test_double_booking_names_the_holder(self):
+        tracker = ResourceTracker(base_architecture(rows=3, cols=5))
+        tracker.claim_pe(2, 1, 3, duration=2, name="holder")
+        message = r"PE \(1,3\) already busy at cycle 3 with 'holder'"
+        with pytest.raises(PlacementError, match=message):
+            tracker.claim_pe(3, 1, 3, duration=1, name="intruder")
+
+    def test_failed_claim_pe_leaves_the_tracker_unchanged(self, base_arch):
+        tracker = ResourceTracker(base_arch)
+        tracker.claim_pe(2, 0, 0, duration=1, name="a")
+        before = answers(tracker)
+        with pytest.raises(PlacementError, match="'a'"):
+            tracker.claim_pe(0, 0, 0, duration=3, name="b")
+        assert answers(tracker) == before
+        assert tracker.pe_free(0, 0, 0, duration=2)
 
 
 class TestBusSlots:
@@ -113,6 +184,16 @@ class TestCombinedFeasibility:
         tracker.claim(load_op("l2"), 0, 0, 1, 1, None)
         feasible, _ = tracker.placement_feasible(load_op("l3"), 0, 0, 2, duration=1)
         assert not feasible
+
+    def test_failed_claim_leaves_the_tracker_unchanged(self):
+        tracker = ResourceTracker(rs_architecture(1))
+        tracker.claim(mul_op("m1"), 0, 0, 0, 1, ("row", 0, 0))
+        before = answers(tracker)
+        with pytest.raises(PlacementError, match="'m1'"):
+            tracker.claim(mul_op("m2"), 0, 0, 1, 1, ("row", 0, 0))
+        assert answers(tracker) == before
+        assert tracker.pe_free(0, 0, 1, duration=1)
+        assert tracker.multiplications_in_row(0, 0) == 1
 
     def test_mult_row_balancing_counter(self, base_arch):
         tracker = ResourceTracker(base_arch)

@@ -6,30 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import base_architecture, rs_architecture, rsp_architecture
-from repro.ir import DFGBuilder, OpType
+from repro.ir import OpType
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
 from repro.mapping.rearrange import evaluate_rearrangement, rearrange_schedule
 from repro.sim import ArraySimulator, DataMemory
 
-
-@st.composite
-def random_kernel_dfg(draw):
-    """A random multi-iteration kernel: loads feed a random expression tree."""
-    builder = DFGBuilder("random_kernel")
-    iterations = draw(st.integers(min_value=1, max_value=6))
-    optypes = [OpType.ADD, OpType.SUB, OpType.MUL, OpType.MUL]  # bias towards mults
-    for iteration in range(iterations):
-        builder.set_iteration(iteration)
-        values = [
-            builder.load("x", iteration * 8 + index)
-            for index in range(draw(st.integers(min_value=2, max_value=5)))
-        ]
-        for _ in range(draw(st.integers(min_value=1, max_value=6))):
-            left = draw(st.sampled_from(values))
-            right = draw(st.sampled_from(values))
-            values.append(builder.binary(draw(st.sampled_from(optypes)), left, right))
-        builder.store("out", iteration, values[-1])
-    return builder.build()
+from dfg_strategies import random_kernel_dfg
 
 
 architectures = st.sampled_from(

@@ -7,8 +7,12 @@ produce a :class:`MappingResult` bit-identical to the seed's monolithic
 entries, same configuration context — both with a cold artifact store and
 with a warm one (where every stage is fetched instead of computed).
 
-``SeedRSPMapper`` below is a literal port of the seed implementation so
-the reference stays fixed even as the production mapper evolves.
+``SeedRSPMapper`` below ports the seed's monolithic *composition* of the
+mapping steps (DFG and base-schedule memos, rearrangement, stall summary,
+context generation).  It calls the production ``LoopPipeliningScheduler``
+and ``rearrange_schedule``, so this file pins the pipeline's plumbing, not
+the scheduler: ``tests/mapping/test_reference_mapper.py`` pins those two
+against a frozen copy in ``tests/mapping/reference_mapper.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.mapping.rearrange import (
 
 
 class SeedRSPMapper:
-    """The seed's monolithic mapper, ported verbatim as the reference."""
+    """The seed's monolithic mapper over the production scheduler and rearranger."""
 
     def __init__(self, base=None, generate_contexts=False):
         self.base = base or base_architecture()
