@@ -54,6 +54,7 @@ class ResourceTracker:
         self.unlimited_shared = unlimited_shared
         array = architecture.array
         sharing = architecture.sharing
+        self._rows = array.rows
         self._cols = array.cols
         self._uses_sharing = architecture.uses_sharing
         row_units = [
@@ -83,6 +84,12 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     # Processing elements
     # ------------------------------------------------------------------
+    def _index(self, row: int, col: int) -> int:
+        """Bit index of PE (row, col); positions outside the array are rejected."""
+        if 0 <= row < self._rows and 0 <= col < self._cols:
+            return row * self._cols + col
+        raise PlacementError(f"PE ({row},{col}) is outside the {self._rows}x{self._cols} array")
+
     def busy_mask(self, cycle: int, duration: int) -> int:
         """PEs busy in any of the ``duration`` cycles from ``cycle``, as a bitmask."""
         busy = self._busy
@@ -93,7 +100,7 @@ class ResourceTracker:
 
     def pe_free(self, cycle: int, row: int, col: int, duration: int) -> bool:
         """True when PE (row, col) is idle for ``duration`` cycles from ``cycle``."""
-        bit = 1 << (row * self._cols + col)
+        bit = 1 << self._index(row, col)
         busy = self._busy
         for offset_cycle in range(cycle, cycle + duration):
             if busy.get(offset_cycle, 0) & bit:
@@ -116,7 +123,7 @@ class ResourceTracker:
                 )
 
     def _mark_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
-        bit = 1 << (row * self._cols + col)
+        bit = 1 << self._index(row, col)
         for offset_cycle in range(cycle, cycle + duration):
             self._busy[offset_cycle] = self._busy.get(offset_cycle, 0) | bit
             self._holders[(offset_cycle, row, col)] = name
@@ -145,7 +152,7 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     def reachable_units(self, row: int, col: int) -> List[SharedUnitId]:
         """Shared-unit identifiers reachable from PE (row, col)."""
-        return list(self._reachable[row * self._cols + col])
+        return list(self._reachable[self._index(row, col)])
 
     def available_shared_unit(self, cycle: int, row: int, col: int) -> Optional[SharedUnitId]:
         """A reachable shared unit with a free issue slot at ``cycle``, if any.
@@ -157,7 +164,7 @@ class ResourceTracker:
             ordinal = self._unlimited_counter[(cycle, row)]
             self._unlimited_counter[(cycle, row)] += 1
             return ("row", row, ordinal)
-        for unit in self._reachable[row * self._cols + col]:
+        for unit in self._reachable[self._index(row, col)]:
             if (unit, cycle) not in self._unit_issues:
                 return unit
         return None

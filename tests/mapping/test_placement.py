@@ -83,6 +83,18 @@ class TestPEOccupancy:
         assert tracker.busy_mask(0, 1) == (1 << 15) - 1
         assert tracker.busy_mask(1, 1) == 0
 
+    def test_positions_outside_the_array_are_rejected(self):
+        tracker = ResourceTracker(rs_architecture(1, rows=3, cols=5))
+        # (0, 5) would otherwise alias the bit of PE (1, 0).
+        for row, col in [(0, 5), (3, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                tracker.pe_free(0, row, col, 1)
+            with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                tracker.claim_pe(0, row, col, 1, "op")
+            with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                tracker.available_shared_unit(0, row, col)
+        assert tracker.busy_mask(0, 1) == 0
+
     def test_double_booking_names_the_holder(self):
         tracker = ResourceTracker(base_architecture(rows=3, cols=5))
         tracker.claim_pe(2, 1, 3, duration=2, name="holder")
