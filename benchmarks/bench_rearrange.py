@@ -1,0 +1,102 @@
+"""Benchmark: exact mapping of the paper kernels onto the default grid.
+
+Maps every ``paper`` kernel onto each of the 16 non-base designs of the
+default 17-point exploration grid through one ``RSPMapper`` on an
+in-memory store, the exact-mapping loop that checks the stall estimator,
+and records through ``bench_metrics``:
+
+* ``seconds``: wall time of the 144 mappings (an uncounted pass; the base
+  schedules are made before the clock starts),
+* ``rearrange_passes``: ``rearrange_schedule`` calls of the ``rearrange``
+  flow node,
+* ``feasibility_probes``: ``ResourceTracker.placement_feasible`` calls,
+* ``placed_operations``: ``ResourceTracker.claim`` calls.
+
+The only gate is a count, not a wall-clock race: one actual pass per
+(kernel, design) plus one stall-free pass per kernel and multiplier
+latency, because every design of the grid shares and uses the default
+array.  Running the stall-free pass for every design makes 288.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+
+import repro.flowgraph.mapping as mapping_nodes
+from repro.core.rsp_params import enumerate_design_space
+from repro.kernels import paper_suite
+from repro.mapping import RSPMapper
+from repro.mapping.placement import ResourceTracker
+from repro.utils.tabulate import format_table
+
+#: 9 kernels x 16 designs actual passes, plus 9 kernels x 2 latencies.
+MAX_REARRANGE_PASSES = 144 + 18
+
+
+def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
+    kernels = paper_suite()
+    designs = [
+        parameters.to_architecture()
+        for parameters in enumerate_design_space()
+        if parameters.kind != "base"
+    ]
+
+    def prepared_mapper():
+        mapper = RSPMapper()
+        for kernel in kernels:
+            mapper.base_schedule(kernel)
+        return mapper
+
+    def map_all(mapper):
+        return [
+            mapper.map_kernel(kernel, design).cycles for design in designs for kernel in kernels
+        ]
+
+    mapper = prepared_mapper()
+    started = time.perf_counter()
+    cycles = map_all(mapper)
+    seconds = time.perf_counter() - started
+
+    counts: Counter = Counter()
+
+    def count_calls(owner, attribute, metric):
+        original = getattr(owner, attribute)
+
+        def counted(*args, **kwargs):
+            counts[metric] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counted)
+
+    mapper = prepared_mapper()
+    count_calls(mapping_nodes, "rearrange_schedule", "rearrange_passes")
+    count_calls(ResourceTracker, "placement_feasible", "feasibility_probes")
+    count_calls(ResourceTracker, "claim", "placed_operations")
+    assert map_all(mapper) == cycles
+
+    passes = counts["rearrange_passes"]
+    bench_metrics.update(
+        seconds=round(seconds, 4),
+        rearrange_passes=passes,
+        feasibility_probes=counts["feasibility_probes"],
+        placed_operations=counts["placed_operations"],
+    )
+    print()
+    print(
+        format_table(
+            [
+                [
+                    len(cycles),
+                    passes,
+                    counts["placed_operations"],
+                    counts["feasibility_probes"],
+                    round(seconds, 3),
+                ]
+            ],
+            headers=["mappings", "passes", "placed ops", "probes", "seconds"],
+            title="exact mapping of the paper kernels onto the default grid",
+        )
+    )
+    assert len(cycles) == 144
+    assert passes <= MAX_REARRANGE_PASSES

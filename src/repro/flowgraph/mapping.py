@@ -152,17 +152,31 @@ def node_registry(pipeline: "MappingPipeline") -> Dict[str, Callable[[], Node]]:
         )
 
     def rearrange() -> Node:
+        stall_free_lengths = pipeline._stall_free_memo
+
         def compute(ctx: FlowContext) -> RearrangedSchedule:
             base = ctx["schedule"]
             dfg = ctx["dfg"]
             target = ctx["target_architecture"]
             actual = rearrange_schedule(base, dfg, target)
-            stall_free = rearrange_schedule(base, dfg, target, unlimited_shared=True)
+            # The unlimited-shared pass reads the target only through these
+            # (never its sharing topology), so it runs once per set of them.
+            constraints = (
+                ctx.key_of("schedule"),
+                target.array,
+                target.multiplier_latency,
+                target.uses_sharing,
+            )
+            stall_free = stall_free_lengths.get(constraints)
+            if stall_free is None:
+                stall_free = stall_free_lengths[constraints] = rearrange_schedule(
+                    base, dfg, target, unlimited_shared=True
+                ).length
             summary = RearrangementResult(
                 kernel=base.kernel_name,
                 architecture=target.name,
                 base_cycles=base.length,
-                stall_free_cycles=stall_free.length,
+                stall_free_cycles=stall_free,
                 cycles=actual.length,
             )
             return RearrangedSchedule(schedule=actual, summary=summary)

@@ -11,14 +11,18 @@ from __future__ import annotations
 from repro.arch.template import ArchitectureSpec
 from repro.flowgraph.core import stage_key
 from repro.ir.dfg import DFG
-from repro.utils.serialization import content_hash
+from repro.utils.serialization import content_hash, json_hash
 
 __all__ = ["architecture_fingerprint", "dfg_fingerprint", "stage_key"]
 
 
 def dfg_fingerprint(dfg: DFG) -> str:
-    """SHA-256 digest of a DFG's full content (operations and edges)."""
-    return content_hash(dfg.to_dict())
+    """SHA-256 digest of a DFG's full content (operations and edges).
+
+    :meth:`DFG.to_dict` returns plain JSON types, so the digest equals
+    ``content_hash(dfg.to_dict())`` without its generic dataclass walk.
+    """
+    return json_hash(dfg.to_dict())
 
 
 def architecture_fingerprint(spec: ArchitectureSpec) -> str:

@@ -226,6 +226,10 @@ class MappingPipeline:
         self.observer: Any = None
         self._base_fingerprint = architecture_fingerprint(self.base)
         self._dfg_memo: Dict[str, "Artifact"] = {}
+        #: Stall-free rearranged lengths by (base-schedule key, array,
+        #: multiplier latency, uses sharing): everything the
+        #: unlimited-shared pass of the ``rearrange`` node reads.
+        self._stall_free_memo: Dict[Tuple[Any, ...], int] = {}
         if isinstance(flow, Flow):
             self.flow = flow
         else:
@@ -444,9 +448,11 @@ class MappingPipeline:
         """Rearrange the base schedule for ``target`` (RS/RP rules).
 
         The artifact bundles the rearranged schedule with the cycle
-        summary (actual and stall-free lengths), matching the seed
-        mapper's ``rearrange_schedule`` + ``evaluate_rearrangement`` pair
-        while running the rearrangement twice instead of three times.
+        summary (actual and stall-free lengths), matching
+        :func:`~repro.mapping.rearrange.evaluate_rearrangement`.  The
+        actual pass runs once per target; the stall-free pass runs once
+        per base schedule, array, multiplier latency and sharing flag in
+        this pipeline, because it reads nothing else of the target.
         With a custom flow, the returned artifact is whatever branch the
         flow routed (or raced) the ``rearranged`` output through.
         """

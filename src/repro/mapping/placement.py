@@ -16,8 +16,9 @@ that has to scan many PEs ORs the masks over an operation's occupancy once
 only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`,
 which stays the one place that applies the bus and shared-unit rules.
 
-Claims are atomic: :meth:`ResourceTracker.claim` and
-:meth:`ResourceTracker.claim_pe` check every resource they would take
+Claims are atomic: :meth:`ResourceTracker.claim`,
+:meth:`ResourceTracker.claim_pe` and :meth:`ResourceTracker.claim_bus`
+check every resource they would take — PE, row bus and shared unit —
 before they record any, so a :class:`PlacementError` leaves the tracker
 exactly as it was.
 
@@ -28,13 +29,16 @@ what keeps the two paths consistent.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
 from repro.errors import PlacementError
 from repro.ir.dfg import Operation, OpType
+
+_LOAD = OpType.LOAD
+_STORE = OpType.STORE
+_MUL = OpType.MUL
 
 
 class ResourceTracker:
@@ -56,6 +60,8 @@ class ResourceTracker:
         sharing = architecture.sharing
         self._rows = array.rows
         self._cols = array.cols
+        self._read_buses = array.row_buses.read_buses
+        self._write_buses = array.row_buses.write_buses
         self._uses_sharing = architecture.uses_sharing
         row_units = [
             tuple(("row", row, ordinal) for ordinal in range(sharing.rows_shared))
@@ -74,12 +80,13 @@ class ResourceTracker:
         # Busy-PE bitmask per cycle, and the operation holding each busy PE.
         self._busy: Dict[int, int] = {}
         self._holders: Dict[Tuple[int, int, int], str] = {}
-        self._loads: Dict[Tuple[int, int], int] = defaultdict(int)
-        self._stores: Dict[Tuple[int, int], int] = defaultdict(int)
+        # Loads, stores and multiplications issued per (cycle, row).
+        self._loads: Dict[Tuple[int, int], int] = {}
+        self._stores: Dict[Tuple[int, int], int] = {}
+        self._row_mults: Dict[Tuple[int, int], int] = {}
         self._unit_issues: Dict[Tuple[SharedUnitId, int], str] = {}
-        self._row_mults: Dict[Tuple[int, int], int] = defaultdict(int)
         # Counter used to mint pseudo-unit ordinals in unlimited mode.
-        self._unlimited_counter: Dict[Tuple[int, int], int] = defaultdict(int)
+        self._unlimited_counter: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Processing elements
@@ -109,43 +116,54 @@ class ResourceTracker:
 
     def claim_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
         """Mark PE (row, col) busy for ``duration`` cycles starting at ``cycle``."""
-        self._check_pe(cycle, row, col, duration)
-        self._mark_pe(cycle, row, col, duration, name)
+        bit = 1 << self._index(row, col)
+        self._check_pe(cycle, row, col, duration, bit)
+        self._mark_pe(cycle, row, col, duration, bit, name)
 
-    def _check_pe(self, cycle: int, row: int, col: int, duration: int) -> None:
-        if self.pe_free(cycle, row, col, duration):
-            return
+    def _check_pe(self, cycle: int, row: int, col: int, duration: int, bit: int) -> None:
+        """One scan of the masks; raises, naming the holder, if PE ``bit`` is busy."""
+        busy = self._busy
         for offset_cycle in range(cycle, cycle + duration):
-            holder = self._holders.get((offset_cycle, row, col))
-            if holder is not None:
+            if busy.get(offset_cycle, 0) & bit:
+                holder = self._holders[(offset_cycle, row, col)]
                 raise PlacementError(
                     f"PE ({row},{col}) already busy at cycle {offset_cycle} with {holder!r}"
                 )
 
-    def _mark_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
-        bit = 1 << self._index(row, col)
+    def _mark_pe(
+        self, cycle: int, row: int, col: int, duration: int, bit: int, name: str
+    ) -> None:
+        busy = self._busy
+        holders = self._holders
         for offset_cycle in range(cycle, cycle + duration):
-            self._busy[offset_cycle] = self._busy.get(offset_cycle, 0) | bit
-            self._holders[(offset_cycle, row, col)] = name
+            busy[offset_cycle] = busy.get(offset_cycle, 0) | bit
+            holders[(offset_cycle, row, col)] = name
 
     # ------------------------------------------------------------------
     # Row data buses
     # ------------------------------------------------------------------
     def bus_free(self, cycle: int, row: int, optype: OpType) -> bool:
         """True when row ``row`` still has a bus slot for ``optype`` at ``cycle``."""
-        buses = self.architecture.array.row_buses
-        if optype is OpType.LOAD:
-            return self._loads[(cycle, row)] < buses.read_buses
-        if optype is OpType.STORE:
-            return self._stores[(cycle, row)] < buses.write_buses
+        if optype is _LOAD:
+            return self._loads.get((cycle, row), 0) < self._read_buses
+        if optype is _STORE:
+            return self._stores.get((cycle, row), 0) < self._write_buses
         return True
 
     def claim_bus(self, cycle: int, row: int, optype: OpType) -> None:
         """Consume one bus slot for ``optype`` on row ``row`` at ``cycle``."""
-        if optype is OpType.LOAD:
-            self._loads[(cycle, row)] += 1
-        elif optype is OpType.STORE:
-            self._stores[(cycle, row)] += 1
+        self._check_bus(cycle, row, optype)
+        self._mark_bus(cycle, row, optype)
+
+    def _check_bus(self, cycle: int, row: int, optype: OpType) -> None:
+        if not self.bus_free(cycle, row, optype):
+            kind = "read" if optype is _LOAD else "write"
+            raise PlacementError(f"row {row} has no free {kind} bus at cycle {cycle}")
+
+    def _mark_bus(self, cycle: int, row: int, optype: OpType) -> None:
+        counts = self._loads if optype is _LOAD else self._stores
+        key = (cycle, row)
+        counts[key] = counts.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # Shared multipliers
@@ -161,11 +179,21 @@ class ResourceTracker:
         higher ones, so the assignment is deterministic.
         """
         if self.unlimited_shared:
-            ordinal = self._unlimited_counter[(cycle, row)]
-            self._unlimited_counter[(cycle, row)] += 1
-            return ("row", row, ordinal)
-        for unit in self._reachable[self._index(row, col)]:
-            if (unit, cycle) not in self._unit_issues:
+            return self._mint_unit(cycle, row)
+        return self._free_unit(cycle, self._index(row, col))
+
+    def _mint_unit(self, cycle: int, row: int) -> SharedUnitId:
+        """A fresh pseudo-unit of row ``row`` (unlimited mode never runs out)."""
+        key = (cycle, row)
+        ordinal = self._unlimited_counter.get(key, 0)
+        self._unlimited_counter[key] = ordinal + 1
+        return ("row", row, ordinal)
+
+    def _free_unit(self, cycle: int, index: int) -> Optional[SharedUnitId]:
+        """The first unit reachable from PE bit ``index`` not issuing at ``cycle``."""
+        issues = self._unit_issues
+        for unit in self._reachable[index]:
+            if (unit, cycle) not in issues:
                 return unit
         return None
 
@@ -200,13 +228,23 @@ class ResourceTracker:
         unit to bind a multiplication to (``None`` for non-multiplications
         or architectures without sharing).
         """
+        index = self._index(row, col)
+        bit = 1 << index
+        busy = self._busy
+        for offset_cycle in range(cycle, cycle + duration):
+            if busy.get(offset_cycle, 0) & bit:
+                return False, None
         optype = operation.optype
-        if not self.pe_free(cycle, row, col, duration):
-            return False, None
-        if optype.is_memory and not self.bus_free(cycle, row, optype):
-            return False, None
-        if optype is OpType.MUL and self._uses_sharing:
-            unit = self.available_shared_unit(cycle, row, col)
+        if optype is _LOAD:
+            if self._loads.get((cycle, row), 0) >= self._read_buses:
+                return False, None
+        elif optype is _STORE:
+            if self._stores.get((cycle, row), 0) >= self._write_buses:
+                return False, None
+        elif optype is _MUL and self._uses_sharing:
+            if self.unlimited_shared:
+                return True, self._mint_unit(cycle, row)
+            unit = self._free_unit(cycle, index)
             if unit is None:
                 return False, None
             return True, unit
@@ -221,19 +259,30 @@ class ResourceTracker:
         duration: int,
         shared_unit: Optional[SharedUnitId],
     ) -> None:
-        """Record all resource claims of a placed operation."""
+        """Record all resource claims of a placed operation.
+
+        Every resource is checked before any is recorded: the PE over
+        ``duration`` cycles, the row's read or write bus for a load or
+        store, and ``shared_unit``'s issue slot for a multiplication.
+        """
+        bit = 1 << self._index(row, col)
+        self._check_pe(cycle, row, col, duration, bit)
         optype = operation.optype
-        self._check_pe(cycle, row, col, duration)
-        multiplication = optype is OpType.MUL
-        if multiplication and shared_unit is not None:
+        memory = optype is _LOAD or optype is _STORE
+        multiplication = optype is _MUL
+        if memory:
+            self._check_bus(cycle, row, optype)
+        elif multiplication and shared_unit is not None:
             self._check_shared_unit(shared_unit, cycle)
-        self._mark_pe(cycle, row, col, duration, operation.name)
-        if optype.is_memory:
-            self.claim_bus(cycle, row, optype)
-        if multiplication:
-            self._row_mults[(cycle, row)] += 1
-            if shared_unit is not None:
-                self.claim_shared_unit(shared_unit, cycle, operation.name)
+        name = operation.name
+        self._mark_pe(cycle, row, col, duration, bit, name)
+        if memory:
+            self._mark_bus(cycle, row, optype)
+        elif multiplication:
+            key = (cycle, row)
+            self._row_mults[key] = self._row_mults.get(key, 0) + 1
+            if shared_unit is not None and not self.unlimited_shared:
+                self._unit_issues[(shared_unit, cycle)] = name
 
     def multiplications_in_row(self, cycle: int, row: int) -> int:
         """Multiplications already issued by the PEs of ``row`` at ``cycle``.
@@ -242,7 +291,7 @@ class ResourceTracker:
         the rows of the array, which keeps the per-row demand on row-shared
         multipliers balanced (the situation the RS designs are built for).
         """
-        return self._row_mults[(cycle, row)]
+        return self._row_mults.get((cycle, row), 0)
 
 
 def column_preference(iteration: int, cols: int) -> List[int]:

@@ -22,6 +22,21 @@ distinguishes rearrangement from a full re-mapping and is exactly why the
 stall counts of the paper's Tables 4/5 are an upper bound on what a smarter
 mapper could achieve; :func:`remap_schedule` provides that smarter full
 re-mapping for comparison (used by the ablation benchmarks).
+
+The re-timing loop costs per operation, not per search (most operations
+place at their first probe), so it is kept lean: the base entries are
+sorted once, operand producers are read from the DFG's predecessor
+adjacency and looked up in the finish cycles placed so far, and latency
+and PE occupancy are cached per operation class.  Every placement still
+goes through :meth:`ResourceTracker.placement_feasible` and
+:meth:`ResourceTracker.claim`, the rules the base scheduler applies.
+
+RS stalls are counted against a stall-free pass with unlimited shared
+multipliers (``unlimited_shared=True``).  That pass reads the target only
+through its array, its multiplier latency and whether it shares, so the
+``rearrange`` flow node (:mod:`repro.flowgraph.mapping`) runs it once per
+such constraint set; :func:`evaluate_rearrangement` is the uncached
+two-pass reference.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.arch.template import ArchitectureSpec
-from repro.errors import MappingError, SchedulingError
+from repro.errors import MappingError, SchedulingError, UnknownOperationError
 from repro.ir.dfg import DFG, OpType
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
 from repro.mapping.placement import ResourceTracker
@@ -74,61 +89,77 @@ def rearrange_schedule(
     scheduler = LoopPipeliningScheduler(target)
     tracker = ResourceTracker(target, unlimited_shared=unlimited_shared)
     rearranged = Schedule(target, kernel_name=base_schedule.kernel_name)
+    placement_feasible = tracker.placement_feasible
+    claim = tracker.claim
+    add = rearranged.add
+    producers_of = dfg.graph.pred
 
     ordered = sorted(
-        base_schedule.operations(),
+        base_schedule.entries_by_name().values(),
         key=lambda entry: (entry.cycle, entry.operation.iteration, entry.col, entry.row),
     )
+    # Finish cycles of the placed operations that produce values; CONST and
+    # NOP producers never get one, so a lookup miss is either one of those
+    # or a producer missing from the base schedule.
     finish_cycle: Dict[str, int] = {}
-    # (latency, PE occupancy) on ``target``; both depend only on the type.
-    timing: Dict[OpType, Tuple[int, int]] = {}
+    # (latency, PE occupancy) on ``target``.  The scheduler's model depends
+    # on an operation only through whether it is a multiplication.
+    timing: Dict[bool, Tuple[int, int]] = {}
     for entry in ordered:
         operation = entry.operation
-        if operation.optype not in timing:
-            timing[operation.optype] = (
+        name = operation.name
+        optype = operation.optype
+        multiplication = optype is OpType.MUL
+        known = timing.get(multiplication)
+        if known is None:
+            known = timing[multiplication] = (
                 scheduler.latency_of(operation),
                 scheduler.occupancy_of(operation),
             )
-        latency, occupancy = timing[operation.optype]
+        latency, occupancy = known
+        try:
+            producers = producers_of[name]
+        except KeyError:
+            raise UnknownOperationError(f"unknown operation: {name!r}") from None
         earliest = entry.cycle
-        for predecessor in dfg.predecessors(operation.name):
-            predecessor_op = dfg.operation(predecessor)
-            if predecessor_op.optype in _UNSCHEDULED_OPTYPES:
-                continue
-            if predecessor not in finish_cycle:
+        for producer in producers:
+            finish = finish_cycle.get(producer)
+            if finish is None:
+                if dfg.operation(producer).optype in _UNSCHEDULED_OPTYPES:
+                    continue
                 raise MappingError(
-                    f"operation {operation.name!r} depends on {predecessor!r} which is "
+                    f"operation {name!r} depends on {producer!r} which is "
                     f"not part of the base schedule"
                 )
-            earliest = max(earliest, finish_cycle[predecessor])
+            if finish > earliest:
+                earliest = finish
+        row = entry.row
+        col = entry.col
         cycle = earliest
-        placed = False
         while cycle <= earliest + _MAX_PUSH:
-            feasible, shared_unit = tracker.placement_feasible(
-                operation, cycle, entry.row, entry.col, occupancy
-            )
+            feasible, shared_unit = placement_feasible(operation, cycle, row, col, occupancy)
             if feasible:
-                tracker.claim(operation, cycle, entry.row, entry.col, occupancy, shared_unit)
-                rearranged.add(
-                    ScheduledOperation(
-                        operation=operation,
-                        cycle=cycle,
-                        row=entry.row,
-                        col=entry.col,
-                        latency=latency,
-                        occupancy=occupancy,
-                        shared_unit=shared_unit,
-                    )
-                )
-                finish_cycle[operation.name] = cycle + latency
-                placed = True
                 break
             cycle += 1
-        if not placed:
+        else:
             raise SchedulingError(
-                f"operation {operation.name!r} could not be rearranged onto "
+                f"operation {name!r} could not be rearranged onto "
                 f"architecture {target.name!r}"
             )
+        claim(operation, cycle, row, col, occupancy, shared_unit)
+        add(
+            ScheduledOperation(
+                operation=operation,
+                cycle=cycle,
+                row=row,
+                col=col,
+                latency=latency,
+                occupancy=occupancy,
+                shared_unit=shared_unit,
+            )
+        )
+        if optype not in _UNSCHEDULED_OPTYPES:
+            finish_cycle[name] = cycle + latency
     return rearranged
 
 

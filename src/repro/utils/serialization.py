@@ -42,7 +42,16 @@ def content_hash(payload: Any) -> str:
     convention shared by the evaluation engine (:mod:`repro.engine.jobs`)
     and the mapping pipeline (:mod:`repro.mapping.pipeline`).
     """
-    canonical = json.dumps(dataclass_to_dict(payload), sort_keys=True, separators=(",", ":"))
+    return json_hash(dataclass_to_dict(payload))
+
+
+def json_hash(payload: Any) -> str:
+    """:func:`content_hash` of a payload that is already plain JSON types.
+
+    Skips the :func:`dataclass_to_dict` walk, which for such a payload
+    returns an equal structure, so the digest is the same.
+    """
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.arch import base_architecture, rs_architecture, rsp_architecture
+import repro.flowgraph.mapping as mapping_nodes
+from repro.arch import (
+    ArraySpec,
+    PipeliningSpec,
+    RowBusSpec,
+    base_architecture,
+    rs_architecture,
+    rsp_architecture,
+)
+from repro.core.rsp_params import enumerate_design_space
 from repro.engine.artifacts import ArtifactStore
+from repro.engine.jobs import SUITE_NAMES, suite_kernels
 from repro.errors import MappingError
 from repro.kernels import get_kernel
 from repro.mapping import (
@@ -17,6 +29,12 @@ from repro.mapping import (
     dfg_fingerprint,
     stage_key,
 )
+from repro.mapping.rearrange import evaluate_rearrangement
+from repro.utils.serialization import content_hash
+
+#: ``dfg_fingerprint`` of the MVM kernel's default DFG.  It seeds every
+#: artifact key of that kernel, so a change here orphans persisted stores.
+MVM_FINGERPRINT = "9e5512b3f630e2564dcb15c133e1d7eb4dd7f9d66aeb0c5400542218ddcfb390"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +68,13 @@ class TestFingerprints:
     def test_dfg_fingerprint_is_content_based(self, mvm):
         assert dfg_fingerprint(mvm.build()) == dfg_fingerprint(mvm.build())
         assert dfg_fingerprint(mvm.build(4)) != dfg_fingerprint(mvm.build(8))
+
+    def test_dfg_fingerprint_is_the_content_hash_of_to_dict(self, mvm):
+        for suite in SUITE_NAMES:
+            for kernel in suite_kernels(suite):
+                dfg = kernel.build()
+                assert dfg_fingerprint(dfg) == content_hash(dfg.to_dict()), kernel.name
+        assert dfg_fingerprint(mvm.build()) == MVM_FINGERPRINT
 
     def test_architecture_fingerprint_ignores_the_name(self):
         named = rsp_architecture(2)
@@ -187,3 +212,79 @@ class TestPersistentPipeline:
         summary = artifact.value.summary
         assert summary.cycles == artifact.value.schedule.length
         assert summary.base_cycles == pipeline.base_schedule_artifact(mvm).value.length
+
+
+#: The default 8x8 array with one read bus and two write buses per row.
+NARROW_BUS_ARRAY = ArraySpec(row_buses=RowBusSpec(read_buses=1, write_buses=2))
+#: Two targets that differ only in their row buses.
+BUS_PAIR = (
+    rsp_architecture(1, stages=3),
+    replace(rsp_architecture(1, stages=3), name="RSP#1-narrow-bus", array=NARROW_BUS_ARRAY),
+)
+#: The default 17-point grid's non-base designs, stages 3-4, an RP-only
+#: design and the bus pair.
+MEMO_TARGETS = (
+    [p.to_architecture() for p in enumerate_design_space() if p.kind != "base"]
+    + [
+        p.to_architecture()
+        for p in enumerate_design_space(
+            max_rows_shared=1, max_cols_shared=1, stage_options=(3, 4), include_base=False
+        )
+    ]
+    + [replace(base_architecture(), name="RP", pipelining=PipeliningSpec(stages=2))]
+    + list(BUS_PAIR)
+)
+
+
+class TestStallFreeMemo:
+    """The ``rearrange`` node runs the unlimited-shared pass once per
+    (base schedule, array, multiplier latency, sharing) and still reports
+    what the uncached two-pass reference reports."""
+
+    def test_rearrange_node_matches_the_uncached_reference(self, monkeypatch):
+        passes = []
+        rearrange = mapping_nodes.rearrange_schedule
+
+        def counted(base, dfg, target, unlimited_shared=False):
+            passes.append((base.kernel_name, unlimited_shared, target))
+            return rearrange(base, dfg, target, unlimited_shared=unlimited_shared)
+
+        monkeypatch.setattr(mapping_nodes, "rearrange_schedule", counted)
+        pipeline = MappingPipeline()
+        kernels = suite_kernels("paper") + suite_kernels("h264")
+        bus_pair_stall_free = {target.name: {} for target in BUS_PAIR}
+        for kernel in kernels:
+            base = pipeline.base_schedule_artifact(kernel).value
+            dfg = pipeline.dfg_artifact(kernel).value
+            for target in MEMO_TARGETS:
+                summary = pipeline.rearrange_artifact(kernel, target).value.summary
+                expected = evaluate_rearrangement(base, dfg, target)
+                assert (summary.cycles, summary.stall_free_cycles, summary.stall_cycles) == (
+                    expected.cycles,
+                    expected.stall_free_cycles,
+                    expected.stall_cycles,
+                ), (kernel.name, target.name)
+                if target in BUS_PAIR:
+                    bus_pair_stall_free[target.name][kernel.name] = summary.stall_free_cycles
+
+        # The bus pair's stall-free lengths differ, so a memo that merged
+        # the two targets would have failed the comparison above.
+        default_buses, narrow_buses = bus_pair_stall_free.values()
+        assert default_buses != narrow_buses
+
+        structures = {architecture_fingerprint(target) for target in MEMO_TARGETS}
+        constraint_sets = {
+            (target.array, target.multiplier_latency, target.uses_sharing)
+            for target in MEMO_TARGETS
+        }
+        assert len(constraint_sets) == 6
+        for kernel in kernels:
+            actual = [t for name, unlimited, t in passes if name == kernel.name and not unlimited]
+            stall_free = [
+                (t.array, t.multiplier_latency, t.uses_sharing)
+                for name, unlimited, t in passes
+                if name == kernel.name and unlimited
+            ]
+            assert len(actual) == len(structures)
+            assert len(stall_free) == len(constraint_sets)
+            assert set(stall_free) == constraint_sets

@@ -132,6 +132,14 @@ class TestBusSlots:
         tracker = ResourceTracker(base_arch)
         assert tracker.bus_free(0, 0, OpType.ADD)
 
+    def test_claim_bus_beyond_the_limit_is_rejected(self, base_arch):
+        tracker = ResourceTracker(base_arch)
+        tracker.claim_bus(3, 2, OpType.STORE)
+        before = answers(tracker)
+        with pytest.raises(PlacementError, match="row 2 has no free write bus at cycle 3"):
+            tracker.claim_bus(3, 2, OpType.STORE)
+        assert answers(tracker) == before
+
 
 class TestSharedUnits:
     def test_reachable_units_row_and_column(self):
@@ -196,6 +204,24 @@ class TestCombinedFeasibility:
         tracker.claim(load_op("l2"), 0, 0, 1, 1, None)
         feasible, _ = tracker.placement_feasible(load_op("l3"), 0, 0, 2, duration=1)
         assert not feasible
+
+    @pytest.mark.parametrize(
+        "optype, kind, limit", [(OpType.LOAD, "read", 2), (OpType.STORE, "write", 1)]
+    )
+    def test_claim_checks_row_bus_capacity(self, base_arch, optype, kind, limit):
+        tracker = ResourceTracker(base_arch)
+        for col in range(limit):
+            tracker.claim(Operation(f"m{col}", optype, array="x", index=col), 1, 0, col, 1, None)
+        before = answers(tracker)
+        extra = Operation("extra", optype, array="x", index=limit)
+        assert tracker.placement_feasible(extra, 1, 0, limit, duration=1) == (False, None)
+        with pytest.raises(PlacementError, match=f"row 0 has no free {kind} bus at cycle 1"):
+            tracker.claim(extra, 1, 0, limit, 1, None)
+        assert answers(tracker) == before
+        assert tracker.pe_free(1, 0, limit, duration=1)
+        # The same row in the next cycle, and another row, still take it.
+        tracker.claim(extra, 2, 0, limit, 1, None)
+        tracker.claim(Operation("other", optype, array="x", index=0), 1, 1, 0, 1, None)
 
     def test_failed_claim_leaves_the_tracker_unchanged(self):
         tracker = ResourceTracker(rs_architecture(1))
