@@ -145,10 +145,6 @@ class ArtifactStore:
             return None
         return self.root / ARTIFACT_SUBDIR
 
-    def _path(self, stage: str, key: str) -> Path:
-        assert isinstance(self.backend, PickleDirBackend)
-        return self.backend.path_for(stage, key)
-
     def __len__(self) -> int:
         return len(self._memory)
 

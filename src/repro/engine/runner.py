@@ -36,6 +36,7 @@ from repro.store import (
     StoreBackend,
     StoreJanitor,
     TieredBackend,
+    open_store_backend,
 )
 from repro.engine.executor import (
     EngineRunStats,
@@ -297,15 +298,16 @@ class CampaignRunner:
         self.gc_max_age = gc_max_age
         self.compact = compact
         self.store_url = store_url
+        self._store_backend: Optional[StoreBackend] = None
         self._remote: Optional[RemoteBackend] = None
         self._tier: Optional[TieredBackend] = None
-        self._store_backend: Optional[StoreBackend] = None
         if store_url is not None:
-            self._remote = RemoteBackend(store_url)
-            self._store_backend = self._remote
-            if store_tier:
-                self._tier = TieredBackend(self._remote)
-                self._store_backend = self._tier
+            self._store_backend = open_store_backend(store_url, tiered=store_tier)
+            if isinstance(self._store_backend, TieredBackend):
+                self._tier = self._store_backend
+                self._remote = self._tier.backend
+            else:
+                self._remote = self._store_backend
         self.flow = flow
         if mapper is None:
             if self._store_backend is not None:
@@ -319,10 +321,8 @@ class CampaignRunner:
 
     def close(self) -> None:
         """Drain the write-behind tier and close remote connections."""
-        if self._tier is not None:
-            self._tier.close()
-        if self._remote is not None:
-            self._remote.close()
+        if self._store_backend is not None:
+            self._store_backend.close()
 
     def _pipeline_profiles(
         self, suite_name: str, kernels: Sequence[Kernel]

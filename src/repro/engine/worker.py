@@ -63,7 +63,7 @@ from repro.engine.runner import CampaignReport, CampaignRunner
 from repro.engine.stream import write_stream_report
 from repro.errors import ExplorationError
 from repro.mapping.mapper import RSPMapper
-from repro.store import RemoteBackend, TieredBackend
+from repro.store import open_store_backend
 from repro.trace.spans import STATUS_ERROR, STATUS_OK, get_tracer
 
 #: Transport-level failures the client retries (mirrors RemoteBackend).
@@ -376,16 +376,9 @@ def run_worker(
         )
     stream_dir = Path(stream_dir)
     client = CoordinatorClient(coordinator_url)
-    remote: Optional[RemoteBackend] = None
-    tier: Optional[TieredBackend] = None
     store_backend = None
     if store_url is not None:
-        remote = RemoteBackend(store_url)
-        store_backend = remote
-        if store_tier:
-            tier = TieredBackend(remote)
-            store_backend = tier
-    if store_backend is not None:
+        store_backend = open_store_backend(store_url, tiered=store_tier)
         artifact_store = ArtifactStore(backend=store_backend)
     else:
         artifact_store = ArtifactStore(artifact_dir, shards=store_shards)
@@ -464,10 +457,8 @@ def run_worker(
                     duplicate=bool(outcome.get("duplicate")),
                 )
     finally:
-        if tier is not None:
-            tier.close()
-        if remote is not None:
-            remote.close()
+        if store_backend is not None:
+            store_backend.close()
 
     final_status = client.status(campaign_id)
     summary: Dict[str, Any] = {

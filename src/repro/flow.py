@@ -140,7 +140,7 @@ def run_rsp_flow(
         if artifact_store is not None:
             raise ExplorationError("pass either artifact_store or store_url, not both")
         from repro.engine.artifacts import ArtifactStore
-        from repro.service import open_store_backend
+        from repro.store import open_store_backend
 
         artifact_store = ArtifactStore(backend=open_store_backend(store_url, tiered=store_tier))
     if artifact_store is not None and isinstance(artifact_store, (str, Path)):

@@ -1,17 +1,12 @@
 """Per-node execution accounting shared by every flow.
 
-These types grew up inside :mod:`repro.mapping.pipeline` when the mapping
-flow was a hard-coded five-stage chain; the flow-graph refactor moved them
-here because they describe *any* flow's execution — one
-:class:`StageTiming` per node name, one :class:`Artifact` per materialised
-output — not something mapping-specific.  The old import paths
-(``repro.mapping.pipeline.PipelineStats`` etc.) keep working for one
-release through deprecation shims.
+One :class:`StageTiming` per node name and one :class:`Artifact` per
+materialised output: they describe *any* flow's execution, not something
+mapping-specific.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -119,17 +114,11 @@ class PipelineStats:
             for name, timing in self.stages.items()
         }
 
-    def since(self, snapshot: Dict[str, Tuple]) -> Dict[str, StageTiming]:
-        """Counters accumulated after ``snapshot`` was taken.
-
-        Accepts legacy 3-tuple snapshots (pre-duration-sample) as well:
-        their deltas then carry the full sample list.
-        """
+    def since(self, snapshot: Dict[str, Tuple[int, int, float, int]]) -> Dict[str, StageTiming]:
+        """Counters accumulated after :meth:`snapshot` returned ``snapshot``."""
         deltas: Dict[str, StageTiming] = {}
         for name, timing in self.stages.items():
-            frozen = snapshot.get(name, (0, 0, 0.0))
-            hits, misses, seconds = frozen[0], frozen[1], frozen[2]
-            seen = frozen[3] if len(frozen) > 3 else 0
+            hits, misses, seconds, seen = snapshot.get(name, (0, 0, 0.0, 0))
             delta = StageTiming(
                 stage=name,
                 hits=timing.hits - hits,
@@ -191,9 +180,3 @@ def merge_stage_timings(
             into.durations.extend(timing.durations)
     return merged
 
-
-def timed_fetch(store, stage: str, key: str) -> Tuple[bool, Any, float]:
-    """One timed store lookup (shared by the flow runtime's hit path)."""
-    started = time.perf_counter()
-    hit, value = store.fetch(stage, key)
-    return hit, value, time.perf_counter() - started

@@ -11,18 +11,17 @@ used throughout the reproduction:
 * :class:`Operation` — a single operation instance, annotated with the loop
   iteration it belongs to (the RS rearrangement rule orders operations by
   iteration).
-* :class:`DFG` — the dependence graph, a thin convenience wrapper around a
-  :class:`networkx.DiGraph`.
+* :class:`DFG` — the dependence graph: operations by name plus successor
+  and predecessor maps, all insertion-ordered dicts, that record each
+  edge's operand port.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DFGError, DFGValidationError, UnknownOperationError
 
@@ -174,15 +173,20 @@ class Operation:
 class DFG:
     """A kernel dataflow graph.
 
-    Nodes are operation names, node attribute ``op`` holds the
-    :class:`Operation`.  Edges are data dependences from producer to
-    consumer; the optional edge attribute ``port`` records which operand
-    port of the consumer the value feeds (0 or 1 for binary operations).
+    Operations are keyed by name.  Edges are data dependences from
+    producer to consumer, each with an optional ``port``: the operand port
+    of the consumer the value feeds (0 or 1 for binary operations), or
+    ``None`` for ordering-only edges.  Operations, edges, predecessors and
+    successors all iterate in insertion order, and so does everything
+    derived from them (topological order, :meth:`to_dict`, fingerprints).
     """
 
     def __init__(self, name: str = "dfg") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._ops: Dict[str, Operation] = {}
+        #: ``producer -> {consumer: port}`` and ``consumer -> {producer: port}``.
+        self._succ: Dict[str, Dict[str, Optional[int]]] = {}
+        self._pred: Dict[str, Dict[str, Optional[int]]] = {}
         self._counter = itertools.count()
 
     # ------------------------------------------------------------------
@@ -192,89 +196,123 @@ class DFG:
         """Return a new operation name unique within this DFG."""
         while True:
             candidate = f"{prefix}_{next(self._counter)}"
-            if candidate not in self._graph:
+            if candidate not in self._ops:
                 return candidate
 
     def add_operation(self, operation: Operation) -> Operation:
         """Add ``operation`` to the graph.  Names must be unique."""
-        if operation.name in self._graph:
-            raise DFGError(f"duplicate operation name: {operation.name!r}")
-        self._graph.add_node(operation.name, op=operation)
+        name = operation.name
+        if name in self._ops:
+            raise DFGError(f"duplicate operation name: {name!r}")
+        self._ops[name] = operation
+        self._succ[name] = {}
+        self._pred[name] = {}
         return operation
 
     def add_dependence(self, producer: str, consumer: str, port: Optional[int] = None) -> None:
-        """Add a data dependence edge from ``producer`` to ``consumer``."""
+        """Add a data dependence edge from ``producer`` to ``consumer``.
+
+        A pair carries at most one edge, so an operation consuming one value
+        on two ports reads the second through a ``mov`` copy, as
+        :class:`~repro.ir.builder.DFGBuilder` arranges.
+        """
         for name in (producer, consumer):
-            if name not in self._graph:
+            if name not in self._ops:
                 raise UnknownOperationError(f"unknown operation: {name!r}")
         if producer == consumer:
             raise DFGError(f"self dependence on {producer!r} is not allowed")
-        self._graph.add_edge(producer, consumer, port=port)
+        successors = self._succ[producer]
+        if consumer in successors:
+            raise DFGError(f"duplicate dependence {producer!r} -> {consumer!r}")
+        successors[consumer] = port
+        self._pred[consumer][producer] = port
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._ops)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._ops
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._graph.nodes)
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (read-only use expected)."""
-        return self._graph
+        return iter(self._ops)
 
     def operation(self, name: str) -> Operation:
         """Return the :class:`Operation` registered under ``name``."""
         try:
-            return self._graph.nodes[name]["op"]
-        except KeyError as exc:
-            raise UnknownOperationError(f"unknown operation: {name!r}") from exc
+            return self._ops[name]
+        except KeyError:
+            raise UnknownOperationError(f"unknown operation: {name!r}") from None
 
     def operations(self) -> List[Operation]:
         """All operations, in insertion order."""
-        return [self._graph.nodes[name]["op"] for name in self._graph.nodes]
+        return list(self._ops.values())
 
     def operations_of_type(self, optype: OpType) -> List[Operation]:
         """All operations with the given type."""
-        return [op for op in self.operations() if op.optype is optype]
+        return [op for op in self._ops.values() if op.optype is optype]
 
     def predecessors(self, name: str) -> List[str]:
         """Names of operations producing values consumed by ``name``."""
-        if name not in self._graph:
-            raise UnknownOperationError(f"unknown operation: {name!r}")
-        return list(self._graph.predecessors(name))
+        try:
+            return list(self._pred[name])
+        except KeyError:
+            raise UnknownOperationError(f"unknown operation: {name!r}") from None
 
     def successors(self, name: str) -> List[str]:
         """Names of operations consuming the value produced by ``name``."""
-        if name not in self._graph:
-            raise UnknownOperationError(f"unknown operation: {name!r}")
-        return list(self._graph.successors(name))
+        try:
+            return list(self._succ[name])
+        except KeyError:
+            raise UnknownOperationError(f"unknown operation: {name!r}") from None
+
+    def port(self, producer: str, consumer: str) -> Optional[int]:
+        """Operand port of ``consumer`` fed by the edge from ``producer``."""
+        try:
+            return self._succ[producer][consumer]
+        except KeyError:
+            raise DFGError(f"no dependence {producer!r} -> {consumer!r}") from None
 
     def edges(self) -> List[Tuple[str, str]]:
         """All dependence edges as (producer, consumer) pairs."""
-        return list(self._graph.edges())
+        return [
+            (producer, consumer)
+            for producer, successors in self._succ.items()
+            for consumer in successors
+        ]
 
     def number_of_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(successors) for successors in self._succ.values())
 
     def topological_order(self) -> List[str]:
         """Operation names in a topological order.
 
+        Kahn's algorithm, first in first out: the operations without
+        producers in insertion order, then each consumer as soon as its
+        last producer is placed.
+
         Raises :class:`DFGValidationError` when the graph has a cycle.
         """
-        try:
-            return list(nx.topological_sort(self._graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise DFGValidationError(f"DFG {self.name!r} contains a dependence cycle") from exc
+        pending = {name: len(producers) for name, producers in self._pred.items()}
+        order = [name for name, count in pending.items() if count == 0]
+        for name in order:  # ``order`` grows while it is walked
+            for consumer in self._succ[name]:
+                pending[consumer] -= 1
+                if pending[consumer] == 0:
+                    order.append(consumer)
+        if len(order) != len(self._ops):
+            raise DFGValidationError(f"DFG {self.name!r} contains a dependence cycle")
+        return order
 
     def is_acyclic(self) -> bool:
         """True when the dependence graph has no cycles."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        try:
+            self.topological_order()
+        except DFGValidationError:
+            return False
+        return True
 
     def iterations(self) -> List[int]:
         """Sorted list of distinct iteration indices present in the graph."""
@@ -369,7 +407,7 @@ class DFG:
         renaming: Dict[str, str] = {}
         for op in other.operations():
             new_name = op.name if prefix is None else f"{prefix}{op.name}"
-            if new_name in self._graph:
+            if new_name in self._ops:
                 new_name = self.fresh_name(new_name)
             renamed = Operation(
                 name=new_name,
@@ -383,8 +421,9 @@ class DFG:
             self.add_operation(renamed)
             renaming[op.name] = new_name
         for producer, consumer in other.edges():
-            port = other.graph.edges[producer, consumer].get("port")
-            self.add_dependence(renaming[producer], renaming[consumer], port=port)
+            self.add_dependence(
+                renaming[producer], renaming[consumer], port=other.port(producer, consumer)
+            )
         return renaming
 
     def copy(self, name: Optional[str] = None) -> "DFG":
@@ -413,7 +452,7 @@ class DFG:
                 {
                     "producer": producer,
                     "consumer": consumer,
-                    "port": self._graph.edges[producer, consumer].get("port"),
+                    "port": self.port(producer, consumer),
                 }
                 for producer, consumer in self.edges()
             ],

@@ -18,27 +18,17 @@ from repro.mapping.fingerprints import (
     dfg_fingerprint,
     stage_key,
 )
-# The per-stage accounting types live in repro.flowgraph.stats since the
-# flow-graph refactor; this package keeps exporting them (the deprecated
-# path is repro.mapping.pipeline.<name>, which warns).
+# The per-stage accounting types live in repro.flowgraph.stats; this
+# package keeps exporting them.
 from repro.flowgraph.stats import Artifact, PipelineStats, StageTiming
-from repro.mapping.pipeline import (
-    PIPELINE_STAGES,
-    STAGE_NAMES,
-    MappingPipeline,
-    MappingResult,
-    StageSpec,
-)
+from repro.mapping.pipeline import MappingPipeline, MappingResult
 from repro.mapping.mapper import RSPMapper
 
 __all__ = [
-    "PIPELINE_STAGES",
-    "STAGE_NAMES",
     "Artifact",
     "MappingPipeline",
     "PipelineStats",
     "RearrangedSchedule",
-    "StageSpec",
     "StageTiming",
     "architecture_fingerprint",
     "dfg_fingerprint",

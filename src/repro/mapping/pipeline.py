@@ -38,7 +38,6 @@ changed kernel body changes the DFG, the fingerprint and every key.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -47,8 +46,8 @@ from repro.arch.config_cache import ConfigurationContext
 from repro.arch.template import ArchitectureSpec, base_architecture
 from repro.core.stalls import ScheduleProfile
 from repro.errors import MappingError
-from repro.flowgraph import stats as _flowstats
 from repro.flowgraph.core import Flow, FlowContext
+from repro.flowgraph.stats import Artifact, PipelineStats
 from repro.ir.dfg import DFG
 from repro.ir.loops import Kernel
 from repro.mapping.fingerprints import (
@@ -56,90 +55,12 @@ from repro.mapping.fingerprints import (
     dfg_fingerprint,
     stage_key,
 )
-from repro.mapping.rearrange import RearrangedSchedule, rebind_schedule
+from repro.mapping.rearrange import RearrangedSchedule
 from repro.mapping.schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.artifacts import ArtifactStore
     from repro.flowgraph.config import ConfigSource
-    from repro.flowgraph.stats import Artifact
-
-#: Compatibility alias for the pre-flow private helper name.
-_rebind_schedule = rebind_schedule
-
-
-# ----------------------------------------------------------------------
-# Stage declarations
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StageSpec:
-    """Declaration of one pipeline stage: its artifact interface.
-
-    Since the flow-graph refactor this is a descriptive summary of the
-    canonical flow's nodes (the executable definitions live in
-    :mod:`repro.flowgraph.mapping`); it remains the documented contract
-    of the five-stage pipeline.
-
-    Attributes
-    ----------
-    name:
-        Stage name; also the artifact namespace in the store.
-    inputs:
-        Names of the upstream artifacts (or raw inputs) the stage consumes.
-    output:
-        Name of the artifact the stage produces.
-    persistent:
-        Whether the stage's output is written to the artifact store.  The
-        ``build_dfg`` stage is memoised in memory only: its output hash is
-        what keys every downstream artifact, so it must be recomputed to
-        validate the chain (and is cheap enough that this never matters).
-    """
-
-    name: str
-    inputs: Tuple[str, ...]
-    output: str
-    persistent: bool = True
-
-
-#: The five stages of the mapping pipeline, in dataflow order.
-PIPELINE_STAGES: Tuple[StageSpec, ...] = (
-    StageSpec("build_dfg", inputs=("kernel",), output="dfg", persistent=False),
-    StageSpec("base_schedule", inputs=("dfg", "base_architecture"), output="schedule"),
-    StageSpec("extract_profile", inputs=("schedule", "dfg"), output="profile"),
-    StageSpec("rearrange", inputs=("schedule", "dfg", "target_architecture"), output="rearranged"),
-    StageSpec("generate_context", inputs=("rearranged", "dfg"), output="context"),
-)
-
-#: Stage names in dataflow order (report/table ordering).
-STAGE_NAMES: Tuple[str, ...] = tuple(stage.name for stage in PIPELINE_STAGES)
-
-#: Stage declarations by name.
-STAGES_BY_NAME: Dict[str, StageSpec] = {stage.name: stage for stage in PIPELINE_STAGES}
-
-
-# ----------------------------------------------------------------------
-# Moved names: deprecation shims
-# ----------------------------------------------------------------------
-#: Accounting types that moved to :mod:`repro.flowgraph.stats` in the
-#: flow-graph refactor.  Importing them from here still works but warns.
-_MOVED_TO_FLOWGRAPH_STATS = (
-    "Artifact",
-    "PipelineStats",
-    "StageTiming",
-    "stage_timings_as_dict",
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_FLOWGRAPH_STATS:
-        warnings.warn(
-            f"repro.mapping.pipeline.{name} moved to repro.flowgraph.stats; "
-            f"import it from repro.flowgraph (or the repro package root) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_flowstats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +141,12 @@ class MappingPipeline:
             store = ArtifactStore(store, shards=store_shards)
         self.store = store
         self.generate_contexts = generate_contexts
-        self.stats = _flowstats.PipelineStats()
+        self.stats = PipelineStats()
         #: Optional unified observer (:mod:`repro.observers`) receiving a
         #: :class:`~repro.flowgraph.core.NodeEvent` per materialised node.
         self.observer: Any = None
         self._base_fingerprint = architecture_fingerprint(self.base)
-        self._dfg_memo: Dict[str, "Artifact"] = {}
+        self._dfg_memo: Dict[str, Artifact] = {}
         #: Stall-free rearranged lengths by (base-schedule key, array,
         #: multiplier latency, uses sharing): everything the
         #: unlimited-shared pass of the ``rearrange`` node reads.
@@ -277,7 +198,7 @@ class MappingPipeline:
         kernel: Kernel,
         target: ArchitectureSpec,
         iterations: Optional[int] = None,
-    ) -> "Artifact":
+    ) -> Artifact:
         return self.flow.resolve(
             output,
             context=self._flow_context(kernel, target, iterations),
@@ -297,7 +218,7 @@ class MappingPipeline:
     # ------------------------------------------------------------------
     # Stage 1: build_dfg
     # ------------------------------------------------------------------
-    def dfg_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> "Artifact":
+    def dfg_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> Artifact:
         """Materialise (and memoise) the unrolled DFG of ``kernel``.
 
         The artifact key is the *content* fingerprint of the built DFG,
@@ -313,7 +234,7 @@ class MappingPipeline:
             return artifact
         started = time.perf_counter()
         dfg = kernel.build(iterations)
-        artifact = _flowstats.Artifact(
+        artifact = Artifact(
             stage="build_dfg",
             key=dfg_fingerprint(dfg),
             value=dfg,
@@ -326,14 +247,14 @@ class MappingPipeline:
     # ------------------------------------------------------------------
     # Stage 2: base_schedule
     # ------------------------------------------------------------------
-    def base_schedule_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> "Artifact":
+    def base_schedule_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> Artifact:
         """Schedule ``kernel`` on the base architecture (loop pipelining)."""
         return self._resolve("schedule", kernel, self.base, iterations)
 
     # ------------------------------------------------------------------
     # Stage 3: extract_profile
     # ------------------------------------------------------------------
-    def profile_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> "Artifact":
+    def profile_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> Artifact:
         """Extract the stall-estimation profile of the base schedule.
 
         On a warm store this never materialises the schedule: the profile
@@ -444,7 +365,7 @@ class MappingPipeline:
         kernel: Kernel,
         target: ArchitectureSpec,
         iterations: Optional[int] = None,
-    ) -> "Artifact":
+    ) -> Artifact:
         """Rearrange the base schedule for ``target`` (RS/RP rules).
 
         The artifact bundles the rearranged schedule with the cycle
@@ -468,7 +389,7 @@ class MappingPipeline:
         kernel: Kernel,
         target: Optional[ArchitectureSpec] = None,
         iterations: Optional[int] = None,
-    ) -> "Artifact":
+    ) -> Artifact:
         """Generate the configuration context of ``kernel`` on ``target``."""
         return self._resolve("context", kernel, target or self.base, iterations)
 

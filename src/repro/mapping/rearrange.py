@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.arch.template import ArchitectureSpec
-from repro.errors import MappingError, SchedulingError, UnknownOperationError
+from repro.errors import MappingError, SchedulingError
 from repro.ir.dfg import DFG, OpType
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
 from repro.mapping.placement import ResourceTracker
@@ -92,7 +92,7 @@ def rearrange_schedule(
     placement_feasible = tracker.placement_feasible
     claim = tracker.claim
     add = rearranged.add
-    producers_of = dfg.graph.pred
+    predecessors = dfg.predecessors
 
     ordered = sorted(
         base_schedule.entries_by_name().values(),
@@ -117,12 +117,8 @@ def rearrange_schedule(
                 scheduler.occupancy_of(operation),
             )
         latency, occupancy = known
-        try:
-            producers = producers_of[name]
-        except KeyError:
-            raise UnknownOperationError(f"unknown operation: {name!r}") from None
         earliest = entry.cycle
-        for producer in producers:
+        for producer in predecessors(name):
             finish = finish_cycle.get(producer)
             if finish is None:
                 if dfg.operation(producer).optype in _UNSCHEDULED_OPTYPES:

@@ -18,10 +18,6 @@ and artifact store.  The pieces:
     A read-through memory front with write-behind batching over any
     backend — a fleet worker's local tier over the remote store.
 
-:func:`open_store_backend`
-    The one-liner the engine, the flow and the CLI share to build a
-    remote (optionally tiered) backend from a URL.
-
 :class:`~repro.service.coordinator.CampaignCoordinator`
     The campaign scheduler behind the ``/campaign`` routes: workers
     lease waves, heartbeat while evaluating, and report results into a
@@ -30,8 +26,6 @@ and artifact store.  The pieces:
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 from repro.store.remote import RemoteBackend, StoreServiceError
 from repro.store.tiered import TieredBackend
@@ -42,16 +36,6 @@ from repro.service.coordinator import (
     WaveState,
 )
 from repro.service.server import StoreRequestHandler, StoreServer, StoreService
-
-
-def open_store_backend(
-    url: str, *, tiered: bool = False, **remote_options
-) -> Union[RemoteBackend, TieredBackend]:
-    """A remote backend for ``url``, optionally fronted by a memory tier."""
-    remote = RemoteBackend(url, **remote_options)
-    if tiered:
-        return TieredBackend(remote)
-    return remote
 
 
 __all__ = [
@@ -65,5 +49,4 @@ __all__ = [
     "StoreServiceError",
     "TieredBackend",
     "WaveState",
-    "open_store_backend",
 ]

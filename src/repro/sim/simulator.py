@@ -170,7 +170,7 @@ class ArraySimulator:
                 # Memory-ordering edge: enforced by schedule validation, it
                 # carries no operand value.
                 continue
-            port = dfg.graph.edges[predecessor, operation_name].get("port")
+            port = dfg.port(predecessor, operation_name)
             edges.append((port if port is not None else 0, predecessor))
         edges.sort(key=lambda item: item[0])
         operand_values: List[int] = []

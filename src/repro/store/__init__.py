@@ -32,6 +32,10 @@ Two composable backends extend the reach of the local three:
     A read-through :class:`MemoryBackend` front with write-behind
     batching over any backend (typically a remote one).
 
+:func:`~repro.store.remote.open_store_backend` builds the remote backend
+for a service URL, tiered or not; the engine, its fleet workers and the
+flow all open their shared store through it.
+
 On top, :class:`~repro.store.janitor.StoreJanitor` provides age-based GC
 and shard compaction, and every backend can snapshot itself as a
 :class:`~repro.store.backend.StoreStats` for reports.
@@ -49,7 +53,7 @@ from repro.store.janitor import JanitorReport, StoreJanitor
 from repro.store.jsonl import ShardedJsonlBackend
 from repro.store.locks import locked
 from repro.store.pickledir import PickleDirBackend
-from repro.store.remote import RemoteBackend, StoreServiceError
+from repro.store.remote import RemoteBackend, StoreServiceError, open_store_backend
 from repro.store.tiered import TieredBackend
 
 __all__ = [
@@ -66,5 +70,6 @@ __all__ = [
     "StoreStats",
     "TieredBackend",
     "locked",
+    "open_store_backend",
     "shard_index",
 ]

@@ -152,6 +152,9 @@ class StoreBackend(Protocol):
         """
         return self.get_many(namespace, keys)
 
+    def close(self) -> None:
+        """Release what the backend holds open; local backends hold nothing."""
+
 
 @dataclass
 class _Counters:

@@ -45,6 +45,7 @@ from repro.store.backend import (
     _Counters,
 )
 from repro.store.janitor import JanitorReport
+from repro.store.tiered import TieredBackend
 from repro.store.wire import (
     WireError,
     decode_body,
@@ -525,3 +526,13 @@ class RemoteBackend(StoreBackend):
             "offline_trips": self.offline_trips,
             "offline": self.offline,
         }
+
+
+def open_store_backend(url: str, *, tiered: bool = False) -> StoreBackend:
+    """A remote backend for ``url``, optionally fronted by a memory tier.
+
+    Closing the returned backend releases everything it opened: the
+    tier's flusher and the remote's keep-alive connections.
+    """
+    remote = RemoteBackend(url)
+    return TieredBackend(remote) if tiered else remote

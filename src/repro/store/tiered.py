@@ -13,9 +13,9 @@ Writes land in the front immediately and are acknowledged; the actual
 slow-tier write is *deferred*: queued in a bounded buffer and flushed by
 a background thread in batches (one :meth:`put_many` per namespace per
 batch — over HTTP that is one round trip instead of one per record).
-``flush()`` drains synchronously, ``close()`` drains and stops the
-flusher, and a full queue flushes inline on the writer's thread so the
-buffer stays bounded.
+``flush()`` drains synchronously, ``close()`` drains, stops the flusher
+and closes the slow tier, and a full queue flushes inline on the
+writer's thread so the buffer stays bounded.
 
 Because keys are content hashes, the front can never serve a *stale*
 value — at worst it serves a value the slow tier has since evicted, which
@@ -176,7 +176,8 @@ class TieredBackend(StoreBackend):
             self._write_out(batch)
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drain pending writes, bounded by ``timeout``; never drop silently.
+        """Drain pending writes, bounded by ``timeout``, then close the slow
+        tier; never drop silently.
 
         The drain runs on the caller's thread (like :meth:`flush`) against
         a deadline.  A healthy slow tier empties the queue and the close is
@@ -220,6 +221,7 @@ class TieredBackend(StoreBackend):
         if self._flusher is not None:
             self._flusher.join(timeout=max(deadline - time.monotonic(), 0.0))
             self._flusher = None
+        self.backend.close()
         if stranded or in_flight:
             warnings.warn(
                 f"tiered store closed with {stranded} queued record(s) dropped"

@@ -121,30 +121,6 @@ class TracingWaveObserver(CampaignObserver):
             self.tracer.counter(f"flow.routed.{event.node}")
 
 
-#: Deprecated aliases re-exported from :mod:`repro.observers`.
-_MOVED_TO_OBSERVERS = {
-    "MultiWaveObserver": "MultiObserver",
-    "compose_observers": "compose_observers",
-}
-
-
-def __getattr__(name: str):
-    moved = _MOVED_TO_OBSERVERS.get(name)
-    if moved is not None:
-        import warnings
-
-        import repro.observers as _observers
-
-        warnings.warn(
-            f"repro.trace.collect.{name} is deprecated; use "
-            f"repro.observers.{moved} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_observers, moved)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ----------------------------------------------------------------------
 # The collector: one tracer, one DB, one traced run
 # ----------------------------------------------------------------------

@@ -324,3 +324,21 @@ def test_flow_accepts_a_store_url(live_server):
 
     with pytest.raises(Exception, match="either artifact_store or store_url"):
         run_rsp_flow(kernels, artifact_store="somewhere", store_url=live_server.url)
+
+
+def test_tiered_flow_closes_its_remote_connections(live_server, monkeypatch):
+    """Closing the tier the flow opened also closes the remote under it."""
+    from repro.flow import run_rsp_flow
+    from repro.kernels import h264_kernels
+    from repro.store import RemoteBackend
+
+    closed = []
+    close = RemoteBackend.close
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(RemoteBackend, "close", recording_close)
+    run_rsp_flow(h264_kernels()[:1], store_url=live_server.url, store_tier=True)
+    assert len(closed) == 1

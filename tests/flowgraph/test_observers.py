@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
-
 from repro.flowgraph.core import Flow, FlowContext, Node, NodeEvent
 from repro.observers import CampaignObserver, MultiObserver, compose_observers
 from repro.trace.collect import TracingWaveObserver
@@ -132,31 +128,8 @@ def test_tracing_observer_speaks_the_unified_protocol():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims for the moved names
+# The engine's observer base
 # ----------------------------------------------------------------------
-def test_trace_collect_shims_warn_and_delegate():
-    import repro.trace.collect as collect
-
-    with pytest.warns(DeprecationWarning, match="repro.observers.MultiObserver"):
-        assert collect.MultiWaveObserver is MultiObserver
-    with pytest.warns(DeprecationWarning, match="repro.observers.compose_observers"):
-        assert collect.compose_observers is compose_observers
-    with pytest.raises(AttributeError):
-        collect.never_existed
-
-
-def test_mapping_pipeline_stats_shims_warn_and_delegate():
-    import repro.flowgraph.stats as flowstats
-    import repro.mapping.pipeline as pipeline
-
-    with pytest.warns(DeprecationWarning, match="moved to repro.flowgraph.stats"):
-        assert pipeline.PipelineStats is flowstats.PipelineStats
-    with pytest.warns(DeprecationWarning):
-        assert pipeline.stage_timings_as_dict is flowstats.stage_timings_as_dict
-    with pytest.raises(AttributeError):
-        pipeline.never_existed
-
-
 def test_executor_wave_observer_is_the_unified_base():
     from repro.engine.executor import WaveObserver
 

@@ -26,8 +26,8 @@ def test_operand_ports_follow_argument_order():
     b = builder.load("y", 0)
     diff = builder.sub(a, b)
     dfg = builder.build()
-    assert dfg.graph.edges[a, diff]["port"] == 0
-    assert dfg.graph.edges[b, diff]["port"] == 1
+    assert dfg.port(a, diff) == 0
+    assert dfg.port(b, diff) == 1
 
 
 def test_iteration_tracking():

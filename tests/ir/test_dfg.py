@@ -90,6 +90,23 @@ class TestDFGConstruction:
         with pytest.raises(UnknownOperationError):
             dfg.add_dependence("a", "missing")
 
+    def test_duplicate_dependence_rejected(self):
+        dfg = DFG()
+        dfg.add_operation(Operation("x", OpType.LOAD, array="x"))
+        dfg.add_operation(Operation("m", OpType.MUL))
+        dfg.add_dependence("x", "m", port=0)
+        with pytest.raises(DFGError, match="'x' -> 'm'"):
+            dfg.add_dependence("x", "m", port=1)
+        assert dfg.port("x", "m") == 0
+        assert dfg.number_of_edges() == 1
+
+    def test_port_lookup(self):
+        dfg = simple_mac_dfg()
+        assert dfg.port("k", "d") == 1
+        assert dfg.port("d", "s") == 0
+        with pytest.raises(DFGError):
+            dfg.port("a", "d")
+
     def test_self_edge_rejected(self):
         dfg = DFG()
         dfg.add_operation(Operation("a", OpType.ADD))
@@ -180,7 +197,8 @@ class TestDFGSerialisation:
         assert len(rebuilt) == len(dfg)
         assert rebuilt.number_of_edges() == dfg.number_of_edges()
         assert rebuilt.operation("k").immediate == 3
-        assert rebuilt.graph.edges["a", "c"]["port"] == 0
+        assert rebuilt.port("a", "c") == 0
+        assert rebuilt.to_dict() == dfg.to_dict()
 
     def test_copy_is_independent(self):
         dfg = simple_mac_dfg()

@@ -19,10 +19,9 @@ from repro.core.rsp_params import enumerate_design_space
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.jobs import SUITE_NAMES, suite_kernels
 from repro.errors import MappingError
+from repro.flowgraph.stats import DEFAULT_STAGE_ORDER
 from repro.kernels import get_kernel
 from repro.mapping import (
-    PIPELINE_STAGES,
-    STAGE_NAMES,
     MappingPipeline,
     RearrangedSchedule,
     architecture_fingerprint,
@@ -32,9 +31,22 @@ from repro.mapping import (
 from repro.mapping.rearrange import evaluate_rearrangement
 from repro.utils.serialization import content_hash
 
-#: ``dfg_fingerprint`` of the MVM kernel's default DFG.  It seeds every
-#: artifact key of that kernel, so a change here orphans persisted stores.
-MVM_FINGERPRINT = "9e5512b3f630e2564dcb15c133e1d7eb4dd7f9d66aeb0c5400542218ddcfb390"
+#: ``dfg_fingerprint`` of every suite kernel's default DFG, by kernel name.
+#: Each seeds every artifact key of its kernel, so a change here orphans
+#: persisted stores.
+SUITE_FINGERPRINTS = {
+    "Hydro": "4086ac716e60bd35a93049cf821ca22984a0eb1038a8f6971e115e5938acfc42",
+    "ICCG": "9b9b65f75720c102ea4097505a18c9616ac3d4571fa462fa4e21833f1f45f2e9",
+    "Tri-diagonal": "a6dca022f5e538e32daaa56353fa50ed8ef8adae2ec4dd1135e651842a07db7f",
+    "Inner product": "5366035a0a8ffaab64484279e856ad8d6188543beabd62d4b8307d054ad75531",
+    "State": "cb649abe2dd3814d3fbba9fb0ebc6f590733007b97d9b2186febe99857d973f8",
+    "2D-FDCT": "447b85f6c4373612bffdde49fc0f88041f9d503ca74c02c4534d04b538aa88e0",
+    "SAD": "79685c784ffad9bd37a6da647f4bdb20ce7cfa08643462c7a9e90487c9448c04",
+    "MVM": "9e5512b3f630e2564dcb15c133e1d7eb4dd7f9d66aeb0c5400542218ddcfb390",
+    "FFT": "b94809aaa8133b280af58bcc9051d211fa07baf5dc1e06d65329916304f0be8c",
+    "H264-IT4x4": "145969a1d0fee9fc587fba6df6aa6d6acb164afdb4ef2db33da2f83e3f07a70a",
+    "H264-QPEL": "766917688c138c3b03c199f09a41305a56fa197b30506db054b3de9bc2649342",
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,24 +55,33 @@ def mvm():
 
 
 class TestStageDeclarations:
-    def test_stage_order_is_the_paper_flow(self):
-        assert STAGE_NAMES == (
+    """The default flow's node declarations are the pipeline's stage contract."""
+
+    @pytest.fixture(scope="class")
+    def flow(self):
+        return MappingPipeline().flow
+
+    def test_stage_order_is_the_paper_flow(self, flow):
+        stages = tuple(node.name for node in flow.nodes if not node.virtual)
+        assert stages == (
             "build_dfg",
             "base_schedule",
             "extract_profile",
             "rearrange",
             "generate_context",
         )
+        assert stages == DEFAULT_STAGE_ORDER
 
-    def test_stage_io_chains(self):
-        by_name = {stage.name: stage for stage in PIPELINE_STAGES}
+    def test_stage_io_chains(self, flow):
+        by_name = flow.by_name
         assert by_name["build_dfg"].output == "dfg"
         assert "dfg" in by_name["base_schedule"].inputs
         assert by_name["base_schedule"].output in by_name["extract_profile"].inputs
+        assert by_name["base_schedule"].output in by_name["rearrange"].inputs
         assert by_name["rearrange"].output in by_name["generate_context"].inputs
 
-    def test_only_build_dfg_is_non_persistent(self):
-        transient = [stage.name for stage in PIPELINE_STAGES if not stage.persistent]
+    def test_only_build_dfg_is_non_persistent(self, flow):
+        transient = [node.name for node in flow.nodes if not node.persistent]
         assert transient == ["build_dfg"]
 
 
@@ -69,12 +90,15 @@ class TestFingerprints:
         assert dfg_fingerprint(mvm.build()) == dfg_fingerprint(mvm.build())
         assert dfg_fingerprint(mvm.build(4)) != dfg_fingerprint(mvm.build(8))
 
-    def test_dfg_fingerprint_is_the_content_hash_of_to_dict(self, mvm):
+    def test_dfg_fingerprint_is_the_content_hash_of_to_dict(self):
+        checked = 0
         for suite in SUITE_NAMES:
             for kernel in suite_kernels(suite):
                 dfg = kernel.build()
                 assert dfg_fingerprint(dfg) == content_hash(dfg.to_dict()), kernel.name
-        assert dfg_fingerprint(mvm.build()) == MVM_FINGERPRINT
+                assert dfg_fingerprint(dfg) == SUITE_FINGERPRINTS[kernel.name], kernel.name
+                checked += 1
+        assert checked == 20
 
     def test_architecture_fingerprint_ignores_the_name(self):
         named = rsp_architecture(2)

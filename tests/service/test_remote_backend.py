@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from repro.service import StoreServer, open_store_backend
+from repro.service import StoreServer
 from repro.store import (
     PickleDirBackend,
     RemoteBackend,
@@ -15,6 +15,7 @@ from repro.store import (
     StoreJanitor,
     StoreServiceError,
     TieredBackend,
+    open_store_backend,
 )
 
 
