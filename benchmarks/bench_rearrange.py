@@ -9,13 +9,20 @@ and records through ``bench_metrics``:
   schedules are made before the clock starts),
 * ``rearrange_passes``: ``rearrange_schedule`` calls of the ``rearrange``
   flow node,
-* ``feasibility_probes``: ``ResourceTracker.placement_feasible`` calls,
-* ``placed_operations``: ``ResourceTracker.claim`` calls.
+* ``feasibility_probes``: ``ResourceTracker.try_claim`` calls, one per
+  (operation, cycle) the re-timing loop tries,
+* ``placed_operations``: ``try_claim`` calls that placed the operation.
 
-The only gate is a count, not a wall-clock race: one actual pass per
-(kernel, design) plus one stall-free pass per kernel and multiplier
-latency, because every design of the grid shares and uses the default
-array.  Running the stall-free pass for every design makes 288.
+The gates are counts, not a wall-clock race:
+
+* one actual pass per (kernel, design) plus one stall-free pass per
+  kernel and multiplier latency, because every design of the grid shares
+  and uses the default array (running the stall-free pass for every
+  design makes 288);
+* exactly :data:`PROBES` probes and :data:`PLACED` placements: the
+  ``placement_feasible`` and ``claim`` calls a probe-then-claim loop makes
+  for the same mappings, so probing with ``try_claim`` visits the same
+  cycles.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from repro.utils.tabulate import format_table
 
 #: 9 kernels x 16 designs actual passes, plus 9 kernels x 2 latencies.
 MAX_REARRANGE_PASSES = 144 + 18
+#: (operation, cycle) pairs the re-timing loop tries, and those that place.
+PROBES = 113_354
+PLACED = 91_008
 
 
 def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
@@ -60,19 +70,21 @@ def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
 
     counts: Counter = Counter()
 
-    def count_calls(owner, attribute, metric):
+    def count_calls(owner, attribute, metric, success_metric=None):
         original = getattr(owner, attribute)
 
         def counted(*args, **kwargs):
             counts[metric] += 1
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            if success_metric is not None and result[0]:
+                counts[success_metric] += 1
+            return result
 
         monkeypatch.setattr(owner, attribute, counted)
 
     mapper = prepared_mapper()
     count_calls(mapping_nodes, "rearrange_schedule", "rearrange_passes")
-    count_calls(ResourceTracker, "placement_feasible", "feasibility_probes")
-    count_calls(ResourceTracker, "claim", "placed_operations")
+    count_calls(ResourceTracker, "try_claim", "feasibility_probes", "placed_operations")
     assert map_all(mapper) == cycles
 
     passes = counts["rearrange_passes"]
@@ -100,3 +112,5 @@ def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
     )
     assert len(cycles) == 144
     assert passes <= MAX_REARRANGE_PASSES
+    assert counts["feasibility_probes"] == PROBES
+    assert counts["placed_operations"] == PLACED

@@ -13,14 +13,20 @@ PE occupancy is one integer bitmask per cycle: bit ``row * cols + col`` of
 a cycle's mask is set while PE (row, col) is busy in that cycle.  A caller
 that has to scan many PEs ORs the masks over an operation's occupancy once
 (:meth:`ResourceTracker.busy_mask`) and skips busy PEs with a bit test, so
-only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`,
-which stays the one place that applies the bus and shared-unit rules.
+only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`.
+
+A probe's PE, bus and shared-unit rules are written once, in
+``ResourceTracker._fit``.  :meth:`ResourceTracker.placement_feasible`
+answers with them; :meth:`ResourceTracker.try_claim` applies them and, when
+the placement fits, records it in the same pass, which is how the
+rearrangement probes (most of its probes succeed).
 
 Claims are atomic: :meth:`ResourceTracker.claim`,
 :meth:`ResourceTracker.claim_pe` and :meth:`ResourceTracker.claim_bus`
 check every resource they would take — PE, row bus and shared unit —
 before they record any, so a :class:`PlacementError` leaves the tracker
-exactly as it was.
+exactly as it was.  A failed :meth:`ResourceTracker.try_claim` records
+nothing.
 
 The same tracker is used by the base mapper (:mod:`repro.mapping.loop_pipelining`)
 and by the context rearrangement (:mod:`repro.mapping.rearrange`), which is
@@ -214,6 +220,38 @@ class ResourceTracker:
     # ------------------------------------------------------------------
     # Combined feasibility check
     # ------------------------------------------------------------------
+    def _fit(
+        self, optype: OpType, cycle: int, row: int, col: int, duration: int
+    ) -> Optional[Tuple[int, Optional[SharedUnitId]]]:
+        """``(PE bit, shared unit)`` when the operation fits, else ``None``.
+
+        The one statement of the placement rules: the PE is idle for
+        ``duration`` cycles, a load or store finds a free row bus slot, and
+        a multiplication on a sharing architecture finds a reachable shared
+        unit with a free issue slot.  In unlimited mode a multiplication
+        always fits, on a freshly minted pseudo-unit of its row.
+        """
+        index = self._index(row, col)
+        bit = 1 << index
+        busy = self._busy
+        for offset_cycle in range(cycle, cycle + duration):
+            if busy.get(offset_cycle, 0) & bit:
+                return None
+        if optype is _LOAD:
+            if self._loads.get((cycle, row), 0) >= self._read_buses:
+                return None
+        elif optype is _STORE:
+            if self._stores.get((cycle, row), 0) >= self._write_buses:
+                return None
+        elif optype is _MUL and self._uses_sharing:
+            if self.unlimited_shared:
+                return bit, self._mint_unit(cycle, row)
+            unit = self._free_unit(cycle, index)
+            if unit is None:
+                return None
+            return bit, unit
+        return bit, None
+
     def placement_feasible(
         self,
         operation: Operation,
@@ -228,27 +266,31 @@ class ResourceTracker:
         unit to bind a multiplication to (``None`` for non-multiplications
         or architectures without sharing).
         """
-        index = self._index(row, col)
-        bit = 1 << index
-        busy = self._busy
-        for offset_cycle in range(cycle, cycle + duration):
-            if busy.get(offset_cycle, 0) & bit:
-                return False, None
-        optype = operation.optype
-        if optype is _LOAD:
-            if self._loads.get((cycle, row), 0) >= self._read_buses:
-                return False, None
-        elif optype is _STORE:
-            if self._stores.get((cycle, row), 0) >= self._write_buses:
-                return False, None
-        elif optype is _MUL and self._uses_sharing:
-            if self.unlimited_shared:
-                return True, self._mint_unit(cycle, row)
-            unit = self._free_unit(cycle, index)
-            if unit is None:
-                return False, None
-            return True, unit
-        return True, None
+        fit = self._fit(operation.optype, cycle, row, col, duration)
+        if fit is None:
+            return False, None
+        return True, fit[1]
+
+    def try_claim(
+        self,
+        operation: Operation,
+        cycle: int,
+        row: int,
+        col: int,
+        duration: int,
+    ) -> Tuple[bool, Optional[SharedUnitId]]:
+        """:meth:`placement_feasible` and, when it fits, :meth:`claim` in one pass.
+
+        Returns what :meth:`placement_feasible` returns.  On success the
+        tracker holds exactly the records :meth:`claim` makes with the
+        returned unit; on failure it records nothing.
+        """
+        fit = self._fit(operation.optype, cycle, row, col, duration)
+        if fit is None:
+            return False, None
+        bit, shared_unit = fit
+        self._record(operation, cycle, row, col, duration, bit, shared_unit)
+        return True, shared_unit
 
     def claim(
         self,
@@ -268,17 +310,29 @@ class ResourceTracker:
         bit = 1 << self._index(row, col)
         self._check_pe(cycle, row, col, duration, bit)
         optype = operation.optype
-        memory = optype is _LOAD or optype is _STORE
-        multiplication = optype is _MUL
-        if memory:
+        if optype is _LOAD or optype is _STORE:
             self._check_bus(cycle, row, optype)
-        elif multiplication and shared_unit is not None:
+        elif optype is _MUL and shared_unit is not None:
             self._check_shared_unit(shared_unit, cycle)
+        self._record(operation, cycle, row, col, duration, bit, shared_unit)
+
+    def _record(
+        self,
+        operation: Operation,
+        cycle: int,
+        row: int,
+        col: int,
+        duration: int,
+        bit: int,
+        shared_unit: Optional[SharedUnitId],
+    ) -> None:
+        """Record a checked placement: PE, row bus, row multiplications, unit issue."""
         name = operation.name
+        optype = operation.optype
         self._mark_pe(cycle, row, col, duration, bit, name)
-        if memory:
+        if optype is _LOAD or optype is _STORE:
             self._mark_bus(cycle, row, optype)
-        elif multiplication:
+        elif optype is _MUL:
             key = (cycle, row)
             self._row_mults[key] = self._row_mults.get(key, 0) + 1
             if shared_unit is not None and not self.unlimited_shared:

@@ -6,13 +6,21 @@ shared unit.  Constants are *not* scheduled — they live in the
 configuration cache and are available from cycle 0 — which mirrors the
 paper's treatment of the constant ``C`` in the matrix-multiplication
 example.
+
+A schedule pickles by column: its architecture and kernel name, then one
+list per :class:`Operation` field and one each for cycle, row, col,
+latency, occupancy and shared unit, in insertion order.
+:func:`_restore_schedule` rebuilds it through the validating constructors
+and :meth:`Schedule.add`.  Pickles of the earlier instance-dict form still
+load (:meth:`Schedule.__setstate__`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
@@ -98,21 +106,26 @@ class Schedule:
         self.kernel_name = kernel_name
         self._by_name: Dict[str, ScheduledOperation] = {}
         self._by_cycle: Dict[int, List[ScheduledOperation]] = defaultdict(list)
+        self._length = 0
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add(self, scheduled: ScheduledOperation) -> None:
         """Add one scheduled operation; operation names must be unique."""
-        if scheduled.name in self._by_name:
-            raise SchedulingError(f"operation {scheduled.name!r} scheduled twice")
-        if not self.architecture.array.contains(scheduled.row, scheduled.col):
+        name = scheduled.operation.name
+        if name in self._by_name:
+            raise SchedulingError(f"operation {name!r} scheduled twice")
+        array = self.architecture.array
+        if not array.contains(scheduled.row, scheduled.col):
             raise SchedulingError(
-                f"operation {scheduled.name!r} placed outside the "
-                f"{self.architecture.array.rows}x{self.architecture.array.cols} array"
+                f"operation {name!r} placed outside the {array.rows}x{array.cols} array"
             )
-        self._by_name[scheduled.name] = scheduled
+        self._by_name[name] = scheduled
         self._by_cycle[scheduled.cycle].append(scheduled)
+        finish = scheduled.cycle + scheduled.latency
+        if finish > self._length:
+            self._length = finish
 
     # ------------------------------------------------------------------
     # Queries
@@ -152,9 +165,7 @@ class Schedule:
     @property
     def length(self) -> int:
         """Total execution cycles: the latest result-available cycle."""
-        if not self._by_name:
-            return 0
-        return max(entry.finish_cycle for entry in self._by_name.values())
+        return self._length
 
     # ------------------------------------------------------------------
     # Statistics
@@ -211,10 +222,24 @@ class Schedule:
         """Check the schedule against the DFG and architecture constraints.
 
         Raises :class:`SchedulingError` on the first violation found:
-        missing operations, dependence violations, PE double-booking, bus
-        over-subscription or shared-unit conflicts.
+        entries the DFG does not back (a name it lacks, or an operation
+        that differs from its own), missing operations, dependence
+        violations, PE double-booking, bus over-subscription or
+        shared-unit conflicts.
         """
         spec = self.architecture
+        # The simulator executes each entry's operation but reads operand
+        # ports from the DFG, so the two must agree.
+        for name, entry in self._by_name.items():
+            if name not in dfg:
+                raise SchedulingError(
+                    f"operation {name!r} is scheduled but kernel {dfg.name!r} has no such operation"
+                )
+            if entry.operation != dfg.operation(name):
+                raise SchedulingError(
+                    f"operation {name!r} is scheduled as {entry.operation!r}, but kernel "
+                    f"{dfg.name!r} defines it as {dfg.operation(name)!r}"
+                )
         for op in dfg.operations():
             if op.optype in (OpType.CONST, OpType.NOP):
                 continue
@@ -298,8 +323,56 @@ class Schedule:
                     )
                 unit_issues[key] = entry.name
 
+    # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle one list per field (see the module docstring)."""
+        entries = list(self._by_name.values())
+        operations = [entry.operation for entry in entries]
+        operation_columns = [list(map(getter, operations)) for getter in _OPERATION_COLUMNS]
+        entry_columns = [list(map(getter, entries)) for getter in _ENTRY_COLUMNS]
+        return _restore_schedule, (
+            self.architecture,
+            self.kernel_name,
+            operation_columns,
+            entry_columns,
+        )
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Load the earlier pickle form, the instance dict without the length."""
+        self.__dict__.update(state)
+        self._length = max((entry.finish_cycle for entry in self._by_name.values()), default=0)
+
     def __repr__(self) -> str:
         return (
             f"Schedule(kernel={self.kernel_name!r}, architecture={self.architecture.name!r}, "
             f"operations={len(self)}, cycles={self.length})"
         )
+
+
+#: Column getters of a pickled schedule: every :class:`Operation` field,
+#: then every other :class:`ScheduledOperation` field, each in constructor
+#: order.
+_OPERATION_COLUMNS = tuple(attrgetter(field.name) for field in fields(Operation))
+_ENTRY_COLUMNS = tuple(
+    attrgetter(field.name) for field in fields(ScheduledOperation) if field.name != "operation"
+)
+
+
+def _restore_schedule(
+    architecture: ArchitectureSpec,
+    kernel_name: str,
+    operation_columns: List[List[Any]],
+    entry_columns: List[List[Any]],
+) -> Schedule:
+    """Rebuild a schedule pickled by :meth:`Schedule.__reduce__`.
+
+    Pickles name this function, so its module and name are part of the
+    stored format.
+    """
+    schedule = Schedule(architecture, kernel_name)
+    add = schedule.add
+    for operation_fields, entry_fields in zip(zip(*operation_columns), zip(*entry_columns)):
+        add(ScheduledOperation(Operation(*operation_fields), *entry_fields))
+    return schedule

@@ -184,28 +184,37 @@ class TestPersistentPipeline:
         assert warm.stats.timing("extract_profile").hits == 1
         assert warm.store.stats.hits == 1
 
-    def test_warm_run_is_identical(self, tmp_path, mvm):
-        target = rsp_architecture(4)
+    def test_warm_run_is_identical(self, tmp_path):
+        # Every paper kernel on an RSP design with 2 and one with 3
+        # multiplier stages; the warm pipeline reads every stage from disk.
+        pairs = [
+            (kernel, target)
+            for target in (rsp_architecture(4), rsp_architecture(1, stages=3))
+            for kernel in suite_kernels("paper")
+        ]
         cold = MappingPipeline(store=ArtifactStore(tmp_path), generate_contexts=True)
-        cold_result = cold.run(mvm, target)
+        cold_results = [cold.run(kernel, target) for kernel, target in pairs]
 
         warm = MappingPipeline(store=ArtifactStore(tmp_path), generate_contexts=True)
-        warm_result = warm.run(mvm, target)
+        warm_results = [warm.run(kernel, target) for kernel, target in pairs]
 
-        assert warm_result.cycles == cold_result.cycles
-        assert warm_result.stall_cycles == cold_result.stall_cycles
-        assert warm_result.base_cycles == cold_result.base_cycles
-        assert [
-            (entry.name, entry.cycle, entry.row, entry.col, entry.shared_unit)
-            for entry in warm_result.schedule.operations()
-        ] == [
-            (entry.name, entry.cycle, entry.row, entry.col, entry.shared_unit)
-            for entry in cold_result.schedule.operations()
-        ]
-        assert (
-            list(warm_result.context.active_words())
-            == list(cold_result.context.active_words())
-        )
+        def full_entries(schedule):
+            return [
+                (e.operation, e.cycle, e.row, e.col, e.latency, e.occupancy, e.shared_unit)
+                for e in schedule.entries_by_name().values()
+            ]
+
+        assert len(pairs) == 18
+        for warm_result, cold_result in zip(warm_results, cold_results):
+            assert warm_result.cycles == cold_result.cycles
+            assert warm_result.stall_cycles == cold_result.stall_cycles
+            assert warm_result.base_cycles == cold_result.base_cycles
+            assert warm_result.schedule.length == cold_result.schedule.length
+            assert full_entries(warm_result.schedule) == full_entries(cold_result.schedule)
+            assert (
+                list(warm_result.context.active_words())
+                == list(cold_result.context.active_words())
+            )
         for stage in ("base_schedule", "rearrange", "generate_context"):
             assert warm.stats.timing(stage).misses == 0
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import base_architecture, rs_architecture, rsp_architecture
 from repro.errors import PlacementError
@@ -240,6 +244,74 @@ class TestCombinedFeasibility:
         assert tracker.multiplications_in_row(0, 3) == 1
         tracker.claim(mul_op("m2"), 0, 3, 1, 1, None)
         assert tracker.multiplications_in_row(0, 3) == 2
+
+
+#: Small arrays so random placements collide: a base design, an RS design
+#: (one row-shared multiplier per row), an RSP design with column-shared
+#: units as well, and the RS design in unlimited-shared mode.
+TRACKER_CONFIGS = (
+    (base_architecture(rows=2, cols=3), False),
+    (rs_architecture(1, rows=2, cols=3), False),
+    (rsp_architecture(3, rows=2, cols=3, stages=2), False),
+    (rs_architecture(1, rows=2, cols=3), True),
+)
+
+placements = st.lists(
+    st.tuples(
+        st.sampled_from([OpType.LOAD, OpType.STORE, OpType.MUL, OpType.ADD]),
+        st.integers(0, 3),  # cycle
+        st.integers(0, 1),  # row
+        st.integers(0, 2),  # col
+        st.integers(1, 3),  # duration
+    ),
+    max_size=40,
+)
+
+
+class TestTryClaim:
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.sampled_from(TRACKER_CONFIGS), steps=placements)
+    def test_matches_placement_feasible_then_claim(self, config, steps):
+        architecture, unlimited = config
+        tracker = ResourceTracker(architecture, unlimited_shared=unlimited)
+        twin = ResourceTracker(architecture, unlimited_shared=unlimited)
+        for index, (optype, cycle, row, col, duration) in enumerate(steps):
+            operation = Operation(f"op{index}", optype, array="x", index=index)
+            expected = twin.placement_feasible(operation, cycle, row, col, duration)
+            assert tracker.try_claim(operation, cycle, row, col, duration) == expected
+            if expected[0]:
+                twin.claim(operation, cycle, row, col, duration, expected[1])
+            assert vars(tracker) == vars(twin)
+
+    @pytest.mark.parametrize(
+        "architecture, held, blocked",
+        [
+            # PE busy for part of the duration.
+            (base_architecture(), [(mul_op("m1"), 1, 0, 0, 2)], (mul_op("m2"), 0, 0, 0, 2)),
+            # Both read buses of row 0 taken.
+            (
+                base_architecture(),
+                [(load_op("l1"), 0, 0, 0, 1), (load_op("l2"), 0, 0, 1, 1)],
+                (load_op("l3"), 0, 0, 2, 1),
+            ),
+            # The row's one shared multiplier already issues.
+            (rs_architecture(1), [(mul_op("m1"), 0, 0, 0, 1)], (mul_op("m2"), 0, 0, 1, 1)),
+        ],
+    )
+    def test_failure_leaves_the_tracker_unchanged(self, architecture, held, blocked):
+        tracker = ResourceTracker(architecture)
+        for placement in held:
+            assert tracker.try_claim(*placement)[0]
+        before = copy.deepcopy(vars(tracker))
+        assert tracker.try_claim(*blocked) == (False, None)
+        assert vars(tracker) == before
+
+    def test_positions_outside_the_array_are_rejected(self):
+        tracker = ResourceTracker(rs_architecture(1, rows=3, cols=5))
+        for row, col in [(0, 5), (3, 0), (-1, 0), (0, -1)]:
+            with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                tracker.try_claim(mul_op(), 0, row, col, 1)
+        assert tracker.busy_mask(0, 1) == 0
 
 
 class TestColumnPreference:

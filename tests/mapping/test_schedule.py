@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import copyreg
+import io
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from repro.arch import base_architecture, rs_architecture
+from repro.arch import base_architecture, rs_architecture, rsp_architecture
 from repro.errors import SchedulingError
 from repro.ir import DFGBuilder, Operation, OpType
+from repro.kernels import paper_suite
 from repro.mapping.schedule import Schedule, ScheduledOperation
 
 
@@ -177,6 +183,32 @@ class TestScheduleValidation:
         with pytest.raises(SchedulingError, match="multiplier of row 5"):
             schedule.validate(dfg)
 
+    def test_entry_the_dfg_lacks_detected(self, mapper, hydro_kernel):
+        schedule = mapper.base_schedule(hydro_kernel)
+        dfg = mapper.build_dfg(hydro_kernel)
+        extended = Schedule(schedule.architecture, schedule.kernel_name)
+        for scheduled in schedule.entries_by_name().values():
+            extended.add(scheduled)
+        ghost = Operation("ghost", OpType.ADD)
+        extended.add(entry(ghost, cycle=schedule.length + 5, row=0, col=0))
+        assert extended.length == schedule.length + 6
+        with pytest.raises(SchedulingError, match="'ghost' is scheduled but kernel"):
+            extended.validate(dfg)
+
+    @pytest.mark.parametrize(
+        "change", [{"optype": OpType.LOAD}, {"array": "w"}, {"index": 1}, {"iteration": 1}]
+    )
+    def test_entry_whose_operation_differs_detected(self, base_arch, change):
+        dfg, schedule = self.build_valid(base_arch)
+        store = [op for op in dfg.operations() if op.optype is OpType.STORE][0]
+        altered = Schedule(base_arch, "tiny")
+        for scheduled in schedule.entries_by_name().values():
+            if scheduled.name == store.name:
+                scheduled = replace(scheduled, operation=replace(store, **change))
+            altered.add(scheduled)
+        with pytest.raises(SchedulingError, match=f"{store.name!r} is scheduled as"):
+            altered.validate(dfg)
+
     def test_shared_unit_issue_conflict_detected(self):
         arch = rs_architecture(1)
         builder = DFGBuilder()
@@ -196,3 +228,99 @@ class TestScheduleValidation:
         schedule.add(entry(dfg.operation(m2), 1, 0, 1, shared=("row", 0, 0)))
         with pytest.raises(SchedulingError, match="two issues"):
             schedule.validate(dfg)
+
+
+#: Designs whose schedules the pickle tests cover: the base design, a pure
+#: RS design, and RSP designs with 2 and 3 multiplier stages.
+PICKLED_DESIGNS = (
+    base_architecture(),
+    rs_architecture(2),
+    rsp_architecture(1),
+    rsp_architecture(1, stages=3),
+)
+
+
+def legacy_pickle(schedule: Schedule) -> bytes:
+    """``schedule`` in the format written before schedules pickled by column.
+
+    That format was the default reduction of the instance: ``Schedule``
+    created through ``copyreg.__newobj__`` and its ``__dict__`` (which held
+    no cached length) as the state.
+    """
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is not Schedule:
+                return NotImplemented
+            state = {name: value for name, value in vars(obj).items() if name != "_length"}
+            return copyreg.__newobj__, (Schedule,), state
+
+    buffer = io.BytesIO()
+    LegacyPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(schedule)
+    return buffer.getvalue()
+
+
+def full_entries(schedule: Schedule):
+    """Every entry with all seven fields, in insertion order."""
+    return [
+        (e.operation, e.cycle, e.row, e.col, e.latency, e.occupancy, e.shared_unit)
+        for e in schedule.entries_by_name().values()
+    ]
+
+
+def assert_same_schedule(got: Schedule, expected: Schedule) -> None:
+    assert full_entries(got) == full_entries(expected)
+    assert [
+        [e.name for e in got.operations_at(cycle)] for cycle in range(got.length)
+    ] == [[e.name for e in expected.operations_at(cycle)] for cycle in range(expected.length)]
+    assert got.length == expected.length
+    assert got.length == max(e.finish_cycle for e in got.entries_by_name().values())
+    assert got.kernel_name == expected.kernel_name
+    assert got.architecture == expected.architecture
+
+
+@pytest.fixture(scope="module")
+def pickled_schedules(mapper):
+    return [
+        mapper.map_kernel(kernel, design).schedule
+        for design in PICKLED_DESIGNS
+        for kernel in paper_suite()
+    ]
+
+
+class TestSchedulePickle:
+    def test_round_trip_keeps_every_entry_and_order(self, pickled_schedules):
+        for schedule in pickled_schedules:
+            restored = pickle.loads(pickle.dumps(schedule, protocol=pickle.HIGHEST_PROTOCOL))
+            assert_same_schedule(restored, schedule)
+
+    def test_round_trip_of_an_empty_schedule(self, base_arch):
+        restored = pickle.loads(pickle.dumps(Schedule(base_arch, "empty")))
+        assert len(restored) == 0
+        assert restored.length == 0
+        assert restored.kernel_name == "empty"
+
+    def test_restored_schedule_accepts_more_entries(self, base_arch):
+        dfg, (a, b, c) = tiny_dfg()
+        schedule = Schedule(base_arch, "tiny")
+        schedule.add(entry(dfg.operation(a), 0, 0, 0))
+        restored = pickle.loads(pickle.dumps(schedule))
+        restored.add(entry(dfg.operation(c), 1, 0, 0, latency=2))
+        assert restored.length == 3
+        with pytest.raises(SchedulingError, match="scheduled twice"):
+            restored.add(entry(dfg.operation(a), 2, 0, 0))
+
+    def test_legacy_pickles_still_load(self, pickled_schedules):
+        for schedule in pickled_schedules:
+            legacy = legacy_pickle(schedule)
+            assert b"_by_name" in legacy and b"_restore_schedule" not in legacy
+            restored = pickle.loads(legacy)
+            assert_same_schedule(restored, schedule)
+            # A legacy schedule re-pickles in the columnar format.
+            assert_same_schedule(pickle.loads(pickle.dumps(restored)), schedule)
+
+    def test_columnar_pickle_is_smaller(self, pickled_schedules):
+        for schedule in pickled_schedules:
+            assert len(pickle.dumps(schedule, protocol=pickle.HIGHEST_PROTOCOL)) < len(
+                legacy_pickle(schedule)
+            )
