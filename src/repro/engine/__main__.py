@@ -184,46 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream); inspect with python -m repro.trace summary DIR",
     )
     parser.add_argument(
-        "--coordinator",
-        default=None,
-        metavar="URL",
-        help="campaign coordinator URL (a repro.service started with "
-        "--coordinator DIR); requires --worker",
-    )
-    parser.add_argument(
-        "--worker",
-        action="store_true",
-        help="worker mode: submit the campaign to --coordinator, lease "
-        "waves, heartbeat while evaluating, and report results; when the "
-        "campaign completes, derive the canonical report from the merged "
-        "checkpoint (byte-identical to a serial --stream run)",
-    )
-    parser.add_argument(
-        "--worker-name",
-        default=None,
-        help="display name this worker registers under (default: host-pid)",
-    )
-    parser.add_argument(
-        "--wave-size",
-        type=int,
-        default=None,
-        help="jobs per leased wave (default: the campaign's --chunk-size)",
-    )
-    parser.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="worker-mode sleep between lease polls while every wave is "
-        "leased elsewhere (default: 0.5s)",
-    )
-    parser.add_argument(
-        "--lease-delay",
-        type=float,
-        default=0.0,
-        help="worker-mode pause between lease grant and evaluation "
-        "(failure-injection hook: widens the mid-wave kill window)",
-    )
-    parser.add_argument(
         "--flow",
         type=Path,
         default=None,
@@ -289,55 +249,6 @@ def _store_summary(report) -> str:
     return line
 
 
-def _run_worker_mode(args: argparse.Namespace, spec, artifact_dir) -> int:
-    """Fleet worker: lease waves from the coordinator until the campaign ends."""
-    import os
-    import socket
-    import tempfile
-
-    from repro.engine.worker import run_worker
-
-    stream_dir = args.stream or Path(tempfile.mkdtemp(prefix="repro-worker-stream-"))
-    worker_name = args.worker_name or f"{socket.gethostname()}-{os.getpid()}"
-    collector = None
-    if args.trace is not None:
-        from repro.trace.collect import TraceCollector
-
-        collector = TraceCollector(args.trace, campaign=spec.name).install()
-    try:
-        summary = run_worker(
-            spec,
-            args.coordinator,
-            stream_dir=stream_dir,
-            worker_name=worker_name,
-            wave_size=args.wave_size,
-            output=args.output,
-            cache_dir=None if args.no_cache or args.store_url else args.cache_dir,
-            artifact_dir=artifact_dir,
-            store_url=args.store_url,
-            store_tier=args.store_tier,
-            store_shards=args.store_shards,
-            poll_interval=args.poll_interval,
-            lease_delay=args.lease_delay,
-        )
-    finally:
-        if collector is not None:
-            collector.uninstall()
-            collector.close()
-    if not args.quiet:
-        print(
-            f"worker {summary['worker']} on campaign {summary['campaign']}: "
-            f"{summary['waves_completed']} wave(s), "
-            f"{summary['records_reported']} record(s) reported, "
-            f"{summary['evaluated']} evaluated / {summary['cache_hits']} cache hits, "
-            f"{summary['leases_lost']} lease(s) lost, "
-            f"{summary['requeues']} requeue(s) campaign-wide"
-        )
-        if args.output is not None:
-            print(f"report written to {args.output}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -360,13 +271,6 @@ def _run(args: argparse.Namespace) -> int:
         raise ReproError(
             "--store-url replaces the local stores; drop --no-cache/--no-artifact-cache"
         )
-    if args.worker != (args.coordinator is not None):
-        raise ReproError("worker mode needs both --worker and --coordinator URL")
-    if args.worker and args.resume:
-        raise ReproError(
-            "--resume is implicit in worker mode (the report is always "
-            "derived from the coordinator's merged checkpoint)"
-        )
     if args.resume and args.stream is None:
         raise ReproError("--resume replays a stream directory; it requires --stream DIR")
     spec = CampaignSpec(
@@ -388,10 +292,6 @@ def _run(args: argparse.Namespace) -> int:
             artifact_dir = args.artifact_dir
         elif not args.no_cache:
             artifact_dir = args.cache_dir
-    if args.worker:
-        if args.flow is not None:
-            raise ReproError("--flow is not supported in worker mode yet")
-        return _run_worker_mode(args, spec, artifact_dir)
     runner = CampaignRunner(
         spec,
         cache_dir=None if args.no_cache or args.store_url else args.cache_dir,

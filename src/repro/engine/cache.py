@@ -241,7 +241,7 @@ class EvaluationCache:
 
         Over a remote backend this is the write hot path — one ``mput``
         round trip per wave.  Keys already seen by this cache are skipped;
-        the backend deduplicates anything another worker stored meanwhile.
+        the backend deduplicates anything another process stored meanwhile.
         """
         fresh = {
             key: self._record_of(evaluation)

@@ -170,63 +170,6 @@ class CampaignSpec:
                 f"unknown suites {unknown!r}; known suites: {', '.join(SUITE_NAMES)}"
             )
 
-    def as_payload(self) -> dict:
-        """The JSON-safe wire form of this spec (coordinator submissions).
-
-        Round-trips exactly through :meth:`from_payload`: the rebuilt spec
-        compares equal and hashes to the same
-        :func:`~repro.engine.checkpoint.campaign_fingerprint`, which is
-        what lets every fleet worker independently submit the campaign
-        and land on the same coordinator state.
-        """
-        return {
-            "name": self.name,
-            "suites": list(self.suites),
-            "max_rows_shared": self.max_rows_shared,
-            "max_cols_shared": self.max_cols_shared,
-            "stage_options": list(self.stage_options),
-            "constraints": {
-                "max_area_slices": self.constraints.max_area_slices,
-                "max_execution_time_ratio": self.constraints.max_execution_time_ratio,
-                "max_stall_cycles": self.constraints.max_stall_cycles,
-            },
-            "chunk_size": self.chunk_size,
-            "early_reject": self.early_reject,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CampaignSpec":
-        """Rebuild a spec from its :meth:`as_payload` wire form."""
-        if not isinstance(payload, dict):
-            raise ExplorationError(
-                f"campaign spec payloads are JSON objects, got {type(payload).__name__}"
-            )
-        constraints = payload.get("constraints") or {}
-        if not isinstance(constraints, dict):
-            raise ExplorationError("campaign spec constraints must be an object")
-        try:
-            max_area = constraints.get("max_area_slices")
-            max_ratio = constraints.get("max_execution_time_ratio")
-            max_stalls = constraints.get("max_stall_cycles")
-            return cls(
-                name=str(payload.get("name", "campaign")),
-                suites=tuple(str(suite) for suite in payload.get("suites", ("paper",))),
-                max_rows_shared=int(payload.get("max_rows_shared", 2)),
-                max_cols_shared=int(payload.get("max_cols_shared", 2)),
-                stage_options=tuple(
-                    int(stage) for stage in payload.get("stage_options", (1, 2))
-                ),
-                constraints=ExplorationConstraints(
-                    max_area_slices=None if max_area is None else float(max_area),
-                    max_execution_time_ratio=None if max_ratio is None else float(max_ratio),
-                    max_stall_cycles=None if max_stalls is None else int(max_stalls),
-                ),
-                chunk_size=int(payload.get("chunk_size", 8)),
-                early_reject=bool(payload.get("early_reject", False)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ExplorationError(f"malformed campaign spec payload: {exc}") from exc
-
     def candidate_grid(self) -> List[RSPParameters]:
         """The candidate sweep of this campaign (base point included)."""
         return enumerate_design_space(

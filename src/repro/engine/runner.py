@@ -205,7 +205,7 @@ class CampaignRunner:
     store_url:
         URL of a ``repro.service`` store server.  Both the evaluation
         cache and the artifact store then live on that service (one warm
-        store for a whole fleet of workers) instead of under
+        store for the processes or machines sharing it) instead of under
         ``cache_dir``/``artifact_dir`` — passing those together with a
         URL is an error.  The evaluation records of each context land in
         a ``evals-<ctx>`` namespace, artifacts under their stage names.
@@ -610,7 +610,7 @@ class CampaignRunner:
                 f"campaign {self.spec.name!r}: {dropped} store write(s) were "
                 "dropped while the store service was degraded — the shared "
                 "store is missing results this run computed; they will be "
-                "recomputed by the next cold worker",
+                "recomputed by the next cold run",
                 RuntimeWarning,
                 stacklevel=2,
             )

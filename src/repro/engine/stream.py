@@ -71,17 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.runner import CampaignReport
 
 #: Event types a campaign stream may emit, in their natural order.
-#: ``lease`` and ``requeue`` are the coordinator's journal entries
-#: (:mod:`repro.service.coordinator`): a ``lease`` opens a wave exactly as
-#: a ``wave_start`` does, a ``requeue`` marks a lease whose worker missed
-#: its heartbeat deadline.
 EVENT_TYPES: Tuple[str, ...] = (
     "campaign_start",
     "wave_start",
-    "lease",
     "result",
     "frontier_update",
-    "requeue",
     "wave_end",
     "campaign_end",
 )
@@ -147,8 +141,8 @@ class EventLog:
     handle's lifetime, released automatically if the process is killed)
     and :meth:`emit` additionally refuses to run in a forked child — the
     same convention as :class:`repro.trace.db.TraceDB`.  Readers are
-    unaffected; fleet workers route their results through the coordinator
-    instead of sharing one stream directory.
+    unaffected; processes or machines sharing one store each keep their
+    own stream directory.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -195,8 +189,7 @@ class EventLog:
                 + (f" by pid {owner}" if owner else "")
                 + "; event logs are single-writer — two processes appending "
                 "to one journal would interleave and corrupt its sequence. "
-                "Use a separate stream directory per process, or route "
-                "fleet results through the campaign coordinator."
+                "Use a separate stream directory per process."
             )
         os.ftruncate(descriptor, 0)
         os.write(descriptor, f"{self._pid}\n".encode("utf-8"))
@@ -287,9 +280,6 @@ class StreamReplay:
     waves_completed: Dict[str, int] = field(default_factory=dict)
     results: Dict[str, int] = field(default_factory=dict)
     frontiers: Dict[str, ParetoFrontier] = field(default_factory=dict)
-    #: Coordinator journals only: leases granted / requeued per suite.
-    leases: Dict[str, int] = field(default_factory=dict)
-    requeues: Dict[str, int] = field(default_factory=dict)
 
     def frontier_vectors(self, suite: str) -> List[List[float]]:
         frontier = self.frontiers.get(suite)
@@ -328,7 +318,7 @@ def replay_events(events: List[CampaignEvent]) -> StreamReplay:
         suite = event.data.get("suite")
         if not isinstance(suite, str) or not suite:
             raise ExplorationError(f"event {event.type!r} names no suite")
-        if event.type in ("wave_start", "wave_end", "lease", "requeue"):
+        if event.type in ("wave_start", "wave_end"):
             try:
                 wave = int(event.data["wave"])
             except (KeyError, TypeError, ValueError):
@@ -338,19 +328,6 @@ def replay_events(events: List[CampaignEvent]) -> StreamReplay:
         if event.type == "wave_start":
             open_waves[(suite, wave)] = event.sequence
             replay.waves_started[suite] = replay.waves_started.get(suite, 0) + 1
-        elif event.type == "lease":
-            # A coordinator lease opens the wave exactly as wave_start does
-            # (a requeued wave is simply leased — and opened — again).
-            open_waves[(suite, wave)] = event.sequence
-            replay.waves_started[suite] = replay.waves_started.get(suite, 0) + 1
-            replay.leases[suite] = replay.leases.get(suite, 0) + 1
-        elif event.type == "requeue":
-            if (suite, wave) not in open_waves:
-                raise ExplorationError(
-                    f"requeue for {suite!r} wave {wave} without a lease"
-                )
-            del open_waves[(suite, wave)]
-            replay.requeues[suite] = replay.requeues.get(suite, 0) + 1
         elif event.type == "wave_end":
             if (suite, wave) not in open_waves:
                 raise ExplorationError(

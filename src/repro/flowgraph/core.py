@@ -347,6 +347,9 @@ class _Runtime:
         self.enumerating = enumerating
         #: node name -> artifact key, for every keyed node this run touched.
         self.enumerated: Dict[str, str] = {}
+        #: Seconds spent materialising nodes nested inside the node being
+        #: materialised now; subtracted so each node records its self-time.
+        self._nested = 0.0
 
     # -- routing -------------------------------------------------------
     def _eligible(self, output: str) -> Tuple[List[Node], bool]:
@@ -475,7 +478,9 @@ class _Runtime:
         Mirrors the legacy pipeline's ``_memoise`` byte for byte: one
         timed fetch, stats recorded through the single
         :meth:`~repro.flowgraph.stats.PipelineStats.record` choke point,
-        misses written back with the node's persistence flag.
+        misses written back with the node's persistence flag.  The time
+        recorded is the node's self-time: computing a node lazily
+        materialises its upstream nodes, and they record their own time.
         """
         ctx = self.ctx
         if node.virtual:
@@ -484,26 +489,29 @@ class _Runtime:
             ctx.executed.append(node.name)
             return Artifact(stage=node.name, key=key, value=value)
         if node.resolver is not None:
+            started = time.perf_counter()
             artifact = node.resolver(ctx)
+            self._nested += time.perf_counter() - started
             self.enumerated[node.name] = artifact.key
             ctx.keys.setdefault(node.output, artifact.key)
             ctx.executed.append(node.name)
             return artifact
         key = self.node_key(node)
+        outer_nested, self._nested = self._nested, 0.0
         started = time.perf_counter()
-        hit, value = self.store.fetch(node.name, key)
-        if hit:
-            elapsed = time.perf_counter() - started
-            self.stats.record(node.name, hit=True, seconds=elapsed)
-            artifact = Artifact(
-                stage=node.name, key=key, value=value, from_store=True, seconds=elapsed
-            )
-        else:
-            value = self._compute(node)
-            self.store.put(node.name, key, value, persist=node.persistent)
-            elapsed = time.perf_counter() - started
-            self.stats.record(node.name, hit=False, seconds=elapsed)
-            artifact = Artifact(stage=node.name, key=key, value=value, seconds=elapsed)
+        try:
+            hit, value = self.store.fetch(node.name, key)
+            if not hit:
+                value = self._compute(node)
+                self.store.put(node.name, key, value, persist=node.persistent)
+        finally:
+            inclusive = time.perf_counter() - started
+            nested, self._nested = self._nested, outer_nested + inclusive
+        elapsed = inclusive - nested
+        self.stats.record(node.name, hit=hit, seconds=elapsed)
+        artifact = Artifact(
+            stage=node.name, key=key, value=value, from_store=hit, seconds=elapsed
+        )
         if node.output_type is not None and not isinstance(artifact.value, node.output_type):
             raise FlowExecutionError(
                 f"node '{node.name}' produced {type(artifact.value).__name__}, "

@@ -41,8 +41,9 @@ class Artifact:
         True when the value was served by the artifact store rather than
         computed in this call.
     seconds:
-        Wall time spent obtaining the value (compute time on a miss,
-        fetch time on a hit).
+        Self-time spent obtaining the value (compute time on a miss,
+        fetch time on a hit), excluding upstream nodes materialised
+        meanwhile.
     """
 
     stage: str
@@ -54,7 +55,7 @@ class Artifact:
 
 @dataclass
 class StageTiming:
-    """Hit/miss counters, wall time and duration samples of one node."""
+    """Hit/miss counters, self-time and duration samples of one node."""
 
     stage: str
     hits: int = 0

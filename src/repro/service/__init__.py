@@ -1,9 +1,9 @@
-"""Fleet-wide store service: the storage layer over HTTP.
+"""Shared store service: the storage layer over HTTP.
 
 One process runs ``python -m repro.service --root DIR --port N`` next to
-a store directory; any number of campaign workers on any machine point
-``--store-url http://host:N`` at it and share one warm evaluation cache
-and artifact store.  The pieces:
+a store directory; campaign processes or machines sharing one store
+point ``--store-url http://host:N`` at it and share one warm evaluation
+cache and artifact store.  The pieces:
 
 :class:`~repro.service.server.StoreServer`
     Stdlib-only ``ThreadingHTTPServer`` exposing any local
@@ -16,37 +16,21 @@ and artifact store.  The pieces:
 
 :class:`~repro.store.tiered.TieredBackend`
     A read-through memory front with write-behind batching over any
-    backend — a fleet worker's local tier over the remote store.
-
-:class:`~repro.service.coordinator.CampaignCoordinator`
-    The campaign scheduler behind the ``/campaign`` routes: workers
-    lease waves, heartbeat while evaluating, and report results into a
-    shared checkpoint; silent leases are requeued
-    (:class:`~repro.service.coordinator.LeasePolicy` sets the timing).
+    backend — a campaign process's local tier over the remote store.
 """
 
 from __future__ import annotations
 
 from repro.store.remote import RemoteBackend, StoreServiceError
 from repro.store.tiered import TieredBackend
-from repro.service.coordinator import (
-    CampaignCoordinator,
-    CoordinatorError,
-    LeasePolicy,
-    WaveState,
-)
 from repro.service.server import StoreRequestHandler, StoreServer, StoreService
 
 
 __all__ = [
-    "CampaignCoordinator",
-    "CoordinatorError",
-    "LeasePolicy",
     "RemoteBackend",
     "StoreRequestHandler",
     "StoreServer",
     "StoreService",
     "StoreServiceError",
     "TieredBackend",
-    "WaveState",
 ]

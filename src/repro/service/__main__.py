@@ -1,21 +1,16 @@
 """Command-line entry point: ``python -m repro.service``.
 
-Serves a store directory to a fleet of campaign workers, e.g.::
+Serves a store directory to processes or machines sharing one store, e.g.::
 
     python -m repro.service --root /srv/repro-store --port 8731
 
     # elsewhere, any number of times, on any machine:
     python -m repro.engine --suite paper --store-url http://store-host:8731
 
-The default ``pickle`` backend accepts every value the workers send
+The default ``pickle`` backend accepts every value a campaign sends
 (evaluation records as JSON, mapping artifacts as opaque binary);
 ``--backend jsonl`` serves a records-only store that rejects binary
 payloads with ``415``.
-
-With ``--coordinator DIR`` the service additionally schedules campaigns
-(the ``/campaign`` routes): workers lease waves, heartbeat, and report
-results, and a dead worker's wave is requeued after ``--lease-timeout``
-seconds of silence.  See the README's "Fleet campaigns" section.
 """
 
 from __future__ import annotations
@@ -33,7 +28,8 @@ from repro.store import PickleDirBackend, ShardedJsonlBackend
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="Serve a store directory over HTTP for fleet-wide reuse.",
+        description="Serve a store directory over HTTP to processes or "
+        "machines sharing one store.",
     )
     parser.add_argument(
         "--root",
@@ -67,35 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "DIR/trace.db (inspect with python -m repro.trace slow DIR "
         "--kind request)",
     )
-    parser.add_argument(
-        "--coordinator",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also run the campaign coordinator, persisting campaign state "
-        "(manifest, event journal, merged checkpoint) under DIR",
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        help="seconds a wave lease survives without a heartbeat before the "
-        "wave is requeued (default: 30)",
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=5.0,
-        help="cadence workers are told to heartbeat at (default: 5; must be "
-        "shorter than --lease-timeout)",
-    )
-    parser.add_argument(
-        "--max-wave-attempts",
-        type=int,
-        default=5,
-        help="lease attempts per wave before the campaign is declared "
-        "failed (default: 5)",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress the startup banner")
     return parser
 
@@ -119,35 +86,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Flush opportunistically from the request path: a long-lived
         # service otherwise buffers spans forever.
         access_log = lambda *event: collector.maybe_flush(64)  # noqa: E731
-    coordinator = None
-    if args.coordinator is not None:
-        from repro.service.coordinator import CampaignCoordinator, LeasePolicy
-
-        try:
-            policy = LeasePolicy(
-                lease_timeout=args.lease_timeout,
-                heartbeat_interval=args.heartbeat_interval,
-                max_attempts=args.max_wave_attempts,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        coordinator = CampaignCoordinator(args.coordinator, policy=policy)
-    server = StoreServer(
-        backend,
-        host=args.host,
-        port=args.port,
-        access_log=access_log,
-        coordinator=coordinator,
-    )
+    server = StoreServer(backend, host=args.host, port=args.port, access_log=access_log)
     if not args.quiet:
-        banner = (
+        print(
             f"repro store service: {args.backend} backend on {args.root} "
-            f"({args.store_shards} shard(s)) at {server.url}"
+            f"({args.store_shards} shard(s)) at {server.url}",
+            flush=True,
         )
-        if coordinator is not None:
-            banner += f"; coordinating campaigns under {args.coordinator}"
-        print(banner, flush=True)
     # SIGTERM (systemd, docker stop, CI teardown) must drain the trace
     # buffer like Ctrl-C does, not kill the process mid-flush.
     def _terminate(signum, frame):
@@ -161,8 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous_term)
         server.httpd.server_close()
-        if coordinator is not None:
-            coordinator.close()
         if collector is not None:
             collector.uninstall()
             collector.close()

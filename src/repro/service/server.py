@@ -1,8 +1,8 @@
 """The store service: any local backend exposed over HTTP.
 
 ``StoreServer`` wraps one :class:`~repro.store.backend.StoreBackend` in a
-stdlib :class:`~http.server.ThreadingHTTPServer` so a fleet of campaign
-workers on different machines shares one warm store.  The surface is the
+stdlib :class:`~http.server.ThreadingHTTPServer`, so processes or machines
+sharing one store all read and write it over HTTP.  The surface is the
 store protocol, one route per operation:
 
 ====================================  =======================================
@@ -18,17 +18,14 @@ store protocol, one route per operation:
                                       counters + uptime
 ``GET /healthz``                      cheap liveness probe (no disk walk)
 ``POST /janitor``                     one GC + compaction pass
-``POST /campaign`` + subroutes        campaign coordinator (submit, status,
-                                      register/lease/heartbeat/complete,
-                                      checkpoint) — only when the server was
-                                      built with a
-                                      :class:`~repro.service.coordinator.CampaignCoordinator`
 ====================================  =======================================
 
-Error mapping: ``400`` malformed request, ``404`` miss or unknown route,
-``405`` wrong method, ``415`` a value the backend's domain rejects (e.g.
-binary into a JSONL store), ``500`` anything the backend raises — always
-with a JSON ``{"error": ...}`` body.
+Error mapping: ``400`` malformed request (a ``Content-Length`` that is
+not a non-negative integer included), ``404`` miss or unknown route,
+``405`` wrong method, ``413`` a body over :data:`MAX_BODY_BYTES`, ``415``
+a value the backend's domain rejects (e.g. binary into a JSONL store),
+``500`` anything the backend raises — always with a JSON ``{"error": ...}``
+body.
 
 Handler threads serialise on one lock around every backend call: the
 local backends' in-memory maps are not thread-safe, and the batch
@@ -45,10 +42,9 @@ import threading
 import time
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.service.coordinator import CampaignCoordinator, CoordinatorError
 from repro.store.backend import StoreBackend
 from repro.store.janitor import StoreJanitor
 from repro.trace.spans import STATUS_ERROR, STATUS_OK, get_tracer
@@ -64,9 +60,6 @@ from repro.store.wire import (
 
 _ITEM_ROUTE = re.compile(r"^/ns/([^/]*)/k/([^/]+)$")
 _BATCH_ROUTE = re.compile(r"^/ns/([^/]*)/(mget|mput)$")
-_CAMPAIGN_ROUTE = re.compile(
-    r"^/campaign/([^/]+)(?:/(register|lease|heartbeat|complete|checkpoint))?$"
-)
 
 
 def _endpoint_label(raw_path: str) -> str:
@@ -77,8 +70,6 @@ def _endpoint_label(raw_path: str) -> str:
     batch = _BATCH_ROUTE.match(path)
     if batch:
         return batch.group(2)
-    if path == "/campaign" or _CAMPAIGN_ROUTE.match(path):
-        return "campaign"
     if path in ("/healthz", "/stats", "/scan", "/janitor"):
         return path[1:]
     return "other"
@@ -106,15 +97,9 @@ class StoreService:
     installed tracer as ``service.request`` spans when tracing is on.
     """
 
-    def __init__(
-        self,
-        backend: StoreBackend,
-        access_log=None,
-        coordinator: Optional[CampaignCoordinator] = None,
-    ) -> None:
+    def __init__(self, backend: StoreBackend, access_log=None) -> None:
         self.backend = backend
         self.access_log = access_log
-        self.coordinator = coordinator
         self.lock = threading.RLock()
         self.started = time.time()
         self.requests: Dict[str, int] = {}
@@ -212,10 +197,18 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         self._send(status, json.dumps({"error": message}).encode("utf-8"))
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        # A rejected body is left unread, so the connection cannot be
+        # reused for a next request.  A negative length would otherwise
+        # park the handler thread reading until the client hangs up.
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise _HTTPError(400, f"malformed Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
-            # The oversized body is left unread; the connection cannot be
-            # reused for a next request.
             self.close_connection = True
             raise _HTTPError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         return self.rfile.read(length) if length else b""
@@ -288,86 +281,9 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             if method != "POST":
                 raise _HTTPError(405, "janitor runs via POST")
             return self._handle_janitor()
-        if path == "/campaign" or _CAMPAIGN_ROUTE.match(path):
-            return self._route_campaign(method, path)
         if path in ("/healthz", "/stats", "/scan"):
             raise _HTTPError(405, f"{method} not allowed on {path}")
         raise _HTTPError(404, f"no route for {path}")
-
-    def _route_campaign(self, method: str, path: str) -> None:
-        self.service.count("campaign")
-        coordinator = self.service.coordinator
-        if coordinator is None:
-            raise _HTTPError(
-                404,
-                "this service runs no coordinator "
-                "(start python -m repro.service with --coordinator DIR)",
-            )
-        try:
-            if path == "/campaign":
-                if method != "POST":
-                    raise _HTTPError(405, "campaign submission runs via POST")
-                document = self._json_body()
-                spec = document.get("spec")
-                if not isinstance(spec, dict):
-                    raise _HTTPError(400, 'campaign submission expects {"spec": {...}}')
-                wave_size = document.get("wave_size")
-                if wave_size is not None:
-                    try:
-                        wave_size = int(wave_size)
-                    except (TypeError, ValueError):
-                        raise _HTTPError(400, f"wave_size must be an integer, got {wave_size!r}")
-                return self._send_json(200, coordinator.create_campaign(spec, wave_size))
-            match = _CAMPAIGN_ROUTE.match(path)
-            assert match is not None  # guarded by the caller
-            campaign_id, action = unquote(match.group(1)), match.group(2)
-            if action is None:
-                if method != "GET":
-                    raise _HTTPError(405, "campaign status is read via GET")
-                return self._send_json(200, coordinator.status(campaign_id))
-            if action == "checkpoint":
-                if method != "GET":
-                    raise _HTTPError(405, "campaign checkpoints are read via GET")
-                return self._send_json(200, coordinator.checkpoint_document(campaign_id))
-            if method != "POST":
-                raise _HTTPError(405, f"campaign {action} runs via POST")
-            document = self._json_body()
-            if action == "register":
-                name = document.get("worker")
-                return self._send_json(
-                    200,
-                    coordinator.register(
-                        campaign_id, None if name is None else str(name)
-                    ),
-                )
-            if action == "lease":
-                worker = str(document.get("worker") or "worker")
-                return self._send_json(200, coordinator.lease(campaign_id, worker))
-            if action == "heartbeat":
-                lease = document.get("lease")
-                if not isinstance(lease, str):
-                    raise _HTTPError(400, 'heartbeat expects {"lease": "..."}')
-                return self._send_json(200, coordinator.heartbeat(campaign_id, lease))
-            # action == "complete"
-            suite = document.get("suite")
-            wave = document.get("wave")
-            if not isinstance(suite, str) or not isinstance(wave, int):
-                raise _HTTPError(
-                    400, 'complete expects {"suite": str, "wave": int, "records": {...}}'
-                )
-            lease = document.get("lease")
-            return self._send_json(
-                200,
-                coordinator.complete(
-                    campaign_id,
-                    None if lease is None else str(lease),
-                    suite,
-                    wave,
-                    document.get("records") or {},
-                ),
-            )
-        except CoordinatorError as exc:
-            raise _HTTPError(exc.status, str(exc))
 
     # ------------------------------------------------------------------
     # Item routes
@@ -517,11 +433,8 @@ class StoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         access_log=None,
-        coordinator: Optional[CampaignCoordinator] = None,
     ) -> None:
-        self.service = StoreService(
-            backend, access_log=access_log, coordinator=coordinator
-        )
+        self.service = StoreService(backend, access_log=access_log)
         handler = type(
             "BoundStoreRequestHandler", (StoreRequestHandler,), {"service": self.service}
         )

@@ -33,8 +33,8 @@ Two composable backends extend the reach of the local three:
     batching over any backend (typically a remote one).
 
 :func:`~repro.store.remote.open_store_backend` builds the remote backend
-for a service URL, tiered or not; the engine, its fleet workers and the
-flow all open their shared store through it.
+for a service URL, tiered or not; the engine and the flow open the store
+that processes or machines share through it.
 
 On top, :class:`~repro.store.janitor.StoreJanitor` provides age-based GC
 and shard compaction, and every backend can snapshot itself as a

@@ -4,7 +4,7 @@
 and implements the full :class:`~repro.store.backend.StoreBackend`
 protocol, so an :class:`~repro.engine.cache.EvaluationCache` or
 :class:`~repro.engine.artifacts.ArtifactStore` pointed at one URL shares
-a warm store with every other worker in a fleet.
+a warm store with the other processes or machines sharing one store.
 
 Transport
 ---------
@@ -16,7 +16,7 @@ keep-alive socket (the server restarted) is transparently reopened.
 
 Degraded mode
 -------------
-A fleet worker must not die with its store service.  After the retry
+A campaign must not die with its store service.  After the retry
 budget of a request is exhausted the backend goes *offline* for
 ``offline_grace`` seconds: reads miss, writes are dropped (and counted
 in :attr:`RemoteBackend.dropped_puts`), scans are empty — the campaign

@@ -4,8 +4,9 @@
 
 * a *front* (:class:`~repro.store.backend.MemoryBackend` by default) that
   absorbs every repeat read — a key fetched once is never requested from
-  the slow tier again in this process, which is what keeps a fleet worker
-  from hammering its store service with the same artifact lookups;
+  the slow tier again in this process, which is what keeps each of the
+  processes or machines sharing one store from hammering its service
+  with the same artifact lookups;
 * the *slow tier* (typically a :class:`~repro.store.remote.RemoteBackend`,
   but any backend works) that is the durable source of truth.
 
@@ -232,7 +233,7 @@ class TieredBackend(StoreBackend):
                 )
                 + f" after the {timeout:.1f}s drain deadline — the slow tier "
                 "did not keep up; the values stay recomputable (content-"
-                "addressed) but this worker's results did not all reach "
+                "addressed) but this process's results did not all reach "
                 "durable storage",
                 RuntimeWarning,
                 stacklevel=2,

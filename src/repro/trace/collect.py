@@ -318,9 +318,7 @@ def import_event_log(
                     )
                 )
                 open_campaign = None
-        elif event.type in ("wave_start", "lease"):
-            # A coordinator journal opens waves with "lease" events instead
-            # of wave_start; either way the wave span runs to its wave_end.
+        elif event.type == "wave_start":
             suite = str(data.get("suite"))
             wave = int(data.get("wave", 0))
             open_waves[(suite, wave)] = (
@@ -328,8 +326,6 @@ def import_event_log(
                 event.timestamp,
                 int(data.get("jobs", 0)),
             )
-            if event.type == "lease":
-                bump("lease.granted")
         elif event.type == "wave_end":
             suite = str(data.get("suite"))
             wave = int(data.get("wave", 0))
@@ -357,32 +353,6 @@ def import_event_log(
                 )
             )
             bump("wave.count")
-        elif event.type == "requeue":
-            suite = str(data.get("suite"))
-            wave = int(data.get("wave", 0))
-            opened = open_waves.pop((suite, wave), None)
-            bump("lease.requeued")
-            if opened is None:
-                continue
-            sequence, started, jobs = opened
-            spans.append(
-                span_record(
-                    sequence,
-                    "coordinator.lease",
-                    "lease",
-                    started,
-                    event.timestamp,
-                    f"evt-{open_campaign[0]:x}" if open_campaign is not None else None,
-                    {
-                        "suite": suite,
-                        "wave": wave,
-                        "jobs": jobs,
-                        "worker": data.get("worker"),
-                        "lease": data.get("lease"),
-                        "outcome": "expired",
-                    },
-                )
-            )
         elif event.type == "result":
             bump("result.count")
             source = data.get("source")

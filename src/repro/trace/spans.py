@@ -41,7 +41,6 @@ SPAN_KINDS: Tuple[str, ...] = (
     "stage",
     "eval",
     "request",
-    "lease",
     "span",
 )
 
@@ -196,8 +195,9 @@ class Tracer:
     """Thread-safe span factory and in-memory buffer.
 
     Span ids are ``"<pid hex>-<sequence hex>"``: unique within a process,
-    and unique across a forked worker fleet because the pid prefix
-    diverges at fork (the inherited sequence counter cannot collide).
+    and unique across forked processes sharing one trace DB because the
+    pid prefix diverges at fork (the inherited sequence counter cannot
+    collide).
     """
 
     active = True

@@ -342,14 +342,3 @@ def test_cli_flow_runs_and_reports_routed_nodes(tmp_path, capsys):
     payload = json.loads(output.read_text())
     assert payload["report"]["flow"]["name"] == "race"
     assert "remap" in payload["report"]["mapping_stages"]
-
-
-def test_cli_flow_is_rejected_in_worker_mode(tmp_path, capsys):
-    flow_path = tmp_path / "flow.json"
-    flow_path.write_text(json.dumps(RACE_FLOW))
-    code = main([
-        "--suite", "h264", "--worker", "--coordinator", str(tmp_path / "coord"),
-        "--flow", str(flow_path), "--quiet",
-    ])
-    assert code == 2
-    assert "--flow is not supported in worker mode" in capsys.readouterr().err

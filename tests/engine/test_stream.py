@@ -67,10 +67,11 @@ def test_event_log_round_trip_and_sequence_continuation(tmp_path):
     assert events[1].data == {"suite": "h264", "wave": 0, "jobs": 2}
 
 
-def test_event_log_rejects_unknown_types(tmp_path):
+@pytest.mark.parametrize("event_type", ["wave_exploded", "lease", "requeue"])
+def test_event_log_rejects_unknown_types(tmp_path, event_type):
     with EventLog(tmp_path / "events.jsonl") as log:
         with pytest.raises(ValueError, match="unknown event type"):
-            log.emit("wave_exploded")
+            log.emit(event_type)
 
 
 def test_event_log_is_single_writer(tmp_path):
@@ -446,96 +447,3 @@ def test_killed_campaign_then_resume_is_byte_identical(
     assert victim_out.read_bytes() == reference_bytes
     resumed_waves = _wave_end_count(events_path) - killed_waves
     assert resumed_waves < reference_waves  # >=1 wave skipped via checkpoint
-
-
-# ----------------------------------------------------------------------
-# Kill -9 convergence through the coordinator requeue path
-# ----------------------------------------------------------------------
-def _worker_argv(coordinator_url, workdir: Path, tag: str, lease_delay=0.0):
-    return [
-        sys.executable,
-        "-m",
-        "repro.engine",
-        "--suite", "h264",
-        "--max-rows-shared", "1",
-        "--max-cols-shared", "1",
-        "--chunk-size", "2",
-        "--worker",
-        "--coordinator", coordinator_url,
-        "--worker-name", tag,
-        "--lease-delay", str(lease_delay),
-        "--cache-dir", str(workdir / f"cache-{tag}"),
-        "--stream", str(workdir / f"stream-{tag}"),
-        "--output", str(workdir / f"report-{tag}.json"),
-        "--quiet",
-    ]
-
-
-def test_sigkill_worker_mid_wave_requeues_and_fleet_converges(tmp_path):
-    """The other half of the kill -9 story: a fleet worker dies holding a
-    lease, the coordinator requeues the wave after the lease timeout, and
-    a surviving worker's report is byte-identical to the serial run."""
-    from repro.service import CampaignCoordinator, LeasePolicy, StoreServer
-    from repro.store import MemoryBackend
-
-    env = _subprocess_env()
-
-    # Serial reference for the small fleet spec, through the same CLI.
-    serial_out = tmp_path / "serial.json"
-    subprocess.run(
-        [
-            sys.executable, "-m", "repro.engine",
-            "--suite", "h264",
-            "--max-rows-shared", "1",
-            "--max-cols-shared", "1",
-            "--chunk-size", "2",
-            "--cache-dir", str(tmp_path / "cache-serial"),
-            "--stream", str(tmp_path / "stream-serial"),
-            "--output", str(serial_out),
-            "--quiet",
-        ],
-        env=env, check=True, timeout=600,
-    )
-
-    policy = LeasePolicy(lease_timeout=1.0, heartbeat_interval=0.2, max_attempts=5)
-    coordinator = CampaignCoordinator(tmp_path / "coord", policy=policy)
-    server = StoreServer(MemoryBackend(), coordinator=coordinator).start()
-    victim = None
-    try:
-        # The victim parks in its --lease-delay window while holding a
-        # live (heartbeating) lease — kill -9 lands reliably mid-wave.
-        victim = subprocess.Popen(
-            _worker_argv(server.url, tmp_path, "victim", lease_delay=120), env=env
-        )
-        deadline = time.monotonic() + 120
-        campaign = None
-        while time.monotonic() < deadline:
-            if victim.poll() is not None:
-                pytest.fail("the victim worker exited before it could be killed")
-            ids = coordinator.campaign_ids()
-            if ids:
-                campaign = ids[0]
-                if coordinator.status(campaign)["waves"]["leased"] >= 1:
-                    break
-            time.sleep(0.01)
-        assert campaign is not None, "the victim never leased a wave"
-        victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=60)
-
-        subprocess.run(
-            _worker_argv(server.url, tmp_path, "survivor"),
-            env=env, check=True, timeout=600,
-        )
-        status = coordinator.status(campaign)
-    finally:
-        if victim is not None and victim.poll() is None:
-            victim.kill()
-        server.close()
-        coordinator.close()
-
-    assert status["complete"] is True
-    assert status["requeues"] >= 1
-    assert (tmp_path / "report-survivor.json").read_bytes() == serial_out.read_bytes()
-    # The requeue is journaled for the trace/dashboard tooling.
-    events = EventLog.read(tmp_path / "coord" / campaign / "events.jsonl")
-    assert any(event.type == "requeue" for event in events)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.engine.artifacts import ArtifactStore
+from repro.flowgraph import core
 from repro.errors import (
     FlowExecutionError,
     FlowRoutingError,
@@ -74,6 +77,40 @@ def test_linear_flow_resolves_and_memoises():
     assert (double.calls, square.calls) == (1, 1)
     assert stats.timing("double").lookups == 1  # the cold miss only
     assert stats.timing("square").hits == 1
+
+
+def test_node_seconds_are_self_times(monkeypatch):
+    """Computing ``square`` lazily materialises ``double``; each node records
+    its own time only, so the stage seconds add up to the run's time."""
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(core, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+
+    def double(ctx):
+        clock.now += 2.0
+        return ctx["x"] * 2
+
+    def square(ctx):
+        doubled = ctx["doubled"]  # materialises "double" inside this call
+        clock.now += 3.0
+        return doubled ** 2
+
+    events = []
+
+    class Recorder:
+        def node_finished(self, event):
+            events.append(event)
+
+    stats = PipelineStats()
+    ctx = linear_flow(double, square).run(
+        context=seeded_context(x=3), store=ArtifactStore(None), stats=stats,
+        observer=Recorder(),
+    )
+    assert ctx["squared"] == 36
+    assert stats.timing("double").seconds == 2.0
+    assert stats.timing("square").seconds == 3.0
+    assert stats.total_seconds == clock.now
+    assert ctx.artifact("squared").seconds == 3.0
+    assert {event.node: event.seconds for event in events} == {"double": 2.0, "square": 3.0}
 
 
 def test_keys_derive_from_upstream_keys_not_values():

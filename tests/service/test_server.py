@@ -11,10 +11,12 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
 
 import pytest
 
 from repro.service import StoreServer
+from repro.service.server import MAX_BODY_BYTES
 from repro.store import MemoryBackend, PickleDirBackend, ShardedJsonlBackend
 
 
@@ -273,6 +275,35 @@ def test_malformed_json_is_400(http_request):
         headers={"Content-Type": "application/json"},
     )
     assert status == 400
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    ids=["negative", "not-a-number", "oversized"],
+)
+def test_bad_content_length_is_rejected_and_closes(server, length, status):
+    """A Content-Length that is negative, not a number or over the cap is
+    answered at once, without reading a body, and the server hangs up."""
+    request = (
+        f"PUT /ns/n/k/{hex_key(1)} HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection((server.host, server.port), timeout=3) as raw:
+        raw.sendall(request)
+        response = b""
+        while True:  # the server closes the connection after answering
+            chunk = raw.recv(65536)
+            if not chunk:
+                break
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    status_line, *headers = head.decode("latin-1").split("\r\n")
+    assert status_line.split()[1] == str(status)
+    assert "connection: close" in [header.lower() for header in headers]
+    assert "error" in json.loads(body)
 
 
 def test_unsupported_content_type_is_415(http_request):

@@ -273,33 +273,3 @@ def test_open_trace_resolves_every_target_kind(tmp_path):
         open_trace(empty)
     with pytest.raises(TraceError, match="no trace database"):
         open_trace(tmp_path / "nowhere")
-
-
-def test_import_event_log_backfills_a_coordinator_journal(tmp_path):
-    """A coordinator's events.jsonl opens waves with lease events (no
-    wave_start): the backfill must still rebuild wave spans, and count
-    grants and requeues into the lease counters the live tracer uses."""
-    journal = tmp_path / "events.jsonl"
-    with EventLog(journal) as log:
-        log.emit("campaign_start", campaign="fleet", suites=["dsp"])
-        log.emit("lease", suite="dsp", wave=0, lease="c-L1", worker="w-1", jobs=2)
-        log.emit("requeue", suite="dsp", wave=0, lease="c-L1", worker="w-1", attempt=1)
-        log.emit("lease", suite="dsp", wave=0, lease="c-L2", worker="w-2", jobs=2)
-        log.emit("wave_end", suite="dsp", wave=0, results=2, lease="c-L2", worker="w-2")
-        log.emit("campaign_end", campaign="fleet", waves=1)
-    db, facts = import_event_log(journal)
-    try:
-        assert facts["waves"] == 1
-        assert db.counter("lease.granted") == 2.0
-        assert db.counter("lease.requeued") == 1.0
-        assert db.span_count("wave") == 1
-        expired = db.spans(kind="lease")
-        assert len(expired) == 1
-        assert expired[0]["attrs"]["lease"] == "c-L1"
-        assert expired[0]["attrs"]["outcome"] == "expired"
-        # The surviving lease's wave span parents under the campaign.
-        wave = db.spans(kind="wave")[0]
-        campaign = db.spans(kind="campaign")[0]
-        assert wave["parent_id"] == campaign["span_id"]
-    finally:
-        db.close()
