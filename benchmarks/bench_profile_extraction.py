@@ -2,13 +2,15 @@
 
 ``extract_profile`` checks, for every successor of every multiplication,
 whether the successor issues in the very cycle the product becomes
-available.  The seed did that with a membership test plus a guarded
-accessor call per successor (``successor in schedule`` +
-``schedule.get(successor)``); the current implementation resolves the
-name → entry dictionary once per schedule and performs a single ``dict.get``
-per successor.  This benchmark times both variants on the H.264 kernels
-(QPEL is the multiplication-heavy one) and asserts they produce identical
-profiles, with the dictionary variant at least matching the seed loop.
+available.  The seed did that over the schedule's entry objects, with a
+membership test plus a guarded accessor call per successor
+(``successor in schedule`` + ``schedule.get(successor)``).  The current
+implementation reads the schedule's columns (``Schedule.columns``) and
+builds no entry: it sorts the multiplications' positions once and makes
+one ``dict.get`` in the name → position map per successor.  The seed loop
+stays the oracle: this benchmark asserts both produce identical profiles
+on the H.264 kernels (QPEL is the multiplication-heavy one), then times
+them, the column variant at least matching the seed loop.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ def test_profile_extraction_dict_lookup_wins(mapper):
                 f"{speedup:.2f}x",
             ]
         )
-        # The dictionary variant does strictly less work per successor; a
+        # The column variant does strictly less work per successor; a
         # small tolerance absorbs timer jitter on loaded machines.
         assert dict_seconds <= seed_seconds * 1.10, (
-            f"{kernel.name}: dict lookup {dict_seconds * 1e6:.1f}us slower than "
+            f"{kernel.name}: column variant {dict_seconds * 1e6:.1f}us slower than "
             f"seed loop {seed_seconds * 1e6:.1f}us"
         )
 
@@ -108,7 +110,7 @@ def test_profile_extraction_dict_lookup_wins(mapper):
     print(
         format_table(
             rows,
-            headers=["kernel", "mults", "seed (us)", "dict (us)", "speedup"],
+            headers=["kernel", "mults", "seed (us)", "columns (us)", "speedup"],
             title=f"extract_profile micro-benchmark (best of {REPEATS})",
         )
     )

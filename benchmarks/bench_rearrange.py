@@ -11,7 +11,8 @@ and records through ``bench_metrics``:
   flow node,
 * ``feasibility_probes``: ``ResourceTracker.try_claim`` calls, one per
   (operation, cycle) the re-timing loop tries,
-* ``placed_operations``: ``try_claim`` calls that placed the operation.
+* ``placed_operations``: ``try_claim`` calls that placed the operation,
+* ``entry_constructions``: ``ScheduledOperation`` objects built.
 
 The gates are counts, not a wall-clock race:
 
@@ -22,7 +23,9 @@ The gates are counts, not a wall-clock race:
 * exactly :data:`PROBES` probes and :data:`PLACED` placements: the
   ``placement_feasible`` and ``claim`` calls a probe-then-claim loop makes
   for the same mappings, so probing with ``try_claim`` visits the same
-  cycles.
+  cycles;
+* no ``ScheduledOperation`` built: the re-timing loop appends to the
+  schedule's columns, and nothing in an exact mapping reads entries.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.core.rsp_params import enumerate_design_space
 from repro.kernels import paper_suite
 from repro.mapping import RSPMapper
 from repro.mapping.placement import ResourceTracker
+from repro.mapping.schedule import ScheduledOperation
 from repro.utils.tabulate import format_table
 
 #: 9 kernels x 16 designs actual passes, plus 9 kernels x 2 latencies.
@@ -85,6 +89,7 @@ def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
     mapper = prepared_mapper()
     count_calls(mapping_nodes, "rearrange_schedule", "rearrange_passes")
     count_calls(ResourceTracker, "try_claim", "feasibility_probes", "placed_operations")
+    count_calls(ScheduledOperation, "__post_init__", "entry_constructions")
     assert map_all(mapper) == cycles
 
     passes = counts["rearrange_passes"]
@@ -93,6 +98,7 @@ def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
         rearrange_passes=passes,
         feasibility_probes=counts["feasibility_probes"],
         placed_operations=counts["placed_operations"],
+        entry_constructions=counts["entry_constructions"],
     )
     print()
     print(
@@ -114,3 +120,4 @@ def test_exact_mapping_rearrange_passes(monkeypatch, bench_metrics):
     assert passes <= MAX_REARRANGE_PASSES
     assert counts["feasibility_probes"] == PROBES
     assert counts["placed_operations"] == PLACED
+    assert counts["entry_constructions"] == 0

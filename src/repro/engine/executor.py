@@ -157,21 +157,24 @@ class EvaluationEngine:
         explorer: RSPDesignSpaceExplorer,
         config: Optional[ExecutorConfig] = None,
         cache: Optional[EvaluationCache] = None,
+        context_hash: Optional[str] = None,
     ) -> None:
         self.explorer = explorer
         self.config = config or ExecutorConfig()
         self.cache = cache
-        self._context_hash: Optional[str] = None
+        self._context_hash = context_hash
         self._batch_evaluator: Optional["BatchEvaluator"] = None
 
     @property
     def context_hash(self) -> str:
         """Digest of the evaluation context (computed once, lazily).
 
-        Cached on the explorer itself, not just this engine: the digest
-        covers the profiles and models the explorer was constructed with
-        (none of which are reassigned after construction), and hashing
-        them walks every schedule profile — tens of milliseconds that
+        A caller that has already hashed the explorer's context passes the
+        digest to the constructor.  Otherwise it is cached on the explorer
+        itself, not just this engine: the digest covers the profiles and
+        models the explorer was constructed with (none of which are
+        reassigned after construction), and hashing them walks every
+        schedule profile — tens of milliseconds that
         :func:`run_exploration` would otherwise pay again for every
         sweep over the same explorer.
         """
@@ -447,6 +450,7 @@ def run_exploration(
     completed_records: Optional[Mapping[str, dict]] = None,
     observer: Optional[WaveObserver] = None,
     prefetcher: Optional["AsyncPrefetcher"] = None,
+    context_hash: Optional[str] = None,
 ) -> EngineExplorationOutcome:
     """Run a full exploration through the engine.
 
@@ -463,13 +467,15 @@ def run_exploration(
     instead of enqueued, so a resumed campaign converges to the identical
     result without re-evaluating finished work.  ``observer`` and
     ``prefetcher`` are the streaming mode's hooks (see
-    :meth:`EvaluationEngine.evaluate_jobs`).
+    :meth:`EvaluationEngine.evaluate_jobs`).  ``context_hash`` is the
+    :func:`evaluation_context_hash` of ``explorer`` when the caller has
+    already computed it (hashed here otherwise).
     """
     started = time.perf_counter()
     constraints = constraints or ExplorationConstraints()
     candidate_list = list(candidates) if candidates is not None else enumerate_design_space()
     config = config or ExecutorConfig()
-    engine = EvaluationEngine(explorer, config=config, cache=cache)
+    engine = EvaluationEngine(explorer, config=config, cache=cache, context_hash=context_hash)
     stats = EngineRunStats(chunk_size=config.chunk_size)
 
     # The base point is evaluated exactly once, up front: it anchors the

@@ -457,6 +457,7 @@ class CampaignRunner:
 
             explorer = RSPDesignSpaceExplorer(profiles, array=self.mapper.base.array)
             cache: Optional[EvaluationCache] = None
+            context: Optional[str] = None
             if self._store_backend is not None or self.cache_dir is not None:
                 context = evaluation_context_hash(
                     profiles,
@@ -489,6 +490,7 @@ class CampaignRunner:
                 ),
                 observer=observer,
                 prefetcher=prefetcher,
+                context_hash=context,
             )
             exploration = outcome.result
             stats = outcome.stats

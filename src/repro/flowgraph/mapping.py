@@ -43,6 +43,7 @@ from repro.mapping.rearrange import (
     rearrange_schedule,
     rebind_schedule,
     remap_schedule,
+    retiming_plan,
 )
 from repro.mapping.schedule import Schedule
 
@@ -153,16 +154,21 @@ def node_registry(pipeline: "MappingPipeline") -> Dict[str, Callable[[], Node]]:
 
     def rearrange() -> Node:
         stall_free_lengths = pipeline._stall_free_memo
+        plans = pipeline._retiming_plans
 
         def compute(ctx: FlowContext) -> RearrangedSchedule:
             base = ctx["schedule"]
             dfg = ctx["dfg"]
             target = ctx["target_architecture"]
-            actual = rearrange_schedule(base, dfg, target)
+            base_key = ctx.key_of("schedule")
+            plan = plans.get(base_key)
+            if plan is None:
+                plan = plans[base_key] = retiming_plan(base, dfg)
+            actual = rearrange_schedule(base, dfg, target, plan=plan)
             # The unlimited-shared pass reads the target only through these
             # (never its sharing topology), so it runs once per set of them.
             constraints = (
-                ctx.key_of("schedule"),
+                base_key,
                 target.array,
                 target.multiplier_latency,
                 target.uses_sharing,
@@ -170,7 +176,7 @@ def node_registry(pipeline: "MappingPipeline") -> Dict[str, Callable[[], Node]]:
             stall_free = stall_free_lengths.get(constraints)
             if stall_free is None:
                 stall_free = stall_free_lengths[constraints] = rearrange_schedule(
-                    base, dfg, target, unlimited_shared=True
+                    base, dfg, target, unlimited_shared=True, plan=plan
                 ).length
             summary = RearrangementResult(
                 kernel=base.kernel_name,

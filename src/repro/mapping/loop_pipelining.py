@@ -48,7 +48,7 @@ from repro.arch.template import ArchitectureSpec
 from repro.errors import SchedulingError
 from repro.ir.dfg import DFG, Operation, OpType
 from repro.mapping.placement import ResourceTracker, column_preference
-from repro.mapping.schedule import Schedule, ScheduledOperation
+from repro.mapping.schedule import Schedule
 
 #: Operation types that never occupy a PE slot (resolved at configuration time).
 _UNSCHEDULED_OPTYPES = (OpType.CONST, OpType.NOP)
@@ -155,17 +155,7 @@ class LoopPipeliningScheduler:
                 row, col, shared_unit = placement
                 latency = self.latency_of(operation)
                 tracker.claim(operation, cycle, row, col, occupancy, shared_unit)
-                result.add(
-                    ScheduledOperation(
-                        operation=operation,
-                        cycle=cycle,
-                        row=row,
-                        col=col,
-                        latency=latency,
-                        occupancy=occupancy,
-                        shared_unit=shared_unit,
-                    )
-                )
+                result.append(operation, cycle, row, col, latency, occupancy, shared_unit)
                 placements[op_name] = (row, col)
                 ready.discard(op_name)
                 unscheduled.discard(op_name)

@@ -55,7 +55,7 @@ from repro.mapping.fingerprints import (
     dfg_fingerprint,
     stage_key,
 )
-from repro.mapping.rearrange import RearrangedSchedule
+from repro.mapping.rearrange import RearrangedSchedule, RetimingPlan
 from repro.mapping.schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -151,6 +151,8 @@ class MappingPipeline:
         #: multiplier latency, uses sharing): everything the
         #: unlimited-shared pass of the ``rearrange`` node reads.
         self._stall_free_memo: Dict[Tuple[Any, ...], int] = {}
+        #: Re-timing plans of the ``rearrange`` node by base-schedule key.
+        self._retiming_plans: Dict[str, RetimingPlan] = {}
         if isinstance(flow, Flow):
             self.flow = flow
         else:

@@ -18,30 +18,40 @@ from repro.mapping.schedule import Schedule
 
 
 def extract_profile(schedule: Schedule, dfg: DFG) -> ScheduleProfile:
-    """Summarise a base-architecture ``schedule`` for stall estimation."""
+    """Summarise a base-architecture ``schedule`` for stall estimation.
+
+    Issues are listed in :meth:`Schedule.operations` order, (cycle, col,
+    row), read from the schedule's columns without building its entries.
+    """
+    operations, cycles, rows, cols, latencies, _, _ = schedule.columns()
+    positions = schedule.positions()
+    multiplications = sorted(
+        (
+            position
+            for position, operation in enumerate(operations)
+            if operation.is_multiplication
+        ),
+        key=lambda position: (cycles[position], cols[position], rows[position]),
+    )
     issues: List[CriticalOpIssue] = []
-    # One dictionary lookup per successor instead of a membership test plus
-    # a guarded accessor call — this loop runs for every successor of every
-    # multiplication and dominates profile extraction on large kernels.
-    scheduled = schedule.entries_by_name()
-    for entry in schedule.operations():
-        if not entry.is_multiplication:
-            continue
+    for position in multiplications:
+        operation = operations[position]
+        finish = cycles[position] + latencies[position]
         has_immediate_dependent = False
-        for successor in dfg.successors(entry.name):
+        for successor in dfg.successors(operation.name):
             successor_op = dfg.operation(successor)
             if successor_op.optype in (OpType.CONST, OpType.NOP):
                 continue
-            successor_entry = scheduled.get(successor)
-            if successor_entry is not None and successor_entry.cycle == entry.finish_cycle:
+            successor_position = positions.get(successor)
+            if successor_position is not None and cycles[successor_position] == finish:
                 has_immediate_dependent = True
                 break
         issues.append(
             CriticalOpIssue(
-                cycle=entry.cycle,
-                row=entry.row,
-                col=entry.col,
-                iteration=entry.operation.iteration,
+                cycle=cycles[position],
+                row=rows[position],
+                col=cols[position],
+                iteration=operation.iteration,
                 has_immediate_dependent=has_immediate_dependent,
             )
         )

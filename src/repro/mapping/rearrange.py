@@ -24,10 +24,13 @@ mapper could achieve; :func:`remap_schedule` provides that smarter full
 re-mapping for comparison (used by the ablation benchmarks).
 
 The re-timing loop costs per operation, not per search (most operations
-place at their first probe), so it is kept lean: the base entries are
-sorted once, operand producers are read from the DFG's predecessor
-adjacency and looked up in the finish cycles placed so far, and latency
-and PE occupancy are cached per operation class.  Every probe is a
+place at their first probe), so it is kept lean.  What it needs from the
+base schedule and the DFG alone — the visit order, each operation's PE and
+base cycle, and which earlier visits produce its operands — is a
+re-timing plan (:func:`retiming_plan`); a pass then reads operand
+finish cycles by visit index, caches latency and PE occupancy per
+operation class and appends each placement to the schedule's columns
+(:meth:`Schedule.append`) without building entry objects.  Every probe is a
 :meth:`ResourceTracker.try_claim`, which checks a cycle with the rules the
 base scheduler applies and, when it fits, records the claims in the same
 pass.
@@ -36,21 +39,21 @@ RS stalls are counted against a stall-free pass with unlimited shared
 multipliers (``unlimited_shared=True``).  That pass reads the target only
 through its array, its multiplier latency and whether it shares, so the
 ``rearrange`` flow node (:mod:`repro.flowgraph.mapping`) runs it once per
-such constraint set; :func:`evaluate_rearrangement` is the uncached
-two-pass reference.
+such constraint set, and builds one plan per base schedule for all its
+passes; :func:`evaluate_rearrangement` is the uncached two-pass reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.template import ArchitectureSpec
 from repro.errors import MappingError, SchedulingError
 from repro.ir.dfg import DFG, OpType
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
 from repro.mapping.placement import ResourceTracker
-from repro.mapping.schedule import Schedule, ScheduledOperation
+from repro.mapping.schedule import Schedule
 
 #: Operation types that never occupy a PE slot.
 _UNSCHEDULED_OPTYPES = (OpType.CONST, OpType.NOP)
@@ -60,11 +63,73 @@ _UNSCHEDULED_OPTYPES = (OpType.CONST, OpType.NOP)
 _MAX_PUSH = 100000
 
 
+#: One visit of a re-timing plan: the operation's position in the base
+#: schedule's columns, its base cycle, row and column, the indices of the
+#: earlier visits producing its operands, and whether it multiplies.
+RetimingStep = Tuple[int, int, int, int, Tuple[int, ...], bool]
+
+#: The part of a rearrangement that depends only on the base schedule: its
+#: entries in (base cycle, iteration, col, row) visit order.
+RetimingPlan = Tuple[RetimingStep, ...]
+
+
+def retiming_plan(base_schedule: Schedule, dfg: DFG) -> RetimingPlan:
+    """The re-timing plan of ``base_schedule``, mapped from ``dfg``.
+
+    Producers that are CONST or NOP operations are left out; they are
+    available from cycle 0.  Raises :class:`MappingError` when an operation
+    depends on another that no earlier visit places: one missing from the
+    base schedule.
+    """
+    operations, cycles, rows, cols, *_ = base_schedule.columns()
+    order = sorted(
+        range(len(operations)),
+        key=lambda position: (
+            cycles[position],
+            operations[position].iteration,
+            cols[position],
+            rows[position],
+        ),
+    )
+    # Visit index of each placed operation that produces a value.
+    visit_of: Dict[str, int] = {}
+    steps: List[RetimingStep] = []
+    for visit, position in enumerate(order):
+        operation = operations[position]
+        name = operation.name
+        producers: List[int] = []
+        for producer in dfg.predecessors(name):
+            producer_visit = visit_of.get(producer)
+            if producer_visit is None:
+                if dfg.operation(producer).optype in _UNSCHEDULED_OPTYPES:
+                    continue
+                raise MappingError(
+                    f"operation {name!r} depends on {producer!r} which is "
+                    f"not part of the base schedule"
+                )
+            producers.append(producer_visit)
+        optype = operation.optype
+        if optype not in _UNSCHEDULED_OPTYPES:
+            visit_of[name] = visit
+        steps.append(
+            (
+                position,
+                cycles[position],
+                rows[position],
+                cols[position],
+                tuple(producers),
+                optype is OpType.MUL,
+            )
+        )
+    return tuple(steps)
+
+
 def rearrange_schedule(
     base_schedule: Schedule,
     dfg: DFG,
     target: ArchitectureSpec,
     unlimited_shared: bool = False,
+    plan: Optional[RetimingPlan] = None,
 ) -> Schedule:
     """Apply the RS/RP rearrangement rules to a base-architecture schedule.
 
@@ -81,35 +146,31 @@ def rearrange_schedule(
         When True the shared-multiplier capacity constraint is lifted; the
         resulting length is the stall-free reference used to count RS
         stalls (RP stretching is still applied).
+    plan:
+        ``retiming_plan(base_schedule, dfg)`` of this base schedule, when
+        the caller keeps one for several passes; built here when omitted.
 
     Returns
     -------
     Schedule
         The rearranged schedule on ``target``.
     """
+    if plan is None:
+        plan = retiming_plan(base_schedule, dfg)
     scheduler = LoopPipeliningScheduler(target)
     tracker = ResourceTracker(target, unlimited_shared=unlimited_shared)
     rearranged = Schedule(target, kernel_name=base_schedule.kernel_name)
     try_claim = tracker.try_claim
-    add = rearranged.add
-    predecessors = dfg.predecessors
-
-    ordered = sorted(
-        base_schedule.entries_by_name().values(),
-        key=lambda entry: (entry.cycle, entry.operation.iteration, entry.col, entry.row),
-    )
-    # Finish cycles of the placed operations that produce values; CONST and
-    # NOP producers never get one, so a lookup miss is either one of those
-    # or a producer missing from the base schedule.
-    finish_cycle: Dict[str, int] = {}
+    append = rearranged.append
+    operations = base_schedule.columns().operations
+    # Finish cycle of every visit so far, by visit index.
+    finish_cycles: List[int] = []
+    record_finish = finish_cycles.append
     # (latency, PE occupancy) on ``target``.  The scheduler's model depends
     # on an operation only through whether it is a multiplication.
     timing: Dict[bool, Tuple[int, int]] = {}
-    for entry in ordered:
-        operation = entry.operation
-        name = operation.name
-        optype = operation.optype
-        multiplication = optype is OpType.MUL
+    for position, earliest, row, col, producers, multiplication in plan:
+        operation = operations[position]
         known = timing.get(multiplication)
         if known is None:
             known = timing[multiplication] = (
@@ -117,20 +178,10 @@ def rearrange_schedule(
                 scheduler.occupancy_of(operation),
             )
         latency, occupancy = known
-        earliest = entry.cycle
-        for producer in predecessors(name):
-            finish = finish_cycle.get(producer)
-            if finish is None:
-                if dfg.operation(producer).optype in _UNSCHEDULED_OPTYPES:
-                    continue
-                raise MappingError(
-                    f"operation {name!r} depends on {producer!r} which is "
-                    f"not part of the base schedule"
-                )
+        for producer in producers:
+            finish = finish_cycles[producer]
             if finish > earliest:
                 earliest = finish
-        row = entry.row
-        col = entry.col
         cycle = earliest
         while cycle <= earliest + _MAX_PUSH:
             placed, shared_unit = try_claim(operation, cycle, row, col, occupancy)
@@ -139,26 +190,28 @@ def rearrange_schedule(
             cycle += 1
         else:
             raise SchedulingError(
-                f"operation {name!r} could not be rearranged onto "
+                f"operation {operation.name!r} could not be rearranged onto "
                 f"architecture {target.name!r}"
             )
-        # Positional arguments, in field order, build entries ~20% faster.
-        add(ScheduledOperation(operation, cycle, row, col, latency, occupancy, shared_unit))
-        if optype not in _UNSCHEDULED_OPTYPES:
-            finish_cycle[name] = cycle + latency
+        append(operation, cycle, row, col, latency, occupancy, shared_unit)
+        record_finish(cycle + latency)
     return rearranged
 
 
 def rebind_schedule(schedule: Schedule, target: ArchitectureSpec) -> Schedule:
     """Copy of ``schedule`` bound to the structurally identical ``target``.
 
-    The immutable entries are shared; only the schedule shell is rebuilt so
-    ``schedule.architecture`` reports the caller's spec (figures and the
-    simulator read the name from there).
+    The columns are copied, never shared, in :meth:`Schedule.operations`
+    order, so ``schedule.architecture`` reports the caller's spec (figures
+    and the simulator read the name from there).
     """
     rebound = Schedule(target, kernel_name=schedule.kernel_name)
-    for entry in schedule.operations():
-        rebound.add(entry)
+    append = rebound.append
+    # A placement is (operation, cycle, row, col, ...); sort by (cycle, col, row).
+    for placement in sorted(
+        zip(*schedule.columns()), key=lambda placement: (placement[1], placement[3], placement[2])
+    ):
+        append(*placement)
     return rebound
 
 

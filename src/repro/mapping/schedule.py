@@ -7,12 +7,28 @@ configuration cache and are available from cycle 0 — which mirrors the
 paper's treatment of the constant ``C`` in the matrix-multiplication
 example.
 
+A schedule stores its entries by column: one list per
+:class:`ScheduledOperation` field (operation, cycle, row, col, latency,
+occupancy and shared unit) in insertion order, plus a name → position
+dictionary.  Every writer — :meth:`Schedule.add`, the base scheduler, the
+rearrangement, :func:`_restore_schedule` — goes through
+:meth:`Schedule.append`, which applies the checks of
+:class:`ScheduledOperation` and :meth:`Schedule.add` without building an
+entry object.  Hot readers (profile extraction, the rearrangement) read the
+lists through :meth:`Schedule.columns`.  :class:`ScheduledOperation` entries
+are built from the lists only when a caller reads entries
+(:meth:`Schedule.entries_by_name`, :meth:`Schedule.get`,
+:meth:`Schedule.operations`, :meth:`Schedule.operations_at`,
+:meth:`Schedule.validate` and the statistics), and kept until the next
+append.  Building them is idempotent: a position's fields never change once
+appended, and a stored schedule is never appended to.
+
 A schedule pickles by column: its architecture and kernel name, then one
 list per :class:`Operation` field and one each for cycle, row, col,
 latency, occupancy and shared unit, in insertion order.
-:func:`_restore_schedule` rebuilds it through the validating constructors
-and :meth:`Schedule.add`.  Pickles of the earlier instance-dict form still
-load (:meth:`Schedule.__setstate__`).
+:func:`_restore_schedule` rebuilds it through :meth:`Schedule.append`.
+Pickles of the earlier instance-dict form, which held the entry objects,
+still load (:meth:`Schedule.__setstate__`).
 """
 
 from __future__ import annotations
@@ -20,12 +36,26 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
 from repro.errors import SchedulingError
 from repro.ir.dfg import DFG, Operation, OpType
+
+
+def _reject_fields(
+    name: str, cycle: int, row: int, col: int, latency: int, occupancy: Optional[int]
+) -> None:
+    """Raise the :class:`SchedulingError` of the first invalid entry field."""
+    if cycle < 0:
+        raise SchedulingError(f"operation {name!r} scheduled at negative cycle")
+    if latency < 1:
+        raise SchedulingError(f"operation {name!r} must have latency >= 1")
+    if occupancy is not None and occupancy < 1:
+        raise SchedulingError(f"operation {name!r} must occupy its PE >= 1 cycle")
+    if row < 0 or col < 0:
+        raise SchedulingError(f"operation {name!r} has no PE placement")
 
 
 @dataclass(frozen=True)
@@ -62,14 +92,9 @@ class ScheduledOperation:
     shared_unit: Optional[SharedUnitId] = None
 
     def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise SchedulingError(f"operation {self.operation.name!r} scheduled at negative cycle")
-        if self.latency < 1:
-            raise SchedulingError(f"operation {self.operation.name!r} must have latency >= 1")
-        if self.occupancy is not None and self.occupancy < 1:
-            raise SchedulingError(f"operation {self.operation.name!r} must occupy its PE >= 1 cycle")
-        if self.row < 0 or self.col < 0:
-            raise SchedulingError(f"operation {self.operation.name!r} has no PE placement")
+        _reject_fields(
+            self.operation.name, self.cycle, self.row, self.col, self.latency, self.occupancy
+        )
 
     @property
     def pe_occupancy(self) -> int:
@@ -98,69 +123,164 @@ class ScheduledOperation:
         return self.operation.is_memory
 
 
+class ScheduleColumns(NamedTuple):
+    """A schedule's stored lists, one per :class:`ScheduledOperation` field.
+
+    Position ``i`` of every list describes the ``i``-th appended operation,
+    so ``zip(*columns)`` yields each entry's constructor arguments.  The
+    lists belong to the schedule: read them, never change them.
+    """
+
+    operations: List[Operation]
+    cycles: List[int]
+    rows: List[int]
+    cols: List[int]
+    latencies: List[int]
+    occupancies: List[Optional[int]]
+    shared_units: List[Optional[SharedUnitId]]
+
+
 class Schedule:
     """A complete mapping of one kernel onto one architecture."""
 
     def __init__(self, architecture: ArchitectureSpec, kernel_name: str = "kernel") -> None:
         self.architecture = architecture
         self.kernel_name = kernel_name
-        self._by_name: Dict[str, ScheduledOperation] = {}
-        self._by_cycle: Dict[int, List[ScheduledOperation]] = defaultdict(list)
+        self._operations: List[Operation] = []
+        self._cycles: List[int] = []
+        self._rows: List[int] = []
+        self._cols: List[int] = []
+        self._latencies: List[int] = []
+        self._occupancies: List[Optional[int]] = []
+        self._shared_units: List[Optional[SharedUnitId]] = []
+        self._positions: Dict[str, int] = {}
         self._length = 0
+        # Entries by name and by issue cycle, built on read (see _entries).
+        self._built: Optional[
+            Tuple[Dict[str, ScheduledOperation], Dict[int, List[ScheduledOperation]]]
+        ] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add(self, scheduled: ScheduledOperation) -> None:
-        """Add one scheduled operation; operation names must be unique."""
-        name = scheduled.operation.name
-        if name in self._by_name:
+    def append(
+        self,
+        operation: Operation,
+        cycle: int,
+        row: int,
+        col: int,
+        latency: int = 1,
+        occupancy: Optional[int] = None,
+        shared_unit: Optional[SharedUnitId] = None,
+    ) -> None:
+        """Schedule ``operation``: the fields of a :class:`ScheduledOperation`.
+
+        Raises what building that entry and :meth:`add`-ing it would raise,
+        in the same order, but builds no entry.
+        """
+        name = operation.name
+        if cycle < 0 or latency < 1 or row < 0 or col < 0 or (
+            occupancy is not None and occupancy < 1
+        ):
+            _reject_fields(name, cycle, row, col, latency, occupancy)
+        positions = self._positions
+        if name in positions:
             raise SchedulingError(f"operation {name!r} scheduled twice")
         array = self.architecture.array
-        if not array.contains(scheduled.row, scheduled.col):
+        if row >= array.rows or col >= array.cols:
             raise SchedulingError(
                 f"operation {name!r} placed outside the {array.rows}x{array.cols} array"
             )
-        self._by_name[name] = scheduled
-        self._by_cycle[scheduled.cycle].append(scheduled)
-        finish = scheduled.cycle + scheduled.latency
+        positions[name] = len(self._operations)
+        self._operations.append(operation)
+        self._cycles.append(cycle)
+        self._rows.append(row)
+        self._cols.append(col)
+        self._latencies.append(latency)
+        self._occupancies.append(occupancy)
+        self._shared_units.append(shared_unit)
+        finish = cycle + latency
         if finish > self._length:
             self._length = finish
+
+    def add(self, scheduled: ScheduledOperation) -> None:
+        """Add one scheduled operation; operation names must be unique."""
+        self.append(
+            scheduled.operation,
+            scheduled.cycle,
+            scheduled.row,
+            scheduled.col,
+            scheduled.latency,
+            scheduled.occupancy,
+            scheduled.shared_unit,
+        )
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._by_name)
+        return len(self._positions)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._positions
+
+    def columns(self) -> ScheduleColumns:
+        """The stored lists (treat as read-only)."""
+        return ScheduleColumns(
+            self._operations,
+            self._cycles,
+            self._rows,
+            self._cols,
+            self._latencies,
+            self._occupancies,
+            self._shared_units,
+        )
+
+    def positions(self) -> Dict[str, int]:
+        """Operation name → position in the :meth:`columns` (treat as read-only)."""
+        return self._positions
+
+    def _entries(
+        self,
+    ) -> Tuple[Dict[str, ScheduledOperation], Dict[int, List[ScheduledOperation]]]:
+        """Entries by name (insertion order) and by issue cycle.
+
+        Built from the lists on the first read after an append and kept
+        until the next append.
+        """
+        built = self._built
+        if built is None or len(built[0]) != len(self._operations):
+            by_name: Dict[str, ScheduledOperation] = {}
+            by_cycle: Dict[int, List[ScheduledOperation]] = {}
+            for placement in zip(*self.columns()):
+                entry = ScheduledOperation(*placement)
+                by_name[entry.operation.name] = entry
+                by_cycle.setdefault(entry.cycle, []).append(entry)
+            built = self._built = (by_name, by_cycle)
+        return built
 
     def get(self, name: str) -> ScheduledOperation:
         """The scheduled operation with the given DFG name."""
         try:
-            return self._by_name[name]
+            return self._entries()[0][name]
         except KeyError as exc:
             raise SchedulingError(f"operation {name!r} is not in the schedule") from exc
 
     def entries_by_name(self) -> Dict[str, ScheduledOperation]:
-        """The name → scheduled-operation mapping (treat as read-only).
-
-        Hot loops (e.g. profile extraction) use this to replace repeated
-        ``name in schedule`` + ``schedule.get(name)`` pairs with a single
-        dictionary lookup.
-        """
-        return self._by_name
+        """The name → scheduled-operation mapping (treat as read-only)."""
+        return self._entries()[0]
 
     def operations(self) -> List[ScheduledOperation]:
         """All scheduled operations ordered by (cycle, col, row)."""
         return sorted(
-            self._by_name.values(), key=lambda entry: (entry.cycle, entry.col, entry.row)
+            self._entries()[0].values(), key=lambda entry: (entry.cycle, entry.col, entry.row)
         )
 
     def operations_at(self, cycle: int) -> List[ScheduledOperation]:
         """Operations issued at ``cycle``."""
-        return sorted(self._by_cycle.get(cycle, []), key=lambda entry: (entry.col, entry.row))
+        return sorted(
+            self._entries()[1].get(cycle, []), key=lambda entry: (entry.col, entry.row)
+        )
 
     @property
     def length(self) -> int:
@@ -178,7 +298,7 @@ class Schedule:
         """Multiplications occupying a multiplier during ``cycle`` (any stage)."""
         return [
             entry
-            for entry in self._by_name.values()
+            for entry in self.entries_by_name().values()
             if entry.is_multiplication and entry.cycle <= cycle < entry.finish_cycle
         ]
 
@@ -196,7 +316,7 @@ class Schedule:
     def max_multiplication_issues_per_cycle(self) -> int:
         """Maximum multiplications *issued* in any single cycle."""
         peak = 0
-        for cycle, entries in self._by_cycle.items():
+        for entries in self._entries()[1].values():
             peak = max(peak, sum(1 for entry in entries if entry.is_multiplication))
         return peak
 
@@ -205,13 +325,13 @@ class Schedule:
         total = self.length * self.architecture.array.num_pes
         if total == 0:
             return 0.0
-        return len(self._by_name) / total
+        return len(self) / total
 
     def busy_pes_at(self, cycle: int) -> List[Tuple[int, int]]:
         """PE positions occupied during ``cycle`` (issue through release)."""
         return [
             entry.position
-            for entry in self._by_name.values()
+            for entry in self.entries_by_name().values()
             if entry.cycle <= cycle < entry.cycle + entry.pe_occupancy
         ]
 
@@ -228,9 +348,10 @@ class Schedule:
         shared-unit conflicts.
         """
         spec = self.architecture
+        by_name = self.entries_by_name()
         # The simulator executes each entry's operation but reads operand
         # ports from the DFG, so the two must agree.
-        for name, entry in self._by_name.items():
+        for name, entry in by_name.items():
             if name not in dfg:
                 raise SchedulingError(
                     f"operation {name!r} is scheduled but kernel {dfg.name!r} has no such operation"
@@ -243,7 +364,7 @@ class Schedule:
         for op in dfg.operations():
             if op.optype in (OpType.CONST, OpType.NOP):
                 continue
-            if op.name not in self._by_name:
+            if op.name not in by_name:
                 raise SchedulingError(
                     f"operation {op.name!r} of kernel {dfg.name!r} is not scheduled"
                 )
@@ -264,7 +385,7 @@ class Schedule:
                 )
         # PE occupancy (a PE is busy from issue until it releases the slot).
         occupancy: Dict[Tuple[int, int, int], str] = {}
-        for entry in self._by_name.values():
+        for entry in by_name.values():
             for cycle in range(entry.cycle, entry.cycle + entry.pe_occupancy):
                 key = (cycle, entry.row, entry.col)
                 if key in occupancy:
@@ -276,7 +397,7 @@ class Schedule:
         # Row data buses.
         loads: Dict[Tuple[int, int], int] = defaultdict(int)
         stores: Dict[Tuple[int, int], int] = defaultdict(int)
-        for entry in self._by_name.values():
+        for entry in by_name.values():
             if entry.operation.optype is OpType.LOAD:
                 loads[(entry.cycle, entry.row)] += 1
             elif entry.operation.optype is OpType.STORE:
@@ -296,7 +417,7 @@ class Schedule:
         # Shared-resource issue conflicts and reachability.
         if spec.uses_sharing:
             unit_issues: Dict[Tuple[SharedUnitId, int], str] = {}
-            for entry in self._by_name.values():
+            for entry in by_name.values():
                 if not entry.is_multiplication:
                     continue
                 if entry.shared_unit is None:
@@ -328,21 +449,19 @@ class Schedule:
     # ------------------------------------------------------------------
     def __reduce__(self) -> Tuple[Any, ...]:
         """Pickle one list per field (see the module docstring)."""
-        entries = list(self._by_name.values())
-        operations = [entry.operation for entry in entries]
-        operation_columns = [list(map(getter, operations)) for getter in _OPERATION_COLUMNS]
-        entry_columns = [list(map(getter, entries)) for getter in _ENTRY_COLUMNS]
+        operations, *entry_columns = self.columns()
         return _restore_schedule, (
             self.architecture,
             self.kernel_name,
-            operation_columns,
+            [list(map(getter, operations)) for getter in _OPERATION_COLUMNS],
             entry_columns,
         )
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Load the earlier pickle form, the instance dict without the length."""
-        self.__dict__.update(state)
-        self._length = max((entry.finish_cycle for entry in self._by_name.values()), default=0)
+        """Load the earlier pickle form: the instance dict, entries in ``_by_name``."""
+        Schedule.__init__(self, state["architecture"], state["kernel_name"])
+        for entry in state["_by_name"].values():
+            self.add(entry)
 
     def __repr__(self) -> str:
         return (
@@ -351,13 +470,10 @@ class Schedule:
         )
 
 
-#: Column getters of a pickled schedule: every :class:`Operation` field,
-#: then every other :class:`ScheduledOperation` field, each in constructor
-#: order.
+#: Column getters of a pickled schedule's operations: every
+#: :class:`Operation` field, in constructor order.  The other columns
+#: follow the remaining :class:`ScheduledOperation` fields in order.
 _OPERATION_COLUMNS = tuple(attrgetter(field.name) for field in fields(Operation))
-_ENTRY_COLUMNS = tuple(
-    attrgetter(field.name) for field in fields(ScheduledOperation) if field.name != "operation"
-)
 
 
 def _restore_schedule(
@@ -372,7 +488,7 @@ def _restore_schedule(
     stored format.
     """
     schedule = Schedule(architecture, kernel_name)
-    add = schedule.add
+    append = schedule.append
     for operation_fields, entry_fields in zip(zip(*operation_columns), zip(*entry_columns)):
-        add(ScheduledOperation(Operation(*operation_fields), *entry_fields))
+        append(Operation(*operation_fields), *entry_fields)
     return schedule

@@ -107,6 +107,31 @@ def test_profile_provider_hook_overrides_pipeline(small_spec):
     assert report.suites[0].selected is not None
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-dir"])
+def test_two_suite_campaign_hashes_each_context_once(monkeypatch, tmp_path, cached):
+    """The runner names the evaluation cache with the context digest and
+    hands it to the engine, which does not hash the profiles again."""
+    import repro.engine.executor as executor_module
+    import repro.engine.runner as runner_module
+
+    calls = []
+    original = runner_module.evaluation_context_hash
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "evaluation_context_hash", counted)
+    monkeypatch.setattr(executor_module, "evaluation_context_hash", counted)
+    spec = CampaignSpec(
+        name="two-suites", suites=("h264", "dsp"), max_rows_shared=1, max_cols_shared=0
+    )
+    report, _ = CampaignRunner(spec, cache_dir=tmp_path if cached else None).run()
+    assert [suite.suite for suite in report.suites] == ["h264", "dsp"]
+    assert len(calls) == 2
+    assert calls[0] != calls[1]
+
+
 def test_campaign_report_serialises(campaign_outcome):
     report, _, _ = campaign_outcome
     payload = from_json(to_json(report))

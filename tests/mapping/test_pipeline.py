@@ -271,16 +271,20 @@ MEMO_TARGETS = (
 
 class TestStallFreeMemo:
     """The ``rearrange`` node runs the unlimited-shared pass once per
-    (base schedule, array, multiplier latency, sharing) and still reports
-    what the uncached two-pass reference reports."""
+    (base schedule, array, multiplier latency, sharing), gives every pass
+    over one base schedule the same re-timing plan, and still reports what
+    the uncached two-pass reference reports."""
 
     def test_rearrange_node_matches_the_uncached_reference(self, monkeypatch):
         passes = []
+        plans = {}
         rearrange = mapping_nodes.rearrange_schedule
 
-        def counted(base, dfg, target, unlimited_shared=False):
+        def counted(base, dfg, target, unlimited_shared=False, plan=None):
             passes.append((base.kernel_name, unlimited_shared, target))
-            return rearrange(base, dfg, target, unlimited_shared=unlimited_shared)
+            assert plan is not None
+            assert plans.setdefault(base.kernel_name, plan) is plan
+            return rearrange(base, dfg, target, unlimited_shared=unlimited_shared, plan=plan)
 
         monkeypatch.setattr(mapping_nodes, "rearrange_schedule", counted)
         pipeline = MappingPipeline()

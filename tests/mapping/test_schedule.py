@@ -5,15 +5,23 @@ from __future__ import annotations
 import copyreg
 import io
 import pickle
-from dataclasses import replace
+from collections import defaultdict
+from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.arch import base_architecture, rs_architecture, rsp_architecture
 from repro.errors import SchedulingError
 from repro.ir import DFGBuilder, Operation, OpType
 from repro.kernels import paper_suite
-from repro.mapping.schedule import Schedule, ScheduledOperation
+from repro.mapping.loop_pipelining import LoopPipeliningScheduler
+from repro.mapping.rearrange import rearrange_schedule
+from repro.mapping.schedule import Schedule, ScheduledOperation, _restore_schedule
+
+from dfg_strategies import random_kernel_dfg
 
 
 def tiny_dfg():
@@ -240,20 +248,67 @@ PICKLED_DESIGNS = (
 )
 
 
+class EntryLayoutSchedule:
+    """The layout schedules had before they stored columns: the entry
+    objects by name and by issue cycle, gathered into columns only to
+    pickle (the pickle is the one the column layout writes)."""
+
+    def __init__(self, architecture, kernel_name):
+        self.architecture = architecture
+        self.kernel_name = kernel_name
+        self.by_name = {}
+        self.by_cycle = defaultdict(list)
+        self.length = 0
+
+    def add(self, scheduled):
+        self.by_name[scheduled.name] = scheduled
+        self.by_cycle[scheduled.cycle].append(scheduled)
+        self.length = max(self.length, scheduled.finish_cycle)
+
+    def operations_at(self, cycle):
+        return sorted(self.by_cycle.get(cycle, []), key=lambda e: (e.col, e.row))
+
+    def __reduce__(self):
+        entries = list(self.by_name.values())
+        operations = [e.operation for e in entries]
+        return _restore_schedule, (
+            self.architecture,
+            self.kernel_name,
+            [[getattr(op, field.name) for op in operations] for field in fields(Operation)],
+            [
+                [getattr(e, field.name) for e in entries]
+                for field in fields(ScheduledOperation)
+                if field.name != "operation"
+            ],
+        )
+
+
 def legacy_pickle(schedule: Schedule) -> bytes:
     """``schedule`` in the format written before schedules pickled by column.
 
     That format was the default reduction of the instance: ``Schedule``
-    created through ``copyreg.__newobj__`` and its ``__dict__`` (which held
-    no cached length) as the state.
+    created through ``copyreg.__newobj__`` and its ``__dict__`` as the
+    state.  The dict held the architecture, the kernel name, the entries by
+    name in insertion order (``_by_name``) and by issue cycle
+    (``_by_cycle``, a ``defaultdict(list)``), and no cached length.
     """
+
+    def legacy_state(obj: Schedule):
+        layout = EntryLayoutSchedule(obj.architecture, obj.kernel_name)
+        for scheduled in obj.entries_by_name().values():
+            layout.add(scheduled)
+        return {
+            "architecture": obj.architecture,
+            "kernel_name": obj.kernel_name,
+            "_by_name": layout.by_name,
+            "_by_cycle": layout.by_cycle,
+        }
 
     class LegacyPickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is not Schedule:
                 return NotImplemented
-            state = {name: value for name, value in vars(obj).items() if name != "_length"}
-            return copyreg.__newobj__, (Schedule,), state
+            return copyreg.__newobj__, (Schedule,), legacy_state(obj)
 
     buffer = io.BytesIO()
     LegacyPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(schedule)
@@ -324,3 +379,98 @@ class TestSchedulePickle:
             assert len(pickle.dumps(schedule, protocol=pickle.HIGHEST_PROTOCOL)) < len(
                 legacy_pickle(schedule)
             )
+
+
+class TestColumnBuild:
+    """:meth:`Schedule.append` against the entry path it replaces: building
+    a :class:`ScheduledOperation` and :meth:`Schedule.add`-ing it."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(random_kernel_dfg(), st.sampled_from(PICKLED_DESIGNS))
+    def test_column_build_equals_entry_build(self, dfg, target):
+        # Every placement the scheduler and the rearrangement append, as
+        # passed, by the schedule it went to.
+        placements = defaultdict(list)
+        append = Schedule.append
+
+        def recorded(schedule, *args, **kwargs):
+            placements[id(schedule)].append((args, kwargs))
+            return append(schedule, *args, **kwargs)
+
+        with mock.patch.object(Schedule, "append", recorded):
+            base = LoopPipeliningScheduler(base_architecture()).schedule(dfg)
+            rearranged = rearrange_schedule(base, dfg, target)
+        for by_columns in (base, rearranged):
+            reference = EntryLayoutSchedule(by_columns.architecture, by_columns.kernel_name)
+            by_entries = Schedule(by_columns.architecture, by_columns.kernel_name)
+            for args, kwargs in placements[id(by_columns)]:
+                scheduled = ScheduledOperation(*args, **kwargs)
+                reference.add(scheduled)
+                by_entries.add(scheduled)
+            expected = pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL)
+            for schedule in (by_columns, by_entries):
+                assert pickle.dumps(schedule, protocol=pickle.HIGHEST_PROTOCOL) == expected
+                assert list(schedule.entries_by_name().items()) == list(
+                    reference.by_name.items()
+                )
+                assert all(
+                    schedule.operations_at(cycle) == reference.operations_at(cycle)
+                    for cycle in range(reference.length + 1)
+                )
+                assert schedule.length == reference.length
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cycle": -1}, "scheduled at negative cycle"),
+            ({"latency": 0}, "must have latency >= 1"),
+            ({"occupancy": 0}, "must occupy its PE >= 1 cycle"),
+            ({"row": -1}, "has no PE placement"),
+            ({"col": 8}, "placed outside the 8x8 array"),
+            ({"duplicate": True}, "scheduled twice"),
+        ],
+        ids=["negative-cycle", "latency-0", "occupancy-0", "no-pe", "outside", "duplicate"],
+    )
+    def test_rejected_fields_raise_the_same_error_on_both_paths(
+        self, base_arch, change, message
+    ):
+        dfg, (a, b, _) = tiny_dfg()
+        placement = {
+            "operation": dfg.operation(b),
+            "cycle": 1,
+            "row": 1,
+            "col": 0,
+            "latency": 1,
+            "occupancy": None,
+            "shared_unit": None,
+        }
+        if change == {"duplicate": True}:
+            placement["operation"] = dfg.operation(a)
+        else:
+            placement.update(change)
+        errors = []
+        for build in (
+            lambda schedule: schedule.add(ScheduledOperation(**placement)),
+            lambda schedule: schedule.append(**placement),
+        ):
+            schedule = Schedule(base_arch, "tiny")
+            schedule.append(dfg.operation(a), 0, 0, 0)
+            with pytest.raises(SchedulingError, match=message) as raised:
+                build(schedule)
+            errors.append(str(raised.value))
+            assert len(schedule) == 1 and schedule.length == 1
+            assert list(schedule.entries_by_name()) == [a]
+        assert errors[0] == errors[1]
+
+    def test_entries_are_built_on_read_and_kept_until_the_next_append(self, base_arch):
+        dfg, (a, b, c) = tiny_dfg()
+        schedule = Schedule(base_arch, "tiny")
+        schedule.append(dfg.operation(a), 0, 0, 0)
+        first = schedule.get(a)
+        assert schedule.get(a) is first
+        assert schedule.entries_by_name()[a] is first
+        schedule.append(dfg.operation(c), 1, 0, 0, latency=2)
+        assert schedule.get(a) == first
+        assert [entry.name for entry in schedule.operations()] == [a, c]
+        assert [entry.name for entry in schedule.operations_at(1)] == [c]
+        assert schedule.length == 3
