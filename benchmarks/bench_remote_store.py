@@ -29,7 +29,6 @@ from repro.store import RemoteBackend, ShardedJsonlBackend, TieredBackend
 from repro.utils.tabulate import format_table
 
 RECORDS = 300
-SHARDS = 4
 #: Batched mput must beat per-key puts by at least this factor.
 MPUT_SPEEDUP_FLOOR = 3.0
 
@@ -50,9 +49,7 @@ def timed(function) -> float:
 
 @pytest.fixture()
 def server(tmp_path):
-    with StoreServer(
-        ShardedJsonlBackend(tmp_path / "service.jsonl", num_shards=SHARDS)
-    ) as live:
+    with StoreServer(ShardedJsonlBackend(tmp_path / "service.jsonl")) as live:
         yield live
 
 
@@ -60,7 +57,7 @@ def test_remote_backend_throughput_table(server, tmp_path, bench_metrics):
     rows = []
     clients = {}
     for label, backend in (
-        ("local", ShardedJsonlBackend(tmp_path / "local.jsonl", num_shards=SHARDS)),
+        ("local", ShardedJsonlBackend(tmp_path / "local.jsonl")),
         ("remote", RemoteBackend(server.url, strict=True)),
         ("tiered", TieredBackend(RemoteBackend(server.url, strict=True), auto_flush=False)),
     ):

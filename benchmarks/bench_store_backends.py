@@ -5,11 +5,9 @@ synthetic record population shaped like real evaluation-cache traffic
 (small flat JSON objects, content-hash keys), prints a throughput table,
 and asserts the structural claims the storage layer makes:
 
-* sharding never changes results — a sharded store returns exactly the
-  records an unsharded one does,
 * warm ``get`` throughput is strictly positive for every backend and the
   in-memory backend is the fastest (sanity ordering),
-* compacting a duplicate-heavy JSONL store shrinks the shard files while
+* compacting a duplicate-heavy JSONL store shrinks its file while
   preserving every record.
 """
 
@@ -58,9 +56,7 @@ def test_backend_throughput_table(tmp_path):
     for label, backend in (
         ("memory", MemoryBackend()),
         ("jsonl x1", ShardedJsonlBackend(tmp_path / "flat.jsonl")),
-        ("jsonl x8", ShardedJsonlBackend(tmp_path / "sharded.jsonl", num_shards=8)),
         ("pickle x1", PickleDirBackend(tmp_path / "flat")),
-        ("pickle x8", PickleDirBackend(tmp_path / "sharded", num_shards=8)),
     ):
         put_seconds = populate(backend)
         get_seconds = read_all(backend)
@@ -89,20 +85,9 @@ def test_backend_throughput_table(tmp_path):
     assert reads["memory"] < reads["pickle x1"]
 
 
-def test_sharded_and_unsharded_stores_agree(tmp_path):
-    flat = ShardedJsonlBackend(tmp_path / "records.jsonl")
-    for index in range(RECORDS):
-        flat.put("ns", record_key(index), payload(index))
-    sharded = ShardedJsonlBackend(tmp_path / "records.jsonl", num_shards=8)
-    for index in range(RECORDS):
-        hit, record = sharded.get("ns", record_key(index))
-        assert hit
-        assert {name: record[name] for name in payload(index)} == payload(index)
-
-
 def test_compaction_shrinks_a_duplicate_heavy_store(tmp_path):
     path = tmp_path / "records.jsonl"
-    backend = ShardedJsonlBackend(path, num_shards=4)
+    backend = ShardedJsonlBackend(path)
     for index in range(RECORDS):
         backend.put("", record_key(index), payload(index))
     # Simulate racing writers: every record re-appended DUPLICATES times.
@@ -113,19 +98,12 @@ def test_compaction_shrinks_a_duplicate_heavy_store(tmp_path):
                     json.dumps({**payload(index), "key": record_key(index)}) + "\n"
                 )
 
-    def shard_bytes(store):
-        return sum(
-            store.shard_path(i).stat().st_size
-            for i in range(store.num_shards)
-            if store.shard_path(i).exists()
-        )
-
-    dirty = ShardedJsonlBackend(path, num_shards=4)
-    before = shard_bytes(dirty)
+    dirty = ShardedJsonlBackend(path)
+    before = path.stat().st_size
     elapsed = timed(dirty.compact)
-    after = shard_bytes(dirty)
+    after = path.stat().st_size
     print(f"\ncompaction: {before} B -> {after} B in {elapsed * 1000:.1f} ms")
     assert after < before / 2  # the duplicate appends dominate and are gone
-    compacted = ShardedJsonlBackend(path, num_shards=4)
+    compacted = ShardedJsonlBackend(path)
     assert len(compacted) == RECORDS
     assert compacted.corrupt_lines == 0

@@ -26,11 +26,10 @@ Content-hashed jobs and the persistent cache
     change changes the key.
 
 Unified storage layer
-    Both persistent stores sit on :mod:`repro.store`: sharded,
-    lock-protected backends that multiple processes can write
-    concurrently, plus a :class:`~repro.store.StoreJanitor` for
-    age-based GC and compaction (``--store-shards``, ``--gc-max-age``
-    and ``--compact`` on the CLI).
+    Both persistent stores sit on :mod:`repro.store`: lock-protected
+    backends that multiple processes can write concurrently, plus a
+    :class:`~repro.store.StoreJanitor` for age-based GC and compaction
+    (``--gc-max-age`` and ``--compact`` on the CLI).
 
 Wave evaluation
     The engine evaluates candidates in waves of
@@ -74,7 +73,6 @@ from repro.engine.executor import (
 from repro.engine.frontier import ParetoFrontier, pareto_front_indices
 from repro.engine.stream import (
     EVENT_TYPES,
-    AsyncPrefetcher,
     CampaignEvent,
     CampaignStreamController,
     EventLog,
@@ -99,7 +97,6 @@ __all__ = [
     "SUITE_NAMES",
     "ArtifactStore",
     "ArtifactStoreStats",
-    "AsyncPrefetcher",
     "CacheStats",
     "CampaignCheckpoint",
     "CampaignEvent",

@@ -31,14 +31,17 @@ from repro.utils.serialization import to_json
 from repro.utils.tabulate import format_table
 
 
-def _shard_count(text: str) -> int:
-    """Argparse type for ``--store-shards``: an int in the backends' 1..99."""
+def _max_age(text: str) -> float:
+    """Argparse type for ``--gc-max-age``: non-negative seconds.
+
+    Checked while parsing, so a bad value fails before any mapping.
+    """
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid shard count: {text!r}")
-    if not 1 <= value <= 99:
-        raise argparse.ArgumentTypeError(f"store shards must be in 1..99, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid age: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value:g}")
     return value
 
 
@@ -119,17 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(base schedules and profiles are recomputed every run)",
     )
     parser.add_argument(
-        "--store-shards",
-        type=_shard_count,
-        default=1,
-        help="shard count of the persistent stores: evaluation records and "
-        "artifacts spread over this many lock-protected shard files/dirs so "
-        "concurrent campaigns can share one cache directory (default: 1, "
-        "the legacy single-file layout; existing layouts always load)",
-    )
-    parser.add_argument(
         "--gc-max-age",
-        type=float,
+        type=_max_age,
         default=None,
         metavar="SECONDS",
         help="after the campaign, evict store entries not written or read "
@@ -139,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact",
         action="store_true",
         help="after the campaign, compact the stores (drop superseded and "
-        "corrupt records, migrate legacy layouts into their shards)",
+        "corrupt records and leftover temporary files)",
     )
     parser.add_argument(
         "--store-url",
@@ -162,10 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="streaming mode: append wave-level events to DIR/events.jsonl, "
-        "checkpoint after every wave (crash-atomic), prefetch the next "
-        "wave's cache lookups and the next suite's artifacts in the "
-        "background, and write --output as the canonical deterministic "
-        "report (byte-identical across interrupted-and-resumed runs)",
+        "checkpoint after every wave (crash-atomic), and write --output as "
+        "the canonical deterministic report (byte-identical across "
+        "interrupted-and-resumed runs)",
     )
     parser.add_argument(
         "--resume",
@@ -202,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _store_summary(report) -> str:
-    """One ``store:`` line: shard config, entry/disk totals, janitor outcome.
+    """One ``store:`` line: entry/disk totals and the janitor outcome.
 
     Against a shared store server the line shows the server snapshot plus
     the remote transport counters and — when tiered — the tier's front
@@ -235,10 +228,10 @@ def _store_summary(report) -> str:
     evaluations = stats.get("evaluations") or []
     entries = sum(snapshot.entries for snapshot in evaluations)
     disk = sum(snapshot.disk_bytes for snapshot in evaluations)
-    line = f"store: {stats.get('shards', 1)} shard(s)"
+    parts = [f"evaluations: {entries} records / {disk} B"]
     if artifacts is not None:
-        line += f"  artifacts: {artifacts.entries} entries / {artifacts.disk_bytes} B"
-    line += f"  evaluations: {entries} records / {disk} B"
+        parts.insert(0, f"artifacts: {artifacts.entries} entries / {artifacts.disk_bytes} B")
+    line = "store: " + "  ".join(parts)
     if janitor:
         evicted = sum(
             sweep.evicted
@@ -296,7 +289,6 @@ def _run(args: argparse.Namespace) -> int:
         spec,
         cache_dir=None if args.no_cache or args.store_url else args.cache_dir,
         artifact_dir=artifact_dir,
-        store_shards=args.store_shards,
         gc_max_age=args.gc_max_age,
         compact=args.compact,
         store_url=args.store_url,

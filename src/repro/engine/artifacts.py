@@ -13,15 +13,12 @@ The store shares the evaluation cache's directory layout: pointing both at
 the same ``cache_dir`` gives one self-contained exploration cache on disk::
 
     <cache_dir>/evals-<context_hash>.jsonl          (evaluation cache)
-    <cache_dir>/artifacts/<stage>/<key>.pkl         (flat, shards=1)
-    <cache_dir>/artifacts/<stage>/sNN/<key>.pkl     (sharded)
+    <cache_dir>/artifacts/<stage>/<key>.pkl         (artifact store)
 
 Persistence is a :class:`repro.store.PickleDirBackend`: write-then-rename
-pickles under advisory file locks, optionally spread over hashed shard
-subdirectories so many processes can populate one directory, with the
-pre-shard flat layout read transparently as shard 0.  Each artifact file
-is the pickled stage output, addressed by the stage name and the SHA-256
-*input* hash computed by the pipeline
+pickles under advisory file locks, so many processes can populate one
+directory.  Each artifact file is the pickled stage output, addressed by
+the stage name and the SHA-256 *input* hash computed by the pipeline
 (:func:`repro.mapping.pipeline.stage_key`).  Because keys are content
 hashes over the full upstream input chain, a record can never be stale:
 any change to the kernel DFG, the architecture or an upstream stage
@@ -42,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.store import PickleDirBackend, StoreBackend, StoreJanitor, StoreStats
 from repro.store.pickledir import DEFAULT_KEY_PREFIX_LENGTH
@@ -105,10 +102,6 @@ class ArtifactStore:
         Cache directory shared with :class:`~repro.engine.cache.EvaluationCache`;
         artifacts live under ``<root>/artifacts/``.  ``None`` keeps the
         store purely in memory.
-    shards:
-        Shard-directory count per stage for new writes (1 reproduces the
-        flat legacy layout).  Flat files are always readable regardless,
-        so a directory written with any shard count loads warm.
     backend:
         Any ready-made :class:`~repro.store.StoreBackend` to persist into
         instead of opening a pickle directory under ``root`` — this is how
@@ -121,18 +114,16 @@ class ArtifactStore:
     def __init__(
         self,
         root: Optional[Union[str, Path]] = None,
-        shards: int = 1,
         backend: Optional[StoreBackend] = None,
     ) -> None:
         if root is not None and backend is not None:
             raise ValueError("pass either a store root or a backend, not both")
         self.root = Path(root) if root is not None else None
-        self.shards = shards
         self.stats = ArtifactStoreStats()
         self._memory: Dict[Tuple[str, str], Any] = {}
         self.backend: Optional[StoreBackend] = backend
         if self.root is not None:
-            self.backend = PickleDirBackend(self.root / ARTIFACT_SUBDIR, num_shards=shards)
+            self.backend = PickleDirBackend(self.root / ARTIFACT_SUBDIR)
 
     @property
     def persistent(self) -> bool:
@@ -176,15 +167,11 @@ class ArtifactStore:
             corrupt_delta = self.backend.counters.corrupt - corrupt_before
             if corrupt_delta:
                 self.stats.corrupt += corrupt_delta
-                outcome = (
-                    "served from a fallback copy"
-                    if hit
-                    else "treated as a miss; the stage will be recomputed"
-                )
                 location = self.directory or getattr(self.backend, "url", self.backend.name)
                 warnings.warn(
                     f"artifact store {location}: corrupt artifact "
-                    f"{stage}/{key[:KEY_PREFIX_LENGTH]} {outcome}",
+                    f"{stage}/{key[:KEY_PREFIX_LENGTH]} treated as a miss; "
+                    "the stage will be recomputed",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -194,29 +181,6 @@ class ArtifactStore:
                 return True, value
         self.stats.record(stage, "misses")
         return False, None
-
-    def prefetch(self, keys_by_stage: Mapping[str, Sequence[str]]) -> int:
-        """Batch-warm the in-memory layer ahead of per-key :meth:`fetch` calls.
-
-        One backend ``prefetch`` (a single ``mget`` round trip per stage on
-        a remote store) pulls every available artifact into the memory
-        front; the later real ``fetch`` then hits memory and records its
-        hit as usual — prefetching itself charges no hit/miss counters, so
-        a background warm-up never skews the per-stage statistics.
-        Returns the number of artifacts fetched; in-memory-only stores
-        (nothing to prefetch from) return 0.
-        """
-        if self.backend is None:
-            return 0
-        fetched = 0
-        for stage, keys in keys_by_stage.items():
-            missing = [key for key in keys if (stage, key) not in self._memory]
-            if not missing:
-                continue
-            for key, value in self.backend.prefetch(stage, missing).items():
-                self._memory[(stage, key)] = value
-                fetched += 1
-        return fetched
 
     def put(self, stage: str, key: str, value: Any, persist: bool = True) -> None:
         """Record ``value`` under ``(stage, key)``, persisting when backed.
@@ -240,12 +204,11 @@ class ArtifactStore:
         return StoreJanitor(self.backend, max_age_seconds=max_age_seconds)
 
     def store_stats(self) -> StoreStats:
-        """Snapshot of the backing store (shards, entries, disk usage)."""
+        """Snapshot of the backing store (entries, disk usage)."""
         if self.backend is not None:
             return self.backend.stats()
         return StoreStats(
             backend="memory",
-            shards=1,
             entries=len(self._memory),
             hits=self.stats.hits,
             misses=self.stats.misses,

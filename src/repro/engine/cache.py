@@ -7,19 +7,16 @@ cache makes every repeated evaluation free.
 
 Layout
 ------
-A cache directory holds the JSON-lines shard files of each *evaluation
-context* (profiles + array + model calibration, see
+A cache directory holds one JSON-lines file per *evaluation context*
+(profiles + array + model calibration, see
 :func:`repro.engine.jobs.evaluation_context_hash`)::
 
-    <cache_dir>/evals-<context_hash_prefix>.jsonl        shard 0
-    <cache_dir>/evals-<context_hash_prefix>.s01.jsonl    shard 1 (when sharded)
-    ...
+    <cache_dir>/evals-<context_hash_prefix>.jsonl
 
 Persistence is a :class:`repro.store.ShardedJsonlBackend`: appends go to
-the key's hashed shard under an advisory file lock, so multiple processes
-can populate one cache directory concurrently, and the pre-shard
-single-file layout is read transparently as shard 0.  Each line is one
-completed evaluation, keyed by the job's content hash::
+the file under an advisory file lock, so multiple processes can populate
+one cache directory concurrently.  Each line is one completed
+evaluation, keyed by the job's content hash::
 
     {"key": "...", "label": "rs(shr=2,...)", "area_slices": ...,
      "critical_path_ns": ..., "stalls": {kernel: {"rs_stalls": ...,
@@ -140,12 +137,8 @@ class EvaluationCache:
     Parameters
     ----------
     path:
-        Shard-0 JSON-lines file backing the cache.  ``None`` keeps the
-        cache purely in memory (useful for tests and one-shot runs).
-    shards:
-        Shard-file count for new writes (1 reproduces the single-file
-        layout).  Existing shard files are always read regardless of this
-        setting, so a directory written with any shard count loads warm.
+        JSON-lines file backing the cache.  ``None`` keeps the cache
+        purely in memory (useful for tests and one-shot runs).
     backend:
         Any ready-made :class:`~repro.store.StoreBackend` to use instead
         of opening one from ``path`` — this is how a campaign points its
@@ -163,14 +156,12 @@ class EvaluationCache:
     def __init__(
         self,
         path: Optional[Union[str, Path]] = None,
-        shards: int = 1,
         backend: Optional[StoreBackend] = None,
         namespace: str = "",
     ) -> None:
         if path is not None and backend is not None:
             raise ValueError("pass either a cache path or a backend, not both")
         self.path = Path(path) if path is not None else None
-        self.shards = shards
         self.namespace = namespace
         self.stats = CacheStats()
         #: Records this cache has seen (prefetched, fetched or stored):
@@ -186,9 +177,7 @@ class EvaluationCache:
             self.backend = MemoryBackend()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.backend = ShardedJsonlBackend(
-                self.path, num_shards=shards, validate=_valid_record
-            )
+            self.backend = ShardedJsonlBackend(self.path, validate=_valid_record)
         if self.corrupt_lines:
             warnings.warn(
                 f"evaluation cache {self.path}: skipped {self.corrupt_lines} "
@@ -198,17 +187,15 @@ class EvaluationCache:
             )
 
     @classmethod
-    def for_context(
-        cls, cache_dir: Path, context_hash: str, shards: int = 1
-    ) -> "EvaluationCache":
+    def for_context(cls, cache_dir: Path, context_hash: str) -> "EvaluationCache":
         """The cache file of one evaluation context inside ``cache_dir``."""
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        return cls(cache_dir / f"evals-{context_hash[:16]}.jsonl", shards=shards)
+        return cls(cache_dir / f"evals-{context_hash[:16]}.jsonl")
 
     @property
     def corrupt_lines(self) -> int:
-        """Corrupt/foreign lines skipped while loading the shard files."""
+        """Corrupt/foreign lines skipped while loading the cache file."""
         return getattr(self.backend, "corrupt_lines", 0)
 
     def __len__(self) -> int:
@@ -224,7 +211,7 @@ class EvaluationCache:
     _record_of = staticmethod(evaluation_record)
 
     def put(self, key: str, evaluation: DesignPointEvaluation) -> None:
-        """Record ``evaluation`` under ``key`` and append it to its shard."""
+        """Record ``evaluation`` under ``key`` and append it to the store."""
         if key in self._front or self.backend.contains(self.namespace, key):
             return
         record = self._record_of(evaluation)
@@ -272,10 +259,6 @@ class EvaluationCache:
         ]
         if not wanted:
             return 0
-        # get_many, not the backend's quiet prefetch: a wave's batched
-        # lookup is a real read the campaign asked for (merely issued
-        # early), so tier/backend hit counters must see it — the quiet
-        # pathway is reserved for advisory warm-ups (ArtifactStore.prefetch).
         found = {
             key: record
             for key, record in self.backend.get_many(self.namespace, wanted).items()
@@ -319,5 +302,5 @@ class EvaluationCache:
         return StoreJanitor(self.backend, max_age_seconds=max_age_seconds)
 
     def store_stats(self) -> StoreStats:
-        """Snapshot of the backing store (shards, entries, disk usage)."""
+        """Snapshot of the backing store (entries, disk usage)."""
         return self.backend.stats()

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.batch import BatchEvaluator
-    from repro.engine.stream import AsyncPrefetcher
 
 from repro.core.exploration import (
     DesignPointEvaluation,
@@ -244,7 +243,6 @@ class EvaluationEngine:
         constraints: Optional[ExplorationConstraints] = None,
         completed: Optional[Mapping[int, DesignPointEvaluation]] = None,
         observer: Optional[WaveObserver] = None,
-        prefetcher: Optional["AsyncPrefetcher"] = None,
     ) -> Tuple[Dict[int, DesignPointEvaluation], List[int]]:
         """Evaluate ``jobs``; returns (index → evaluation, rejected indices).
 
@@ -257,11 +255,7 @@ class EvaluationEngine:
         campaign checkpoint): those jobs never form waves, are counted in
         ``stats.checkpoint_hits`` and feed the reject frontier exactly as
         cache hits do.  ``observer`` receives wave-level callbacks (see
-        :class:`WaveObserver`).  ``prefetcher`` overlaps the next wave's
-        batched cache lookup with the current wave's evaluation: while
-        wave N computes, the background thread already issues wave N+1's
-        ``mget``, so remote round trips hide behind compute instead of
-        serialising with it.
+        :class:`WaveObserver`).
         """
         results: Dict[int, DesignPointEvaluation] = {}
         rejected: List[int] = []
@@ -291,126 +285,103 @@ class EvaluationEngine:
         evaluator = self.batch_evaluator()
         waves = _chunked(pending_indices, self.config.chunk_size)
 
-        def wave_keys(wave: List[int]) -> List[str]:
-            return [jobs[index].content_hash(self.context_hash) for index in wave]
-
-        prefetched = None
-        try:
-            if self.cache is not None and prefetcher is not None and waves:
-                prefetched = prefetcher.submit(
-                    lambda keys=wave_keys(waves[0]): self.cache.prefetch(keys)
+        for wave_index, wave in enumerate(waves):
+            if self.cache is not None:
+                # One batched lookup per wave: over a remote store this is
+                # a single mget round trip; the per-key gets below are then
+                # answered from the cache's in-process front.
+                self.cache.prefetch(
+                    [jobs[index].content_hash(self.context_hash) for index in wave]
                 )
-            for wave_index, wave in enumerate(waves):
+            if observer is not None:
+                observer.wave_started(wave_index, len(wave))
+            wave_events: List[WaveResult] = []
+            wave_rejected: List[Tuple[int, str]] = []
+            misses: List[int] = []
+            for index in wave:
+                job = jobs[index]
                 if self.cache is not None:
-                    # One batched lookup per wave: over a remote store this
-                    # is a single mget round trip; the per-key gets below
-                    # are then answered from the cache's in-process front.
-                    if prefetcher is not None:
-                        if prefetched is not None:
-                            prefetched.wait()
-                        if wave_index + 1 < len(waves):
-                            # Kick the next wave's round trip off *before*
-                            # this wave evaluates — that is the overlap.
-                            prefetched = prefetcher.submit(
-                                lambda keys=wave_keys(waves[wave_index + 1]):
-                                    self.cache.prefetch(keys)
-                            )
-                        else:
-                            prefetched = None
-                    else:
-                        self.cache.prefetch(wave_keys(wave))
-                if observer is not None:
-                    observer.wave_started(wave_index, len(wave))
-                wave_events: List[WaveResult] = []
-                wave_rejected: List[Tuple[int, str]] = []
-                misses: List[int] = []
-                for index in wave:
-                    job = jobs[index]
-                    if self.cache is not None:
-                        key = job.content_hash(self.context_hash)
-                        cached = self.cache.get(key, job, self.explorer.array)
-                        if cached is not None:
-                            stats.cache_hits += 1
-                            results[index] = cached
-                            feasible = feasibility(cached)
-                            frontier_add(cached, feasible)
-                            if observer is not None:
-                                wave_events.append(
-                                    WaveResult(
-                                        index=index,
-                                        key=key,
-                                        label=job.label,
-                                        evaluation=cached,
-                                        source="cache",
-                                        feasible=feasible,
-                                    )
-                                )
-                            continue
-                        stats.cache_misses += 1
-                    if reject_frontier is not None and self._early_reject(
-                        job, reject_frontier, lower_bound_cycles
-                    ):
-                        stats.early_rejected += 1
-                        rejected.append(index)
-                        if observer is not None:
-                            wave_rejected.append(
-                                (index, job.content_hash(self.context_hash))
-                            )
-                        continue
-                    misses.append(index)
-
-                evaluations: List[DesignPointEvaluation] = []
-                if misses:
-                    with get_tracer().span("evaluate", kind="eval", jobs=len(misses)):
-                        evaluations = evaluator.evaluate(
-                            [jobs[index].parameters for index in misses],
-                            names=[jobs[index].name for index in misses],
-                        )
-
-                fresh: Dict[str, DesignPointEvaluation] = {}
-                computed_vectors: List[Tuple[float, float]] = []
-                for index, evaluation in zip(misses, evaluations):
-                    results[index] = evaluation
-                    stats.evaluated += 1
-                    feasible = feasibility(evaluation)
-                    if reject_frontier is not None and feasible:
-                        computed_vectors.append(
-                            (evaluation.area_slices, evaluation.total_execution_time_ns)
-                        )
-                    if self.cache is not None or observer is not None:
-                        key = jobs[index].content_hash(self.context_hash)
-                        if self.cache is not None:
-                            fresh[key] = evaluation
+                    key = job.content_hash(self.context_hash)
+                    cached = self.cache.get(key, job, self.explorer.array)
+                    if cached is not None:
+                        stats.cache_hits += 1
+                        results[index] = cached
+                        feasible = feasibility(cached)
+                        frontier_add(cached, feasible)
                         if observer is not None:
                             wave_events.append(
                                 WaveResult(
                                     index=index,
                                     key=key,
-                                    label=jobs[index].label,
-                                    evaluation=evaluation,
-                                    source="computed",
+                                    label=job.label,
+                                    evaluation=cached,
+                                    source="cache",
                                     feasible=feasible,
                                 )
                             )
-                if reject_frontier is not None and computed_vectors:
-                    # One bulk merge per wave instead of m binary insertions.
-                    reject_frontier.add_many(computed_vectors)
-                if self.cache is not None and fresh:
-                    # One batched store per wave (a single mput remotely).
-                    self.cache.put_many(fresh)
-                stats.waves += 1
-                if observer is not None:
-                    wave_events.sort(key=lambda event: event.index)
-                    observer.wave_finished(
-                        WaveOutcome(
-                            wave_index=wave_index,
-                            results=tuple(wave_events),
-                            rejected=tuple(wave_rejected),
+                        continue
+                    stats.cache_misses += 1
+                if reject_frontier is not None and self._early_reject(
+                    job, reject_frontier, lower_bound_cycles
+                ):
+                    stats.early_rejected += 1
+                    rejected.append(index)
+                    if observer is not None:
+                        wave_rejected.append(
+                            (index, job.content_hash(self.context_hash))
                         )
+                    continue
+                misses.append(index)
+
+            evaluations: List[DesignPointEvaluation] = []
+            if misses:
+                with get_tracer().span("evaluate", kind="eval", jobs=len(misses)):
+                    evaluations = evaluator.evaluate(
+                        [jobs[index].parameters for index in misses],
+                        names=[jobs[index].name for index in misses],
                     )
-        finally:
-            if prefetched is not None:
-                prefetched.wait()
+
+            fresh: Dict[str, DesignPointEvaluation] = {}
+            computed_vectors: List[Tuple[float, float]] = []
+            for index, evaluation in zip(misses, evaluations):
+                results[index] = evaluation
+                stats.evaluated += 1
+                feasible = feasibility(evaluation)
+                if reject_frontier is not None and feasible:
+                    computed_vectors.append(
+                        (evaluation.area_slices, evaluation.total_execution_time_ns)
+                    )
+                if self.cache is not None or observer is not None:
+                    key = jobs[index].content_hash(self.context_hash)
+                    if self.cache is not None:
+                        fresh[key] = evaluation
+                    if observer is not None:
+                        wave_events.append(
+                            WaveResult(
+                                index=index,
+                                key=key,
+                                label=jobs[index].label,
+                                evaluation=evaluation,
+                                source="computed",
+                                feasible=feasible,
+                            )
+                        )
+            if reject_frontier is not None and computed_vectors:
+                # One bulk merge per wave instead of m binary insertions.
+                reject_frontier.add_many(computed_vectors)
+            if self.cache is not None and fresh:
+                # One batched store per wave (a single mput remotely).
+                self.cache.put_many(fresh)
+            stats.waves += 1
+            if observer is not None:
+                wave_events.sort(key=lambda event: event.index)
+                observer.wave_finished(
+                    WaveOutcome(
+                        wave_index=wave_index,
+                        results=tuple(wave_events),
+                        rejected=tuple(wave_rejected),
+                    )
+                )
         return results, rejected
 
     def _early_reject(
@@ -449,7 +420,6 @@ def run_exploration(
     early_reject: bool = False,
     completed_records: Optional[Mapping[str, dict]] = None,
     observer: Optional[WaveObserver] = None,
-    prefetcher: Optional["AsyncPrefetcher"] = None,
     context_hash: Optional[str] = None,
 ) -> EngineExplorationOutcome:
     """Run a full exploration through the engine.
@@ -465,9 +435,9 @@ def run_exploration(
     ``completed_records`` maps job content hashes to flat evaluation
     records (a campaign checkpoint's state): matching jobs are rehydrated
     instead of enqueued, so a resumed campaign converges to the identical
-    result without re-evaluating finished work.  ``observer`` and
-    ``prefetcher`` are the streaming mode's hooks (see
-    :meth:`EvaluationEngine.evaluate_jobs`).  ``context_hash`` is the
+    result without re-evaluating finished work.  ``observer`` is the
+    streaming mode's hook (see :meth:`EvaluationEngine.evaluate_jobs`).
+    ``context_hash`` is the
     :func:`evaluation_context_hash` of ``explorer`` when the caller has
     already computed it (hashed here otherwise).
     """
@@ -538,7 +508,6 @@ def run_exploration(
         constraints=constraints,
         completed=completed,
         observer=observer,
-        prefetcher=prefetcher,
     )
 
     by_candidate: Dict[int, DesignPointEvaluation] = {}

@@ -44,7 +44,7 @@ from repro.engine.executor import (
     run_exploration,
 )
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
-from repro.engine.stream import AsyncPrefetcher, CampaignStreamController
+from repro.engine.stream import CampaignStreamController
 from repro.ir.loops import Kernel
 from repro.mapping.mapper import RSPMapper
 from repro.flowgraph.stats import merge_stage_timings, stage_timings_as_dict
@@ -109,8 +109,8 @@ class CampaignReport:
     artifact_misses: int = 0
     mapping_seconds: float = 0.0
     mapping_stages: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Storage-layer snapshot: shard configuration, backend stats of the
-    #: artifact store and evaluation caches, and the janitor outcome when
+    #: Storage-layer snapshot: backend stats of the artifact store and
+    #: evaluation caches, and the janitor outcome when
     #: GC/compaction ran (see :meth:`CampaignRunner.run`).
     store_stats: Dict[str, object] = field(default_factory=dict)
     #: Total evaluation waves across all suites.
@@ -196,12 +196,6 @@ class CampaignRunner:
         the mapper's staged pipeline, so warm artifact stores serve
         profiles without re-mapping; replace it to feed pre-computed or
         remotely fetched profiles into a campaign.
-    store_shards:
-        Shard count for both persistent stores (evaluation cache shard
-        files, artifact shard subdirectories).  1 reproduces the legacy
-        single-file/flat layouts; existing layouts of any shard count are
-        read either way.  Ignored when ``mapper`` is supplied (its store
-        is already configured).
     store_url:
         URL of a ``repro.service`` store server.  Both the evaluation
         cache and the artifact store then live on that service (one warm
@@ -216,11 +210,8 @@ class CampaignRunner:
         per flush.  Only meaningful with ``store_url``.
     stream_dir:
         Enable the streaming campaign mode (:mod:`repro.engine.stream`):
-        wave-level events are appended to ``<stream_dir>/events.jsonl``, a
-        crash-atomic checkpoint is rewritten after every wave, and the
-        evaluation-cache lookups of wave N+1 (plus the next suite's
-        mapping-stage artifacts) are prefetched by a background thread
-        while wave N computes.
+        wave-level events are appended to ``<stream_dir>/events.jsonl`` and
+        a crash-atomic checkpoint is rewritten after every wave.
     resume:
         Load the checkpoint inside ``stream_dir`` and serve its completed
         jobs instead of re-enqueuing them; the campaign then converges to
@@ -247,11 +238,11 @@ class CampaignRunner:
         mapper already carries its pipeline and flow).
     gc_max_age:
         When set, a post-campaign janitor pass evicts store entries not
-        written or read for this many seconds.
+        written or read for this many seconds.  Must be non-negative.
     compact:
         When true, the post-campaign janitor pass also compacts the
-        stores (dedups/drops corrupt JSONL lines, migrates legacy files
-        into their hashed shard locations, removes temp strays).
+        stores (dedups/drops corrupt JSONL lines, removes corrupt pickles
+        and temp strays).
     """
 
     def __init__(
@@ -261,7 +252,6 @@ class CampaignRunner:
         mapper: Optional[RSPMapper] = None,
         artifact_dir: Optional[Path] = None,
         profile_provider: Optional[ProfileProvider] = None,
-        store_shards: int = 1,
         gc_max_age: Optional[float] = None,
         compact: bool = False,
         store_url: Optional[str] = None,
@@ -271,6 +261,8 @@ class CampaignRunner:
         trace_dir: Optional[Path] = None,
         flow=None,
     ) -> None:
+        if gc_max_age is not None and gc_max_age < 0:
+            raise ValueError(f"gc_max_age must be non-negative, got {gc_max_age}")
         if mapper is not None and flow is not None:
             raise ValueError(
                 "a supplied mapper already carries its pipeline and flow; "
@@ -294,7 +286,6 @@ class CampaignRunner:
         self.trace_summary: Optional[Dict[str, object]] = None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
-        self.store_shards = store_shards
         self.gc_max_age = gc_max_age
         self.compact = compact
         self.store_url = store_url
@@ -313,7 +304,7 @@ class CampaignRunner:
             if self._store_backend is not None:
                 store = ArtifactStore(backend=self._store_backend)
             else:
-                store = ArtifactStore(self.artifact_dir, shards=store_shards)
+                store = ArtifactStore(self.artifact_dir)
             mapper = RSPMapper(store=store, flow=flow)
         self.mapper = mapper
         self.pipeline = mapper.pipeline
@@ -343,8 +334,6 @@ class CampaignRunner:
     def run(self) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         """Run every suite; returns the report and per-suite exploration results."""
         stream: Optional[CampaignStreamController] = None
-        prefetcher: Optional[AsyncPrefetcher] = None
-        artifact_prefetcher: Optional[AsyncPrefetcher] = None
         collector = None
         if self.trace_dir is not None:
             # Imported here, not at module scope: repro.trace.collect
@@ -356,18 +345,9 @@ class CampaignRunner:
             collector.install()
         if self.stream_dir is not None:
             stream = CampaignStreamController(self.stream_dir, self.spec, resume=self.resume)
-            prefetcher = AsyncPrefetcher()
-            # Separate worker for artifact warm-up: on the shared worker a
-            # long next-suite fetch would queue ahead of — and stall — the
-            # engine's wave-0 cache prefetch.
-            artifact_prefetcher = AsyncPrefetcher(name="artifact-prefetcher")
         try:
-            return self._run(stream, prefetcher, artifact_prefetcher, collector)
+            return self._run(stream, collector)
         finally:
-            if prefetcher is not None:
-                prefetcher.close()
-            if artifact_prefetcher is not None:
-                artifact_prefetcher.close()
             if stream is not None:
                 self.stream_summary = stream.summary()
                 stream.close()
@@ -378,8 +358,6 @@ class CampaignRunner:
     def _run(
         self,
         stream: Optional[CampaignStreamController],
-        prefetcher: Optional[AsyncPrefetcher],
-        artifact_prefetcher: Optional[AsyncPrefetcher],
         collector=None,
     ) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         started = time.perf_counter()
@@ -405,14 +383,7 @@ class CampaignRunner:
                 candidates=len(candidates),
             )
 
-        artifact_prefetch = None
-        for suite_position, suite_name in enumerate(self.spec.suites):
-            if artifact_prefetch is not None:
-                # The background warm-up of *this* suite's artifacts must
-                # land before the pipeline maps it — two threads running
-                # the same pipeline would race its stat counters.
-                artifact_prefetch.wait()
-                artifact_prefetch = None
+        for suite_name in self.spec.suites:
             stage_snapshot = self.pipeline.stats.snapshot()
             store_suite_hits = store_stats.hits
             store_suite_misses = store_stats.misses
@@ -426,8 +397,7 @@ class CampaignRunner:
             kernels = suite_kernels(suite_name)
             # The same composed observer watches the suite end to end: the
             # mapping flow's node events while profiles build, then the
-            # engine's waves.  Restored before the next suite's background
-            # artifact prefetch can run.
+            # engine's waves.
             self.pipeline.observer = observer
             try:
                 profiles = self.profile_provider(suite_name, kernels)
@@ -442,17 +412,6 @@ class CampaignRunner:
                     duration_s=profile_seconds,
                     suite=suite_name,
                     kernels=len(kernels),
-                )
-
-            if artifact_prefetcher is not None and suite_position + 1 < len(self.spec.suites):
-                # While this suite's waves evaluate, pull the next suite's
-                # mapping-stage artifacts into the store's memory front —
-                # one batched fetch per stage instead of blocking lookups
-                # inside the next profile_provider call.
-                upcoming = suite_kernels(self.spec.suites[suite_position + 1])
-                artifact_prefetch = artifact_prefetcher.submit(
-                    lambda kernels=upcoming: self.pipeline.prefetch_stages(kernels),
-                    label=f"artifacts:{self.spec.suites[suite_position + 1]}",
                 )
 
             explorer = RSPDesignSpaceExplorer(profiles, array=self.mapper.base.array)
@@ -472,9 +431,7 @@ class CampaignRunner:
                     )
                     cache_paths.append(f"{self.store_url}#{namespace}")
                 else:
-                    cache = EvaluationCache.for_context(
-                        self.cache_dir, context, shards=self.store_shards
-                    )
+                    cache = EvaluationCache.for_context(self.cache_dir, context)
                     cache_paths.append(str(cache.path))
                 caches.append(cache)
 
@@ -489,7 +446,6 @@ class CampaignRunner:
                     stream.completed_records(suite_name) if stream is not None else None
                 ),
                 observer=observer,
-                prefetcher=prefetcher,
                 context_hash=context,
             )
             exploration = outcome.result
@@ -504,11 +460,6 @@ class CampaignRunner:
                 # map the suite onto the selected design point so the
                 # routed/raced branches (rearrange vs remap vs skip) run
                 # and land in this suite's mapping_stages block.
-                if artifact_prefetch is not None:
-                    # The pipeline is not thread-safe against the next
-                    # suite's background artifact warm-up.
-                    artifact_prefetch.wait()
-                    artifact_prefetch = None
                 route_snapshot = self.pipeline.stats.snapshot()
                 for kernel in kernels:
                     self.pipeline.run(kernel, selected.architecture)
@@ -558,10 +509,6 @@ class CampaignRunner:
                 # current for a live dashboard without per-span writes.
                 collector.flush()
 
-        if prefetcher is not None:
-            prefetcher.drain()
-        if artifact_prefetcher is not None:
-            artifact_prefetcher.drain()
         if self._tier is not None:
             # Settle the write-behind queue so the report's server-side
             # snapshots and flush counters describe a quiesced store.
@@ -623,7 +570,6 @@ class CampaignRunner:
     ) -> Dict[str, object]:
         """The report's storage snapshot (plus remote/tier counters)."""
         block: Dict[str, object] = {
-            "shards": self.store_shards,
             "artifacts": self.pipeline.store.store_stats(),
             "janitor": janitor_block,
         }

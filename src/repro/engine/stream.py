@@ -1,4 +1,4 @@
-"""Streaming campaign mode: event logs, wave checkpoints, async prefetch.
+"""Streaming campaign mode: event logs and wave checkpoints.
 
 Long campaigns used to be a black box that produced one JSON report at
 the very end — a crash at wave N-1 lost everything except what the store
@@ -21,14 +21,6 @@ Checkpoint
     only unfinished jobs and converges to a final report byte-identical
     to an uninterrupted run's (:func:`write_stream_report`).
 
-Async prefetch
-    :class:`AsyncPrefetcher` is a single background worker that overlaps
-    store round trips with compute: while wave N evaluates, wave N+1's
-    batched evaluation-cache ``mget`` is already in flight, and while a
-    suite explores, the next suite's mapping-stage artifact keys
-    (:meth:`repro.mapping.pipeline.MappingPipeline.stage_keys`) are
-    fetched into the artifact store's memory front.
-
 Determinism note: the streaming final report deliberately contains only
 *reproducible* fields (selections, fronts, candidate counts, metric
 values).  Wall times and hit/miss counters necessarily differ between an
@@ -40,13 +32,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.engine.cache import evaluation_record
 from repro.engine.checkpoint import (
@@ -344,119 +333,6 @@ def replay_events(events: List[CampaignEvent]) -> StreamReplay:
             frontier = replay.frontiers.setdefault(suite, ParetoFrontier(num_objectives=2))
             frontier.add(tuple(float(value) for value in vector))
     return replay
-
-
-# ----------------------------------------------------------------------
-# Async prefetch
-# ----------------------------------------------------------------------
-class PrefetchHandle:
-    """Completion handle of one submitted prefetch task.
-
-    A thin view over the underlying future: the task's exception (if any)
-    was already captured into :attr:`error` by the submission wrapper, so
-    :meth:`wait` never raises — prefetch is advisory and a failure simply
-    means the synchronous path serves the miss later.
-    """
-
-    __slots__ = ("label", "_future", "_error_cell")
-
-    def __init__(
-        self, label: str, future: "Future[Any]", error_cell: List[Optional[BaseException]]
-    ) -> None:
-        self.label = label
-        self._future = future
-        self._error_cell = error_cell
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        """The exception the task raised, if any (captured, never re-raised)."""
-        return self._error_cell[0]
-
-    @property
-    def done(self) -> bool:
-        return self._future.done()
-
-    @property
-    def result(self) -> Any:
-        """The task's return value, or ``None`` while pending / on error."""
-        return self._future.result() if self._future.done() else None
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until the task finished; returns its result (``None`` on error)."""
-        try:
-            return self._future.result(timeout)
-        except FuturesTimeoutError:
-            return None
-
-
-class AsyncPrefetcher:
-    """A single background worker that overlaps store I/O with compute.
-
-    A ``ThreadPoolExecutor(max_workers=1)`` in strict submission order —
-    the point is overlap with the *main* thread, not parallel fan-out,
-    and a single worker keeps the backend's request pattern identical to
-    the synchronous path (one batched round trip at a time).  Errors are
-    recorded on the handle and counted, never raised into the campaign.
-    """
-
-    def __init__(self, name: str = "engine-prefetcher") -> None:
-        self.name = name
-        self.submitted = 0
-        self.completed = 0
-        self.errors = 0
-        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
-        self._pending: List[PrefetchHandle] = []
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def submit(self, task: Callable[[], Any], label: str = "") -> PrefetchHandle:
-        """Queue ``task`` for the background worker; returns its handle."""
-        if self._closed:
-            raise RuntimeError("the prefetcher is closed")
-        error_cell: List[Optional[BaseException]] = [None]
-
-        def run() -> Any:
-            try:
-                return task()
-            except BaseException as error:  # noqa: BLE001 - advisory path
-                error_cell[0] = error
-                self.errors += 1
-                return None
-            finally:
-                self.completed += 1
-
-        handle = PrefetchHandle(label, self._pool.submit(run), error_cell)
-        self.submitted += 1
-        with self._lock:
-            self._pending = [pending for pending in self._pending if not pending.done]
-            self._pending.append(handle)
-        return handle
-
-    def drain(self) -> None:
-        """Wait for every submitted task to finish."""
-        with self._lock:
-            pending, self._pending = self._pending, []
-        for handle in pending:
-            handle.wait()
-
-    def close(self) -> None:
-        """Drain outstanding tasks and stop the worker thread."""
-        self.drain()
-        self._closed = True
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "AsyncPrefetcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "errors": self.errors,
-        }
 
 
 # ----------------------------------------------------------------------

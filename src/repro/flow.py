@@ -83,10 +83,8 @@ def run_rsp_flow(
     executor: Optional["ExecutorConfig"] = None,
     cache: Optional["EvaluationCache"] = None,
     artifact_store: Optional[Union["ArtifactStore", str, Path]] = None,
-    store_shards: int = 1,
     store_url: Optional[str] = None,
     store_tier: bool = False,
-    prefetch_artifacts: bool = False,
 ) -> FlowOutcome:
     """Run the complete RSP design flow for an application domain.
 
@@ -115,24 +113,13 @@ def run_rsp_flow(
         backing the staged mapping pipeline: base schedules, profiles and
         rearranged schedules of repeated flows are fetched instead of
         recomputed.  A path is accepted as shorthand and opens a store
-        rooted there with ``store_shards`` shards.  The flow's outputs
-        are identical either way.
-    store_shards:
-        Shard count used when ``artifact_store`` is given as a path (see
-        :class:`~repro.engine.artifacts.ArtifactStore`).
+        rooted there.  The flow's outputs are identical either way.
     store_url / store_tier:
         URL of a shared ``repro.service`` store server; the flow's
         mapping artifacts are then fetched from and stored to that
         service instead of a local directory (``store_tier`` fronts it
         with an in-memory read-through/write-behind tier).  Mutually
         exclusive with ``artifact_store``.
-    prefetch_artifacts:
-        Batch-warm the artifact store before each mapping phase: all
-        kernels' base-mapping stage keys are fetched in one request per
-        stage up front, and the selected design's rearrangement keys the
-        same way before the final RSP mapping loop — instead of one
-        blocking store lookup per kernel inside the loops.  Pays off
-        against a remote store; a no-op for in-memory stores.
     """
     if not kernels:
         raise ExplorationError("the RSP flow needs at least one kernel")
@@ -146,7 +133,7 @@ def run_rsp_flow(
     if artifact_store is not None and isinstance(artifact_store, (str, Path)):
         from repro.engine.artifacts import ArtifactStore
 
-        artifact_store = ArtifactStore(artifact_store, shards=store_shards)
+        artifact_store = ArtifactStore(artifact_store)
     # The flow owns the backend it opened from a URL: drain the
     # write-behind tier (if any) and release the keep-alive connections
     # on every exit path, not just success.
@@ -159,10 +146,6 @@ def run_rsp_flow(
         cost_model = cost_model or HardwareCostModel()
 
         # Upper half of Figure 7: pipeline mapping on the base architecture.
-        if prefetch_artifacts:
-            # The base target adds the generate_context keys of the base
-            # mapping when the mapper produces contexts (a no-op otherwise).
-            mapper.pipeline.prefetch_stages(list(kernels), targets=[base])
         base_mappings: Dict[str, MappingResult] = {}
         profiles: Dict[str, ScheduleProfile] = {}
         for kernel in kernels:
@@ -181,10 +164,6 @@ def run_rsp_flow(
         if exploration.selected is not None and exploration.selected.parameters.kind != "base":
             selected_architecture = exploration.selected.architecture
             # RSP mapping: rearrange every kernel's context for the chosen design.
-            if prefetch_artifacts:
-                mapper.pipeline.prefetch_stages(
-                    list(kernels), targets=[selected_architecture]
-                )
             for kernel in kernels:
                 rsp_mappings[kernel.name] = mapper.map_kernel(kernel, selected_architecture)
 

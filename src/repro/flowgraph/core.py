@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -316,14 +316,6 @@ class FlowContext:
         return self.artifacts[name]
 
 
-class _RaceKeyPending(Exception):
-    """Internal: key enumeration hit a race whose winner is run-time data."""
-
-    def __init__(self, output: str) -> None:
-        super().__init__(output)
-        self.output = output
-
-
 # ----------------------------------------------------------------------
 # Runtime
 # ----------------------------------------------------------------------
@@ -337,16 +329,12 @@ class _Runtime:
         store: Any,
         stats: PipelineStats,
         observer: Any = None,
-        enumerating: bool = False,
     ) -> None:
         self.flow = flow
         self.ctx = ctx
         self.store = store
         self.stats = stats
         self.observer = observer
-        self.enumerating = enumerating
-        #: node name -> artifact key, for every keyed node this run touched.
-        self.enumerated: Dict[str, str] = {}
         #: Seconds spent materialising nodes nested inside the node being
         #: materialised now; subtracted so each node records its self-time.
         self._nested = 0.0
@@ -377,15 +365,13 @@ class _Runtime:
 
     # -- key resolution ------------------------------------------------
     def node_key(self, node: Node) -> str:
-        key = stage_key(
+        return stage_key(
             node.name,
             **{
                 parameter: self.resolve_key(value)
                 for parameter, value in node.key_inputs.items()
             },
         )
-        self.enumerated[node.name] = key
-        return key
 
     def resolve_key(self, name: str) -> str:
         if name in self.ctx.keys:
@@ -398,14 +384,6 @@ class _Runtime:
             )
         eligible, routed = self._eligible(name)
         if len(eligible) > 1:
-            if self.enumerating:
-                # The winner of a race is run-time data; enumerate every
-                # candidate's own key, then tell the caller that keys
-                # downstream of this output cannot be derived statically.
-                for node in eligible:
-                    if not node.virtual and node.resolver is None:
-                        self.node_key(node)
-                raise _RaceKeyPending(name)
             self.resolve_value(name)
             return self.ctx.keys[name]
         node = eligible[0]
@@ -492,7 +470,6 @@ class _Runtime:
             started = time.perf_counter()
             artifact = node.resolver(ctx)
             self._nested += time.perf_counter() - started
-            self.enumerated[node.name] = artifact.key
             ctx.keys.setdefault(node.output, artifact.key)
             ctx.executed.append(node.name)
             return artifact
@@ -761,24 +738,6 @@ class Flow:
         consumed = {value for node in self.nodes for value in node.inputs}
         return tuple(output for output in self.producers if output not in consumed)
 
-    def dependencies(self, outputs: Sequence[str]) -> List[str]:
-        """Node names in the static demand closure of ``outputs``.
-
-        Includes *every* candidate of alternative groups (routing is
-        run-time data); order follows the flow's node declaration order.
-        """
-        needed: set = set()
-        frontier = list(outputs)
-        while frontier:
-            value = frontier.pop()
-            for node in self.producers.get(value, ()):  # seeds have no producers
-                if node.name in needed:
-                    continue
-                needed.add(node.name)
-                frontier.extend(node.inputs)
-                frontier.extend(node.key_inputs.values())
-        return [node.name for node in self.nodes if node.name in needed]
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -822,42 +781,3 @@ class Flow:
         """Resolve one output and return its :class:`Artifact`."""
         ctx = self.run(values, outputs=(output,), **kwargs)
         return ctx.artifact(output)
-
-    def keys_for(
-        self,
-        values: Optional[Mapping[str, Any]] = None,
-        outputs: Optional[Sequence[str]] = None,
-        *,
-        context: Optional[FlowContext] = None,
-        keys: Optional[Mapping[str, str]] = None,
-        store: Any = None,
-        stats: Optional[PipelineStats] = None,
-    ) -> Dict[str, str]:
-        """Artifact keys (node name -> key) of the nodes behind ``outputs``
-        — without executing any persistent node.
-
-        The whole key chain derives from seed keys alone; only
-        resolver-backed nodes (the ``build_dfg`` pattern, whose key *is*
-        their output's fingerprint) actually run.  Keys downstream of a
-        race stop at the raced output: the winner — and therefore the
-        chain through it — is run-time data, though every candidate's own
-        key is still enumerated (a prefetcher warms all branches).
-        Conditions guarding routed branches are evaluated, which may
-        materialise the values they read.
-        """
-        ctx = context if context is not None else FlowContext(values, keys)
-        runtime = _Runtime(
-            self,
-            ctx,
-            self._store(store),
-            stats or PipelineStats(),
-            observer=None,
-            enumerating=True,
-        )
-        ctx._runtime = runtime
-        for output in outputs if outputs is not None else self.outputs:
-            try:
-                runtime.resolve_key(output)
-            except _RaceKeyPending:
-                continue
-        return dict(runtime.enumerated)

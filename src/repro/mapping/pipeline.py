@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.arch.config_cache import ConfigurationContext
 from repro.arch.template import ArchitectureSpec, base_architecture
@@ -105,14 +105,11 @@ class MappingPipeline:
     store:
         Artifact store memoising stage outputs; an in-memory store is
         created when omitted (the seed's within-run caching behaviour).
-        Pass a store rooted at the engine's cache directory — or a path,
-        opened with ``store_shards`` shards — to share artifacts across
-        processes and campaigns.
+        Pass a store rooted at the engine's cache directory — or a path
+        to open one there — to share artifacts across processes and
+        campaigns.
     generate_contexts:
         Whether :meth:`run` produces configuration contexts.
-    store_shards:
-        Shard count used when ``store`` is given as a path (see
-        :class:`~repro.engine.artifacts.ArtifactStore`).
     flow:
         The flow to execute: ``None`` for the canonical five-node flow, a
         pre-built :class:`~repro.flowgraph.core.Flow`, or a flow config
@@ -126,7 +123,6 @@ class MappingPipeline:
         base: Optional[ArchitectureSpec] = None,
         store: Optional[Union["ArtifactStore", str, Path]] = None,
         generate_contexts: bool = False,
-        store_shards: int = 1,
         flow: Union[Flow, "ConfigSource", None] = None,
     ) -> None:
         self.base = base or base_architecture()
@@ -138,7 +134,7 @@ class MappingPipeline:
             # which itself imports repro.mapping.
             from repro.engine.artifacts import ArtifactStore
 
-            store = ArtifactStore(store, shards=store_shards)
+            store = ArtifactStore(store)
         self.store = store
         self.generate_contexts = generate_contexts
         self.stats = PipelineStats()
@@ -272,92 +268,6 @@ class MappingPipeline:
         return {
             kernel.name: self.profile_artifact(kernel, iterations).value for kernel in kernels
         }
-
-    # ------------------------------------------------------------------
-    # Stage-key enumeration (prefetch planning)
-    # ------------------------------------------------------------------
-    def stage_keys(
-        self,
-        kernels: Sequence[Kernel],
-        targets: Sequence[ArchitectureSpec] = (),
-        iterations: Optional[int] = None,
-    ) -> Dict[str, List[str]]:
-        """Every persistent stage key these kernels would touch — without
-        executing any stage.
-
-        The whole key chain is derivable from the DFG fingerprint and the
-        architecture fingerprints alone (that is the point of input-hash
-        keying), so the only work done here is the cheap, memoised DFG
-        construction.  This is what lets a prefetcher warm the artifact
-        store for a suite *while the previous suite is still exploring*:
-        one batched fetch per stage instead of one blocking lookup per
-        kernel inside the mapping call.
-
-        Works for any flow: node names are the key buckets, every
-        candidate of a raced group is enumerated, and keys downstream of
-        a race stop at the raced output (the winner is run-time data).
-        """
-        flow = self.flow
-        keys: Dict[str, List[str]] = {}
-        if "profile" in flow.producers:
-            for name in flow.dependencies(("profile",)):
-                node = flow.by_name[name]
-                if node.persistent and not node.virtual:
-                    keys[name] = []
-
-        def absorb(per_call: Dict[str, str]) -> None:
-            for name, key in per_call.items():
-                node = flow.by_name[name]
-                if not node.persistent or node.virtual:
-                    continue
-                bucket = keys.setdefault(name, [])
-                if key not in bucket:
-                    bucket.append(key)
-
-        profile_outputs = tuple(
-            output for output in ("profile",) if output in flow.producers
-        )
-        target_wanted: Tuple[str, ...] = ("rearranged",)
-        if self.generate_contexts:
-            target_wanted += ("context",)
-        target_outputs = tuple(
-            output for output in target_wanted if output in flow.producers
-        )
-        for kernel in kernels:
-            if profile_outputs:
-                absorb(
-                    flow.keys_for(
-                        context=self._flow_context(kernel, self.base, iterations),
-                        outputs=profile_outputs,
-                        store=self.store,
-                        stats=self.stats,
-                    )
-                )
-            for target in targets:
-                if target_outputs:
-                    absorb(
-                        flow.keys_for(
-                            context=self._flow_context(kernel, target, iterations),
-                            outputs=target_outputs,
-                            store=self.store,
-                            stats=self.stats,
-                        )
-                    )
-        return keys
-
-    def prefetch_stages(
-        self,
-        kernels: Sequence[Kernel],
-        targets: Sequence[ArchitectureSpec] = (),
-        iterations: Optional[int] = None,
-    ) -> int:
-        """Batch-warm the artifact store for ``kernels`` (one fetch per stage).
-
-        Returns the number of artifacts pulled into the store's memory
-        layer; purely in-memory stores return 0 (there is nothing slower
-        than memory to fetch from).
-        """
-        return self.store.prefetch(self.stage_keys(kernels, targets, iterations))
 
     # ------------------------------------------------------------------
     # Stage 4: rearrange

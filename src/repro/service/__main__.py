@@ -49,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         "jsonl is records-only (binary payloads get 415)",
     )
     parser.add_argument(
-        "--store-shards",
-        type=int,
-        default=1,
-        help="shard count of the served backend (default: 1)",
-    )
-    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -69,14 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 1 <= args.store_shards <= 99:
-        print(f"error: store shards must be in 1..99, got {args.store_shards}", file=sys.stderr)
-        return 2
     args.root.mkdir(parents=True, exist_ok=True)
     if args.backend == "jsonl":
-        backend = ShardedJsonlBackend(args.root / "records.jsonl", num_shards=args.store_shards)
+        backend = ShardedJsonlBackend(args.root / "records.jsonl")
     else:
-        backend = PickleDirBackend(args.root, num_shards=args.store_shards)
+        backend = PickleDirBackend(args.root)
     collector = None
     access_log = None
     if args.trace is not None:
@@ -89,8 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     server = StoreServer(backend, host=args.host, port=args.port, access_log=access_log)
     if not args.quiet:
         print(
-            f"repro store service: {args.backend} backend on {args.root} "
-            f"({args.store_shards} shard(s)) at {server.url}",
+            f"repro store service: {args.backend} backend on {args.root} at {server.url}",
             flush=True,
         )
     # SIGTERM (systemd, docker stop, CI teardown) must drain the trace

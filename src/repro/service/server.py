@@ -21,7 +21,8 @@ store protocol, one route per operation:
 ====================================  =======================================
 
 Error mapping: ``400`` malformed request (a ``Content-Length`` that is
-not a non-negative integer included), ``404`` miss or unknown route,
+not a non-negative integer included, and any namespace or key that is
+not a single path component), ``404`` miss or unknown route,
 ``405`` wrong method, ``413`` a body over :data:`MAX_BODY_BYTES`, ``415``
 a value the backend's domain rejects (e.g. binary into a JSONL store),
 ``500`` anything the backend raises — always with a JSON ``{"error": ...}``
@@ -213,6 +214,25 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             raise _HTTPError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         return self.rfile.read(length) if length else b""
 
+    def _name(self, name: str, what: str, allow_empty: bool = False) -> str:
+        """``name`` when it is safe to use as one file name under the root.
+
+        Local backends turn namespaces and keys into paths below their
+        root (:meth:`~repro.store.pickledir.PickleDirBackend.path_for`),
+        so a name holding a separator or NUL, or naming ``.``/``..``,
+        would reach files outside it.  The empty namespace is legal: JSONL
+        clients use it.  A rejected request may leave its body unread, so
+        the connection is not reused.
+        """
+        if (
+            (not name and not allow_empty)
+            or name in (".", "..")
+            or any(character in name for character in "/\\\0")
+        ):
+            self.close_connection = True
+            raise _HTTPError(400, f"invalid {what} {name!r}: not a single path component")
+        return name
+
     def _json_body(self) -> dict:
         body = self._read_body()
         if not body:
@@ -253,7 +273,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         path = parts.path
         item = _ITEM_ROUTE.match(path)
         if item:
-            namespace, key = unquote(item.group(1)), unquote(item.group(2))
+            namespace = self._name(unquote(item.group(1)), "namespace", allow_empty=True)
+            key = self._name(unquote(item.group(2)), "key")
             if method in ("GET", "HEAD"):
                 return self._handle_get(namespace, key, head_only=method == "HEAD")
             if method == "PUT":
@@ -265,7 +286,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if batch:
             if method != "POST":
                 raise _HTTPError(405, f"{method} not allowed on batch routes")
-            namespace, operation = unquote(batch.group(1)), batch.group(2)
+            namespace = self._name(unquote(batch.group(1)), "namespace", allow_empty=True)
+            operation = batch.group(2)
             if operation == "mget":
                 return self._handle_mget(namespace)
             return self._handle_mput(namespace)
@@ -345,6 +367,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         keys = document.get("keys")
         if not isinstance(keys, list) or not all(isinstance(key, str) for key in keys):
             raise _HTTPError(400, 'mget expects {"keys": [str, ...]}')
+        for key in keys:
+            self._name(key, "key")
         with self.service.lock:
             found = self.service.backend.get_many(namespace, keys)
         self._send_json(
@@ -361,6 +385,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         records = document.get("records")
         if not isinstance(records, dict):
             raise _HTTPError(400, 'mput expects {"records": {key: cell, ...}}')
+        for key in records:
+            self._name(key, "key")
         try:
             decoded = {
                 key: decode_cell(cell, unpickle=False) for key, cell in records.items()

@@ -11,15 +11,13 @@ Three backends implement it:
     front of the persistent stores.
 
 ``ShardedJsonlBackend``
-    N append-only JSON-lines shard files selected by a stable key hash.
-    Appends are single ``O_APPEND`` writes under an advisory ``fcntl``
-    lock, so any number of processes can share one cache directory.  The
-    pre-shard single-file layout is read transparently as shard 0.
+    One append-only JSON-lines file (the name is historical).  Appends
+    are single ``O_APPEND`` writes under an advisory ``fcntl`` lock, so
+    any number of processes can share one cache directory.
 
 ``PickleDirBackend``
-    Pickle-per-entry directories (the artifact layout), with sharded
-    subdirectories, write-then-rename stores under advisory locks, and the
-    pre-shard flat layout read transparently as shard 0.
+    One pickle file per entry in per-namespace directories (the artifact
+    layout), stored write-then-rename under advisory locks.
 
 Two composable backends extend the reach of the local three:
 
@@ -37,7 +35,7 @@ for a service URL, tiered or not; the engine and the flow open the store
 that processes or machines share through it.
 
 On top, :class:`~repro.store.janitor.StoreJanitor` provides age-based GC
-and shard compaction, and every backend can snapshot itself as a
+and compaction, and every backend can snapshot itself as a
 :class:`~repro.store.backend.StoreStats` for reports.
 """
 
@@ -47,7 +45,6 @@ from repro.store.backend import (
     StoreBackend,
     StoreEntry,
     StoreStats,
-    shard_index,
 )
 from repro.store.janitor import JanitorReport, StoreJanitor
 from repro.store.jsonl import ShardedJsonlBackend
@@ -71,5 +68,4 @@ __all__ = [
     "TieredBackend",
     "locked",
     "open_store_backend",
-    "shard_index",
 ]

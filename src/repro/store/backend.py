@@ -17,23 +17,9 @@ picklables.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Protocol, Sequence, Tuple
-
-
-def shard_index(key: str, num_shards: int) -> int:
-    """Stable shard of ``key`` in ``[0, num_shards)``.
-
-    Derived from SHA-256 of the key text — not Python's seeded ``hash`` —
-    so the assignment survives interpreter restarts and is identical in
-    every process sharing a store directory.
-    """
-    if num_shards <= 1:
-        return 0
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % num_shards
 
 
 @dataclass(frozen=True)
@@ -42,7 +28,6 @@ class StoreEntry:
 
     namespace: str
     key: str
-    shard: int = 0
     size_bytes: int = 0
     #: Seconds since the entry was last written or read (GC input).
     age_seconds: float = 0.0
@@ -69,7 +54,6 @@ class StoreStats:
     """Point-in-time snapshot of one backend, for reports and the CLI."""
 
     backend: str
-    shards: int
     entries: int
     disk_files: int = 0
     disk_bytes: int = 0
@@ -102,9 +86,9 @@ class StoreBackend(Protocol):
     ``get_many``/``put_many`` are the batch face of the protocol — the hot
     path of the HTTP store service, where one batch call is one round
     trip.  The defaults below fall back to per-key loops, so every backend
-    supports them; backends with a cheaper bulk plan (one lock per shard,
-    one request per wave) override them.  The concrete backends inherit
-    these defaults by explicitly subclassing the protocol.
+    supports them; backends with a cheaper bulk plan (one lock and one
+    append per batch, one request per wave) override them.  The concrete
+    backends inherit these defaults by explicitly subclassing the protocol.
     """
 
     name: str
@@ -137,20 +121,6 @@ class StoreBackend(Protocol):
         for key, value in records.items():
             self.put(namespace, key, value)
         return len(records)
-
-    def prefetch(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
-        """Advisory batch warm-up ahead of per-key reads.
-
-        Semantically :meth:`get_many`, but callers promise they will read
-        the same keys again shortly — backends with a fast front
-        (:class:`~repro.store.tiered.TieredBackend`) pull the values in
-        *without* charging front hit/miss counters, so a background
-        prefetch never skews the campaign's cache accounting.  The engine
-        issues one prefetch per upcoming wave from the async prefetcher
-        thread, overlapping the round trip with the current wave's
-        compute.
-        """
-        return self.get_many(namespace, keys)
 
     def close(self) -> None:
         """Release what the backend holds open; local backends hold nothing."""
@@ -234,14 +204,12 @@ class MemoryBackend(StoreBackend):
             yield StoreEntry(
                 namespace=entry_namespace,
                 key=key,
-                shard=0,
                 age_seconds=max(0.0, now - accessed),
             )
 
     def stats(self) -> StoreStats:
         return StoreStats(
             backend=self.name,
-            shards=1,
             entries=len(self._data),
             hits=self.counters.hits,
             misses=self.counters.misses,

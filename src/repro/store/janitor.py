@@ -6,9 +6,9 @@ The janitor is the counterweight — an explicit maintenance pass that
 
 1. evicts entries whose *age* (seconds since they were last written or
    read) exceeds a configured bound, and
-2. compacts the physical layout (rewrites JSONL shards dropping
-   superseded and corrupt lines, migrates legacy files into their hashed
-   shard locations, removes temp strays).
+2. compacts the physical layout (rewrites JSONL files dropping
+   superseded and corrupt lines, removes corrupt pickles and temp
+   strays).
 
 Because a hit refreshes an entry's access stamp in every backend, an
 entry that was just read is never evicted regardless of when it was
@@ -72,7 +72,7 @@ class StoreJanitor:
         times), so a key read just before the sweep always survives it.
 
         A sweep that evicted anything always compacts, regardless of
-        ``compact``: JSONL deletion is a tombstone until its shard is
+        ``compact``: JSONL deletion is a tombstone until its file is
         rewritten, so skipping compaction there would report evictions
         that resurrect on the next open.  ``compact=False`` only skips
         the pure layout-normalisation pass when nothing was evicted.

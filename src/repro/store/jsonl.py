@@ -1,4 +1,4 @@
-"""Sharded append-only JSON-lines backend.
+"""Append-only JSON-lines backend.
 
 The record domain is flat JSON objects (one per line).  Three field names
 are reserved and managed by the backend: ``key`` (the content-hash key,
@@ -8,28 +8,22 @@ in this process).
 
 Layout
 ------
-``base_path`` names the pre-shard single file, which doubles as shard 0::
-
-    <dir>/<name>.jsonl            shard 0  (the legacy layout, unchanged)
-    <dir>/<name>.s01.jsonl        shard 1
-    ...
-    <dir>/<name>.s<N-1>.jsonl     shard N-1
-
-A key's shard is :func:`repro.store.backend.shard_index` — a stable hash,
-so every process sharing the directory agrees on it.  Opening a backend
-loads *every* shard file present (including files from a run configured
-with more shards), which is what makes legacy single-file directories and
-shard-count changes read transparently: lookups are served from the
-merged in-memory map, writes append to the key's current shard.
+One file, ``base_path`` (the evaluation cache names it
+``<cache_dir>/evals-<context>.jsonl``).  Opening a backend loads the whole
+file into an in-memory map that serves every lookup; writes append to the
+file.  A directory written by an older version configured with several
+shards keeps its ``<name>.sNN.jsonl`` siblings on disk, but they are not
+read: their records are recomputed once, and because keys are content
+hashes the recomputed values are the same.
 
 Concurrency
 -----------
 Appends are one ``write`` to an ``O_APPEND`` descriptor while holding the
-shard's advisory lock (:func:`repro.store.locks.locked`), so concurrent
-writers interleave whole lines, never bytes.  Compaction re-reads each
-shard under every shard lock at once before rewriting, so records
-appended by other processes since this backend loaded are preserved, not
-lost.  Readers need no lock: a torn line is impossible under the append
+file's advisory lock (:func:`repro.store.locks.locked`), so concurrent
+writers interleave whole lines, never bytes.  Compaction re-reads the
+file under the same lock before rewriting it, so records appended by
+other processes since this backend loaded are preserved, not lost.
+Readers need no lock: a torn line is impossible under the append
 protocol, and anything else is counted as corrupt and skipped.
 
 Read-access stamps (which age-based GC honours) live in process memory —
@@ -43,20 +37,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.store.backend import (
-    CompactionReport,
-    StoreBackend,
-    StoreEntry,
-    StoreStats,
-    _Counters,
-    shard_index,
-)
-from repro.store.locks import locked, locked_all
+from repro.store.backend import CompactionReport, StoreBackend, StoreEntry, StoreStats, _Counters
+from repro.store.locks import locked
 
 _Entry = Tuple[str, str]  # (namespace, key)
 
@@ -95,16 +81,14 @@ def _parse_lines(
 
 
 class ShardedJsonlBackend(StoreBackend):
-    """N append-only JSON-lines shards behind the store protocol.
+    """One append-only JSON-lines file behind the store protocol.
+
+    "Sharded" in the name is historical; callers still use it.
 
     Parameters
     ----------
     base_path:
-        The shard-0 file; shards 1..N-1 are ``.sNN`` siblings.  Parent
-        directories are created on demand.
-    num_shards:
-        Shard-file count new writes spread over (1 reproduces the legacy
-        single-file layout exactly).
+        The JSON-lines file.  Parent directories are created on demand.
     validate:
         Optional record predicate; records failing it count as corrupt
         and are dropped on load and on compaction.
@@ -118,18 +102,14 @@ class ShardedJsonlBackend(StoreBackend):
     def __init__(
         self,
         base_path: Union[str, Path],
-        num_shards: int = 1,
         validate: Optional[Callable[[dict], bool]] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if not 1 <= num_shards <= 99:
-            raise ValueError(f"num_shards must be in 1..99, got {num_shards}")
         self.base_path = Path(base_path)
-        self.num_shards = num_shards
         self._validate = validate
         self._clock = clock
         self.counters = _Counters()
-        #: Corrupt/foreign lines skipped across all shard files on load.
+        #: Corrupt/foreign lines skipped while loading the file.
         self.corrupt_lines = 0
         self._records: Dict[_Entry, dict] = {}
         self._sizes: Dict[_Entry, int] = {}  # encoded line bytes (for scan)
@@ -138,52 +118,22 @@ class ShardedJsonlBackend(StoreBackend):
         self._deleted: set = set()  # tombstones applied at compaction
         self._load()
 
-    # ------------------------------------------------------------------
-    # Shard file naming
-    # ------------------------------------------------------------------
-    def shard_path(self, shard: int) -> Path:
-        """The file of ``shard`` (shard 0 is the legacy ``base_path`` itself)."""
-        if shard == 0:
-            return self.base_path
-        return self.base_path.with_name(
-            f"{self.base_path.stem}.s{shard:02d}{self.base_path.suffix}"
-        )
-
-    def _shard_files_present(self) -> List[Path]:
-        """Every shard file on disk, shard 0 first then ascending ``.sNN``.
-
-        Includes stray shards beyond :attr:`num_shards` (a directory
-        written by a run configured with more shards): their records must
-        load and survive compaction.
-        """
-        files: List[Path] = []
-        if self.base_path.exists():
-            files.append(self.base_path)
-        pattern = re.compile(
-            re.escape(self.base_path.stem) + r"\.s(\d\d)" + re.escape(self.base_path.suffix) + r"$"
-        )
-        numbered = []
-        for candidate in self.base_path.parent.glob(f"{self.base_path.stem}.s??*"):
-            match = pattern.match(candidate.name)
-            if match:
-                numbered.append((int(match.group(1)), candidate))
-        files.extend(path for _, path in sorted(numbered))
-        return files
+    def _read(self) -> Tuple[str, float]:
+        """The file's text and mtime (empty when nothing was written yet)."""
+        try:
+            return self.base_path.read_text(encoding="utf-8"), self.base_path.stat().st_mtime
+        except OSError:
+            return "", 0.0
 
     def _load(self) -> None:
-        for path in self._shard_files_present():
-            try:
-                text = path.read_text(encoding="utf-8")
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue
-            records, sizes, corrupt = _parse_lines(text, self._validate)
-            self.corrupt_lines += corrupt
-            self.counters.corrupt += corrupt
-            for entry, record in records.items():
-                self._records[entry] = record
-                self._sizes[entry] = sizes[entry]
-                self._stamp[entry] = float(record.get("ts", mtime))
+        text, mtime = self._read()
+        records, sizes, corrupt = _parse_lines(text, self._validate)
+        self.corrupt_lines += corrupt
+        self.counters.corrupt += corrupt
+        for entry, record in records.items():
+            self._records[entry] = record
+            self._sizes[entry] = sizes[entry]
+            self._stamp[entry] = float(record.get("ts", mtime))
 
     # ------------------------------------------------------------------
     # Protocol: get / put / delete / scan / stats
@@ -236,19 +186,18 @@ class ShardedJsonlBackend(StoreBackend):
         record = self._admit(namespace, key, value)
         if record is None:
             return
-        written = self._append(shard_index(key, self.num_shards), [record])
+        written = self._append([record])
         self._sizes[(namespace, key)] = written[0]
 
     def put_many(self, namespace: str, records: Mapping[str, Any]) -> int:
-        """Batch store: group new records by shard, one lock+append per shard.
+        """Batch store: one lock and one append for all new records.
 
-        The sharded override of the protocol's per-key loop — batch HTTP
+        The override of the protocol's per-key loop — batch HTTP
         endpoints and local callers share this code path, and a campaign
-        wave costs one advisory lock per touched shard instead of one per
-        record.
+        wave costs one advisory lock instead of one per record.
         """
         # Validate the whole batch before admitting anything: _admit
-        # registers records in memory ahead of the shard appends, so a
+        # registers records in memory ahead of the append, so a
         # mid-loop domain error would otherwise leave earlier records
         # readable in this process but never written to disk.
         for key, value in records.items():
@@ -256,22 +205,19 @@ class ShardedJsonlBackend(StoreBackend):
                 raise TypeError(
                     f"jsonl records must be flat JSON objects, got {type(value).__name__}"
                 )
-        grouped: Dict[int, List[Tuple[str, dict]]] = {}
-        stored = 0
+        admitted: List[Tuple[str, dict]] = []
         for key, value in records.items():
             record = self._admit(namespace, key, value)
-            if record is None:
-                continue
-            stored += 1
-            grouped.setdefault(shard_index(key, self.num_shards), []).append((key, record))
-        for shard, members in grouped.items():
-            written = self._append(shard, [record for _, record in members])
-            for (key, _), size in zip(members, written):
+            if record is not None:
+                admitted.append((key, record))
+        if admitted:
+            written = self._append([record for _, record in admitted])
+            for (key, _), size in zip(admitted, written):
                 self._sizes[(namespace, key)] = size
-        return stored
+        return len(admitted)
 
     def get_many(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
-        """Batch lookup served from the merged in-memory map (one clock read)."""
+        """Batch lookup served from the in-memory map (one clock read)."""
         found: Dict[str, Any] = {}
         now = self._clock()
         for key in keys:
@@ -285,9 +231,9 @@ class ShardedJsonlBackend(StoreBackend):
             found[key] = record
         return found
 
-    def _append(self, shard: int, records: Sequence[dict]) -> List[int]:
-        """Append record lines to one shard; returns the bytes per line."""
-        path = self.shard_path(shard)
+    def _append(self, records: Sequence[dict]) -> List[int]:
+        """Append record lines to the file; returns the bytes per line."""
+        path = self.base_path
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [
             (json.dumps(record, sort_keys=True) + "\n").encode("utf-8") for record in records
@@ -323,23 +269,22 @@ class ShardedJsonlBackend(StoreBackend):
             yield StoreEntry(
                 namespace=entry_namespace,
                 key=key,
-                shard=shard_index(key, self.num_shards),
                 size_bytes=self._sizes.get(entry, 0),
                 age_seconds=max(0.0, now - freshest),
             )
 
-    def _disk_usage(self) -> Tuple[int, int]:
-        files = self._shard_files_present()
-        return len(files), sum(path.stat().st_size for path in files if path.exists())
+    def _disk_bytes(self) -> int:
+        try:
+            return self.base_path.stat().st_size
+        except OSError:
+            return 0
 
     def stats(self) -> StoreStats:
-        disk_files, disk_bytes = self._disk_usage()
         return StoreStats(
             backend=self.name,
-            shards=self.num_shards,
             entries=len(self._records),
-            disk_files=disk_files,
-            disk_bytes=disk_bytes,
+            disk_files=int(self.base_path.exists()),
+            disk_bytes=self._disk_bytes(),
             hits=self.counters.hits,
             misses=self.counters.misses,
             stores=self.counters.stores,
@@ -351,69 +296,41 @@ class ShardedJsonlBackend(StoreBackend):
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> CompactionReport:
-        """Rewrite every shard: dedup, drop corrupt lines, apply deletes.
+        """Rewrite the file: dedup, drop corrupt lines, apply deletes.
 
-        All shard locks are held for the whole pass (single lock order, so
-        concurrent appenders — which take one lock — cannot deadlock
-        against it).  Shard files are re-read first, so records appended
-        by other processes after this backend loaded are merged in, then
-        everything is rewritten sorted by key: a second compaction of an
-        unchanged store is byte-identical.  Records found in the wrong
-        file (the legacy single file, or strays from a different shard
-        count) migrate to their hashed shard; stray files are removed.
+        The file's lock is held for the whole pass, so concurrent
+        appenders wait for it.  The file is re-read first, so records
+        appended by other processes after this backend loaded are merged
+        in, then everything is rewritten sorted by key: a second
+        compaction of an unchanged store is byte-identical.
         """
         report = CompactionReport()
-        on_disk = self._shard_files_present()
-        lock_targets = sorted(
-            {path for path in on_disk} | {self.shard_path(index) for index in range(self.num_shards)}
-        )
-        with locked_all(lock_targets):
-            _, bytes_before = self._disk_usage()
-            # Phase 1: fresh read of every file so no other writer's
-            # records are dropped by the rewrite.
-            lines_seen = 0
-            disk_entries: set = set()
-            for path in on_disk:
-                try:
-                    text = path.read_text(encoding="utf-8")
-                    mtime = path.stat().st_mtime
-                except OSError:
+        path = self.base_path
+        with locked(path):
+            bytes_before = self._disk_bytes()
+            # Fresh read, so no other writer's records are dropped by the
+            # rewrite.
+            text, mtime = self._read()
+            lines_seen = sum(1 for line in text.splitlines() if line.strip())
+            records, sizes, corrupt = _parse_lines(text, self._validate)
+            report.dropped_corrupt = corrupt
+            for entry, record in records.items():
+                if entry in self._deleted or entry in self._records:
                     continue
-                lines_seen += sum(1 for line in text.splitlines() if line.strip())
-                records, sizes, corrupt = _parse_lines(text, self._validate)
-                report.dropped_corrupt += corrupt
-                for entry, record in records.items():
-                    disk_entries.add(entry)
-                    if entry in self._deleted:
-                        continue
-                    if entry not in self._records:
-                        self._records[entry] = record
-                        self._sizes[entry] = sizes[entry]
-                        self._stamp[entry] = float(record.get("ts", mtime))
-                    if self.shard_path(shard_index(entry[1], self.num_shards)) != path:
-                        report.migrated_legacy += 1
-            report.dropped_duplicates = max(
-                0, lines_seen - report.dropped_corrupt - len(disk_entries)
+                self._records[entry] = record
+                self._sizes[entry] = sizes[entry]
+                self._stamp[entry] = float(record.get("ts", mtime))
+            report.dropped_duplicates = max(0, lines_seen - corrupt - len(records))
+            payload = "".join(
+                json.dumps(record, sort_keys=True) + "\n"
+                for _, record in sorted(self._records.items())
             )
-            # Phase 2: deterministic rewrite, one file per configured shard.
-            grouped: Dict[int, List[dict]] = {index: [] for index in range(self.num_shards)}
-            for (namespace, key), record in sorted(self._records.items()):
-                grouped[shard_index(key, self.num_shards)].append(record)
-            for index in range(self.num_shards):
-                path = self.shard_path(index)
-                payload = "".join(
-                    json.dumps(record, sort_keys=True) + "\n" for record in grouped[index]
-                )
-                if not payload and not path.exists():
-                    continue
+            if payload or path.exists():
                 temporary = path.with_name(path.name + ".compact.tmp")
                 temporary.write_text(payload, encoding="utf-8")
                 os.replace(temporary, path)
-                report.shards_rewritten += 1
-            for stray in on_disk:
-                if stray not in {self.shard_path(index) for index in range(self.num_shards)}:
-                    stray.unlink(missing_ok=True)
-            _, bytes_after = self._disk_usage()
+                report.shards_rewritten = 1
+            bytes_after = self._disk_bytes()
         self._deleted.clear()
         report.entries_kept = len(self._records)
         report.reclaimed_bytes = max(0, bytes_before - bytes_after)

@@ -1,8 +1,8 @@
 """Advisory file locking for multi-process store access.
 
 POSIX ``fcntl.flock`` locks guard every mutation of a shared store
-directory: shard appends, write-then-rename stores and whole-shard
-compaction rewrites.  Locks are taken on a dedicated ``*.lock`` sibling of
+directory: JSON-lines appends, write-then-rename stores and compaction
+rewrites.  Locks are taken on a dedicated ``*.lock`` sibling of
 the data path — never on the data file itself — so compaction can atomically
 ``os.replace`` the data file while the lock identity stays stable.
 
@@ -31,20 +31,6 @@ def lock_path_for(data_path: Union[str, Path]) -> Path:
     """The lock file guarding ``data_path`` (a sibling, never the file itself)."""
     data_path = Path(data_path)
     return data_path.with_name(data_path.name + LOCK_SUFFIX)
-
-
-@contextlib.contextmanager
-def locked_all(data_paths) -> Iterator[None]:
-    """Hold the locks of many data paths at once.
-
-    Callers must pass a consistently ordered sequence (sort it) so two
-    multi-lock holders cannot deadlock each other; single-lock holders
-    can never participate in a cycle.
-    """
-    with contextlib.ExitStack() as stack:
-        for data_path in data_paths:
-            stack.enter_context(locked(data_path))
-        yield
 
 
 @contextlib.contextmanager

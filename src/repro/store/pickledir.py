@@ -1,4 +1,4 @@
-"""Sharded pickle-per-entry directory backend.
+"""Pickle-per-entry directory backend.
 
 The value domain is arbitrary picklables — one file per entry, which is
 the right shape for the mapping pipeline's large structured artifacts
@@ -6,22 +6,20 @@ the right shape for the mapping pipeline's large structured artifacts
 
 Layout
 ------
-``root`` holds one directory per namespace.  With one shard the layout is
-the pre-shard flat one, unchanged; with N shards entries live in hashed
-subdirectories and flat files are still read as shard 0::
+``root`` holds one directory per namespace and one file per entry::
 
-    <root>/<ns>/<prefix>.pkl           num_shards == 1 (legacy layout)
-    <root>/<ns>/s03/<prefix>.pkl       num_shards > 1
+    <root>/<ns>/<prefix>.pkl
 
-``prefix`` is the first :attr:`key_prefix_length` characters of the key —
-file names stay short, and the shard hash is computed over the prefix so
-a scan (which only sees file names) agrees with a lookup (which has the
-full key) about where an entry lives.
+``prefix`` is the first :attr:`key_prefix_length` characters of the key,
+which keeps file names short.  A directory written by an older version
+configured with several shards keeps its ``<ns>/sNN/`` subdirectories on
+disk, but they are not read: their entries are recomputed once, and
+because keys are content hashes the recomputed values are the same.
 
 Concurrency
 -----------
 Stores are write-then-rename: every writer pickles into its own temp file
-and atomically replaces the final name, under the shard directory's
+and atomically replaces the final name, under the namespace directory's
 advisory lock.  Reads take no lock — a rename is atomic, so a reader sees
 either the old complete file or the new complete file.  A disk hit
 touches the file's mtime, which is the cross-process last-access signal
@@ -36,17 +34,10 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
-from repro.store.backend import (
-    CompactionReport,
-    StoreBackend,
-    StoreEntry,
-    StoreStats,
-    _Counters,
-    shard_index,
-)
-from repro.store.locks import locked, locked_all
+from repro.store.backend import CompactionReport, StoreBackend, StoreEntry, StoreStats, _Counters
+from repro.store.locks import locked
 
 #: Default file-name prefix length: 32 hex digits (128 bits) keeps paths
 #: short while making collisions implausible.
@@ -65,16 +56,14 @@ def _dir_lock_target(directory: Path) -> Path:
 
 
 class PickleDirBackend(StoreBackend):
-    """Pickle files in (optionally sharded) namespace directories.
+    """Pickle files in namespace directories.
 
     Parameters
     ----------
     root:
         Directory holding the namespace subdirectories.
-    num_shards:
-        Shard-directory count (1 reproduces the flat legacy layout).
     key_prefix_length:
-        Key characters used for file names and shard hashing.
+        Key characters used for file names.
     clock:
         Time source for access stamps (injectable for GC tests).
     """
@@ -84,135 +73,54 @@ class PickleDirBackend(StoreBackend):
     def __init__(
         self,
         root: Union[str, Path],
-        num_shards: int = 1,
         key_prefix_length: int = DEFAULT_KEY_PREFIX_LENGTH,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if not 1 <= num_shards <= 99:
-            raise ValueError(f"num_shards must be in 1..99, got {num_shards}")
         self.root = Path(root)
-        self.num_shards = num_shards
         self.key_prefix_length = key_prefix_length
         self._clock = clock
         self.counters = _Counters()
-        self._shard_dir_probe: Dict[str, Tuple[bool, float]] = {}
 
-    #: How long a namespace's has-shard-dirs probe stays cached.
-    _SHARD_PROBE_TTL_SECONDS = 5.0
-
-    #: A ``*.tmp`` file younger than this may belong to a live writer in
-    #: a shard directory created after compaction took its locks; older
-    #: ones are orphans of interrupted runs and are swept.
+    #: A ``*.tmp`` file younger than this may belong to a live writer;
+    #: older ones are orphans of interrupted runs and are swept.
     _TMP_ORPHAN_AGE_SECONDS = 60.0
 
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
-    def _prefix(self, key: str) -> str:
-        return key[: self.key_prefix_length]
-
-    def _shard_of(self, key: str) -> int:
-        # Hash the prefix, not the full key: scans and compaction only see
-        # file names, and both must agree with lookups on the shard.
-        return shard_index(self._prefix(key), self.num_shards)
-
-    def shard_dir(self, namespace: str, shard: int) -> Path:
-        """Directory of ``shard`` (the namespace dir itself for a flat layout)."""
-        base = self.root / namespace
-        if self.num_shards <= 1:
-            return base
-        return base / f"s{shard:02d}"
-
     def path_for(self, namespace: str, key: str) -> Path:
-        """Where a ``put`` of ``(namespace, key)`` writes."""
-        return self.shard_dir(namespace, self._shard_of(key)) / f"{self._prefix(key)}.pkl"
-
-    def _legacy_path(self, namespace: str, key: str) -> Path:
-        """The pre-shard flat location, read as "shard 0" of sharded stores."""
-        return self.root / namespace / f"{self._prefix(key)}.pkl"
-
-    def _candidate_paths(self, namespace: str, key: str) -> Iterator[Path]:
-        """Everywhere ``(namespace, key)`` may live, current layout first.
-
-        Besides the current layout's location (and the flat legacy path
-        when sharded), the entry may sit in the shard directory of a
-        *different* shard count — a directory written by a differently
-        configured run.  A targeted glob finds those, so any layout reads
-        any other layout's entries until a compaction normalises them.
-        The glob is reached lazily — lookups served by the expected
-        locations never pay for it — and skipped entirely while the
-        namespace has no shard directories at all (the common
-        single-layout case; the probe is cached briefly).
-        """
-        yielded = []
-        primary = self.path_for(namespace, key)
-        yielded.append(primary)
-        yield primary
-        if self.num_shards > 1:
-            legacy = self._legacy_path(namespace, key)
-            yielded.append(legacy)
-            yield legacy
-        if not self._has_shard_dirs(namespace):
-            return
-        foreign = sorted(
-            (self.root / namespace).glob(f"s[0-9][0-9]/{self._prefix(key)}.pkl")
-        )
-        for path in foreign:
-            if path not in yielded:
-                yield path
-
-    def _has_shard_dirs(self, namespace: str) -> bool:
-        """Whether any ``sNN/`` directory exists under the namespace.
-
-        Cached for a few seconds so repeated fetch misses in a cold
-        campaign do not re-scan the directory; the short TTL still picks
-        up a concurrently created sharded layout promptly.
-        """
-        cached = self._shard_dir_probe.get(namespace)
-        now = time.monotonic()
-        if cached is not None and now - cached[1] < self._SHARD_PROBE_TTL_SECONDS:
-            return cached[0]
-        present = any(
-            child.is_dir() and len(child.name) == 3 and child.name[0] == "s"
-            for child in (self.root / namespace).iterdir()
-        ) if (self.root / namespace).is_dir() else False
-        self._shard_dir_probe[namespace] = (present, now)
-        return present
+        """Where ``(namespace, key)`` is stored."""
+        return self.root / namespace / f"{key[: self.key_prefix_length]}.pkl"
 
     # ------------------------------------------------------------------
     # Protocol: get / put / delete / scan / stats
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Logical entry count (cross-layout copies of a key count once)."""
-        return sum(1 for _ in self.scan())
+        return sum(
+            1 for directory in self._namespace_dirs() for _ in self._entry_files(directory)
+        )
 
     def contains(self, namespace: str, key: str) -> bool:
         """Availability check that counts neither a hit nor a miss."""
-        return any(path.exists() for path in self._candidate_paths(namespace, key))
+        return self.path_for(namespace, key).exists()
 
     def get(self, namespace: str, key: str) -> Tuple[bool, Any]:
-        for path in self._candidate_paths(namespace, key):
-            if not path.exists():
-                continue
-            try:
-                with path.open("rb") as handle:
-                    value = pickle.load(handle)
-            except FileNotFoundError:
-                # Vanished between exists() and open(): a concurrent GC
-                # eviction or compaction migration, not corruption.
-                continue
-            except _PICKLE_ERRORS:
-                self.counters.corrupt += 1
-                continue
-            now = self._clock()
-            try:
-                os.utime(path, times=(now, now))  # last-access stamp for GC
-            except OSError:
-                pass
-            self.counters.hits += 1
-            return True, value
-        self.counters.misses += 1
-        return False, None
+        path = self.path_for(namespace, key)
+        try:
+            with path.open("rb") as handle:
+                value = pickle.load(handle)
+        except FileNotFoundError:
+            # Absent, or removed by a concurrent GC eviction: a plain miss.
+            self.counters.misses += 1
+            return False, None
+        except _PICKLE_ERRORS:
+            self.counters.corrupt += 1
+            self.counters.misses += 1
+            return False, None
+        now = self._clock()
+        try:
+            os.utime(path, times=(now, now))  # last-access stamp for GC
+        except OSError:
+            pass
+        self.counters.hits += 1
+        return True, value
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         path = self.path_for(namespace, key)
@@ -258,93 +166,54 @@ class PickleDirBackend(StoreBackend):
         return stored
 
     def delete(self, namespace: str, key: str) -> bool:
-        removed = False
-        for path in self._candidate_paths(namespace, key):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                continue
-        if removed:
-            self.counters.evicted += 1
-        return removed
+        try:
+            self.path_for(namespace, key).unlink()
+        except OSError:
+            return False
+        self.counters.evicted += 1
+        return True
 
     def _namespace_dirs(self) -> List[Path]:
         if not self.root.is_dir():
             return []
         return sorted(child for child in self.root.iterdir() if child.is_dir())
 
-    def _entry_files(self, namespace_dir: Path) -> Iterator[Tuple[Path, int]]:
-        """Every ``.pkl`` file under one namespace with its shard location.
-
-        Flat files report shard 0; files inside any ``sNN`` directory —
-        including strays from a different shard count — report ``NN``.
-        """
-        for child in sorted(namespace_dir.iterdir()):
-            if child.is_file() and child.suffix == ".pkl":
-                yield child, 0
-            elif child.is_dir() and len(child.name) == 3 and child.name[0] == "s":
-                try:
-                    shard = int(child.name[1:])
-                except ValueError:
-                    continue
-                for grandchild in sorted(child.iterdir()):
-                    if grandchild.is_file() and grandchild.suffix == ".pkl":
-                        yield grandchild, shard
+    def _entry_files(self, namespace_dir: Path) -> Iterator[Path]:
+        """Every ``.pkl`` file of one namespace, in name order."""
+        for path in sorted(namespace_dir.glob("*.pkl")):
+            if path.is_file():
+                yield path
 
     def scan(self, namespace: Optional[str] = None) -> Iterator[StoreEntry]:
-        """One entry per *logical* key, even when layouts hold copies.
-
-        A key duplicated across layouts (flat + sharded) reports the age
-        of its freshest copy and the byte total of all copies: GC judges
-        the key by the copy most recently written or read — so a read of
-        either copy protects the key — and ``delete`` reclaims every
-        copy.
-        """
         now = self._clock()
         for namespace_dir in self._namespace_dirs():
             if namespace is not None and namespace_dir.name != namespace:
                 continue
-            merged: Dict[str, Tuple[float, int]] = {}
-            for path, _ in self._entry_files(namespace_dir):
+            for path in self._entry_files(namespace_dir):
                 try:
                     status = path.stat()
                 except OSError:
                     continue
-                age = max(0.0, now - status.st_mtime)
-                previous = merged.get(path.stem)
-                if previous is None:
-                    merged[path.stem] = (age, status.st_size)
-                else:
-                    merged[path.stem] = (min(previous[0], age), previous[1] + status.st_size)
-            for stem, (age, size_bytes) in merged.items():
                 yield StoreEntry(
                     namespace=namespace_dir.name,
-                    key=stem,
-                    shard=self._shard_of(stem),
-                    size_bytes=size_bytes,
-                    age_seconds=age,
+                    key=path.stem,
+                    size_bytes=status.st_size,
+                    age_seconds=max(0.0, now - status.st_mtime),
                 )
 
     def stats(self) -> StoreStats:
-        # One walk: files and bytes are physical, entries are logical
-        # (cross-layout copies of one key count once).
-        stems: set = set()
         disk_files = 0
         disk_bytes = 0
         for namespace_dir in self._namespace_dirs():
-            for path, _ in self._entry_files(namespace_dir):
+            for path in self._entry_files(namespace_dir):
                 disk_files += 1
-                stems.add((namespace_dir.name, path.stem))
                 try:
                     disk_bytes += path.stat().st_size
                 except OSError:
                     pass
-        entries = len(stems)
         return StoreStats(
             backend=self.name,
-            shards=self.num_shards,
-            entries=entries,
+            entries=disk_files,
             disk_files=disk_files,
             disk_bytes=disk_bytes,
             hits=self.counters.hits,
@@ -358,31 +227,18 @@ class PickleDirBackend(StoreBackend):
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> CompactionReport:
-        """Normalise the physical layout without changing logical contents.
+        """Drop orphaned temp files and undecodable pickles.
 
-        Migrates entries into their hashed shard directory for the
-        *current* shard count (flat legacy files and strays from other
-        counts alike), drops leftover temp files and undecodable pickles,
-        and keeps the sharded copy when a key exists in two locations.
-
-        The pass holds the namespace-directory lock *and* every existing
-        shard-directory lock (sorted, so concurrent compactors cannot
-        deadlock): sharded writers lock their shard directory during
-        write-then-rename, so no writer can be mid-``put`` anywhere the
-        sweep looks.  Temp files are additionally only removed once they
-        are old enough to be orphans, which covers a writer creating a
-        brand-new shard directory while this pass runs.
+        Each namespace is swept under its directory lock, which writers
+        hold during write-then-rename, so no writer is mid-``put`` where
+        the sweep looks.  Temp files are additionally only removed once
+        they are old enough to be orphans.
         """
         report = CompactionReport()
         for namespace_dir in self._namespace_dirs():
-            lock_targets = [_dir_lock_target(namespace_dir)] + sorted(
-                _dir_lock_target(child)
-                for child in namespace_dir.iterdir()
-                if child.is_dir()
-            )
-            with locked_all(lock_targets):
+            with locked(_dir_lock_target(namespace_dir)):
                 now = self._clock()
-                for stray in namespace_dir.rglob("*.tmp"):
+                for stray in namespace_dir.glob("*.tmp"):
                     try:
                         status = stray.stat()
                         if now - status.st_mtime < self._TMP_ORPHAN_AGE_SECONDS:
@@ -391,8 +247,7 @@ class PickleDirBackend(StoreBackend):
                         stray.unlink()
                     except OSError:
                         pass
-                seen: Dict[str, Path] = {}
-                for path, _ in list(self._entry_files(namespace_dir)):
+                for path in list(self._entry_files(namespace_dir)):
                     try:
                         with path.open("rb") as handle:
                             pickle.load(handle)
@@ -401,41 +256,6 @@ class PickleDirBackend(StoreBackend):
                         report.reclaimed_bytes += path.stat().st_size if path.exists() else 0
                         path.unlink(missing_ok=True)
                         continue
-                    target = (
-                        self.shard_dir(namespace_dir.name, self._shard_of(path.stem)) / path.name
-                    )
-                    if path.stem in seen:
-                        if path == seen[path.stem]:
-                            # The earlier entry was migrated onto this very
-                            # path; it is the same file, not a duplicate.
-                            continue
-                        # Duplicate across layouts (flat + sharded copy of
-                        # one key): keep the copy at the hashed target.
-                        keep_current = path == target and seen[path.stem] != target
-                        drop = seen[path.stem] if keep_current else path
-                        report.reclaimed_bytes += drop.stat().st_size if drop.exists() else 0
-                        drop.unlink(missing_ok=True)
-                        if keep_current:
-                            seen[path.stem] = path
-                        report.dropped_duplicates += 1
-                        continue
-                    if path != target:
-                        target.parent.mkdir(parents=True, exist_ok=True)
-                        if target.exists():
-                            # The hashed location already holds this key:
-                            # the migration collapses a duplicate pair.
-                            report.dropped_duplicates += 1
-                            report.reclaimed_bytes += target.stat().st_size
-                        os.replace(path, target)
-                        report.migrated_legacy += 1
-                        seen[path.stem] = target
-                    else:
-                        seen[path.stem] = path
-                report.entries_kept += len(seen)
-                # Shard directories emptied by migration are left in place
-                # (with their lock files): removing a directory another
-                # writer may be blocked-locking races its mkstemp, and
-                # unlinking a lock file breaks lock identity for later
-                # holders.  Empty directories cost nothing.
+                    report.entries_kept += 1
             report.shards_rewritten += 1
         return report

@@ -436,7 +436,6 @@ class RemoteBackend(StoreBackend):
             yield StoreEntry(
                 namespace=entry["namespace"],
                 key=entry["key"],
-                shard=int(entry.get("shard", 0)),
                 size_bytes=int(entry.get("size_bytes", 0)),
                 age_seconds=float(entry.get("age_seconds", 0.0)),
             )
@@ -459,7 +458,6 @@ class RemoteBackend(StoreBackend):
         server = (document or {}).get("backend", {})
         return StoreStats(
             backend=self.name,
-            shards=int(server.get("shards", 1)),
             entries=int(server.get("entries", 0)),
             disk_files=int(server.get("disk_files", 0)),
             disk_bytes=int(server.get("disk_bytes", 0)),

@@ -262,21 +262,17 @@ class TieredBackend(StoreBackend):
             self.front.put(namespace, key, value)
         return hit, value
 
-    def _read_through(
-        self, namespace: str, keys: Sequence[str], charge_counters: bool
-    ) -> Dict[str, Any]:
-        """Front probe + one slow-tier batch + front install (shared body)."""
+    def get_many(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
+        """Front probe, then one slow-tier batch for the rest (installed in front)."""
         found: Dict[str, Any] = {}
         missing: List[str] = []
         for key in keys:
             hit, value = self.front.get(namespace, key)
             if hit:
-                if charge_counters:
-                    self.front_hits += 1
+                self.front_hits += 1
                 found[key] = value
             else:
-                if charge_counters:
-                    self.front_misses += 1
+                self.front_misses += 1
                 missing.append(key)
         if missing:
             fetched = self.backend.get_many(namespace, missing)
@@ -284,19 +280,6 @@ class TieredBackend(StoreBackend):
                 self.front.put(namespace, key, value)
             found.update(fetched)
         return found
-
-    def get_many(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
-        return self._read_through(namespace, keys, charge_counters=True)
-
-    def prefetch(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
-        """Warm the front for ``keys`` without charging front counters.
-
-        A background prefetch is not a read the campaign asked for: keys
-        already in the front are returned silently, the rest are pulled
-        from the slow tier in one batch and installed — the later real
-        ``get`` then counts its front hit as usual.
-        """
-        return self._read_through(namespace, keys, charge_counters=False)
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         self.front.put(namespace, key, value)

@@ -92,28 +92,7 @@ class TestPersistentStore:
         assert 0.0 < store.stats.hit_rate < 1.0
 
 
-class TestShardedStore:
-    def test_sharded_layout_under_stage_dirs(self, tmp_path):
-        store = ArtifactStore(tmp_path, shards=4)
-        store.put("stage", KEY, "payload")
-        files = list((tmp_path / ARTIFACT_SUBDIR / "stage").glob("s??/*.pkl"))
-        assert len(files) == 1
-        assert files[0].name.startswith(KEY[:32])
-
-    def test_flat_legacy_store_reads_warm_from_a_sharded_one(self, tmp_path):
-        ArtifactStore(tmp_path).put("stage", KEY, [1, 2])
-        sharded = ArtifactStore(tmp_path, shards=4)
-        assert sharded.contains("stage", KEY)
-        assert sharded.fetch("stage", KEY) == (True, [1, 2])
-
-    def test_janitor_compaction_migrates_flat_files(self, tmp_path):
-        ArtifactStore(tmp_path).put("stage", KEY, [1, 2])
-        sharded = ArtifactStore(tmp_path, shards=4)
-        report = sharded.janitor().sweep()
-        assert report.compaction.migrated_legacy == 1
-        assert not list((tmp_path / ARTIFACT_SUBDIR / "stage").glob("*.pkl"))
-        assert sharded.fetch("stage", KEY) == (True, [1, 2])
-
+class TestStoreMaintenance:
     def test_in_memory_store_has_no_janitor_but_reports_stats(self):
         store = ArtifactStore()
         store.put("stage", KEY, 1)
@@ -124,11 +103,10 @@ class TestShardedStore:
         assert snapshot.entries == 1
 
     def test_store_stats_snapshot_of_a_persistent_store(self, tmp_path):
-        store = ArtifactStore(tmp_path, shards=2)
+        store = ArtifactStore(tmp_path)
         store.put("stage", KEY, "payload")
         store.fetch("stage", KEY)
         snapshot = store.store_stats()
         assert snapshot.backend == "pickle"
-        assert snapshot.shards == 2
         assert snapshot.entries == 1
         assert snapshot.disk_bytes > 0

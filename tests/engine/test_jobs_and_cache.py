@@ -208,39 +208,6 @@ def test_for_context_creates_directory(tmp_path):
     assert cache.path.name.startswith("evals-")
 
 
-def test_sharded_cache_spreads_records_and_reloads(tmp_path, context_hash):
-    explorer = RSPDesignSpaceExplorer(make_profiles())
-    jobs = [
-        EvaluationJob(paper_parameters(stages, pipelined=flag))
-        for stages in (1, 2, 3)
-        for flag in (True, False)
-    ]
-    cache = EvaluationCache.for_context(tmp_path, context_hash, shards=4)
-    for job in jobs:
-        cache.put(job.content_hash(context_hash), explorer.evaluate(job.parameters))
-    shard_files = list(tmp_path.glob("evals-*.jsonl"))
-    assert len(shard_files) > 1  # records landed on more than one shard
-
-    reloaded = EvaluationCache.for_context(tmp_path, context_hash, shards=4)
-    assert len(reloaded) == len(jobs)
-    for job in jobs:
-        assert reloaded.get(job.content_hash(context_hash), job, explorer.array) is not None
-
-
-def test_legacy_cache_file_loads_warm_into_a_sharded_cache(tmp_path, context_hash):
-    explorer = RSPDesignSpaceExplorer(make_profiles())
-    job = EvaluationJob(paper_parameters(2, pipelined=True))
-    key = job.content_hash(context_hash)
-    EvaluationCache.for_context(tmp_path, context_hash).put(
-        key, explorer.evaluate(job.parameters)
-    )
-
-    sharded = EvaluationCache.for_context(tmp_path, context_hash, shards=8)
-    assert key in sharded
-    assert sharded.get(key, job, explorer.array) is not None
-    assert sharded.stats.hit_rate == 1.0
-
-
 def test_cache_janitor_compacts_duplicates(tmp_path, context_hash):
     explorer = RSPDesignSpaceExplorer(make_profiles())
     job = EvaluationJob(paper_parameters(1, pipelined=True))

@@ -1,9 +1,8 @@
 """CLI and report coverage for the storage layer.
 
-The ``--store-shards`` / ``--gc-max-age`` / ``--compact`` flags, the
-``store_stats`` block of the JSON report, the legacy-layout warm-load
-guarantee (a pre-shard cache directory must serve a sharded run at 100%),
-and the shared-store-service surface (``--store-url`` / ``--store-tier``):
+The ``--gc-max-age`` / ``--compact`` flags, the ``store_stats`` block of
+the JSON report, and the shared-store-service surface (``--store-url`` /
+``--store-tier``):
 a server seeded by a cold run in one working directory serves a warm run
 in another at a 100% evaluation hit rate with nonzero artifact hits.
 """
@@ -53,23 +52,35 @@ def run_cli(tmp_path, *extra):
 # ----------------------------------------------------------------------
 def test_cli_parser_store_defaults():
     args = build_parser().parse_args([])
-    assert args.store_shards == 1
+    assert not hasattr(args, "store_shards")
     assert args.gc_max_age is None
     assert args.compact is False
 
 
-@pytest.mark.parametrize("bad", ["0", "-1", "100", "many"])
-def test_cli_rejects_out_of_range_store_shards(bad, capsys):
+def test_cli_rejects_a_negative_gc_max_age_before_any_mapping(tmp_path, capsys):
     with pytest.raises(SystemExit) as outcome:
-        build_parser().parse_args(["--store-shards", bad])
+        main(["--suite", "dsp", "--cache-dir", str(tmp_path / "cache"), "--gc-max-age", "-3"])
     assert outcome.value.code == 2
-    assert "store-shards" in capsys.readouterr().err
+    assert "error: argument --gc-max-age" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()  # nothing was mapped or stored
+
+
+def test_runner_rejects_a_negative_gc_max_age_before_any_work(small_spec, tmp_path):
+    with pytest.raises(ValueError, match="gc_max_age must be non-negative"):
+        CampaignRunner(
+            small_spec,
+            cache_dir=tmp_path / "cache",
+            artifact_dir=tmp_path / "cache",
+            gc_max_age=-3.0,
+        )
+    assert not (tmp_path / "cache").exists()
 
 
 def test_store_stats_block_in_the_json_report(tmp_path):
-    payload = run_cli(tmp_path, "--store-shards", "4")
+    payload = run_cli(tmp_path)
     stats = payload["report"]["store_stats"]
-    assert stats["shards"] == 4
+    assert "shards" not in stats
+    assert "shards" not in stats["artifacts"]
     assert stats["artifacts"]["backend"] == "pickle"
     assert stats["artifacts"]["entries"] > 0
     assert stats["artifacts"]["disk_bytes"] > 0
@@ -78,27 +89,9 @@ def test_store_stats_block_in_the_json_report(tmp_path):
     assert stats["janitor"] is None  # neither --compact nor --gc-max-age
 
 
-def test_sharded_layout_on_disk_and_warm_rerun(tmp_path):
-    run_cli(tmp_path, "--store-shards", "4")
-    cache_dir = tmp_path / "cache"
-    shard_files = list(cache_dir.glob("evals-*.s??.jsonl"))
-    shard_dirs = [
-        child
-        for stage_dir in (cache_dir / "artifacts").iterdir()
-        for child in stage_dir.iterdir()
-        if child.is_dir() and child.name.startswith("s")
-    ]
-    # With 4 shards at least one record/artifact lands off shard 0.
-    assert shard_files or shard_dirs
-
-    warm = run_cli(tmp_path, "--store-shards", "4")
-    assert warm["cache_hit_rate"] == 1.0
-    assert warm["report"]["artifact_misses"] == 0
-
-
 def test_compact_and_gc_flags_populate_the_janitor_block(tmp_path):
-    run_cli(tmp_path, "--store-shards", "2")
-    payload = run_cli(tmp_path, "--store-shards", "2", "--compact", "--gc-max-age", "86400")
+    run_cli(tmp_path)
+    payload = run_cli(tmp_path, "--compact", "--gc-max-age", "86400")
     janitor = payload["report"]["store_stats"]["janitor"]
     assert janitor["compacted"] is True
     assert janitor["gc_max_age"] == 86400
@@ -107,7 +100,7 @@ def test_compact_and_gc_flags_populate_the_janitor_block(tmp_path):
     assert janitor["evaluations"][0]["compaction"]["entries_kept"] > 0
 
     # The campaign after compaction + GC still runs fully warm.
-    warm = run_cli(tmp_path, "--store-shards", "2")
+    warm = run_cli(tmp_path)
     assert warm["cache_hit_rate"] == 1.0
     assert warm["report"]["artifact_misses"] == 0
 
@@ -122,31 +115,6 @@ def test_gc_evicts_a_stale_store(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy layouts load warm
-# ----------------------------------------------------------------------
-def test_legacy_single_file_cache_dir_loads_warm_when_sharded(tmp_path):
-    """A pre-shard cache dir (shards=1) must serve a sharded run at 100%."""
-    cold = run_cli(tmp_path)  # legacy layout: single file, flat artifacts
-    assert cold["cache_hit_rate"] == 0.0
-    cache_dir = tmp_path / "cache"
-    assert not list(cache_dir.glob("evals-*.s??.jsonl"))
-
-    warm = run_cli(tmp_path, "--store-shards", "8")
-    assert warm["cache_hit_rate"] == 1.0
-    assert warm["report"]["cache_misses"] == 0
-    assert warm["report"]["artifact_misses"] == 0
-    assert warm["report"]["store_stats"]["shards"] == 8
-
-
-def test_sharded_cache_dir_loads_warm_when_unsharded(tmp_path):
-    """And the reverse: a sharded dir serves a legacy-configured run."""
-    run_cli(tmp_path, "--store-shards", "8")
-    warm = run_cli(tmp_path)
-    assert warm["cache_hit_rate"] == 1.0
-    assert warm["report"]["artifact_misses"] == 0
-
-
-# ----------------------------------------------------------------------
 # Runner API
 # ----------------------------------------------------------------------
 def test_runner_accepts_store_options(small_spec, tmp_path):
@@ -154,16 +122,12 @@ def test_runner_accepts_store_options(small_spec, tmp_path):
         small_spec,
         cache_dir=tmp_path,
         artifact_dir=tmp_path,
-        store_shards=4,
         gc_max_age=86400.0,
         compact=True,
     ).run()
-    assert cold.store_stats["shards"] == 4
     assert cold.store_stats["janitor"] is not None
 
-    warm, _ = CampaignRunner(
-        small_spec, cache_dir=tmp_path, artifact_dir=tmp_path, store_shards=4
-    ).run()
+    warm, _ = CampaignRunner(small_spec, cache_dir=tmp_path, artifact_dir=tmp_path).run()
     assert warm.cache_misses == 0
     assert warm.artifact_misses == 0
     assert warm.store_stats["janitor"] is None
@@ -183,10 +147,10 @@ def test_flow_accepts_a_store_path(tmp_path):
     from repro.kernels import h264_kernels
 
     kernels = h264_kernels()[:1]
-    cold = run_rsp_flow(kernels, artifact_store=tmp_path / "store", store_shards=4)
+    cold = run_rsp_flow(kernels, artifact_store=tmp_path / "store")
     assert (tmp_path / "store" / "artifacts" / "base_schedule").is_dir()
 
-    warm = run_rsp_flow(kernels, artifact_store=tmp_path / "store", store_shards=4)
+    warm = run_rsp_flow(kernels, artifact_store=tmp_path / "store")
     assert warm.selected_name == cold.selected_name
     assert warm.total_selected_cycles() == cold.total_selected_cycles()
 
@@ -195,12 +159,12 @@ def test_pipeline_accepts_a_store_path(tmp_path):
     from repro.kernels import get_kernel
     from repro.mapping.pipeline import MappingPipeline
 
-    pipeline = MappingPipeline(store=tmp_path / "store", store_shards=2)
-    assert pipeline.store.shards == 2
+    pipeline = MappingPipeline(store=tmp_path / "store")
+    assert pipeline.store.directory == tmp_path / "store" / "artifacts"
     pipeline.profile_artifact(get_kernel("MVM"))
     assert pipeline.store.store_stats().entries > 0
 
-    warm = MappingPipeline(store=tmp_path / "store", store_shards=2)
+    warm = MappingPipeline(store=tmp_path / "store")
     warm.profile_artifact(get_kernel("MVM"))
     assert warm.stats.timing("extract_profile").hits == 1
 

@@ -17,7 +17,6 @@ from repro.engine.jobs import CampaignSpec
 from repro.engine.runner import CampaignRunner
 from repro.engine.stream import (
     EVENT_TYPES,
-    AsyncPrefetcher,
     CampaignStreamController,
     EventLog,
     replay_events,
@@ -276,36 +275,22 @@ def test_resume_with_no_checkpoint_starts_fresh(small_spec, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Async prefetcher
+# Store reads and accounting of a streamed campaign
 # ----------------------------------------------------------------------
-def test_async_prefetcher_runs_tasks_in_order_and_records_errors():
-    with AsyncPrefetcher() as prefetcher:
-        seen = []
-        first = prefetcher.submit(lambda: seen.append("a") or "a", label="first")
-        second = prefetcher.submit(lambda: seen.append("b") or "b")
-        failing = prefetcher.submit(lambda: 1 / 0, label="boom")
-        assert first.wait() == "a"
-        assert second.wait() == "b"
-        assert failing.wait() is None
-        assert isinstance(failing.error, ZeroDivisionError)
-        assert seen == ["a", "b"]
-        prefetcher.drain()
-    assert prefetcher.stats() == {"submitted": 3, "completed": 3, "errors": 1}
-    with pytest.raises(RuntimeError, match="closed"):
-        prefetcher.submit(lambda: None)
-
-
-def test_streamed_campaign_prefetches_next_suite_artifacts(tmp_path):
-    """With two suites, the second suite's artifacts are warmed in the
-    background while the first explores: its profile fetches all hit."""
-    spec = CampaignSpec(
+def two_suite_spec(*suites):
+    return CampaignSpec(
         name="two-suites",
-        suites=("h264", "paper"),
+        suites=suites,
         max_rows_shared=1,
         max_cols_shared=0,
         chunk_size=4,
     )
-    # Seed the artifact store so there is something to prefetch.
+
+
+def test_warm_streamed_two_suite_campaign_has_no_artifact_misses(tmp_path):
+    """A streamed campaign over a warm store fetches every profile of
+    both suites from it."""
+    spec = two_suite_spec("h264", "paper")
     seed = CampaignRunner(spec, artifact_dir=tmp_path / "store")
     seed.run()
     warm = CampaignRunner(
@@ -314,6 +299,58 @@ def test_streamed_campaign_prefetches_next_suite_artifacts(tmp_path):
     report, _ = warm.run()
     assert report.artifact_misses == 0
     assert report.artifact_hits > 0
+
+
+def _stage_counts(stages):
+    return {stage: (timing["hits"], timing["misses"]) for stage, timing in stages.items()}
+
+
+def test_stream_mode_charges_every_mapping_stage_to_its_suite(tmp_path):
+    """Streaming changes no suite's mapping accounting, and the suites'
+    stage counts and mapping seconds add up to the campaign's."""
+    spec = two_suite_spec("paper", "h264")
+    reports = {}
+    for mode in ("plain", "streamed"):
+        store = tmp_path / mode
+        reports[mode], _ = CampaignRunner(
+            spec,
+            cache_dir=store,
+            artifact_dir=store,
+            stream_dir=tmp_path / "stream" if mode == "streamed" else None,
+        ).run()
+
+    for plain, streamed in zip(reports["plain"].suites, reports["streamed"].suites):
+        assert _stage_counts(streamed.mapping_stages) == _stage_counts(plain.mapping_stages)
+    for report in reports.values():
+        summed = {}
+        for suite in report.suites:
+            for stage, (hits, misses) in _stage_counts(suite.mapping_stages).items():
+                before = summed.get(stage, (0, 0))
+                summed[stage] = (before[0] + hits, before[1] + misses)
+        assert summed == _stage_counts(report.mapping_stages)
+        assert sum(suite.mapping_seconds for suite in report.suites) == pytest.approx(
+            report.mapping_seconds
+        )
+
+
+def test_streamed_campaign_on_local_stores_starts_no_thread(tmp_path, monkeypatch):
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    CampaignRunner(
+        two_suite_spec("h264", "paper"),
+        cache_dir=tmp_path / "store",
+        artifact_dir=tmp_path / "store",
+        stream_dir=tmp_path / "stream",
+    ).run()
+    assert started == []
 
 
 # ----------------------------------------------------------------------

@@ -141,15 +141,6 @@ def test_keys_match_stage_key_formula():
     assert ctx.key_of("squared") == stage_key("square", doubled=doubled_key)
 
 
-def test_keys_for_enumerates_without_executing():
-    double = CountingFn(lambda ctx: ctx["x"] * 2)
-    square = CountingFn(lambda ctx: ctx["doubled"] ** 2)
-    flow = linear_flow(double, square)
-    keys = flow.keys_for(context=seeded_context(x=3))
-    assert set(keys) == {"double", "square"}
-    assert double.calls == 0 and square.calls == 0
-
-
 def test_unseeded_flow_input_errors():
     flow = linear_flow(lambda ctx: ctx["x"] * 2, lambda ctx: ctx["doubled"] ** 2)
     # Key derivation comes first, so a missing key is diagnosed even when
@@ -298,13 +289,6 @@ def test_callable_selector_must_choose_a_raced_branch():
     flow = racing_flow(select={"out": lambda candidates, ctx: "nobody"})
     with pytest.raises(FlowRoutingError, match="not one of the raced branches"):
         flow.run()
-
-
-def test_keys_for_enumerates_every_race_candidate():
-    flow = racing_flow(select={"out": Selector(metric="cost")})
-    keys = flow.keys_for()
-    # Both candidates' own keys enumerate; the raced output's chain stops.
-    assert set(keys) == {"seed", "fast", "slow"}
 
 
 # ----------------------------------------------------------------------
@@ -487,11 +471,6 @@ def test_node_constructor_validation():
 # ----------------------------------------------------------------------
 # Introspection + observation
 # ----------------------------------------------------------------------
-def test_dependencies_cover_all_alternative_candidates():
-    flow = routed_flow({"left": True, "right": False})
-    assert flow.dependencies(("out",)) == ["seed", "left", "right"]
-
-
 def test_outputs_are_terminal_values():
     flow = linear_flow(lambda ctx: 0, lambda ctx: 0)
     assert flow.outputs == ("squared",)

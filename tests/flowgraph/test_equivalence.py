@@ -1,7 +1,7 @@
 """Pin the artifact-key formulas of the canonical mapping flow.
 
-The warm-store contract (and the prefetcher, and every on-disk campaign
-store) depends on the flow producing *exactly* the keys the legacy
+The warm-store contract (every on-disk and served campaign store)
+depends on the flow producing *exactly* the keys the legacy
 staged pipeline produced.  These tests spell the formulas out by hand —
 hashing helpers only, no flow machinery — so an accidental change to
 key derivation fails loudly instead of silently cold-missing every

@@ -3,8 +3,8 @@
 Three store invariants, each checked for every backend:
 
 * round trip — a stored payload is returned intact by ``get``,
-* shard assignment stability — a persisted key is found again by a fresh
-  backend regardless of interpreter restarts or shard-count changes,
+* reopen stability — a persisted key is found again by a fresh backend
+  after an interpreter restart,
 * GC safety — a key that was just read is never evicted by an age sweep,
   no matter how old its original write is.
 
@@ -34,7 +34,6 @@ from repro.store import (
     ShardedJsonlBackend,
     StoreJanitor,
     TieredBackend,
-    shard_index,
 )
 
 BACKEND_KINDS = ("memory", "jsonl", "pickle")
@@ -56,13 +55,13 @@ def hex_key(index: int) -> str:
     return hashlib.sha256(str(index).encode()).hexdigest()
 
 
-def make_backend(kind: str, root: Path, clock=None, num_shards: int = 1):
+def make_backend(kind: str, root: Path, clock=None):
     clock = clock or time.time
     if kind == "memory":
         return MemoryBackend(clock=clock)
     if kind == "jsonl":
-        return ShardedJsonlBackend(root / "records.jsonl", num_shards=num_shards, clock=clock)
-    return PickleDirBackend(root / "pickles", num_shards=num_shards, clock=clock)
+        return ShardedJsonlBackend(root / "records.jsonl", clock=clock)
+    return PickleDirBackend(root / "pickles", clock=clock)
 
 
 # Field names avoid the backend-reserved "key"/"ns"/"ts" by alphabet.
@@ -76,18 +75,17 @@ payloads = st.dictionaries(
     st.text(alphabet="abcdef", min_size=1, max_size=8), scalars, max_size=5
 )
 key_ids = st.sets(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12)
-shard_counts = st.integers(min_value=1, max_value=8)
 
 
 # ----------------------------------------------------------------------
 # Round trip
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
-@given(ids=key_ids, payload=payloads, shards=shard_counts)
+@given(ids=key_ids, payload=payloads)
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_round_trip(kind, ids, payload, shards):
+def test_round_trip(kind, ids, payload):
     with tempfile.TemporaryDirectory() as root:
-        backend = make_backend(kind, Path(root), num_shards=shards)
+        backend = make_backend(kind, Path(root))
         for index in ids:
             backend.put("ns", hex_key(index), dict(payload))
         for index in ids:
@@ -99,11 +97,11 @@ def test_round_trip(kind, ids, payload, shards):
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
-@given(ids=key_ids, payload=payloads, shards=shard_counts)
+@given(ids=key_ids, payload=payloads)
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_round_trip_survives_compaction(kind, ids, payload, shards):
+def test_round_trip_survives_compaction(kind, ids, payload):
     with tempfile.TemporaryDirectory() as root:
-        backend = make_backend(kind, Path(root), num_shards=shards)
+        backend = make_backend(kind, Path(root))
         for index in ids:
             backend.put("ns", hex_key(index), dict(payload))
         report = backend.compact()
@@ -183,44 +181,20 @@ def test_tiered_round_trip_survives_the_flush(live_server, ids, payload):
 
 
 # ----------------------------------------------------------------------
-# Shard assignment stability
+# Reopen stability
 # ----------------------------------------------------------------------
-@given(ids=key_ids, shards=shard_counts)
-@settings(max_examples=30, deadline=None)
-def test_shard_index_is_a_pure_function(ids, shards):
-    for index in ids:
-        first = shard_index(hex_key(index), shards)
-        assert 0 <= first < shards
-        assert first == shard_index(hex_key(index), shards)
-
-
 @pytest.mark.parametrize("kind", PERSISTENT_KINDS)
-@given(ids=key_ids, shards=shard_counts)
+@given(ids=key_ids)
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_reopen_with_same_shards_finds_every_key(kind, ids, shards):
+def test_reopen_with_same_shards_finds_every_key(kind, ids):
     with tempfile.TemporaryDirectory() as root:
-        writer = make_backend(kind, Path(root), num_shards=shards)
+        writer = make_backend(kind, Path(root))
         for index in ids:
             writer.put("ns", hex_key(index), {"v": index})
-        reader = make_backend(kind, Path(root), num_shards=shards)
+        reader = make_backend(kind, Path(root))
         for index in ids:
             assert reader.contains("ns", hex_key(index))
         assert getattr(reader, "corrupt_lines", 0) == 0
-
-
-@pytest.mark.parametrize("kind", PERSISTENT_KINDS)
-@given(ids=key_ids, write_shards=shard_counts, read_shards=shard_counts)
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_reopen_with_different_shards_finds_every_key(kind, ids, write_shards, read_shards):
-    """Shard-count changes (including legacy 1-shard dirs) stay warm."""
-    with tempfile.TemporaryDirectory() as root:
-        writer = make_backend(kind, Path(root), num_shards=write_shards)
-        for index in ids:
-            writer.put("ns", hex_key(index), {"v": index})
-        reader = make_backend(kind, Path(root), num_shards=read_shards)
-        for index in ids:
-            hit, value = reader.get("ns", hex_key(index))
-            assert hit and value["v"] == index
 
 
 # ----------------------------------------------------------------------
@@ -231,15 +205,14 @@ def test_reopen_with_different_shards_finds_every_key(kind, ids, write_shards, r
     ids=st.sets(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=12),
     read_mask=st.integers(min_value=1),
     age=st.floats(min_value=10.0, max_value=10**6),
-    shards=shard_counts,
 )
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_gc_never_evicts_a_key_that_was_just_read(kind, ids, read_mask, age, shards):
+def test_gc_never_evicts_a_key_that_was_just_read(kind, ids, read_mask, age):
     ordered = sorted(ids)
     read = {index for position, index in enumerate(ordered) if read_mask >> position & 1}
     with tempfile.TemporaryDirectory() as root:
         clock = FakeClock()
-        backend = make_backend(kind, Path(root), clock=clock, num_shards=shards)
+        backend = make_backend(kind, Path(root), clock=clock)
         for index in ordered:
             backend.put("ns", hex_key(index), {"v": index})
         clock.advance(age)

@@ -25,7 +25,6 @@ from repro.store import RemoteBackend, ShardedJsonlBackend
 WRITERS = 6
 PROCESS_WRITERS = 2
 RECORDS_PER_WRITER = 40
-SHARDS = 4
 
 mp = multiprocessing.get_context("fork")
 
@@ -61,7 +60,7 @@ def hammer(url: str, writer: int, batch: int = 8) -> None:
 
 def test_threads_and_processes_hammering_one_server(tmp_path):
     path = tmp_path / "records.jsonl"
-    with StoreServer(ShardedJsonlBackend(path, num_shards=SHARDS)) as server:
+    with StoreServer(ShardedJsonlBackend(path)) as server:
         threads = [
             threading.Thread(target=hammer, args=(server.url, writer))
             for writer in range(WRITERS)
@@ -94,6 +93,6 @@ def test_threads_and_processes_hammering_one_server(tmp_path):
         assert server.service.backend.corrupt_lines == 0
 
     # And by a fresh backend straight off the directory: nothing torn.
-    reopened = ShardedJsonlBackend(path, num_shards=SHARDS)
-    assert reopened.corrupt_lines == 0, "a torn line reached the shard files"
+    reopened = ShardedJsonlBackend(path)
+    assert reopened.corrupt_lines == 0, "a torn line reached the store file"
     assert len(reopened) == len(all_keys)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import pickle
 import socket
 
 import pytest
@@ -170,6 +171,106 @@ def test_mput_then_mget(http_request):
     assert set(envelope["hits"]) == set(records)
     assert envelope["misses"] == [hex_key(99)]
     assert envelope["hits"][hex_key(3)] == {"ct": "json", "v": {"v": 3}}
+
+
+# ----------------------------------------------------------------------
+# Names that would reach files outside the served root
+# ----------------------------------------------------------------------
+JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+@pytest.fixture()
+def planted(tmp_path):
+    """A pickle beside the served root (``tmp_path / "store"``), where a
+    ``..`` namespace or key would reach."""
+    target = tmp_path / "escape" / "deadbeef.pkl"
+    target.parent.mkdir()
+    target.write_bytes(pickle.dumps("outside the root"))
+    return target
+
+
+def outside_the_root(tmp_path):
+    """Every path under ``tmp_path`` but outside the root, with its bytes."""
+    root = tmp_path / "store"
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in tmp_path.rglob("*")
+        if path != root and root not in path.parents
+    }
+
+
+@pytest.mark.parametrize(
+    "namespace, key",
+    [
+        ("..%2Fescape", "deadbeef"),
+        ("..", "deadbeef"),
+        ("%2E%2E", "deadbeef"),
+        ("n", "..%2F..%2Fescape%2Fdeadbeef"),
+        ("n", ".."),
+        ("a%5Cb", "deadbeef"),
+        ("n", "dead%00beef"),
+    ],
+)
+def test_item_routes_reject_names_outside_the_root(
+    http_request, tmp_path, planted, namespace, key
+):
+    before = outside_the_root(tmp_path)
+    path = f"/ns/{namespace}/k/{key}"
+    for method, body in (("PUT", b'{"v": 1}'), ("GET", None), ("HEAD", None), ("DELETE", None)):
+        status, _, _ = http_request(method, path, body=body, headers=JSON_HEADERS)
+        assert status == 400, (method, path)
+    assert outside_the_root(tmp_path) == before
+
+
+@pytest.mark.parametrize("operation", ["mget", "mput"])
+def test_batch_routes_reject_a_namespace_outside_the_root(
+    http_request, tmp_path, planted, operation
+):
+    before = outside_the_root(tmp_path)
+    document = (
+        {"keys": ["deadbeef"]}
+        if operation == "mget"
+        else {"records": {"deadbeef": {"ct": "json", "v": {"v": 1}}}}
+    )
+    status, _, body = http_request(
+        "POST",
+        f"/ns/..%2Fescape/{operation}",
+        body=json.dumps(document).encode(),
+        headers=JSON_HEADERS,
+    )
+    assert status == 400 and "namespace" in json.loads(body)["error"]
+    assert outside_the_root(tmp_path) == before
+
+
+def test_mget_rejects_keys_outside_the_root(http_request, tmp_path, planted):
+    before = outside_the_root(tmp_path)
+    status, _, body = http_request(
+        "POST",
+        "/ns/n/mget",
+        body=json.dumps({"keys": [hex_key(1), "../../escape/deadbeef"]}).encode(),
+        headers=JSON_HEADERS,
+    )
+    assert status == 400 and "key" in json.loads(body)["error"]
+    assert outside_the_root(tmp_path) == before
+
+
+def test_mput_rejects_record_keys_outside_the_root(http_request, tmp_path, planted):
+    before = outside_the_root(tmp_path)
+    records = {
+        hex_key(1): {"ct": "json", "v": {"v": 1}},
+        "../../escape/written": {"ct": "json", "v": {"v": 2}},
+    }
+    status, _, body = http_request(
+        "POST",
+        "/ns/n/mput",
+        body=json.dumps({"records": records}).encode(),
+        headers=JSON_HEADERS,
+    )
+    assert status == 400 and "key" in json.loads(body)["error"]
+    assert outside_the_root(tmp_path) == before
+    # The batch is rejected whole: not even its valid record is stored.
+    status, _, _ = http_request("GET", f"/ns/n/k/{hex_key(1)}")
+    assert status == 404
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.store import (
     MemoryBackend,
     PickleDirBackend,
     ShardedJsonlBackend,
-    shard_index,
 )
 
 
@@ -35,13 +34,13 @@ def hex_key(index: int) -> str:
     return hashlib.sha256(str(index).encode()).hexdigest()
 
 
-def make_backend(kind: str, tmp_path, clock=None, num_shards: int = 1):
+def make_backend(kind: str, tmp_path, clock=None):
     clock = clock or time.time
     if kind == "memory":
         return MemoryBackend(clock=clock)
     if kind == "jsonl":
-        return ShardedJsonlBackend(tmp_path / "records.jsonl", num_shards=num_shards, clock=clock)
-    return PickleDirBackend(tmp_path / "pickles", num_shards=num_shards, clock=clock)
+        return ShardedJsonlBackend(tmp_path / "records.jsonl", clock=clock)
+    return PickleDirBackend(tmp_path / "pickles", clock=clock)
 
 
 BACKEND_KINDS = ("memory", "jsonl", "pickle")
@@ -89,7 +88,7 @@ class TestProtocol:
         assert backend.stats().evicted == 1
 
     def test_compact_preserves_contents(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, num_shards=4)
+        backend = make_backend(kind, tmp_path)
         keys = [hex_key(index) for index in range(16)]
         for index, key in enumerate(keys):
             backend.put("ns", key, {"v": index})
@@ -116,22 +115,6 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Shard assignment
-# ----------------------------------------------------------------------
-def test_shard_index_is_stable_and_in_range():
-    for num_shards in (1, 2, 4, 16):
-        for index in range(64):
-            shard = shard_index(hex_key(index), num_shards)
-            assert 0 <= shard < num_shards
-            assert shard == shard_index(hex_key(index), num_shards)
-
-
-def test_shard_index_spreads_keys():
-    shards = {shard_index(hex_key(index), 4) for index in range(200)}
-    assert shards == {0, 1, 2, 3}
-
-
-# ----------------------------------------------------------------------
 # ShardedJsonlBackend specifics
 # ----------------------------------------------------------------------
 class TestJsonl:
@@ -140,40 +123,15 @@ class TestJsonl:
         with pytest.raises(TypeError):
             backend.put("", hex_key(1), [1, 2, 3])
 
-    def test_rejects_bad_shard_counts(self, tmp_path):
-        for num_shards in (0, -1, 100):
-            with pytest.raises(ValueError):
-                ShardedJsonlBackend(tmp_path / "x.jsonl", num_shards=num_shards)
-
-    def test_writes_go_to_the_hashed_shard(self, tmp_path):
-        backend = make_backend("jsonl", tmp_path, num_shards=4)
-        keys = [hex_key(index) for index in range(12)]
-        for key in keys:
-            backend.put("", key, {"v": 1})
-        for key in keys:
-            shard_file = backend.shard_path(shard_index(key, 4))
-            assert key in shard_file.read_text()
-
-    def test_legacy_single_file_reads_as_shard_zero(self, tmp_path):
-        legacy = make_backend("jsonl", tmp_path, num_shards=1)
-        keys = [hex_key(index) for index in range(10)]
-        for key in keys:
-            legacy.put("", key, {"v": 1})
-        assert (tmp_path / "records.jsonl").exists()
-
-        sharded = make_backend("jsonl", tmp_path, num_shards=4)
-        assert all(sharded.get("", key)[0] for key in keys)
-        assert sharded.corrupt_lines == 0
-
     def test_append_is_visible_to_a_fresh_open(self, tmp_path):
-        first = make_backend("jsonl", tmp_path, num_shards=2)
-        second = make_backend("jsonl", tmp_path, num_shards=2)
+        first = make_backend("jsonl", tmp_path)
+        second = make_backend("jsonl", tmp_path)
         first.put("", hex_key(1), {"v": 1})
         # Not visible to an already-open backend (content-hash keys make
         # this safe: the worst case is a recompute)...
         assert not second.contains("", hex_key(1))
         # ...but a fresh open sees it.
-        third = make_backend("jsonl", tmp_path, num_shards=2)
+        third = make_backend("jsonl", tmp_path)
         assert third.get("", hex_key(1)) == (True, third._records[("", hex_key(1))])
 
     def test_corrupt_lines_counted_and_skipped(self, tmp_path):
@@ -198,12 +156,12 @@ class TestJsonl:
         assert validated.contains("", hex_key(1))
         assert not validated.contains("", hex_key(2))
 
-    def test_compaction_dedups_migrates_and_is_byte_stable(self, tmp_path):
+    def test_compaction_dedups_and_is_byte_stable(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        legacy = ShardedJsonlBackend(path)
+        writer = ShardedJsonlBackend(path)
         keys = [hex_key(index) for index in range(20)]
         for key in keys:
-            legacy.put("", key, {"v": 1})
+            writer.put("", key, {"v": 1})
         # Duplicate some lines (a second writer racing on the same keys)
         # and corrupt one.
         with path.open("a", encoding="utf-8") as handle:
@@ -211,48 +169,31 @@ class TestJsonl:
                 handle.write(json.dumps({"key": key, "v": 1}) + "\n")
             handle.write("garbage\n")
 
-        backend = ShardedJsonlBackend(path, num_shards=4)
+        backend = ShardedJsonlBackend(path)
         report = backend.compact()
         assert report.entries_kept == 20
         assert report.dropped_duplicates == 5
         assert report.dropped_corrupt == 1
-        assert report.migrated_legacy > 0
-        assert report.shards_rewritten == 4
+        assert report.migrated_legacy == 0
+        assert report.shards_rewritten == 1
 
-        def shard_bytes():
-            return [backend.shard_path(index).read_bytes() for index in range(4)]
-
-        first = shard_bytes()
-        second_report = ShardedJsonlBackend(path, num_shards=4).compact()
+        first = path.read_bytes()
+        second_report = ShardedJsonlBackend(path).compact()
         assert second_report.dropped == 0
-        assert shard_bytes() == first  # byte-stable under re-compaction
-        reopened = ShardedJsonlBackend(path, num_shards=4)
+        assert path.read_bytes() == first  # byte-stable under re-compaction
+        reopened = ShardedJsonlBackend(path)
         assert all(reopened.get("", key)[0] for key in keys)
 
     def test_compaction_merges_records_appended_by_another_writer(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        ours = ShardedJsonlBackend(path, num_shards=2)
+        ours = ShardedJsonlBackend(path)
         ours.put("", hex_key(1), {"v": 1})
-        theirs = ShardedJsonlBackend(path, num_shards=2)
+        theirs = ShardedJsonlBackend(path)
         theirs.put("", hex_key(2), {"v": 2})
         ours.compact()  # must not lose the other writer's record
-        reopened = ShardedJsonlBackend(path, num_shards=2)
+        reopened = ShardedJsonlBackend(path)
         assert reopened.contains("", hex_key(1))
         assert reopened.contains("", hex_key(2))
-
-    def test_stray_shards_from_a_wider_layout_are_absorbed(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        wide = ShardedJsonlBackend(path, num_shards=8)
-        keys = [hex_key(index) for index in range(24)]
-        for key in keys:
-            wide.put("", key, {"v": 1})
-        narrow = ShardedJsonlBackend(path, num_shards=2)
-        assert all(narrow.get("", key)[0] for key in keys)
-        narrow.compact()
-        remaining = sorted(p.name for p in tmp_path.glob("records*.jsonl"))
-        assert remaining == ["records.jsonl", "records.s01.jsonl"]
-        reopened = ShardedJsonlBackend(path, num_shards=2)
-        assert all(reopened.contains("", key) for key in keys)
 
     def test_delete_survives_compaction(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -282,18 +223,6 @@ class TestPickleDir:
         backend.put("stage", hex_key(1), 1)
         assert (tmp_path / "pickles" / "stage" / f"{hex_key(1)[:32]}.pkl").exists()
 
-    def test_sharded_layout_and_legacy_fallback(self, tmp_path):
-        flat = make_backend("pickle", tmp_path)
-        keys = [hex_key(index) for index in range(10)]
-        for index, key in enumerate(keys):
-            flat.put("stage", key, index)
-
-        sharded = make_backend("pickle", tmp_path, num_shards=4)
-        assert all(sharded.get("stage", key)[0] for key in keys)
-        sharded.put("stage", hex_key(99), 99)
-        expected_dir = f"s{shard_index(hex_key(99)[:32], 4):02d}"
-        assert (tmp_path / "pickles" / "stage" / expected_dir / f"{hex_key(99)[:32]}.pkl").exists()
-
     def test_corrupt_file_counts_and_misses(self, tmp_path):
         backend = make_backend("pickle", tmp_path)
         backend.put("stage", hex_key(1), "good")
@@ -303,13 +232,13 @@ class TestPickleDir:
         assert not hit
         assert backend.counters.corrupt == 1
 
-    def test_compaction_migrates_drops_corrupt_and_cleans_tmp(self, tmp_path):
+    def test_compaction_drops_corrupt_and_cleans_tmp(self, tmp_path):
         import os
 
-        flat = make_backend("pickle", tmp_path)
+        backend = make_backend("pickle", tmp_path)
         keys = [hex_key(index) for index in range(8)]
         for index, key in enumerate(keys):
-            flat.put("stage", key, index)
+            backend.put("stage", key, index)
         stage_dir = tmp_path / "pickles" / "stage"
         (stage_dir / f"{hex_key(50)[:32]}.pkl").write_bytes(b"junk")
         orphan = stage_dir / "leftover.pkl.12345.tmp"
@@ -319,69 +248,15 @@ class TestPickleDir:
         in_flight = stage_dir / "racing.pkl.99999.tmp"
         in_flight.write_bytes(b"a live writer's in-flight temp file")
 
-        backend = make_backend("pickle", tmp_path, num_shards=4)
         report = backend.compact()
         assert report.entries_kept == 8
         assert report.dropped_corrupt == 1
-        assert report.migrated_legacy == 8
+        assert report.migrated_legacy == 0
         # Stale orphans are swept; a fresh temp file (possibly a live
         # writer mid-rename) is left alone.
         assert list(stage_dir.glob("*.tmp")) == [in_flight]
-        assert not list(stage_dir.glob("*.pkl"))  # everything migrated into sNN/
+        assert len(list(stage_dir.glob("*.pkl"))) == 8  # the corrupt file is gone
         assert all(backend.get("stage", key)[0] for key in keys)
-
-    def test_compaction_resolves_duplicates_across_layouts(self, tmp_path):
-        sharded = make_backend("pickle", tmp_path, num_shards=4)
-        sharded.put("stage", hex_key(1), "sharded-copy")
-        flat = make_backend("pickle", tmp_path, num_shards=1)
-        flat.put("stage", hex_key(1), "sharded-copy")  # same key, legacy location
-
-        report = sharded.compact()
-        assert report.dropped_duplicates == 1
-        assert report.entries_kept == 1
-        assert sharded.get("stage", hex_key(1)) == (True, "sharded-copy")
-
-    def test_unsharding_migrates_back_to_flat(self, tmp_path):
-        sharded = make_backend("pickle", tmp_path, num_shards=4)
-        keys = [hex_key(index) for index in range(6)]
-        for key in keys:
-            sharded.put("stage", key, "v")
-        flat = make_backend("pickle", tmp_path, num_shards=1)
-        report = flat.compact()
-        assert report.migrated_legacy == 6
-        stage_dir = tmp_path / "pickles" / "stage"
-        assert len(list(stage_dir.glob("*.pkl"))) == 6
-        # Emptied shard directories stay (removing them races concurrent
-        # writers); they just hold no entries any more.
-        assert not list(stage_dir.glob("s??/*.pkl"))
-        assert all(flat.get("stage", key)[0] for key in keys)
-
-    def test_scan_merges_cross_layout_copies(self, tmp_path):
-        clock = FakeClock()
-        sharded = make_backend("pickle", tmp_path, clock=clock, num_shards=4)
-        sharded.put("stage", hex_key(1), "copy")
-        flat = make_backend("pickle", tmp_path, clock=clock, num_shards=1)
-        flat.put("stage", hex_key(1), "copy")  # same key, legacy location
-
-        (entry,) = list(sharded.scan("stage"))  # one logical entry, not two
-        assert entry.key == hex_key(1)[:32]
-        assert len(sharded) == 1
-        assert sharded.stats().entries == 1
-        assert sharded.stats().disk_files == 2
-
-    def test_gc_judges_a_duplicated_key_by_its_freshest_copy(self, tmp_path):
-        from repro.store import StoreJanitor
-
-        clock = FakeClock()
-        flat = make_backend("pickle", tmp_path, clock=clock, num_shards=1)
-        flat.put("stage", hex_key(1), "copy")
-        clock.advance(1000.0)
-        sharded = make_backend("pickle", tmp_path, clock=clock, num_shards=4)
-        sharded.put("stage", hex_key(1), "copy")  # fresh duplicate in sNN/
-
-        report = StoreJanitor(sharded, max_age_seconds=500.0).sweep(compact=False)
-        assert report.evicted == 0  # the stale flat copy must not doom the key
-        assert sharded.contains("stage", hex_key(1))
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +265,7 @@ class TestPickleDir:
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestBatchMethods:
     def test_put_many_then_get_many(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, num_shards=4)
+        backend = make_backend(kind, tmp_path)
         records = {hex_key(index): {"v": index} for index in range(20)}
         stored = backend.put_many("ns", records)
         assert stored == len(records)
@@ -402,7 +277,7 @@ class TestBatchMethods:
         assert backend.get_many("ns", []) == {}
 
     def test_put_many_skips_existing_keys(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, num_shards=2)
+        backend = make_backend(kind, tmp_path)
         records = {hex_key(index): {"v": index} for index in range(5)}
         backend.put_many("ns", records)
         stores_before = backend.counters.stores
@@ -421,7 +296,7 @@ class TestBatchMethods:
         from repro.store import StoreJanitor
 
         clock = FakeClock()
-        backend = make_backend(kind, tmp_path, clock=clock, num_shards=2)
+        backend = make_backend(kind, tmp_path, clock=clock)
         backend.put_many("ns", {hex_key(index): {"v": index} for index in range(4)})
         clock.advance(1000.0)
         backend.get_many("ns", [hex_key(0), hex_key(1)])
@@ -433,20 +308,19 @@ class TestBatchMethods:
         assert not backend.contains("ns", hex_key(3))
 
 
-def test_jsonl_put_many_appends_one_batch_per_shard(tmp_path):
-    """The sharded override groups lines by shard and survives a reopen."""
-    backend = make_backend("jsonl", tmp_path, num_shards=4)
+def test_jsonl_put_many_appends_one_batch_per_shard(tmp_path, monkeypatch):
+    """The override appends a batch at once and survives a reopen."""
+    backend = make_backend("jsonl", tmp_path)
     records = {hex_key(index): {"v": index} for index in range(40)}
+    appends = []
+    append = backend._append
+    monkeypatch.setattr(
+        backend, "_append", lambda lines: appends.append(len(lines)) or append(lines)
+    )
     backend.put_many("ns", records)
+    assert appends == [40]  # one locked append for the whole batch
 
-    shards_touched = [
-        shard
-        for shard in range(4)
-        if backend.shard_path(shard).exists()
-    ]
-    assert len(shards_touched) > 1  # a 40-key batch spreads over shards
-
-    reopened = make_backend("jsonl", tmp_path, num_shards=4)
+    reopened = make_backend("jsonl", tmp_path)
     assert reopened.corrupt_lines == 0
     assert len(reopened) == 40
     for key, value in records.items():
@@ -457,10 +331,10 @@ def test_jsonl_put_many_appends_one_batch_per_shard(tmp_path):
 def test_jsonl_put_many_rejects_the_whole_batch_on_a_bad_value(tmp_path):
     """A domain error must not leave earlier records admitted in memory
     but never appended to disk."""
-    backend = make_backend("jsonl", tmp_path, num_shards=2)
+    backend = make_backend("jsonl", tmp_path)
     with pytest.raises(TypeError):
         backend.put_many("ns", {hex_key(1): {"v": 1}, hex_key(2): [1, 2]})
     assert not backend.contains("ns", hex_key(1))
     assert backend.counters.stores == 0
-    reopened = make_backend("jsonl", tmp_path, num_shards=2)
+    reopened = make_backend("jsonl", tmp_path)
     assert len(reopened) == 0

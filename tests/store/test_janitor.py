@@ -20,7 +20,7 @@ def test_rejects_negative_max_age(tmp_path):
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestSweep:
     def test_no_max_age_only_compacts(self, kind, tmp_path):
-        backend = make_backend(kind, tmp_path, num_shards=2)
+        backend = make_backend(kind, tmp_path)
         for index in range(6):
             backend.put("ns", hex_key(index), {"v": index})
         report = StoreJanitor(backend).sweep()
@@ -69,16 +69,14 @@ def test_jsonl_eviction_is_durable_even_without_compact(tmp_path):
     import time as time_module
 
     path = tmp_path / "records.jsonl"
-    backend = ShardedJsonlBackend(path, num_shards=2)
+    backend = ShardedJsonlBackend(path)
     for index in range(5):
         backend.put("", hex_key(index), {"v": index})
 
-    future = ShardedJsonlBackend(
-        path, num_shards=2, clock=lambda: time_module.time() + 1000.0
-    )
+    future = ShardedJsonlBackend(path, clock=lambda: time_module.time() + 1000.0)
     report = StoreJanitor(future, max_age_seconds=500.0).sweep(compact=False)
     assert report.evicted == 5
-    assert len(ShardedJsonlBackend(path, num_shards=2)) == 0
+    assert len(ShardedJsonlBackend(path)) == 0
 
 
 # ----------------------------------------------------------------------
@@ -87,18 +85,18 @@ def test_jsonl_eviction_is_durable_even_without_compact(tmp_path):
 def test_jsonl_eviction_shrinks_the_shard_files(tmp_path):
     clock = FakeClock()
     path = tmp_path / "records.jsonl"
-    backend = ShardedJsonlBackend(path, num_shards=2, clock=clock)
+    backend = ShardedJsonlBackend(path, clock=clock)
     for index in range(20):
         backend.put("", hex_key(index), {"v": "x" * 50})
     clock.advance(1000.0)
-    bytes_before = sum(backend.shard_path(i).stat().st_size for i in range(2))
+    bytes_before = path.stat().st_size
 
     report = StoreJanitor(backend, max_age_seconds=500.0).sweep()
     assert report.evicted == 20
-    assert report.compaction.shards_rewritten == 2
-    bytes_after = sum(backend.shard_path(i).stat().st_size for i in range(2))
+    assert report.compaction.shards_rewritten == 1
+    bytes_after = path.stat().st_size
     assert bytes_after < bytes_before
-    assert len(ShardedJsonlBackend(path, num_shards=2)) == 0
+    assert len(ShardedJsonlBackend(path)) == 0
 
 
 def test_jsonl_sweep_drops_corrupt_lines_from_disk(tmp_path):
@@ -119,7 +117,7 @@ def test_jsonl_sweep_drops_corrupt_lines_from_disk(tmp_path):
 
 def test_pickledir_eviction_removes_files(tmp_path):
     clock = FakeClock()
-    backend = make_backend("pickle", tmp_path, clock=clock, num_shards=2)
+    backend = make_backend("pickle", tmp_path, clock=clock)
     for index in range(10):
         backend.put("stage", hex_key(index), index)
     clock.advance(1000.0)

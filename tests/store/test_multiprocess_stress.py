@@ -24,7 +24,6 @@ from repro.store import PickleDirBackend, ShardedJsonlBackend
 
 WRITERS = 4
 RECORDS_PER_WRITER = 120
-SHARDS = 4
 
 # ``fork`` keeps the worker functions picklable-free and is the platform
 # this battery targets (the advisory locks are POSIX fcntl locks anyway).
@@ -49,13 +48,13 @@ def all_keys():
 
 
 def jsonl_writer(path, writer: int) -> None:
-    backend = ShardedJsonlBackend(path, num_shards=SHARDS)
+    backend = ShardedJsonlBackend(path)
     for index in range(RECORDS_PER_WRITER):
         backend.put("", writer_key(writer, index), {"writer": writer, "index": index})
 
 
 def pickle_writer(root, writer: int) -> None:
-    backend = PickleDirBackend(root, num_shards=SHARDS)
+    backend = PickleDirBackend(root)
     for index in range(RECORDS_PER_WRITER):
         # Writers deliberately collide on every key so the rename race is
         # exercised; values agree because keys are content hashes.
@@ -74,19 +73,15 @@ def run_writers(target, argument) -> None:
         assert process.exitcode == 0
 
 
-def shard_digest(path) -> str:
-    digest = hashlib.sha256()
-    for shard_file in sorted(path.parent.glob(f"{path.stem}*{path.suffix}")):
-        digest.update(shard_file.name.encode())
-        digest.update(shard_file.read_bytes())
-    return digest.hexdigest()
+def file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_concurrent_jsonl_writers_lose_nothing(tmp_path):
     path = tmp_path / "records.jsonl"
     run_writers(jsonl_writer, path)
 
-    merged = ShardedJsonlBackend(path, num_shards=SHARDS)
+    merged = ShardedJsonlBackend(path)
     assert merged.corrupt_lines == 0, "concurrent appends must never tear a line"
     keys = all_keys()
     assert len(merged) == len(keys)
@@ -100,19 +95,19 @@ def test_concurrent_jsonl_writers_lose_nothing(tmp_path):
     assert report.entries_kept == len(keys)
     assert report.dropped_corrupt == 0
 
-    compacted = ShardedJsonlBackend(path, num_shards=SHARDS)
+    compacted = ShardedJsonlBackend(path)
     assert compacted.corrupt_lines == 0
     assert len(compacted) == len(keys)
-    first_digest = shard_digest(path)
+    first_digest = file_digest(path)
     compacted.compact()
-    assert shard_digest(path) == first_digest, "re-compaction must be byte-stable"
+    assert file_digest(path) == first_digest, "re-compaction must be byte-stable"
 
 
 def test_concurrent_pickle_writers_lose_nothing(tmp_path):
     root = tmp_path / "artifacts"
     run_writers(pickle_writer, root)
 
-    merged = PickleDirBackend(root, num_shards=SHARDS)
+    merged = PickleDirBackend(root)
     for writer in range(WRITERS):
         for index in range(RECORDS_PER_WRITER):
             hit, value = merged.get(f"stage-{writer}", writer_key(writer, index))
@@ -145,9 +140,7 @@ def test_concurrent_writers_then_gc_keeps_recently_read_entries(tmp_path):
 
     # Open the store "1000 seconds in the future": every writer record is
     # now over-age, then reads refresh exactly one writer's keys.
-    backend = ShardedJsonlBackend(
-        path, num_shards=SHARDS, clock=lambda: time.time() + 1000.0
-    )
+    backend = ShardedJsonlBackend(path, clock=lambda: time.time() + 1000.0)
     kept_keys = [writer_key(0, index) for index in range(RECORDS_PER_WRITER)]
     for key in kept_keys:
         assert backend.get("", key)[0]
@@ -156,5 +149,5 @@ def test_concurrent_writers_then_gc_keeps_recently_read_entries(tmp_path):
     assert report.evicted == (WRITERS - 1) * RECORDS_PER_WRITER
     for key in kept_keys:
         assert backend.contains("", key), "a just-read key must survive GC"
-    survivors = ShardedJsonlBackend(path, num_shards=SHARDS)
+    survivors = ShardedJsonlBackend(path)
     assert len(survivors) == RECORDS_PER_WRITER
