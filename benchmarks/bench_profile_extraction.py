@@ -9,8 +9,13 @@ implementation reads the schedule's columns (``Schedule.columns``) and
 builds no entry: it sorts the multiplications' positions once and makes
 one ``dict.get`` in the name → position map per successor.  The seed loop
 stays the oracle: this benchmark asserts both produce identical profiles
-on the H.264 kernels (QPEL is the multiplication-heavy one), then times
-them, the column variant at least matching the seed loop.
+on the H.264 kernels (QPEL is the multiplication-heavy one).
+
+The gate is a count, not a wall-clock race: on a schedule whose entries
+were never read, ``extract_profile`` builds no ``ScheduledOperation``,
+while the seed loop builds one per scheduled operation (which shows the
+counter is live).  The best-of-N timings of both are printed as a table
+but not gated.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from typing import List
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.ir.dfg import DFG, OpType
 from repro.kernels import h264_kernels
+from repro.mapping import RSPMapper
 from repro.mapping.profile import extract_profile
-from repro.mapping.schedule import Schedule
+from repro.mapping.schedule import Schedule, ScheduledOperation
 from repro.utils.tabulate import format_table
 
-#: Timing repetitions; the best-of-N minimum is compared, which is robust
+#: Timing repetitions; the best-of-N minimum is reported, which is robust
 #: against scheduler noise on shared CI machines.
 REPEATS = 20
 
@@ -77,14 +83,41 @@ def best_of_interleaved(first, second, *args):
     return tuple(bests)
 
 
-def test_profile_extraction_dict_lookup_wins(mapper):
+def entries_built(monkeypatch, function, *args):
+    """``function(*args)`` and the ``ScheduledOperation`` objects it built."""
+    built = []
+    post_init = ScheduledOperation.__post_init__
+
+    def counted(entry):
+        built.append(entry)
+        post_init(entry)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScheduledOperation, "__post_init__", counted)
+        result = function(*args)
+    return result, len(built)
+
+
+def test_profile_extraction_builds_no_schedule_entries(monkeypatch):
+    # A mapper of its own: no other benchmark has read these schedules'
+    # entries, so the seed loop has to build every one of them.
+    mapper = RSPMapper()
     rows = []
     for kernel in h264_kernels():
         schedule = mapper.base_schedule(kernel)
         dfg = mapper.build_dfg(kernel)
 
-        # Identical output first — the optimisation must be behaviour-free.
-        assert extract_profile(schedule, dfg) == seed_extract_profile(schedule, dfg)
+        profile, columns_built = entries_built(monkeypatch, extract_profile, schedule, dfg)
+        seed_profile, seed_built = entries_built(
+            monkeypatch, seed_extract_profile, schedule, dfg
+        )
+        # Identical output — the optimisation must be behaviour-free.
+        assert profile == seed_profile
+        assert columns_built == 0, f"{kernel.name}: extract_profile built {columns_built} entries"
+        assert seed_built == len(schedule), (
+            f"{kernel.name}: the seed loop built {seed_built} entries for "
+            f"{len(schedule)} scheduled operations"
+        )
 
         seed_seconds, dict_seconds = best_of_interleaved(
             seed_extract_profile, extract_profile, schedule, dfg
@@ -94,23 +127,27 @@ def test_profile_extraction_dict_lookup_wins(mapper):
             [
                 kernel.name,
                 dfg.multiplication_count(),
+                seed_built,
+                columns_built,
                 round(seed_seconds * 1e6, 1),
                 round(dict_seconds * 1e6, 1),
                 f"{speedup:.2f}x",
             ]
-        )
-        # The column variant does strictly less work per successor; a
-        # small tolerance absorbs timer jitter on loaded machines.
-        assert dict_seconds <= seed_seconds * 1.10, (
-            f"{kernel.name}: column variant {dict_seconds * 1e6:.1f}us slower than "
-            f"seed loop {seed_seconds * 1e6:.1f}us"
         )
 
     print()
     print(
         format_table(
             rows,
-            headers=["kernel", "mults", "seed (us)", "columns (us)", "speedup"],
-            title=f"extract_profile micro-benchmark (best of {REPEATS})",
+            headers=[
+                "kernel",
+                "mults",
+                "seed entries",
+                "column entries",
+                "seed (us)",
+                "columns (us)",
+                "speedup",
+            ],
+            title=f"extract_profile micro-benchmark (best of {REPEATS}, ungated)",
         )
     )

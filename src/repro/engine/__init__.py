@@ -3,8 +3,8 @@
 The seed's :meth:`~repro.core.exploration.RSPDesignSpaceExplorer.explore`
 mirrors the paper's Figure 7 literally: every candidate is evaluated
 serially, from scratch, and the Pareto front is recomputed with an O(n²)
-scan.  This package turns that one-shot loop into an exploration
-*service*:
+scan.  This package turns that one-shot loop into repeatable,
+cache-backed campaigns:
 
 Campaign lifecycle
     A :class:`~repro.engine.jobs.CampaignSpec` names the kernel suites,

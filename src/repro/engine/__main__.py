@@ -136,21 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corrupt records and leftover temporary files)",
     )
     parser.add_argument(
-        "--store-url",
-        default=None,
-        metavar="URL",
-        help="use a shared repro.service store server for BOTH the "
-        "evaluation cache and the artifact store (replaces --cache-dir/"
-        "--artifact-dir); e.g. http://127.0.0.1:8731",
-    )
-    parser.add_argument(
-        "--store-tier",
-        action="store_true",
-        help="front the remote store with an in-memory read-through/"
-        "write-behind tier (repeat reads skip the server, writes batch); "
-        "requires --store-url",
-    )
-    parser.add_argument(
         "--stream",
         type=Path,
         default=None,
@@ -195,35 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _store_summary(report) -> str:
-    """One ``store:`` line: entry/disk totals and the janitor outcome.
-
-    Against a shared store server the line shows the server snapshot plus
-    the remote transport counters and — when tiered — the tier's front
-    hit/miss and flush counters.
-    """
+    """One ``store:`` line: entry/disk totals and the janitor outcome."""
     stats = report.store_stats
     janitor = stats.get("janitor")
-    if stats.get("store_url"):
-        remote = stats.get("remote") or {}
-        server = stats.get("artifacts")
-        line = f"store: {stats['store_url']}"
-        if server is not None:
-            line += f"  server: {server.entries} entries / {server.disk_bytes} B"
-        line += (
-            f"  remote: {remote.get('requests', 0)} requests / "
-            f"{remote.get('transport_retries', 0)} retries / "
-            f"{stats.get('dropped_writes', 0)} dropped writes"
-        )
-        tier = stats.get("tier")
-        if tier is not None:
-            line += (
-                f"  tier: {tier['front_hits']}h/{tier['front_misses']}m, "
-                f"flushed {tier['flushed_records']} in {tier['flush_batches']} batch(es)"
-            )
-        if janitor and janitor.get("remote") is not None:
-            sweep = janitor["remote"]
-            line += f"  janitor: {sweep.evicted} evicted, compacted={janitor.get('compacted')}"
-        return line
     artifacts = stats.get("artifacts")
     evaluations = stats.get("evaluations") or []
     entries = sum(snapshot.entries for snapshot in evaluations)
@@ -258,12 +217,6 @@ def _run(args: argparse.Namespace) -> int:
             "evaluates serially in vectorized waves; drop --backend/--workers "
             "or pass --backend serial --workers 1"
         )
-    if args.store_tier and args.store_url is None:
-        raise ReproError("--store-tier tiers a remote store; it requires --store-url")
-    if args.store_url is not None and (args.no_cache or args.no_artifact_cache):
-        raise ReproError(
-            "--store-url replaces the local stores; drop --no-cache/--no-artifact-cache"
-        )
     if args.resume and args.stream is None:
         raise ReproError("--resume replays a stream directory; it requires --stream DIR")
     spec = CampaignSpec(
@@ -280,28 +233,23 @@ def _run(args: argparse.Namespace) -> int:
         early_reject=args.early_reject,
     )
     artifact_dir = None
-    if args.store_url is None and not args.no_artifact_cache:
+    if not args.no_artifact_cache:
         if args.artifact_dir is not None:
             artifact_dir = args.artifact_dir
         elif not args.no_cache:
             artifact_dir = args.cache_dir
     runner = CampaignRunner(
         spec,
-        cache_dir=None if args.no_cache or args.store_url else args.cache_dir,
+        cache_dir=None if args.no_cache else args.cache_dir,
         artifact_dir=artifact_dir,
         gc_max_age=args.gc_max_age,
         compact=args.compact,
-        store_url=args.store_url,
-        store_tier=args.store_tier,
         stream_dir=args.stream,
         resume=args.resume,
         trace_dir=args.trace,
         flow=args.flow,
     )
-    try:
-        report, _ = runner.run()
-    finally:
-        runner.close()
+    report, _ = runner.run()
 
     if not args.quiet:
         print(

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.store import PickleDirBackend, StoreBackend, StoreJanitor, StoreStats
+from repro.store import PickleDirBackend, StoreJanitor, StoreStats
 from repro.store.pickledir import DEFAULT_KEY_PREFIX_LENGTH
 from repro.trace.spans import get_tracer
 
@@ -100,28 +100,15 @@ class ArtifactStore:
     ----------
     root:
         Cache directory shared with :class:`~repro.engine.cache.EvaluationCache`;
-        artifacts live under ``<root>/artifacts/``.  ``None`` keeps the
-        store purely in memory.
-    backend:
-        Any ready-made :class:`~repro.store.StoreBackend` to persist into
-        instead of opening a pickle directory under ``root`` — this is how
-        a campaign points its artifact store at a shared store service
-        (:class:`~repro.store.RemoteBackend` /
-        :class:`~repro.store.TieredBackend`).  Namespaces are the stage
-        names either way.  Mutually exclusive with ``root``.
+        artifacts live under ``<root>/artifacts/``, one namespace directory
+        per stage.  ``None`` keeps the store purely in memory.
     """
 
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        backend: Optional[StoreBackend] = None,
-    ) -> None:
-        if root is not None and backend is not None:
-            raise ValueError("pass either a store root or a backend, not both")
+    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root) if root is not None else None
         self.stats = ArtifactStoreStats()
         self._memory: Dict[Tuple[str, str], Any] = {}
-        self.backend: Optional[StoreBackend] = backend
+        self.backend: Optional[PickleDirBackend] = None
         if self.root is not None:
             self.backend = PickleDirBackend(self.root / ARTIFACT_SUBDIR)
 
@@ -131,7 +118,7 @@ class ArtifactStore:
 
     @property
     def directory(self) -> Optional[Path]:
-        """On-disk artifact directory (``None`` for in-memory/remote stores)."""
+        """On-disk artifact directory (``None`` for an in-memory store)."""
         if self.root is None:
             return None
         return self.root / ARTIFACT_SUBDIR
@@ -167,9 +154,8 @@ class ArtifactStore:
             corrupt_delta = self.backend.counters.corrupt - corrupt_before
             if corrupt_delta:
                 self.stats.corrupt += corrupt_delta
-                location = self.directory or getattr(self.backend, "url", self.backend.name)
                 warnings.warn(
-                    f"artifact store {location}: corrupt artifact "
+                    f"artifact store {self.directory}: corrupt artifact "
                     f"{stage}/{key[:KEY_PREFIX_LENGTH]} treated as a miss; "
                     "the stage will be recomputed",
                     RuntimeWarning,

@@ -42,13 +42,7 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Union
 from repro.core.exploration import DesignPointEvaluation
 from repro.core.stalls import StallEstimate
 from repro.engine.jobs import EvaluationJob
-from repro.store import (
-    MemoryBackend,
-    ShardedJsonlBackend,
-    StoreBackend,
-    StoreJanitor,
-    StoreStats,
-)
+from repro.store import MemoryBackend, ShardedJsonlBackend, StoreJanitor, StoreStats
 from repro.trace.spans import get_tracer
 
 
@@ -134,46 +128,25 @@ def rehydrate_evaluation(record: dict, job: EvaluationJob, array) -> DesignPoint
 class EvaluationCache:
     """A keyed store of completed design-point evaluations.
 
+    Records live in the empty namespace of their backend.
+
     Parameters
     ----------
     path:
         JSON-lines file backing the cache.  ``None`` keeps the cache
         purely in memory (useful for tests and one-shot runs).
-    backend:
-        Any ready-made :class:`~repro.store.StoreBackend` to use instead
-        of opening one from ``path`` — this is how a campaign points its
-        evaluation cache at a shared store service
-        (:class:`~repro.store.RemoteBackend` /
-        :class:`~repro.store.TieredBackend`).  Mutually exclusive with
-        ``path``.
-    namespace:
-        Store namespace the records live under.  The default empty
-        namespace matches the on-disk JSONL layout; remote caches use a
-        per-evaluation-context namespace (``evals-<ctx>``) so every
-        context shares one server cleanly.
     """
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        backend: Optional[StoreBackend] = None,
-        namespace: str = "",
-    ) -> None:
-        if path is not None and backend is not None:
-            raise ValueError("pass either a cache path or a backend, not both")
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
-        self.namespace = namespace
         self.stats = CacheStats()
         #: Records this cache has seen (prefetched, fetched or stored):
-        #: repeat lookups never go back to the backend, which is what
-        #: makes one batched ``mget`` per wave the only remote read.
+        #: repeat lookups never go back to the backend.
         self._front: Dict[str, dict] = {}
         #: Keys a batch prefetch proved absent; consulted before the
-        #: backend so a cold wave costs one round trip, not one per key.
+        #: backend so a wave's misses need no further lookup.
         self._known_misses: Set[str] = set()
-        if backend is not None:
-            self.backend = backend
-        elif self.path is None:
+        if self.path is None:
             self.backend = MemoryBackend()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,7 +176,7 @@ class EvaluationCache:
         return len(self.backend)  # type: ignore[arg-type]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._front or self.backend.contains(self.namespace, key)
+        return key in self._front or self.backend.contains("", key)
 
     # ------------------------------------------------------------------
     # Store / lookup
@@ -212,10 +185,10 @@ class EvaluationCache:
 
     def put(self, key: str, evaluation: DesignPointEvaluation) -> None:
         """Record ``evaluation`` under ``key`` and append it to the store."""
-        if key in self._front or self.backend.contains(self.namespace, key):
+        if key in self._front or self.backend.contains("", key):
             return
         record = self._record_of(evaluation)
-        self.backend.put(self.namespace, key, record)
+        self.backend.put("", key, record)
         self._front[key] = record
         self._known_misses.discard(key)
         self.stats.stores += 1
@@ -226,9 +199,9 @@ class EvaluationCache:
     def put_many(self, evaluations: Mapping[str, DesignPointEvaluation]) -> int:
         """Batch :meth:`put`: one backend ``put_many`` for a whole wave.
 
-        Over a remote backend this is the write hot path — one ``mput``
-        round trip per wave.  Keys already seen by this cache are skipped;
-        the backend deduplicates anything another process stored meanwhile.
+        On the JSONL backend that is one locked append per wave.  Keys
+        already seen by this cache are skipped; the backend deduplicates
+        anything another process stored meanwhile.
         """
         fresh = {
             key: self._record_of(evaluation)
@@ -237,7 +210,7 @@ class EvaluationCache:
         }
         if not fresh:
             return 0
-        self.backend.put_many(self.namespace, fresh)
+        self.backend.put_many("", fresh)
         self._front.update(fresh)
         self._known_misses.difference_update(fresh)
         self.stats.stores += len(fresh)
@@ -249,10 +222,10 @@ class EvaluationCache:
     def prefetch(self, keys: Iterable[str]) -> int:
         """Batch-resolve ``keys`` ahead of per-key :meth:`get` calls.
 
-        One backend ``get_many`` (one HTTP round trip on a remote) warms
-        the in-process front; subsequent :meth:`get` calls for these keys
-        — hits *and* misses — are then answered without touching the
-        backend again.  Returns the number of records fetched.
+        One backend ``get_many`` warms the in-process front; subsequent
+        :meth:`get` calls for these keys — hits *and* misses — are then
+        answered without touching the backend again.  Returns the number
+        of records fetched.
         """
         wanted = [
             key for key in keys if key not in self._front and key not in self._known_misses
@@ -261,8 +234,8 @@ class EvaluationCache:
             return 0
         found = {
             key: record
-            for key, record in self.backend.get_many(self.namespace, wanted).items()
-            if _valid_record(record)  # a remote peer may serve foreign records
+            for key, record in self.backend.get_many("", wanted).items()
+            if _valid_record(record)
         }
         self._front.update(found)
         self._known_misses.update(key for key in wanted if key not in found)
@@ -282,7 +255,7 @@ class EvaluationCache:
                 if tracer.active:
                     tracer.counter("store.eval.miss")
                 return None
-            hit, record = self.backend.get(self.namespace, key)
+            hit, record = self.backend.get("", key)
             if not hit or not _valid_record(record):
                 self.stats.misses += 1
                 if tracer.active:

@@ -287,9 +287,9 @@ class EvaluationEngine:
 
         for wave_index, wave in enumerate(waves):
             if self.cache is not None:
-                # One batched lookup per wave: over a remote store this is
-                # a single mget round trip; the per-key gets below are then
-                # answered from the cache's in-process front.
+                # One batched lookup per wave (one get_many on the
+                # backend); the per-key gets below are then answered from
+                # the cache's in-process front.
                 self.cache.prefetch(
                     [jobs[index].content_hash(self.context_hash) for index in wave]
                 )
@@ -370,7 +370,8 @@ class EvaluationEngine:
                 # One bulk merge per wave instead of m binary insertions.
                 reject_frontier.add_many(computed_vectors)
             if self.cache is not None and fresh:
-                # One batched store per wave (a single mput remotely).
+                # One batched store per wave (one locked append on a JSONL
+                # cache).
                 self.cache.put_many(fresh)
             stats.waves += 1
             if observer is not None:

@@ -21,7 +21,6 @@ and is what ``python -m repro.engine`` writes to disk.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,14 +29,7 @@ from repro.core.exploration import ExplorationResult, RSPDesignSpaceExplorer
 from repro.core.stalls import ScheduleProfile
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.cache import EvaluationCache
-from repro.store import (
-    JanitorReport,
-    RemoteBackend,
-    StoreBackend,
-    StoreJanitor,
-    TieredBackend,
-    open_store_backend,
-)
+from repro.store import JanitorReport
 from repro.engine.executor import (
     EngineRunStats,
     ExecutorConfig,
@@ -196,18 +188,6 @@ class CampaignRunner:
         the mapper's staged pipeline, so warm artifact stores serve
         profiles without re-mapping; replace it to feed pre-computed or
         remotely fetched profiles into a campaign.
-    store_url:
-        URL of a ``repro.service`` store server.  Both the evaluation
-        cache and the artifact store then live on that service (one warm
-        store for the processes or machines sharing it) instead of under
-        ``cache_dir``/``artifact_dir`` — passing those together with a
-        URL is an error.  The evaluation records of each context land in
-        a ``evals-<ctx>`` namespace, artifacts under their stage names.
-    store_tier:
-        Front the remote store with an in-memory read-through /
-        write-behind :class:`~repro.store.TieredBackend`: repeat reads
-        never re-contact the server and writes batch into one request
-        per flush.  Only meaningful with ``store_url``.
     stream_dir:
         Enable the streaming campaign mode (:mod:`repro.engine.stream`):
         wave-level events are appended to ``<stream_dir>/events.jsonl`` and
@@ -254,8 +234,6 @@ class CampaignRunner:
         profile_provider: Optional[ProfileProvider] = None,
         gc_max_age: Optional[float] = None,
         compact: bool = False,
-        store_url: Optional[str] = None,
-        store_tier: bool = False,
         stream_dir: Optional[Path] = None,
         resume: bool = False,
         trace_dir: Optional[Path] = None,
@@ -268,12 +246,6 @@ class CampaignRunner:
                 "a supplied mapper already carries its pipeline and flow; "
                 "pass flow= only when the runner builds the mapper"
             )
-        if store_url is not None and (cache_dir is not None or artifact_dir is not None):
-            raise ValueError(
-                "store_url replaces the local stores; drop cache_dir/artifact_dir"
-            )
-        if store_tier and store_url is None:
-            raise ValueError("store_tier tiers a remote store; it needs store_url")
         if resume and stream_dir is None:
             raise ValueError("resume replays a stream directory; it needs stream_dir")
         self.spec = spec
@@ -288,32 +260,12 @@ class CampaignRunner:
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.gc_max_age = gc_max_age
         self.compact = compact
-        self.store_url = store_url
-        self._store_backend: Optional[StoreBackend] = None
-        self._remote: Optional[RemoteBackend] = None
-        self._tier: Optional[TieredBackend] = None
-        if store_url is not None:
-            self._store_backend = open_store_backend(store_url, tiered=store_tier)
-            if isinstance(self._store_backend, TieredBackend):
-                self._tier = self._store_backend
-                self._remote = self._tier.backend
-            else:
-                self._remote = self._store_backend
         self.flow = flow
         if mapper is None:
-            if self._store_backend is not None:
-                store = ArtifactStore(backend=self._store_backend)
-            else:
-                store = ArtifactStore(self.artifact_dir)
-            mapper = RSPMapper(store=store, flow=flow)
+            mapper = RSPMapper(store=ArtifactStore(self.artifact_dir), flow=flow)
         self.mapper = mapper
         self.pipeline = mapper.pipeline
         self.profile_provider: ProfileProvider = profile_provider or self._pipeline_profiles
-
-    def close(self) -> None:
-        """Drain the write-behind tier and close remote connections."""
-        if self._store_backend is not None:
-            self._store_backend.close()
 
     def _pipeline_profiles(
         self, suite_name: str, kernels: Sequence[Kernel]
@@ -417,22 +369,15 @@ class CampaignRunner:
             explorer = RSPDesignSpaceExplorer(profiles, array=self.mapper.base.array)
             cache: Optional[EvaluationCache] = None
             context: Optional[str] = None
-            if self._store_backend is not None or self.cache_dir is not None:
+            if self.cache_dir is not None:
                 context = evaluation_context_hash(
                     profiles,
                     explorer.array,
                     explorer.cost_model,
                     explorer.timing_model,
                 )
-                if self._store_backend is not None:
-                    namespace = f"evals-{context[:16]}"
-                    cache = EvaluationCache(
-                        backend=self._store_backend, namespace=namespace
-                    )
-                    cache_paths.append(f"{self.store_url}#{namespace}")
-                else:
-                    cache = EvaluationCache.for_context(self.cache_dir, context)
-                    cache_paths.append(str(cache.path))
+                cache = EvaluationCache.for_context(self.cache_dir, context)
+                cache_paths.append(str(cache.path))
                 caches.append(cache)
 
             outcome = run_exploration(
@@ -509,11 +454,6 @@ class CampaignRunner:
                 # current for a live dashboard without per-span writes.
                 collector.flush()
 
-        if self._tier is not None:
-            # Settle the write-behind queue so the report's server-side
-            # snapshots and flush counters describe a quiesced store.
-            self._tier.flush()
-
         janitor_block: Optional[Dict[str, object]] = None
         if self.compact or self.gc_max_age is not None:
             janitor_block = self._run_janitors(caches)
@@ -553,55 +493,21 @@ class CampaignRunner:
         )
         if stream is not None:
             stream.campaign_finished(checkpoint_hits=totals.checkpoint_hits)
-        dropped = report.store_stats.get("dropped_writes", 0)
-        if dropped:
-            warnings.warn(
-                f"campaign {self.spec.name!r}: {dropped} store write(s) were "
-                "dropped while the store service was degraded — the shared "
-                "store is missing results this run computed; they will be "
-                "recomputed by the next cold run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return report, results
 
     def _store_stats_block(
         self, caches: Sequence[EvaluationCache], janitor_block: Optional[Dict[str, object]]
     ) -> Dict[str, object]:
-        """The report's storage snapshot (plus remote/tier counters)."""
-        block: Dict[str, object] = {
+        """The report's storage snapshot."""
+        return {
             "artifacts": self.pipeline.store.store_stats(),
             "janitor": janitor_block,
+            "evaluations": [cache.store_stats() for cache in caches],
         }
-        if self._store_backend is not None:
-            # All remote caches share one backend; one snapshot suffices.
-            block["evaluations"] = [self._store_backend.stats()] if caches else []
-            block["store_url"] = self.store_url
-        else:
-            block["evaluations"] = [cache.store_stats() for cache in caches]
-        if self._remote is not None:
-            block["remote"] = self._remote.remote_stats()
-        if self._tier is not None:
-            block["tier"] = self._tier.tier_stats()
-        # Degraded-mode data loss, surfaced as a first-class field: writes
-        # the remote client dropped while offline plus records the tier's
-        # flusher could not deliver (0 — and ignorable — for local stores).
-        dropped = self._remote.dropped_writes if self._remote is not None else 0
-        if self._tier is not None:
-            dropped += self._tier.dropped_records
-        block["dropped_writes"] = dropped
-        return block
 
     def _run_janitors(self, caches: Sequence[EvaluationCache]) -> Dict[str, object]:
         """Post-campaign GC/compaction over every persistent store."""
         block: Dict[str, object] = {"gc_max_age": self.gc_max_age, "compacted": self.compact}
-        if self._store_backend is not None:
-            # One server-side pass covers every namespace (artifacts and
-            # all evaluation contexts) in a single request.
-            block["remote"] = StoreJanitor(
-                self._store_backend, max_age_seconds=self.gc_max_age
-            ).sweep(compact=self.compact)
-            return block
         if self.pipeline.store.persistent:
             block["artifacts"] = self.pipeline.store.janitor(self.gc_max_age).sweep(
                 compact=self.compact

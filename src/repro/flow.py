@@ -83,8 +83,6 @@ def run_rsp_flow(
     executor: Optional["ExecutorConfig"] = None,
     cache: Optional["EvaluationCache"] = None,
     artifact_store: Optional[Union["ArtifactStore", str, Path]] = None,
-    store_url: Optional[str] = None,
-    store_tier: bool = False,
 ) -> FlowOutcome:
     """Run the complete RSP design flow for an application domain.
 
@@ -114,67 +112,46 @@ def run_rsp_flow(
         rearranged schedules of repeated flows are fetched instead of
         recomputed.  A path is accepted as shorthand and opens a store
         rooted there.  The flow's outputs are identical either way.
-    store_url / store_tier:
-        URL of a shared ``repro.service`` store server; the flow's
-        mapping artifacts are then fetched from and stored to that
-        service instead of a local directory (``store_tier`` fronts it
-        with an in-memory read-through/write-behind tier).  Mutually
-        exclusive with ``artifact_store``.
     """
     if not kernels:
         raise ExplorationError("the RSP flow needs at least one kernel")
-    if store_url is not None:
-        if artifact_store is not None:
-            raise ExplorationError("pass either artifact_store or store_url, not both")
-        from repro.engine.artifacts import ArtifactStore
-        from repro.store import open_store_backend
-
-        artifact_store = ArtifactStore(backend=open_store_backend(store_url, tiered=store_tier))
     if artifact_store is not None and isinstance(artifact_store, (str, Path)):
         from repro.engine.artifacts import ArtifactStore
 
         artifact_store = ArtifactStore(artifact_store)
-    # The flow owns the backend it opened from a URL: drain the
-    # write-behind tier (if any) and release the keep-alive connections
-    # on every exit path, not just success.
-    owned_backend = artifact_store.backend if store_url is not None else None
-    try:
-        array_spec = array or default_array_spec()
-        base = base_architecture(array_spec.rows, array_spec.cols)
-        mapper = RSPMapper(base=base, store=artifact_store)
-        timing_model = timing_model or TimingModel()
-        cost_model = cost_model or HardwareCostModel()
+    array_spec = array or default_array_spec()
+    base = base_architecture(array_spec.rows, array_spec.cols)
+    mapper = RSPMapper(base=base, store=artifact_store)
+    timing_model = timing_model or TimingModel()
+    cost_model = cost_model or HardwareCostModel()
 
-        # Upper half of Figure 7: pipeline mapping on the base architecture.
-        base_mappings: Dict[str, MappingResult] = {}
-        profiles: Dict[str, ScheduleProfile] = {}
+    # Upper half of Figure 7: pipeline mapping on the base architecture.
+    base_mappings: Dict[str, MappingResult] = {}
+    profiles: Dict[str, ScheduleProfile] = {}
+    for kernel in kernels:
+        base_mappings[kernel.name] = mapper.map_kernel(kernel, base)
+        profiles[kernel.name] = mapper.pipeline.profile_artifact(kernel).value
+
+    # Lower half of Figure 7: RSP exploration.
+    explorer = RSPDesignSpaceExplorer(
+        profiles, array=array_spec, cost_model=cost_model, timing_model=timing_model
+    )
+    candidate_list = list(candidates) if candidates is not None else enumerate_design_space()
+    exploration = explorer.explore(candidate_list, constraints, executor=executor, cache=cache)
+
+    selected_architecture: Optional[ArchitectureSpec] = None
+    rsp_mappings: Dict[str, MappingResult] = {}
+    if exploration.selected is not None and exploration.selected.parameters.kind != "base":
+        selected_architecture = exploration.selected.architecture
+        # RSP mapping: rearrange every kernel's context for the chosen design.
         for kernel in kernels:
-            base_mappings[kernel.name] = mapper.map_kernel(kernel, base)
-            profiles[kernel.name] = mapper.pipeline.profile_artifact(kernel).value
+            rsp_mappings[kernel.name] = mapper.map_kernel(kernel, selected_architecture)
 
-        # Lower half of Figure 7: RSP exploration.
-        explorer = RSPDesignSpaceExplorer(
-            profiles, array=array_spec, cost_model=cost_model, timing_model=timing_model
-        )
-        candidate_list = list(candidates) if candidates is not None else enumerate_design_space()
-        exploration = explorer.explore(candidate_list, constraints, executor=executor, cache=cache)
-
-        selected_architecture: Optional[ArchitectureSpec] = None
-        rsp_mappings: Dict[str, MappingResult] = {}
-        if exploration.selected is not None and exploration.selected.parameters.kind != "base":
-            selected_architecture = exploration.selected.architecture
-            # RSP mapping: rearrange every kernel's context for the chosen design.
-            for kernel in kernels:
-                rsp_mappings[kernel.name] = mapper.map_kernel(kernel, selected_architecture)
-
-        return FlowOutcome(
-            base_architecture=base,
-            base_mappings=base_mappings,
-            profiles=profiles,
-            exploration=exploration,
-            selected_architecture=selected_architecture,
-            rsp_mappings=rsp_mappings,
-        )
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
+    return FlowOutcome(
+        base_architecture=base,
+        base_mappings=base_mappings,
+        profiles=profiles,
+        exploration=exploration,
+        selected_architecture=selected_architecture,
+        rsp_mappings=rsp_mappings,
+    )

@@ -7,8 +7,7 @@ artifact store (:mod:`repro.engine.artifacts`, structures as pickles).
 Three backends implement it:
 
 ``MemoryBackend``
-    A plain in-process dictionary: tests, one-shot runs, and the in-memory
-    front of the persistent stores.
+    A plain in-process dictionary: tests and one-shot runs.
 
 ``ShardedJsonlBackend``
     One append-only JSON-lines file (the name is historical).  Appends
@@ -19,20 +18,9 @@ Three backends implement it:
     One pickle file per entry in per-namespace directories (the artifact
     layout), stored write-then-rename under advisory locks.
 
-Two composable backends extend the reach of the local three:
-
-``RemoteBackend``
-    The store protocol over HTTP against a ``repro.service`` store
-    server — keep-alive connections, batch ``mget``/``mput``,
-    retry/backoff and an offline-tolerant degraded mode.
-
-``TieredBackend``
-    A read-through :class:`MemoryBackend` front with write-behind
-    batching over any backend (typically a remote one).
-
-:func:`~repro.store.remote.open_store_backend` builds the remote backend
-for a service URL, tiered or not; the engine and the flow open the store
-that processes or machines share through it.
+A shared directory is the way to share a store: point every process's
+cache directory at one place and the locks keep concurrent writers from
+losing or tearing records.
 
 On top, :class:`~repro.store.janitor.StoreJanitor` provides age-based GC
 and compaction, and every backend can snapshot itself as a
@@ -50,22 +38,16 @@ from repro.store.janitor import JanitorReport, StoreJanitor
 from repro.store.jsonl import ShardedJsonlBackend
 from repro.store.locks import locked
 from repro.store.pickledir import PickleDirBackend
-from repro.store.remote import RemoteBackend, StoreServiceError, open_store_backend
-from repro.store.tiered import TieredBackend
 
 __all__ = [
     "CompactionReport",
     "JanitorReport",
     "MemoryBackend",
     "PickleDirBackend",
-    "RemoteBackend",
     "ShardedJsonlBackend",
     "StoreBackend",
     "StoreEntry",
     "StoreJanitor",
-    "StoreServiceError",
     "StoreStats",
-    "TieredBackend",
     "locked",
-    "open_store_backend",
 ]

@@ -2,11 +2,11 @@
 
 A backend is a namespaced key/value store with content-hash keys.  The
 protocol is deliberately small — ``get``/``put``/``delete``/``scan``/
-``stats``/``compact`` — so the evaluation cache, the artifact store and
-future remote backends can all sit behind it.  Because keys are content
-hashes, values are immutable: a ``put`` under an existing key stores the
-same value again, which is why duplicate records are "superseded" rather
-than conflicting and why compaction may drop all but one of them.
+``stats``/``compact`` — so the evaluation cache and the artifact store
+can both sit behind it.  Because keys are content hashes, values are
+immutable: a ``put`` under an existing key stores the same value again,
+which is why duplicate records are "superseded" rather than conflicting
+and why compaction may drop all but one of them.
 
 Value domains differ per backend and are part of each backend's contract:
 :class:`MemoryBackend` stores arbitrary objects,
@@ -41,7 +41,6 @@ class CompactionReport:
     entries_kept: int = 0
     dropped_duplicates: int = 0
     dropped_corrupt: int = 0
-    migrated_legacy: int = 0
     reclaimed_bytes: int = 0
 
     @property
@@ -83,12 +82,12 @@ class StoreBackend(Protocol):
     ``compact`` rewrites the physical layout without changing the logical
     contents and reports what it dropped.
 
-    ``get_many``/``put_many`` are the batch face of the protocol — the hot
-    path of the HTTP store service, where one batch call is one round
-    trip.  The defaults below fall back to per-key loops, so every backend
+    ``get_many``/``put_many`` are the batch face of the protocol: the
+    engine reads and writes each evaluation wave with one call of each.
+    The defaults below fall back to per-key loops, so every backend
     supports them; backends with a cheaper bulk plan (one lock and one
-    append per batch, one request per wave) override them.  The concrete
-    backends inherit these defaults by explicitly subclassing the protocol.
+    append per batch) override them.  The concrete backends inherit these
+    defaults by explicitly subclassing the protocol.
     """
 
     name: str
@@ -121,9 +120,6 @@ class StoreBackend(Protocol):
         for key, value in records.items():
             self.put(namespace, key, value)
         return len(records)
-
-    def close(self) -> None:
-        """Release what the backend holds open; local backends hold nothing."""
 
 
 @dataclass

@@ -76,15 +76,7 @@ class StoreJanitor:
         rewritten, so skipping compaction there would report evictions
         that resurrect on the next open.  ``compact=False`` only skips
         the pure layout-normalisation pass when nothing was evicted.
-
-        A backend that can run the whole pass closer to the data — the
-        remote client's single ``POST /janitor``, the tiered store's
-        flush-then-delegate — exposes ``sweep_remote`` and is handed the
-        sweep outright, so every caller keeps one code path.
         """
-        delegate = getattr(self.backend, "sweep_remote", None)
-        if delegate is not None:
-            return delegate(self.max_age_seconds, compact)
         report = JanitorReport()
         entries = list(self.backend.scan())
         report.scanned = len(entries)

@@ -18,13 +18,16 @@ hashes the recomputed values are the same.
 
 Concurrency
 -----------
-Appends are one ``write`` to an ``O_APPEND`` descriptor while holding the
-file's advisory lock (:func:`repro.store.locks.locked`), so concurrent
-writers interleave whole lines, never bytes.  Compaction re-reads the
-file under the same lock before rewriting it, so records appended by
-other processes since this backend loaded are preserved, not lost.
-Readers need no lock: a torn line is impossible under the append
-protocol, and anything else is counted as corrupt and skipped.
+Appends write a whole batch to an ``O_APPEND`` descriptor while holding
+the file's advisory lock (:func:`repro.store.locks.locked`), so
+concurrent writers interleave whole lines, never bytes.  A writer that
+dies mid-write leaves a torn last line; the next append, still under the
+lock, starts its batch on a fresh line, so the fragment stays one counted
+corrupt line (dropped by compaction) and no later record is glued onto
+it.  Compaction re-reads the file under the same lock before rewriting
+it, so records appended by other processes since this backend loaded are
+preserved, not lost.  Readers need no lock: a line they cannot parse is
+counted as corrupt and skipped.
 
 Read-access stamps (which age-based GC honours) live in process memory —
 persisted records carry only their write ``ts``.  A janitor therefore
@@ -192,9 +195,8 @@ class ShardedJsonlBackend(StoreBackend):
     def put_many(self, namespace: str, records: Mapping[str, Any]) -> int:
         """Batch store: one lock and one append for all new records.
 
-        The override of the protocol's per-key loop — batch HTTP
-        endpoints and local callers share this code path, and a campaign
-        wave costs one advisory lock instead of one per record.
+        The override of the protocol's per-key loop: a campaign wave costs
+        one advisory lock instead of one per record.
         """
         # Validate the whole batch before admitting anything: _admit
         # registers records in memory ahead of the append, so a
@@ -232,16 +234,27 @@ class ShardedJsonlBackend(StoreBackend):
         return found
 
     def _append(self, records: Sequence[dict]) -> List[int]:
-        """Append record lines to the file; returns the bytes per line."""
+        """Append record lines to the file; returns the bytes per line.
+
+        Under the lock, a file whose last byte is not a newline (a torn
+        line) gets one before the batch, and short writes are retried
+        until the whole batch is on disk.
+        """
         path = self.base_path
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [
             (json.dumps(record, sort_keys=True) + "\n").encode("utf-8") for record in records
         ]
+        payload = b"".join(lines)
         with locked(path):
-            descriptor = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            descriptor = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                os.write(descriptor, b"".join(lines))
+                size = os.fstat(descriptor).st_size
+                if size and os.pread(descriptor, 1, size - 1) != b"\n":
+                    payload = b"\n" + payload
+                pending = memoryview(payload)
+                while pending:
+                    pending = pending[os.write(descriptor, pending) :]
             finally:
                 os.close(descriptor)
         return [len(line) for line in lines]

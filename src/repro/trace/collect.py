@@ -19,11 +19,10 @@ installed tracer:
 * :func:`open_trace` — resolves a CLI target (a ``trace.db``, a stream
   directory, or a bare event journal) into a queryable :class:`TraceDB`.
 
-The per-stage spans, store counters and request spans live directly in
-:mod:`repro.mapping.pipeline`, :mod:`repro.engine.cache`,
-:mod:`repro.engine.artifacts`, :mod:`repro.store.remote` and
-:mod:`repro.service.server` — each calls :func:`~repro.trace.spans.get_tracer`
-at its own choke point.
+The per-stage spans and store counters live directly in
+:mod:`repro.mapping.pipeline`, :mod:`repro.engine.cache` and
+:mod:`repro.engine.artifacts` — each calls
+:func:`~repro.trace.spans.get_tracer` at its own choke point.
 """
 
 from __future__ import annotations

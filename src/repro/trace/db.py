@@ -274,7 +274,7 @@ class TraceDB:
 
         Percentiles are computed in Python over the fetched durations —
         SQLite has no percentile function, and the samples per name are
-        small (one per stage execution / wave / request).
+        small (one per stage execution or wave).
         """
         sql = "SELECT name, duration_s FROM spans"
         parameters: Tuple = ()

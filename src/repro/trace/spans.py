@@ -1,7 +1,7 @@
 """Thread-safe span tracing with a process-safe no-op default.
 
 A :class:`Span` is one timed operation — a mapping-pipeline stage, an
-evaluation wave, a store HTTP request — with an id, a parent id, a
+evaluation wave, a suite's profile build — with an id, a parent id, a
 monotonic duration, a status and a free-form attribute dict.  A
 :class:`Tracer` produces spans as context managers, keeps a per-thread
 span stack (so nested spans parent automatically), aggregates named
@@ -40,7 +40,6 @@ SPAN_KINDS: Tuple[str, ...] = (
     "wave",
     "stage",
     "eval",
-    "request",
     "span",
 )
 

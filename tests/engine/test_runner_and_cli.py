@@ -160,11 +160,13 @@ def test_cli_accepts_only_the_serial_backend(capsys):
 
 
 @pytest.mark.parametrize("module", ["repro.engine.__main__", "repro.flow"])
-def test_entry_points_import_neither_numpy_nor_multiprocessing(module):
-    """numpy loads only once a wave is evaluated, and no process pool is left."""
+def test_entry_points_avoid_numpy_multiprocessing_http_client(module):
+    """numpy loads only once a wave is evaluated, no process pool is left,
+    and no HTTP client: stores are local directories."""
     code = (
         f"import sys, {module}; "
-        "print([name for name in ('numpy', 'multiprocessing') if name in sys.modules])"
+        "print([name for name in ('numpy', 'multiprocessing', 'http.client') "
+        "if name in sys.modules])"
     )
     source_root = Path(repro.__file__).resolve().parents[1]
     result = subprocess.run(

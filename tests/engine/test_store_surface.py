@@ -1,10 +1,9 @@
 """CLI and report coverage for the storage layer.
 
 The ``--gc-max-age`` / ``--compact`` flags, the ``store_stats`` block of
-the JSON report, and the shared-store-service surface (``--store-url`` /
-``--store-tier``):
-a server seeded by a cold run in one working directory serves a warm run
-in another at a 100% evaluation hit rate with nonzero artifact hits.
+the JSON report, and sharing a store through one directory: a cold run
+in one working directory seeds a warm run in another at a 100%
+evaluation hit rate with nonzero artifact hits.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ def run_cli(tmp_path, *extra):
 # ----------------------------------------------------------------------
 def test_cli_parser_store_defaults():
     args = build_parser().parse_args([])
-    assert not hasattr(args, "store_shards")
+    for removed in ("store_shards", "store_url", "store_tier"):
+        assert not hasattr(args, removed)
     assert args.gc_max_age is None
     assert args.compact is False
 
@@ -81,6 +81,8 @@ def test_store_stats_block_in_the_json_report(tmp_path):
     stats = payload["report"]["store_stats"]
     assert "shards" not in stats
     assert "shards" not in stats["artifacts"]
+    for removed in ("store_url", "remote", "tier", "dropped_writes"):
+        assert removed not in stats
     assert stats["artifacts"]["backend"] == "pickle"
     assert stats["artifacts"]["entries"] > 0
     assert stats["artifacts"]["disk_bytes"] > 0
@@ -170,139 +172,29 @@ def test_pipeline_accepts_a_store_path(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shared store service (--store-url / --store-tier)
+# One directory shared by processes in different working directories
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def live_server(tmp_path_factory):
-    from repro.service import StoreServer
-    from repro.store import PickleDirBackend
-
-    root = tmp_path_factory.mktemp("service-store")
-    with StoreServer(PickleDirBackend(root)) as server:
-        yield server
-
-
-def run_cli_remote(tmp_path, url, *extra):
-    output = tmp_path / "report.json"
-    argv = BASE_ARGS + ["--store-url", url, "--quiet", "--output", str(output), *extra]
-    assert main(argv) == 0
-    return json.loads(output.read_text())
-
-
-def test_cli_store_url_flag_validation(capsys):
-    assert main(BASE_ARGS + ["--store-tier", "--quiet"]) == 2
-    assert "--store-url" in capsys.readouterr().err
-    assert main(BASE_ARGS + ["--store-url", "http://127.0.0.1:1", "--no-cache"]) == 2
-    assert "replaces the local stores" in capsys.readouterr().err
-
-
-def test_runner_store_url_conflicts(small_spec, tmp_path):
-    with pytest.raises(ValueError, match="replaces the local stores"):
-        CampaignRunner(small_spec, cache_dir=tmp_path, store_url="http://127.0.0.1:1")
-    with pytest.raises(ValueError, match="needs store_url"):
-        CampaignRunner(small_spec, store_tier=True)
-
-
-def test_cold_run_seeds_the_service_for_a_warm_run_elsewhere(
-    live_server, tmp_path_factory
+def test_cold_run_seeds_a_shared_directory_for_a_warm_run_elsewhere(
+    tmp_path, monkeypatch
 ):
-    """The acceptance criterion: different working directories, one store."""
-    cold_dir = tmp_path_factory.mktemp("worker-a")
-    warm_dir = tmp_path_factory.mktemp("worker-b")
+    shared = tmp_path / "shared"
+    reports = {}
+    for worker in ("worker-a", "worker-b"):
+        directory = tmp_path / worker
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        output = tmp_path / f"{worker}.json"
+        argv = BASE_ARGS + [
+            "--cache-dir", "../shared", "--quiet", "--output", str(output),
+        ]
+        assert main(argv) == 0
+        reports[worker] = json.loads(output.read_text())
+        # Every record went to the shared directory, none to the worker's.
+        assert list(directory.iterdir()) == []
 
-    cold = run_cli_remote(cold_dir, live_server.url)
-    assert cold["cache_hit_rate"] == 0.0
-    assert cold["report"]["store_stats"]["store_url"] == live_server.url
-    assert cold["report"]["store_stats"]["remote"]["requests"] > 0
-    # Nothing landed in either working directory: the service owns the data.
-    assert not list(cold_dir.glob("**/*.jsonl"))
-    assert not list(cold_dir.glob("**/artifacts"))
-
-    warm = run_cli_remote(warm_dir, live_server.url)
+    assert reports["worker-a"]["cache_hit_rate"] == 0.0
+    warm = reports["worker-b"]
     assert warm["cache_hit_rate"] == 1.0
-    assert warm["report"]["cache_misses"] == 0
     assert warm["report"]["artifact_hits"] > 0
     assert warm["report"]["artifact_misses"] == 0
-
-
-def test_store_tier_reports_front_and_flush_counters(live_server, tmp_path):
-    payload = run_cli_remote(tmp_path, live_server.url, "--store-tier")
-    stats = payload["report"]["store_stats"]
-    tier = stats["tier"]
-    assert tier["flushed_records"] > 0
-    assert tier["pending"] == 0  # the runner settles the queue pre-report
-    assert tier["front_hits"] + tier["front_misses"] > 0
-    assert stats["remote"]["dropped_puts"] == 0
-
-    # A tiered rerun in the same process of the CLI is still fully warm.
-    warm = run_cli_remote(tmp_path, live_server.url, "--store-tier")
-    assert warm["cache_hit_rate"] == 1.0
-
-
-def test_remote_janitor_block_and_gc(live_server, tmp_path):
-    run_cli_remote(tmp_path, live_server.url)
-    payload = run_cli_remote(tmp_path, live_server.url, "--compact", "--gc-max-age", "86400")
-    janitor = payload["report"]["store_stats"]["janitor"]
-    assert janitor["compacted"] is True
-    assert janitor["remote"]["scanned"] > 0
-    assert janitor["remote"]["evicted"] == 0  # everything is fresh
-
-    evict = run_cli_remote(tmp_path, live_server.url, "--gc-max-age", "0")
-    assert evict["report"]["store_stats"]["janitor"]["remote"]["evicted"] > 0
-
-
-def test_runner_with_unreachable_service_still_completes(small_spec):
-    """Degraded mode: no server, the campaign recomputes and succeeds —
-    and the writes it dropped are surfaced, not silently counted away."""
-    runner = CampaignRunner(small_spec, store_url="http://127.0.0.1:9")
-    runner._remote.retries = 0
-    runner._remote.backoff = 0.0
-    try:
-        with pytest.warns(RuntimeWarning, match=r"store write\(s\) were dropped"):
-            report, results = runner.run()
-    finally:
-        runner.close()
-    assert report.cache_hits == 0
-    assert results["h264"].selected is not None
-    assert report.store_stats["remote"]["offline_trips"] >= 1
-    # The degraded run dropped every evaluation/artifact write; the count
-    # is a first-class report field and feeds the CLI store: line.
-    assert report.store_stats["dropped_writes"] > 0
-    assert (
-        report.store_stats["dropped_writes"]
-        == report.store_stats["remote"]["dropped_puts"]
-    )
-
-
-def test_flow_accepts_a_store_url(live_server):
-    from repro.flow import run_rsp_flow
-    from repro.kernels import h264_kernels
-
-    kernels = h264_kernels()[:1]
-    cold = run_rsp_flow(kernels, store_url=live_server.url)
-    assert live_server.service.backend.stats().entries > 0
-
-    warm = run_rsp_flow(kernels, store_url=live_server.url, store_tier=True)
-    assert warm.selected_name == cold.selected_name
-    assert warm.total_selected_cycles() == cold.total_selected_cycles()
-
-    with pytest.raises(Exception, match="either artifact_store or store_url"):
-        run_rsp_flow(kernels, artifact_store="somewhere", store_url=live_server.url)
-
-
-def test_tiered_flow_closes_its_remote_connections(live_server, monkeypatch):
-    """Closing the tier the flow opened also closes the remote under it."""
-    from repro.flow import run_rsp_flow
-    from repro.kernels import h264_kernels
-    from repro.store import RemoteBackend
-
-    closed = []
-    close = RemoteBackend.close
-
-    def recording_close(self):
-        closed.append(self)
-        close(self)
-
-    monkeypatch.setattr(RemoteBackend, "close", recording_close)
-    run_rsp_flow(h264_kernels()[:1], store_url=live_server.url, store_tier=True)
-    assert len(closed) == 1
+    assert list(shared.glob("evals-*.jsonl"))

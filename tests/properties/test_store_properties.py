@@ -7,17 +7,11 @@ Three store invariants, each checked for every backend:
   after an interpreter restart,
 * GC safety — a key that was just read is never evicted by an age sweep,
   no matter how old its original write is.
-
-The remote and tiered backends get the same round-trip treatment against
-one live :class:`~repro.service.StoreServer` (module-scoped; each
-example writes into a fresh namespace), in both the per-key and the
-batch code paths.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import tempfile
 import time
 from pathlib import Path
@@ -26,15 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import StoreServer
-from repro.store import (
-    MemoryBackend,
-    PickleDirBackend,
-    RemoteBackend,
-    ShardedJsonlBackend,
-    StoreJanitor,
-    TieredBackend,
-)
+from repro.store import MemoryBackend, PickleDirBackend, ShardedJsonlBackend, StoreJanitor
 
 BACKEND_KINDS = ("memory", "jsonl", "pickle")
 PERSISTENT_KINDS = ("jsonl", "pickle")
@@ -110,74 +96,6 @@ def test_round_trip_survives_compaction(kind, ids, payload):
             hit, value = backend.get("ns", hex_key(index))
             assert hit
             assert {name: value[name] for name in payload} == payload
-
-
-# ----------------------------------------------------------------------
-# Round trip over the wire (remote + tiered backends)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def live_server(tmp_path_factory):
-    root = tmp_path_factory.mktemp("service-store")
-    with StoreServer(PickleDirBackend(root)) as server:
-        yield server
-
-
-#: Fresh namespace per hypothesis example so examples never collide on
-#: the module-scoped server.
-_namespace_ids = itertools.count()
-
-
-@given(ids=key_ids, payload=payloads)
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_remote_round_trip(live_server, ids, payload):
-    namespace = f"prop-{next(_namespace_ids)}"
-    client = RemoteBackend(live_server.url, strict=True)
-    try:
-        for index in ids:
-            client.put(namespace, hex_key(index), dict(payload))
-        for index in ids:
-            hit, value = client.get(namespace, hex_key(index))
-            assert hit
-            assert value == payload
-    finally:
-        client.close()
-
-
-@given(ids=key_ids, payload=payloads)
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_remote_batch_round_trip(live_server, ids, payload):
-    namespace = f"prop-{next(_namespace_ids)}"
-    client = RemoteBackend(live_server.url, strict=True)
-    try:
-        records = {hex_key(index): dict(payload) for index in ids}
-        assert client.put_many(namespace, records) == len(records)
-        found = client.get_many(namespace, list(records))
-        assert found == records
-    finally:
-        client.close()
-
-
-@given(ids=key_ids, payload=payloads)
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tiered_round_trip_survives_the_flush(live_server, ids, payload):
-    """What the write-behind tier buffers is what a fresh reader gets."""
-    namespace = f"prop-{next(_namespace_ids)}"
-    writer = TieredBackend(RemoteBackend(live_server.url, strict=True), auto_flush=False)
-    try:
-        for index in ids:
-            writer.put(namespace, hex_key(index), dict(payload))
-        for index in ids:  # served from the front, pre-flush
-            hit, value = writer.get(namespace, hex_key(index))
-            assert hit and value == payload
-        writer.flush()
-    finally:
-        writer.close()
-    reader = TieredBackend(RemoteBackend(live_server.url, strict=True), auto_flush=False)
-    try:
-        found = reader.get_many(namespace, [hex_key(index) for index in ids])
-        assert found == {hex_key(index): payload for index in ids}
-    finally:
-        reader.close()
 
 
 # ----------------------------------------------------------------------

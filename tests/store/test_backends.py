@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 
 import pytest
@@ -174,7 +175,6 @@ class TestJsonl:
         assert report.entries_kept == 20
         assert report.dropped_duplicates == 5
         assert report.dropped_corrupt == 1
-        assert report.migrated_legacy == 0
         assert report.shards_rewritten == 1
 
         first = path.read_bytes()
@@ -194,6 +194,45 @@ class TestJsonl:
         reopened = ShardedJsonlBackend(path)
         assert reopened.contains("", hex_key(1))
         assert reopened.contains("", hex_key(2))
+
+    def test_put_after_a_torn_tail_starts_on_a_fresh_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        make_backend("jsonl", tmp_path).put("", hex_key(1), {"v": 1})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(f'{{"key": "{hex_key(2)}", "v"')  # a writer died mid-line
+        make_backend("jsonl", tmp_path).put("", hex_key(3), {"v": 3})
+
+        reopened = make_backend("jsonl", tmp_path)
+        assert reopened.get("", hex_key(3)) == (True, reopened._records[("", hex_key(3))])
+        assert reopened.contains("", hex_key(1))
+        assert reopened.corrupt_lines == 1  # the torn fragment, and only it
+        assert reopened.compact().dropped_corrupt == 1
+        compacted = make_backend("jsonl", tmp_path)
+        assert compacted.corrupt_lines == 0
+        assert len(compacted) == 2
+
+    def test_a_short_write_is_completed(self, tmp_path, monkeypatch):
+        backend = make_backend("jsonl", tmp_path)
+        records = {hex_key(index): {"v": index} for index in range(10)}
+        write = os.write
+        shortened = []
+
+        def write_half_once(descriptor, data):
+            if shortened:
+                return write(descriptor, data)
+            shortened.append(len(data))
+            return write(descriptor, bytes(data[: len(data) // 2]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.store.jsonl.os.write", write_half_once)
+            backend.put_many("", records)
+        assert shortened
+
+        reopened = make_backend("jsonl", tmp_path)
+        assert reopened.corrupt_lines == 0
+        for key, value in records.items():
+            hit, record = reopened.get("", key)
+            assert hit and record["v"] == value["v"]
 
     def test_delete_survives_compaction(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -233,8 +272,6 @@ class TestPickleDir:
         assert backend.counters.corrupt == 1
 
     def test_compaction_drops_corrupt_and_cleans_tmp(self, tmp_path):
-        import os
-
         backend = make_backend("pickle", tmp_path)
         keys = [hex_key(index) for index in range(8)]
         for index, key in enumerate(keys):
@@ -251,7 +288,6 @@ class TestPickleDir:
         report = backend.compact()
         assert report.entries_kept == 8
         assert report.dropped_corrupt == 1
-        assert report.migrated_legacy == 0
         # Stale orphans are swept; a fresh temp file (possibly a live
         # writer mid-rename) is left alone.
         assert list(stage_dir.glob("*.tmp")) == [in_flight]

@@ -46,7 +46,7 @@ def test_trace_db_exists_and_report_carries_the_block(traced_campaign):
     assert report.trace["db"] == str(db_path)
     assert report.trace["spans"] > 0
     # The runner's post-run summary may only add late spans on top of the
-    # report's snapshot (e.g. store /stats requests), never lose any.
+    # report's snapshot, never lose any.
     assert runner.trace_summary["spans"] >= report.trace["spans"]
 
 
