@@ -97,8 +97,6 @@ _PUBLIC_API = {
     "stage_timings_as_dict": "repro.flowgraph.stats",
     # observers
     "CampaignObserver": "repro.observers",
-    "MultiObserver": "repro.observers",
-    "compose_observers": "repro.observers",
     # engine
     "ArtifactStore": "repro.engine.artifacts",
     "CampaignRunner": "repro.engine.runner",

@@ -40,7 +40,7 @@ Wave evaluation
     provably dominated candidates before the expensive stall estimation.
 
 Incremental Pareto frontiers
-    :class:`~repro.engine.frontier.ParetoFrontier` supports streaming
+    :class:`~repro.engine.frontier.ParetoFrontier` supports incremental
     insertion (a sorted sweep for the two-objective area/time case) and
     backs both the early-reject filter and the O(n log n)
     :func:`~repro.core.pareto.pareto_front_vectors` replacement.
@@ -55,11 +55,6 @@ invocation is served almost entirely from the cache.
 
 from repro.engine.artifacts import ArtifactStore, ArtifactStoreStats
 from repro.engine.cache import CacheStats, EvaluationCache
-from repro.engine.checkpoint import (
-    CampaignCheckpoint,
-    SuiteCheckpoint,
-    campaign_fingerprint,
-)
 from repro.engine.executor import (
     EngineExplorationOutcome,
     EngineRunStats,
@@ -71,16 +66,6 @@ from repro.engine.executor import (
     run_exploration,
 )
 from repro.engine.frontier import ParetoFrontier, pareto_front_indices
-from repro.engine.stream import (
-    EVENT_TYPES,
-    CampaignEvent,
-    CampaignStreamController,
-    EventLog,
-    StreamReplay,
-    deterministic_report_payload,
-    replay_events,
-    write_stream_report,
-)
 from repro.engine.jobs import (
     SUITE_NAMES,
     CampaignSpec,
@@ -93,40 +78,29 @@ from repro.engine.runner import CampaignReport, CampaignRunner, SuiteReport
 from repro.store import StoreJanitor, StoreStats
 
 __all__ = [
-    "EVENT_TYPES",
     "SUITE_NAMES",
     "ArtifactStore",
     "ArtifactStoreStats",
     "CacheStats",
-    "CampaignCheckpoint",
-    "CampaignEvent",
     "CampaignReport",
     "CampaignRunner",
     "CampaignSpec",
-    "CampaignStreamController",
     "EngineExplorationOutcome",
     "EngineRunStats",
     "EvaluationCache",
     "EvaluationEngine",
     "EvaluationJob",
-    "EventLog",
     "ExecutorConfig",
     "ParetoFrontier",
     "StoreJanitor",
     "StoreStats",
-    "StreamReplay",
-    "SuiteCheckpoint",
     "SuiteReport",
     "WaveObserver",
     "WaveOutcome",
     "WaveResult",
-    "campaign_fingerprint",
-    "deterministic_report_payload",
     "evaluation_context_hash",
     "hash_payload",
     "pareto_front_indices",
-    "replay_events",
     "run_exploration",
     "suite_kernels",
-    "write_stream_report",
 ]

@@ -25,7 +25,6 @@ from typing import List, Optional
 from repro.core.exploration import ExplorationConstraints
 from repro.engine.jobs import SUITE_NAMES, CampaignSpec
 from repro.engine.runner import SUMMARY_HEADERS, CampaignRunner
-from repro.engine.stream import write_stream_report
 from repro.errors import ReproError
 from repro.utils.serialization import to_json
 from repro.utils.tabulate import format_table
@@ -136,30 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
         "corrupt records and leftover temporary files)",
     )
     parser.add_argument(
-        "--stream",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="streaming mode: append wave-level events to DIR/events.jsonl, "
-        "checkpoint after every wave (crash-atomic), and write --output as "
-        "the canonical deterministic report (byte-identical across "
-        "interrupted-and-resumed runs)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint inside --stream DIR: completed "
-        "jobs are served from it, only unfinished work is re-enqueued "
-        "(no checkpoint on disk simply starts fresh)",
-    )
-    parser.add_argument(
         "--trace",
         type=Path,
         default=None,
         metavar="DIR",
         help="span-based tracing: drain campaign/suite/wave/stage/eval "
-        "spans and counters into DIR/trace.db (may be the same DIR as "
-        "--stream); inspect with python -m repro.trace summary DIR",
+        "spans and counters into DIR/trace.db; inspect with "
+        "python -m repro.trace summary DIR",
     )
     parser.add_argument(
         "--flow",
@@ -217,8 +199,6 @@ def _run(args: argparse.Namespace) -> int:
             "evaluates serially in vectorized waves; drop --backend/--workers "
             "or pass --backend serial --workers 1"
         )
-    if args.resume and args.stream is None:
-        raise ReproError("--resume replays a stream directory; it requires --stream DIR")
     spec = CampaignSpec(
         name=args.name,
         suites=tuple(args.suites or ("paper",)),
@@ -244,8 +224,6 @@ def _run(args: argparse.Namespace) -> int:
         artifact_dir=artifact_dir,
         gc_max_age=args.gc_max_age,
         compact=args.compact,
-        stream_dir=args.stream,
-        resume=args.resume,
         trace_dir=args.trace,
         flow=args.flow,
     )
@@ -285,13 +263,6 @@ def _run(args: argparse.Namespace) -> int:
                 f"nodes: {', '.join(report.flow['nodes'])}  "
                 f"edges: {' ; '.join(report.flow['edges'])}"
             )
-        if runner.stream_summary is not None:
-            facts = runner.stream_summary
-            print(
-                f"stream: {facts['directory']}  events: {facts['events']}  "
-                f"waves: {facts['waves']}  checkpoint: {facts['records']} records / "
-                f"{facts['checkpoint_hits']} served  resumed={facts['resumed']}"
-            )
         if runner.trace_summary is not None:
             facts = runner.trace_summary
             counters = facts.get("counters", {})
@@ -304,21 +275,15 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
-        if args.stream is not None:
-            # Streaming mode writes the canonical deterministic report:
-            # an interrupted-and-resumed campaign produces byte-identical
-            # output; the live trajectory lives in the event log.
-            write_stream_report(args.output, report)
-        else:
-            payload = {
-                "report": report,
-                "cache_hit_rate": report.cache_hit_rate,
-                "suite_selections": {
-                    suite.suite: {"selected": suite.selected, "kind": suite.selected_kind}
-                    for suite in report.suites
-                },
-            }
-            args.output.write_text(to_json(payload) + "\n", encoding="utf-8")
+        payload = {
+            "report": report,
+            "cache_hit_rate": report.cache_hit_rate,
+            "suite_selections": {
+                suite.suite: {"selected": suite.selected, "kind": suite.selected_kind}
+                for suite in report.suites
+            },
+        }
+        args.output.write_text(to_json(payload) + "\n", encoding="utf-8")
         if not args.quiet:
             print(f"report written to {args.output}")
     return 0

@@ -78,11 +78,7 @@ def _valid_record(record: dict) -> bool:
 
 
 def evaluation_record(evaluation: DesignPointEvaluation) -> dict:
-    """The flat JSON record of one evaluation (the cache's line format).
-
-    Shared with the campaign checkpoint (:mod:`repro.engine.checkpoint`),
-    so a checkpointed result and a cached one are the same bytes.
-    """
+    """The flat JSON record of one evaluation (the cache's line format)."""
     return {
         "label": evaluation.architecture.name,
         "area_slices": evaluation.area_slices,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.batch import BatchEvaluator
@@ -33,7 +33,7 @@ from repro.core.exploration import (
 )
 from repro.core.pareto import knee_point, pareto_front
 from repro.core.rsp_params import RSPParameters, base_parameters, enumerate_design_space
-from repro.engine.cache import EvaluationCache, rehydrate_evaluation
+from repro.engine.cache import EvaluationCache
 from repro.engine.frontier import ParetoFrontier
 from repro.engine.jobs import EvaluationJob, evaluation_context_hash
 from repro.errors import ExplorationError
@@ -52,8 +52,8 @@ class ExecutorConfig:
     """Wave sizing for one engine run.
 
     ``chunk_size`` is the number of pending jobs per wave: the unit of
-    one batched cache lookup, one vectorized evaluation, one checkpoint
-    and one observer callback pair.
+    one batched cache lookup, one vectorized evaluation, one batched
+    store and one observer callback pair.
     """
 
     chunk_size: int = 8
@@ -73,9 +73,7 @@ class EngineRunStats:
     cache_hits: int = 0
     cache_misses: int = 0
     early_rejected: int = 0
-    #: Jobs served from a campaign checkpoint instead of being enqueued.
-    checkpoint_hits: int = 0
-    #: Waves actually dispatched (checkpoint-served jobs never form waves).
+    #: Waves dispatched.
     waves: int = 0
     wall_seconds: float = 0.0
 
@@ -86,7 +84,7 @@ class EngineRunStats:
 
 
 # ----------------------------------------------------------------------
-# Wave observation (the streaming mode's window into the engine)
+# Wave observation (the tracer's window into the engine)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WaveResult:
@@ -241,7 +239,6 @@ class EvaluationEngine:
         lower_bound_cycles: int = 0,
         base_evaluation: Optional[DesignPointEvaluation] = None,
         constraints: Optional[ExplorationConstraints] = None,
-        completed: Optional[Mapping[int, DesignPointEvaluation]] = None,
         observer: Optional[WaveObserver] = None,
     ) -> Tuple[Dict[int, DesignPointEvaluation], List[int]]:
         """Evaluate ``jobs``; returns (index → evaluation, rejected indices).
@@ -249,12 +246,8 @@ class EvaluationEngine:
         When ``reject_frontier`` is given, candidates whose execution-time
         lower bound is already strictly beaten by a completed feasible
         point at no larger area are skipped before stall estimation, and
-        feasible results are streamed into the frontier as waves finish.
-
-        ``completed`` maps job indices to results obtained elsewhere (a
-        campaign checkpoint): those jobs never form waves, are counted in
-        ``stats.checkpoint_hits`` and feed the reject frontier exactly as
-        cache hits do.  ``observer`` receives wave-level callbacks (see
+        feasible results are merged into the frontier as waves finish.
+        ``observer`` receives wave-level callbacks (see
         :class:`WaveObserver`).
         """
         results: Dict[int, DesignPointEvaluation] = {}
@@ -266,24 +259,8 @@ class EvaluationEngine:
                 return None
             return is_feasible(evaluation, base_evaluation, effective_constraints)
 
-        def frontier_add(evaluation: DesignPointEvaluation, feasible: Optional[bool]) -> None:
-            if reject_frontier is not None and feasible:
-                reject_frontier.add(
-                    (evaluation.area_slices, evaluation.total_execution_time_ns)
-                )
-
-        pending_indices: List[int] = []
-        for index in range(len(jobs)):
-            if completed is not None and index in completed:
-                evaluation = completed[index]
-                results[index] = evaluation
-                stats.checkpoint_hits += 1
-                frontier_add(evaluation, feasibility(evaluation))
-            else:
-                pending_indices.append(index)
-
         evaluator = self.batch_evaluator()
-        waves = _chunked(pending_indices, self.config.chunk_size)
+        waves = _chunked(range(len(jobs)), self.config.chunk_size)
 
         for wave_index, wave in enumerate(waves):
             if self.cache is not None:
@@ -307,7 +284,10 @@ class EvaluationEngine:
                         stats.cache_hits += 1
                         results[index] = cached
                         feasible = feasibility(cached)
-                        frontier_add(cached, feasible)
+                        if reject_frontier is not None and feasible:
+                            reject_frontier.add(
+                                (cached.area_slices, cached.total_execution_time_ns)
+                            )
                         if observer is not None:
                             wave_events.append(
                                 WaveResult(
@@ -419,7 +399,6 @@ def run_exploration(
     config: Optional[ExecutorConfig] = None,
     cache: Optional[EvaluationCache] = None,
     early_reject: bool = False,
-    completed_records: Optional[Mapping[str, dict]] = None,
     observer: Optional[WaveObserver] = None,
     context_hash: Optional[str] = None,
 ) -> EngineExplorationOutcome:
@@ -433,12 +412,8 @@ def run_exploration(
     front and the selected design are unchanged, but the ``evaluated`` and
     ``feasible`` lists omit the rejected points (returned separately).
 
-    ``completed_records`` maps job content hashes to flat evaluation
-    records (a campaign checkpoint's state): matching jobs are rehydrated
-    instead of enqueued, so a resumed campaign converges to the identical
-    result without re-evaluating finished work.  ``observer`` is the
-    streaming mode's hook (see :meth:`EvaluationEngine.evaluate_jobs`).
-    ``context_hash`` is the
+    ``observer`` receives the run's wave-level callbacks (see
+    :meth:`EvaluationEngine.evaluate_jobs`).  ``context_hash`` is the
     :func:`evaluation_context_hash` of ``explorer`` when the caller has
     already computed it (hashed here otherwise).
     """
@@ -453,16 +428,9 @@ def run_exploration(
     # feasibility constraints and stands in for any "base" candidates.
     base_job = EvaluationJob(parameters=base_parameters(), name="Base")
     base_key = base_job.content_hash(engine.context_hash)
-    if completed_records is not None and base_key in completed_records:
-        base_evaluation = rehydrate_evaluation(
-            completed_records[base_key], base_job, explorer.array
-        )
-        stats.checkpoint_hits += 1
-        base_source = "checkpoint"
-    else:
-        hits_before = stats.cache_hits
-        base_evaluation = engine.evaluate_job(base_job, stats)
-        base_source = "cache" if stats.cache_hits > hits_before else "computed"
+    hits_before = stats.cache_hits
+    base_evaluation = engine.evaluate_job(base_job, stats)
+    base_source = "cache" if stats.cache_hits > hits_before else "computed"
     if observer is not None:
         observer.base_evaluated(
             base_key,
@@ -482,14 +450,6 @@ def run_exploration(
     # base evaluation ("base" entries in the candidate list reuse it).
     stats.total_jobs = len(jobs) + 1
 
-    completed: Optional[Dict[int, DesignPointEvaluation]] = None
-    if completed_records is not None:
-        completed = {}
-        for local_index, job in enumerate(jobs):
-            record = completed_records.get(job.content_hash(engine.context_hash))
-            if record is not None:
-                completed[local_index] = rehydrate_evaluation(record, job, explorer.array)
-
     reject_frontier: Optional[ParetoFrontier] = None
     lower_bound_cycles = 0
     if early_reject:
@@ -507,7 +467,6 @@ def run_exploration(
         lower_bound_cycles=lower_bound_cycles,
         base_evaluation=base_evaluation,
         constraints=constraints,
-        completed=completed,
         observer=observer,
     )
 

@@ -137,30 +137,6 @@ class ParetoFrontier:
         return list(self._keys)
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (campaign checkpoints)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> List[List[float]]:
-        """JSON-serialisable frontier state: the member vectors, in order.
-
-        Frontier members are mutually non-dominated, so the vectors alone
-        reconstruct the frontier exactly — and because every dominated
-        point was already rejected at insertion time, restoring a snapshot
-        is equivalent to replaying the full point stream it was built from
-        (the checkpoint/restore property test pins this down).  Items are
-        deliberately not snapshotted; checkpoints carry evaluation records
-        separately and re-associate them on resume.
-        """
-        return [list(key) for key in self._keys]
-
-    @classmethod
-    def restore(cls, vectors: Sequence[Sequence[float]], num_objectives: int = 2) -> "ParetoFrontier":
-        """Rebuild a frontier from a :meth:`snapshot` payload."""
-        frontier = cls(num_objectives=num_objectives)
-        for vector in vectors:
-            frontier.add(vector)
-        return frontier
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def dominated(self, vector: Sequence[float]) -> bool:

@@ -36,7 +36,6 @@ from repro.engine.executor import (
     run_exploration,
 )
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
-from repro.engine.stream import CampaignStreamController
 from repro.ir.loops import Kernel
 from repro.mapping.mapper import RSPMapper
 from repro.flowgraph.stats import merge_stage_timings, stage_timings_as_dict
@@ -188,23 +187,13 @@ class CampaignRunner:
         the mapper's staged pipeline, so warm artifact stores serve
         profiles without re-mapping; replace it to feed pre-computed or
         remotely fetched profiles into a campaign.
-    stream_dir:
-        Enable the streaming campaign mode (:mod:`repro.engine.stream`):
-        wave-level events are appended to ``<stream_dir>/events.jsonl`` and
-        a crash-atomic checkpoint is rewritten after every wave.
-    resume:
-        Load the checkpoint inside ``stream_dir`` and serve its completed
-        jobs instead of re-enqueuing them; the campaign then converges to
-        the identical final result.  Requires ``stream_dir``; with no
-        checkpoint on disk the campaign simply starts fresh.
     trace_dir:
         Enable span-based tracing (:mod:`repro.trace`): a
         :class:`~repro.trace.collect.TraceCollector` is installed for the
         duration of the run and drains campaign/suite/wave/stage/eval
         spans plus counters into ``<trace_dir>/trace.db``, which
-        ``python -m repro.trace`` renders as dashboards.  May be the same
-        directory as ``stream_dir`` — the DB then sits next to the event
-        journal.  Untraced runs keep the no-op tracer and pay nothing.
+        ``python -m repro.trace`` renders as dashboards.  Untraced runs
+        keep the no-op tracer and pay nothing.
     flow:
         Custom mapping flow for the campaign — a flow config (dict or
         JSON path, see :mod:`repro.flowgraph.config`) or a pre-built
@@ -234,8 +223,6 @@ class CampaignRunner:
         profile_provider: Optional[ProfileProvider] = None,
         gc_max_age: Optional[float] = None,
         compact: bool = False,
-        stream_dir: Optional[Path] = None,
-        resume: bool = False,
         trace_dir: Optional[Path] = None,
         flow=None,
     ) -> None:
@@ -246,14 +233,8 @@ class CampaignRunner:
                 "a supplied mapper already carries its pipeline and flow; "
                 "pass flow= only when the runner builds the mapper"
             )
-        if resume and stream_dir is None:
-            raise ValueError("resume replays a stream directory; it needs stream_dir")
         self.spec = spec
-        self.stream_dir = Path(stream_dir) if stream_dir is not None else None
-        self.resume = resume
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: Facts of the last streamed run (``None`` outside stream mode).
-        self.stream_summary: Optional[Dict[str, object]] = None
         #: Facts of the last traced run (``None`` outside trace mode).
         self.trace_summary: Optional[Dict[str, object]] = None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -273,19 +254,8 @@ class CampaignRunner:
         """Default profile provider: the store-backed mapping pipeline."""
         return self.pipeline.profiles_for(kernels)
 
-    @staticmethod
-    def _suite_observer(collector, stream, suite_name: str):
-        """The engine's single observer slot: tracing and/or streaming."""
-        stream_observer = stream.suite_observer(suite_name) if stream is not None else None
-        if collector is None:
-            return stream_observer
-        from repro.observers import compose_observers
-
-        return compose_observers(collector.observer(suite_name), stream_observer)
-
     def run(self) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         """Run every suite; returns the report and per-suite exploration results."""
-        stream: Optional[CampaignStreamController] = None
         collector = None
         if self.trace_dir is not None:
             # Imported here, not at module scope: repro.trace.collect
@@ -295,23 +265,14 @@ class CampaignRunner:
 
             collector = TraceCollector(self.trace_dir, campaign=self.spec.name)
             collector.install()
-        if self.stream_dir is not None:
-            stream = CampaignStreamController(self.stream_dir, self.spec, resume=self.resume)
         try:
-            return self._run(stream, collector)
+            return self._run(collector)
         finally:
-            if stream is not None:
-                self.stream_summary = stream.summary()
-                stream.close()
             if collector is not None:
                 collector.uninstall()
                 self.trace_summary = collector.close()
 
-    def _run(
-        self,
-        stream: Optional[CampaignStreamController],
-        collector=None,
-    ) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
+    def _run(self, collector=None) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         started = time.perf_counter()
         config = ExecutorConfig(chunk_size=self.spec.chunk_size)
         candidates = self.spec.candidate_grid()
@@ -324,8 +285,6 @@ class CampaignRunner:
         store_stats = self.pipeline.store.stats
         store_hits_before = store_stats.hits
         store_misses_before = store_stats.misses
-        if stream is not None:
-            stream.campaign_started()
         campaign_span = None
         if collector is not None:
             campaign_span = collector.tracer.span(
@@ -344,12 +303,12 @@ class CampaignRunner:
                 suite_span = collector.tracer.span(
                     suite_name, kind="suite", suite=suite_name
                 )
-            observer = self._suite_observer(collector, stream, suite_name)
+            observer = collector.observer(suite_name) if collector is not None else None
             profile_started = time.perf_counter()
             kernels = suite_kernels(suite_name)
-            # The same composed observer watches the suite end to end: the
-            # mapping flow's node events while profiles build, then the
-            # engine's waves.
+            # The same observer watches the suite end to end: the mapping
+            # flow's node events while profiles build, then the engine's
+            # waves.
             self.pipeline.observer = observer
             try:
                 profiles = self.profile_provider(suite_name, kernels)
@@ -387,17 +346,12 @@ class CampaignRunner:
                 config=config,
                 cache=cache,
                 early_reject=self.spec.early_reject,
-                completed_records=(
-                    stream.completed_records(suite_name) if stream is not None else None
-                ),
                 observer=observer,
                 context_hash=context,
             )
             exploration = outcome.result
             stats = outcome.stats
             results[suite_name] = exploration
-            if stream is not None:
-                stream.suite_finished(suite_name)
 
             selected = exploration.selected
             if self.flow is not None and selected is not None:
@@ -441,7 +395,6 @@ class CampaignRunner:
             totals.cache_hits += stats.cache_hits
             totals.cache_misses += stats.cache_misses
             totals.early_rejected += stats.early_rejected
-            totals.checkpoint_hits += stats.checkpoint_hits
             totals.waves += stats.waves
             if suite_span is not None:
                 suite_span.set("kernels", len(kernels))
@@ -491,8 +444,6 @@ class CampaignRunner:
             trace=trace_block,
             flow=self.pipeline.describe_flow() if self.flow is not None else {},
         )
-        if stream is not None:
-            stream.campaign_finished(checkpoint_hits=totals.checkpoint_hits)
         return report, results
 
     def _store_stats_block(

@@ -1,25 +1,17 @@
 """The one campaign observer protocol every hook in the repo speaks.
 
-Historically three ad-hoc observer shapes grew side by side:
-
-* the engine's :class:`~repro.engine.executor.WaveObserver` (wave
-  lifecycle + the up-front base evaluation),
-* the tracer's ``TracingWaveObserver``/``MultiWaveObserver``/
-  ``compose_observers`` trio in :mod:`repro.trace.collect`,
-* the stream controller's per-suite journal observer.
-
-They all answered the same question — "tell me when campaign work
-happens" — with slightly different spellings.  This module unifies them:
-:class:`CampaignObserver` is the single no-op base with every callback,
-:class:`MultiObserver` fans callbacks out, and :func:`compose_observers`
-collapses a mixed bag of observers/*None*s into the engine's (and the
-mapping flow's) single observer slot.
+:class:`CampaignObserver` is the single no-op base with every callback.
+The engine's :class:`~repro.engine.executor.WaveObserver` is an alias of
+it, and the tracer's per-suite
+:class:`~repro.trace.collect.TracingWaveObserver` implements it; a
+campaign hands one such observer to the engine's and the mapping
+pipeline's observer slot.
 
 Flow-graph nodes emit into the same protocol: the runtime in
 :mod:`repro.flowgraph.core` calls :meth:`CampaignObserver.node_finished`
 with a :class:`~repro.flowgraph.core.NodeEvent` after every node it
-materialises, so one composed observer can watch waves *and* the
-per-stage dataflow that produced each candidate.
+materialises, so one observer can watch waves *and* the per-stage
+dataflow that produced each candidate.
 
 Nothing here imports the engine, the tracer or the flow runtime — the
 protocol is the leaf everything else depends on.
@@ -27,7 +19,7 @@ protocol is the leaf everything else depends on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.executor import WaveOutcome
@@ -65,52 +57,4 @@ class CampaignObserver:
         pass
 
 
-class MultiObserver(CampaignObserver):
-    """Fans every callback out to several observers, in order.
-
-    Members may implement any subset of the protocol (legacy wave-only
-    observers included) — each callback is forwarded only to members that
-    define it.
-    """
-
-    def __init__(self, observers) -> None:
-        self.observers: Tuple[Any, ...] = tuple(observers)
-
-    def _fan_out(self, method: str, *args: Any) -> None:
-        for observer in self.observers:
-            hook = getattr(observer, method, None)
-            if hook is not None:
-                hook(*args)
-
-    def wave_started(self, wave_index: int, job_count: int) -> None:
-        self._fan_out("wave_started", wave_index, job_count)
-
-    def wave_finished(self, outcome: "WaveOutcome") -> None:
-        self._fan_out("wave_finished", outcome)
-
-    def base_evaluated(
-        self, key: str, evaluation: Any, source: str, feasible: Optional[bool]
-    ) -> None:
-        self._fan_out("base_evaluated", key, evaluation, source, feasible)
-
-    def node_finished(self, event: "NodeEvent") -> None:
-        self._fan_out("node_finished", event)
-
-
-def compose_observers(*observers: Optional[CampaignObserver]) -> Optional[CampaignObserver]:
-    """One observer driving all non-``None`` arguments (``None`` when empty).
-
-    This is how a traced *and* streamed campaign fits the engine's single
-    observer slot — and how the same composite rides along on the mapping
-    pipeline's ``observer`` attribute: each member sees every callback,
-    without any knowing about the others.
-    """
-    active = [observer for observer in observers if observer is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-    return MultiObserver(active)
-
-
-__all__ = ["CampaignObserver", "MultiObserver", "compose_observers"]
+__all__ = ["CampaignObserver"]

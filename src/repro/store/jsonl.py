@@ -161,15 +161,14 @@ class ShardedJsonlBackend(StoreBackend):
         self.counters.hits += 1
         return True, record
 
-    def _admit(self, namespace: str, key: str, value: Any) -> Optional[dict]:
-        """Register a new record in memory; ``None`` when the key exists.
+    def _new_record(self, namespace: str, key: str, value: Any) -> Optional[dict]:
+        """The line to store for ``value``; ``None`` when the key exists.
 
         The stored line carries the reserved fields; ``value`` itself is
         left untouched.  Re-putting an existing key is a no-op (keys are
         content hashes, so the value cannot have changed).
         """
-        entry = (namespace, key)
-        if entry in self._records:
+        if (namespace, key) in self._records:
             return None
         if not isinstance(value, dict):
             raise TypeError(f"jsonl records must be flat JSON objects, got {type(value).__name__}")
@@ -178,45 +177,47 @@ class ShardedJsonlBackend(StoreBackend):
         if namespace:
             record["ns"] = namespace
         record["ts"] = round(self._clock(), 3)
+        return record
+
+    def _admit(self, namespace: str, key: str, record: dict, size: int) -> None:
+        """Register a record in memory once its line is on disk.
+
+        Never before: an append that raises would otherwise leave the
+        record readable in this process, and a retried put skipped as
+        already stored, while the file lacks it.
+        """
+        entry = (namespace, key)
         self._records[entry] = record
         self._stamp[entry] = record["ts"]
+        self._sizes[entry] = size
         self._deleted.discard(entry)
         self.counters.stores += 1
-        return record
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         """Record the JSON object ``value`` under ``key`` and append it."""
-        record = self._admit(namespace, key, value)
+        record = self._new_record(namespace, key, value)
         if record is None:
             return
-        written = self._append([record])
-        self._sizes[(namespace, key)] = written[0]
+        (size,) = self._append([record])
+        self._admit(namespace, key, record, size)
 
     def put_many(self, namespace: str, records: Mapping[str, Any]) -> int:
         """Batch store: one lock and one append for all new records.
 
         The override of the protocol's per-key loop: a campaign wave costs
-        one advisory lock instead of one per record.
+        one advisory lock instead of one per record.  A bad value or a
+        failed append stores none of the batch.
         """
-        # Validate the whole batch before admitting anything: _admit
-        # registers records in memory ahead of the append, so a
-        # mid-loop domain error would otherwise leave earlier records
-        # readable in this process but never written to disk.
+        fresh: Dict[str, dict] = {}
         for key, value in records.items():
-            if not isinstance(value, dict):
-                raise TypeError(
-                    f"jsonl records must be flat JSON objects, got {type(value).__name__}"
-                )
-        admitted: List[Tuple[str, dict]] = []
-        for key, value in records.items():
-            record = self._admit(namespace, key, value)
+            record = self._new_record(namespace, key, value)
             if record is not None:
-                admitted.append((key, record))
-        if admitted:
-            written = self._append([record for _, record in admitted])
-            for (key, _), size in zip(admitted, written):
-                self._sizes[(namespace, key)] = size
-        return len(admitted)
+                fresh[key] = record
+        if fresh:
+            written = self._append(list(fresh.values()))
+            for (key, record), size in zip(fresh.items(), written):
+                self._admit(namespace, key, record, size)
+        return len(fresh)
 
     def get_many(self, namespace: str, keys: Sequence[str]) -> Dict[str, Any]:
         """Batch lookup served from the in-memory map (one clock read)."""

@@ -1,7 +1,6 @@
 """Dashboard CLI: ``python -m repro.trace``.
 
-Renders a trace database (or a live stream directory) as terminal
-dashboards::
+Renders a trace database as terminal dashboards::
 
     python -m repro.trace summary .repro_trace        # counts, rates, hit rates
     python -m repro.trace tail .repro_trace -n 20     # most recent spans
@@ -9,12 +8,10 @@ dashboards::
     python -m repro.trace stages .repro_trace         # per-stage p50/p95 table
     python -m repro.trace export .repro_trace --output trace.json
 
-The target may be a ``trace.db`` file, a directory containing one (the
-campaign's ``--trace`` directory, which may double as its ``--stream``
-directory), or an ``events.jsonl`` journal — journals are backfilled
-into an in-memory trace DB on the fly, so pre-trace campaigns get the
-same dashboards.  ``summary --json`` emits the machine-readable form the
-CI smoke job compares against the campaign report.
+The target may be a ``trace.db`` file or a directory containing one (the
+campaign's ``--trace`` directory).  ``summary --json`` emits the
+machine-readable form the CI smoke job compares against the campaign
+report.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     def target(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "target",
-            help="trace.db file, directory holding one, or an events.jsonl journal",
+            help="trace.db file or a directory holding one",
         )
 
     summary = commands.add_parser("summary", help="wave rate, result and hit-rate overview")

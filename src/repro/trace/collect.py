@@ -12,12 +12,8 @@ installed tracer:
 * :class:`TraceCollector` — owns the live :class:`~repro.trace.spans.Tracer`
   and the :class:`~repro.trace.db.TraceDB` it drains into; the campaign
   runner installs it for the duration of a traced run;
-* :func:`import_event_log` — backfills an existing ``events.jsonl``
-  journal into a trace DB (wave spans from start/end timestamp pairs,
-  counters from result/frontier events), so pre-trace campaigns are
-  queryable with the same dashboard;
-* :func:`open_trace` — resolves a CLI target (a ``trace.db``, a stream
-  directory, or a bare event journal) into a queryable :class:`TraceDB`.
+* :func:`open_trace` — resolves a CLI target (a ``trace.db`` or a
+  directory holding one) into a read-only :class:`TraceDB`.
 
 The per-stage spans and store counters live directly in
 :mod:`repro.mapping.pipeline`, :mod:`repro.engine.cache` and
@@ -28,11 +24,10 @@ The per-stage spans and store counters live directly in
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.engine.executor import WaveOutcome
 from repro.engine.frontier import ParetoFrontier
-from repro.engine.stream import EVENTS_FILENAME, EventLog
 from repro.errors import TraceError
 from repro.observers import CampaignObserver
 from repro.trace.db import TRACE_DB_FILENAME, TraceDB
@@ -45,10 +40,10 @@ from repro.trace.spans import Span, Tracer, set_tracer
 class TracingWaveObserver(CampaignObserver):
     """Mirrors one suite's waves into spans and counters.
 
-    The observer keeps its own feasible-point frontier (the same
-    incremental :class:`~repro.engine.frontier.ParetoFrontier` the
-    streaming journal uses) so ``frontier.updates`` counts genuine front
-    insertions, not merely feasible results.
+    The observer keeps its own feasible-point frontier (an incremental
+    :class:`~repro.engine.frontier.ParetoFrontier`) so
+    ``frontier.updates`` counts genuine front insertions, not merely
+    feasible results.
     """
 
     def __init__(self, tracer: Tracer, suite: str) -> None:
@@ -129,8 +124,7 @@ class TraceCollector:
     Parameters
     ----------
     directory:
-        Trace directory; the DB lands at ``<directory>/trace.db`` (next
-        to a stream directory's ``events.jsonl`` when they coincide).
+        Trace directory; the DB lands at ``<directory>/trace.db``.
     db_path:
         Explicit database file instead of a directory.
     campaign:
@@ -238,165 +232,19 @@ class TraceCollector:
         self.close()
 
 
-# ----------------------------------------------------------------------
-# EventLog backfill
-# ----------------------------------------------------------------------
-def import_event_log(
-    source: Union[str, Path], db: Optional[TraceDB] = None
-) -> Tuple[TraceDB, Dict[str, int]]:
-    """Backfill an ``events.jsonl`` journal into a trace DB.
-
-    Wave spans are rebuilt from ``wave_start``/``wave_end`` timestamp
-    pairs (wall-clock deltas — the journal carries no monotonic clock),
-    campaign spans from ``campaign_start``/``campaign_end``, and the
-    counters from ``result`` and ``frontier_update`` events — the same
-    counter names a live :class:`TracingWaveObserver` emits, so wave and
-    result counts round-trip exactly between a journal and its backfill.
-
-    Returns ``(db, facts)`` where ``facts`` has ``events``/``spans``/
-    ``waves``/``results`` counts.  ``db`` defaults to a fresh in-memory
-    database (what the dashboard CLI uses for journal targets).
-    """
-    path = Path(source)
-    if path.is_dir():
-        path = path / EVENTS_FILENAME
-    events = EventLog.read(path)
-    if db is None:
-        db = TraceDB()
-
-    spans: List[dict] = []
-    counters: Dict[str, float] = {}
-
-    def bump(name: str, value: float = 1.0) -> None:
-        counters[name] = counters.get(name, 0.0) + value
-
-    def span_record(
-        sequence: int,
-        name: str,
-        kind: str,
-        start_ts: float,
-        end_ts: float,
-        parent_id: Optional[str],
-        attrs: Dict[str, Any],
-    ) -> dict:
-        return {
-            "span_id": f"evt-{sequence:x}",
-            "parent_id": parent_id,
-            "name": name,
-            "kind": kind,
-            "start_ts": start_ts,
-            "duration_s": max(0.0, end_ts - start_ts),
-            "status": "ok",
-            "pid": None,
-            "thread": None,
-            "attrs": attrs,
-        }
-
-    open_campaign: Optional[Tuple[int, float, dict]] = None
-    open_waves: Dict[Tuple[str, int], Tuple[int, float, int]] = {}
-    for event in events:
-        data = event.data
-        if event.type == "campaign_start":
-            open_campaign = (event.sequence, event.timestamp, data)
-        elif event.type == "campaign_end":
-            if open_campaign is not None:
-                sequence, started, start_data = open_campaign
-                spans.append(
-                    span_record(
-                        sequence,
-                        str(start_data.get("campaign") or data.get("campaign") or "campaign"),
-                        "campaign",
-                        started,
-                        event.timestamp,
-                        None,
-                        {
-                            "suites": start_data.get("suites", []),
-                            "resumed": bool(data.get("resumed", False)),
-                            "waves": data.get("waves"),
-                        },
-                    )
-                )
-                open_campaign = None
-        elif event.type == "wave_start":
-            suite = str(data.get("suite"))
-            wave = int(data.get("wave", 0))
-            open_waves[(suite, wave)] = (
-                event.sequence,
-                event.timestamp,
-                int(data.get("jobs", 0)),
-            )
-        elif event.type == "wave_end":
-            suite = str(data.get("suite"))
-            wave = int(data.get("wave", 0))
-            opened = open_waves.pop((suite, wave), None)
-            if opened is None:
-                continue
-            sequence, started, jobs = opened
-            parent = f"evt-{open_campaign[0]:x}" if open_campaign is not None else None
-            spans.append(
-                span_record(
-                    sequence,
-                    "wave",
-                    "wave",
-                    started,
-                    event.timestamp,
-                    parent,
-                    {
-                        "suite": suite,
-                        "wave": wave,
-                        "jobs": jobs,
-                        "results": int(data.get("results", 0)),
-                        "rejected": int(data.get("rejected", 0)),
-                        "frontier_size": int(data.get("frontier_size", 0)),
-                    },
-                )
-            )
-            bump("wave.count")
-        elif event.type == "result":
-            bump("result.count")
-            source = data.get("source")
-            if isinstance(source, str) and source:
-                bump(f"result.source.{source}")
-            if data.get("feasible"):
-                bump("result.feasible")
-        elif event.type == "frontier_update":
-            bump("frontier.updates")
-
-    db.insert_spans(spans)
-    db.add_counters(counters)
-    db.set_meta("imported_from", str(path))
-    facts = {
-        "events": len(events),
-        "spans": len(spans),
-        "waves": int(counters.get("wave.count", 0)),
-        "results": int(counters.get("result.count", 0)),
-    }
-    return db, facts
-
-
 def open_trace(target: Union[str, Path]) -> TraceDB:
-    """Resolve a dashboard target into a queryable :class:`TraceDB`.
+    """Resolve a dashboard target into a read-only :class:`TraceDB`.
 
-    Accepts a ``trace.db`` file, a directory containing one (a trace or
-    stream directory), or a bare ``events.jsonl`` journal / a directory
-    holding only one — journals are imported into an in-memory DB on the
-    fly, so the dashboard works against pre-trace campaigns too.
+    Accepts a ``.db`` file or a directory holding a ``trace.db`` (a
+    campaign's ``--trace`` directory).
     """
     path = Path(target)
     if path.is_dir():
-        db_path = path / TRACE_DB_FILENAME
-        if db_path.is_file():
-            return TraceDB(db_path, readonly=True)
-        events_path = path / EVENTS_FILENAME
-        if events_path.is_file():
-            db, _ = import_event_log(events_path)
-            return db
-        raise TraceError(
-            f"{path} holds neither {TRACE_DB_FILENAME} nor {EVENTS_FILENAME}"
-        )
-    if path.is_file():
-        if path.suffix == ".db":
-            return TraceDB(path, readonly=True)
-        db, _ = import_event_log(path)
-        return db
-    raise TraceError(f"no trace database, directory or event journal at {path}")
+        path = path / TRACE_DB_FILENAME
+        if not path.is_file():
+            raise TraceError(f"{path.parent} holds no {TRACE_DB_FILENAME}")
+    elif not path.is_file():
+        raise TraceError(f"no trace database or directory at {path}")
+    elif path.suffix != ".db":
+        raise TraceError(f"{path} is not a trace database (a .db file)")
+    return TraceDB(path, readonly=True)

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceError
 
-#: Default trace database file name inside a trace/stream directory.
+#: Default trace database file name inside a trace directory.
 TRACE_DB_FILENAME = "trace.db"
 
 #: Schema version stamped into the ``meta`` table.
@@ -107,8 +107,7 @@ class TraceDB:
     ----------
     path:
         Database file, or ``":memory:"`` for an in-process scratch DB
-        (the CLI uses that to query a backfilled event log without
-        leaving files behind).
+        that leaves no file behind.
     readonly:
         Open for queries only; writes raise :class:`~repro.errors.TraceError`.
         The file must already exist.

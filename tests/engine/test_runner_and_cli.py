@@ -141,6 +141,146 @@ def test_campaign_report_serialises(campaign_outcome):
 
 
 # ----------------------------------------------------------------------
+# Two-suite campaigns on local stores
+# ----------------------------------------------------------------------
+def two_suite_spec(*suites):
+    return CampaignSpec(
+        name="two-suites",
+        suites=suites,
+        max_rows_shared=1,
+        max_cols_shared=0,
+        chunk_size=4,
+    )
+
+
+def _stage_counts(stages):
+    return {stage: (timing["hits"], timing["misses"]) for stage, timing in stages.items()}
+
+
+def test_suite_mapping_stages_add_up_to_the_campaign(tmp_path):
+    """Every mapping stage is charged to the suite that ran it: the
+    suites' stage counts and mapping seconds add up to the campaign's."""
+    report, _ = CampaignRunner(
+        two_suite_spec("paper", "h264"), cache_dir=tmp_path, artifact_dir=tmp_path
+    ).run()
+    summed = {}
+    for suite in report.suites:
+        for stage, (hits, misses) in _stage_counts(suite.mapping_stages).items():
+            before = summed.get(stage, (0, 0))
+            summed[stage] = (before[0] + hits, before[1] + misses)
+    assert summed == _stage_counts(report.mapping_stages)
+    assert sum(suite.mapping_seconds for suite in report.suites) == pytest.approx(
+        report.mapping_seconds
+    )
+
+
+def test_two_suite_campaign_on_local_stores_starts_no_thread(tmp_path, monkeypatch):
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    CampaignRunner(
+        two_suite_spec("h264", "paper"), cache_dir=tmp_path, artifact_dir=tmp_path
+    ).run()
+    assert started == []
+
+
+def test_warm_two_suite_campaign_has_no_artifact_misses(tmp_path):
+    """A warm campaign fetches every profile of both suites from the store."""
+    spec = two_suite_spec("h264", "paper")
+    CampaignRunner(spec, artifact_dir=tmp_path).run()
+    warm, _ = CampaignRunner(spec, artifact_dir=tmp_path).run()
+    assert warm.artifact_misses == 0
+    assert warm.artifact_hits > 0
+
+
+# ----------------------------------------------------------------------
+# Recorded answers of the four-suite campaign
+# ----------------------------------------------------------------------
+#: What the four-suite campaign finds on the default grid (17 candidates,
+#: stores off).  A change that moves a selection on purpose updates these
+#: literals in its own diff.
+RECORDED_SUITES = {
+    "paper": {
+        "suite": "paper",
+        "kernels": [
+            "Hydro", "ICCG", "Tri-diagonal", "Inner product", "State",
+            "2D-FDCT", "SAD", "MVM", "FFT",
+        ],
+        "num_candidates": 17,
+        "num_feasible": 17,
+        "num_pareto": 3,
+        "selected": "rsp(shr=0,shc=1,stages=2)",
+        "selected_kind": "rsp",
+        "base_area_slices": 58240.0,
+        "base_execution_time_ns": 4758.0,
+        "selected_area_slices": 36448.0,
+        "selected_execution_time_ns": 3974.6,
+        "area_reduction_percent": 37.417582417582416,
+    },
+    "h264": {
+        "suite": "h264",
+        "kernels": ["H264-IT4x4", "H264-QPEL"],
+        "num_candidates": 17,
+        "num_feasible": 17,
+        "num_pareto": 5,
+        "selected": "rsp(shr=0,shc=1,stages=2)",
+        "selected_kind": "rsp",
+        "base_area_slices": 58240.0,
+        "base_execution_time_ns": 572.0,
+        "selected_area_slices": 36448.0,
+        "selected_execution_time_ns": 501.0,
+        "area_reduction_percent": 37.417582417582416,
+    },
+    "livermore": {
+        "suite": "livermore",
+        "kernels": ["Hydro", "ICCG", "Tri-diagonal", "Inner product", "State"],
+        "num_candidates": 17,
+        "num_feasible": 17,
+        "num_pareto": 5,
+        "selected": "rsp(shr=0,shc=1,stages=2)",
+        "selected_kind": "rsp",
+        "base_area_slices": 58240.0,
+        "base_execution_time_ns": 2002.0,
+        "selected_area_slices": 36448.0,
+        "selected_execution_time_ns": 1519.7,
+        "area_reduction_percent": 37.417582417582416,
+    },
+    "dsp": {
+        "suite": "dsp",
+        "kernels": ["2D-FDCT", "SAD", "MVM", "FFT"],
+        "num_candidates": 17,
+        "num_feasible": 17,
+        "num_pareto": 3,
+        "selected": "rsp(shr=1,shc=0,stages=2)",
+        "selected_kind": "rsp",
+        "base_area_slices": 58240.0,
+        "base_execution_time_ns": 2756.0,
+        "selected_area_slices": 36448.0,
+        "selected_execution_time_ns": 2338.0,
+        "area_reduction_percent": 37.417582417582416,
+    },
+}
+
+
+def test_four_suite_campaign_finds_the_recorded_answers():
+    spec = CampaignSpec(name="recorded", suites=("paper", "h264", "livermore", "dsp"))
+    report, _ = CampaignRunner(spec).run()
+    assert report.total_jobs == 68
+    found = {
+        suite.suite: {field: getattr(suite, field) for field in RECORDED_SUITES[suite.suite]}
+        for suite in report.suites
+    }
+    assert found == RECORDED_SUITES
+
+
+# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_parser_defaults():
@@ -148,6 +288,12 @@ def test_cli_parser_defaults():
     assert args.suites is None
     assert args.backend == "serial"
     assert args.workers == 1
+    # The streaming mode and its resume flag are gone.
+    assert not hasattr(args, "stream")
+    assert not hasattr(args, "resume")
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["--stream", "stream-dir"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_accepts_only_the_serial_backend(capsys):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.flowgraph.core import Flow, FlowContext, Node, NodeEvent
-from repro.observers import CampaignObserver, MultiObserver, compose_observers
+from repro.observers import CampaignObserver
 from repro.trace.collect import TracingWaveObserver
 from repro.trace.spans import Tracer
 
@@ -11,8 +11,7 @@ from repro.trace.spans import Tracer
 class Recorder(CampaignObserver):
     """Records every callback as (method, args) tuples."""
 
-    def __init__(self, tag=""):
-        self.tag = tag
+    def __init__(self):
         self.calls = []
 
     def wave_started(self, wave_index, job_count):
@@ -28,16 +27,6 @@ class Recorder(CampaignObserver):
         self.calls.append(("node_finished", event))
 
 
-class WaveOnly:
-    """A legacy-shaped observer implementing only part of the protocol."""
-
-    def __init__(self):
-        self.waves = []
-
-    def wave_started(self, wave_index, job_count):
-        self.waves.append((wave_index, job_count))
-
-
 def event(node="double", routed=False):
     return NodeEvent(
         flow="toy", node=node, output="out", key="k", hit=False, seconds=0.0, routed=routed
@@ -45,7 +34,7 @@ def event(node="double", routed=False):
 
 
 # ----------------------------------------------------------------------
-# Base protocol + composition
+# Base protocol
 # ----------------------------------------------------------------------
 def test_base_observer_is_a_no_op():
     observer = CampaignObserver()
@@ -53,40 +42,6 @@ def test_base_observer_is_a_no_op():
     observer.wave_finished(object())
     observer.base_evaluated("key", object(), "computed", True)
     observer.node_finished(event())
-
-
-def test_multi_observer_fans_out_in_order():
-    first, second = Recorder("a"), Recorder("b")
-    multi = MultiObserver([first, second])
-    multi.wave_started(1, 4)
-    multi.base_evaluated("key", "eval", "cache", False)
-    multi.node_finished(event())
-    assert first.calls == second.calls
-    assert [name for name, *_ in first.calls] == [
-        "wave_started",
-        "base_evaluated",
-        "node_finished",
-    ]
-
-
-def test_multi_observer_skips_callbacks_members_lack():
-    partial = WaveOnly()
-    full = Recorder()
-    multi = MultiObserver([partial, full])
-    multi.wave_started(2, 8)
-    multi.node_finished(event())  # must not raise on the partial member
-    assert partial.waves == [(2, 8)]
-    assert [name for name, *_ in full.calls] == ["wave_started", "node_finished"]
-
-
-def test_compose_observers_collapses():
-    assert compose_observers() is None
-    assert compose_observers(None, None) is None
-    single = Recorder()
-    assert compose_observers(None, single, None) is single
-    multi = compose_observers(single, Recorder())
-    assert isinstance(multi, MultiObserver)
-    assert len(multi.observers) == 2
 
 
 # ----------------------------------------------------------------------
@@ -103,8 +58,7 @@ def test_flow_run_emits_node_events_to_a_composed_observer():
         inputs=("x",),
     )
     recorder = Recorder()
-    observer = compose_observers(None, recorder)
-    flow.run(context=FlowContext({"x": 3}, keys={"x": "3"}), observer=observer)
+    flow.run(context=FlowContext({"x": 3}, keys={"x": "3"}), observer=recorder)
     events = [args[0] for name, *args in recorder.calls if name == "node_finished"]
     assert [e.node for e in events] == ["double", "square"]
     assert all(e.flow == "toy" and not e.hit for e in events)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -33,6 +34,20 @@ def hex_key(index: int) -> str:
     # A real content hash: distinct keys must differ within the first 32
     # characters, which is all the pickle backend keeps for file names.
     return hashlib.sha256(str(index).encode()).hexdigest()
+
+
+def fail_next_write(monkeypatch) -> None:
+    """Make the JSONL backend's next ``os.write`` fail as a full disk does."""
+    write = os.write
+    failed = []
+
+    def write_or_fail_once(descriptor, data):
+        if failed:
+            return write(descriptor, data)
+        failed.append(len(data))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("repro.store.jsonl.os.write", write_or_fail_once)
 
 
 def make_backend(kind: str, tmp_path, clock=None):
@@ -233,6 +248,34 @@ class TestJsonl:
         for key, value in records.items():
             hit, record = reopened.get("", key)
             assert hit and record["v"] == value["v"]
+
+    def test_a_failed_put_stores_nothing_and_can_be_retried(self, tmp_path, monkeypatch):
+        backend = make_backend("jsonl", tmp_path)
+        fail_next_write(monkeypatch)
+        with pytest.raises(OSError):
+            backend.put("", hex_key(1), {"v": 1})
+        assert not backend.contains("", hex_key(1))
+        assert backend.counters.stores == 0
+        assert not make_backend("jsonl", tmp_path).contains("", hex_key(1))
+
+        backend.put("", hex_key(1), {"v": 1})
+        assert backend.counters.stores == 1
+        assert make_backend("jsonl", tmp_path).contains("", hex_key(1))
+
+    def test_a_failed_put_many_stores_nothing_and_can_be_retried(self, tmp_path, monkeypatch):
+        backend = make_backend("jsonl", tmp_path)
+        records = {hex_key(1): {"v": 1}, hex_key(2): {"v": 2}}
+        fail_next_write(monkeypatch)
+        with pytest.raises(OSError):
+            backend.put_many("", records)
+        assert not any(backend.contains("", key) for key in records)
+        assert backend.counters.stores == 0
+        assert len(make_backend("jsonl", tmp_path)) == 0
+
+        assert backend.put_many("", records) == 2
+        assert backend.counters.stores == 2
+        reopened = make_backend("jsonl", tmp_path)
+        assert all(reopened.contains("", key) for key in records)
 
     def test_delete_survives_compaction(self, tmp_path):
         path = tmp_path / "records.jsonl"

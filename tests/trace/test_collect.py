@@ -1,4 +1,4 @@
-"""Tests for the collector layer: observers, the collector, backfill."""
+"""Tests for the collector layer: the wave observer, the collector, targets."""
 
 from __future__ import annotations
 
@@ -6,17 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.executor import WaveObserver, WaveOutcome, WaveResult
-from repro.engine.stream import EventLog
+from repro.engine.executor import WaveOutcome, WaveResult
 from repro.errors import TraceError
-from repro.observers import MultiObserver, compose_observers
-from repro.trace.collect import (
-    TraceCollector,
-    TracingWaveObserver,
-    import_event_log,
-    open_trace,
-)
-from repro.trace.db import TRACE_DB_FILENAME, TraceDB
+from repro.trace.collect import TraceCollector, TracingWaveObserver, open_trace
+from repro.trace.db import TRACE_DB_FILENAME
 from repro.trace.spans import NullTracer, Tracer, get_tracer
 
 
@@ -86,42 +79,6 @@ def test_tracing_observer_tolerates_unmatched_wave_end():
 
 
 # ----------------------------------------------------------------------
-# Observer composition
-# ----------------------------------------------------------------------
-class RecordingObserver(WaveObserver):
-    def __init__(self):
-        self.calls = []
-
-    def wave_started(self, wave_index, job_count):
-        self.calls.append(("started", wave_index, job_count))
-
-    def wave_finished(self, outcome):
-        self.calls.append(("finished", outcome.wave_index))
-
-    def base_evaluated(self, key, evaluation, source, feasible):
-        self.calls.append(("base", key, source, feasible))
-
-
-def test_compose_observers_collapses_trivial_cases():
-    assert compose_observers() is None
-    assert compose_observers(None, None) is None
-    single = RecordingObserver()
-    assert compose_observers(None, single) is single
-
-
-def test_compose_observers_fans_out_in_order():
-    first, second = RecordingObserver(), RecordingObserver()
-    combined = compose_observers(first, None, second)
-    assert isinstance(combined, MultiObserver)
-    combined.wave_started(0, 5)
-    combined.base_evaluated("k", evaluation(), "computed", True)
-    combined.wave_finished(WaveOutcome(wave_index=0, results=()))
-    expected = [("started", 0, 5), ("base", "k", "computed", True), ("finished", 0)]
-    assert first.calls == expected
-    assert second.calls == expected
-
-
-# ----------------------------------------------------------------------
 # TraceCollector
 # ----------------------------------------------------------------------
 def test_collector_requires_exactly_one_target(tmp_path):
@@ -180,65 +137,8 @@ def test_collector_context_manager_restores_previous_tracer(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# EventLog backfill and target resolution
+# Target resolution
 # ----------------------------------------------------------------------
-def write_journal(path, waves=2, results_per_wave=3):
-    with EventLog(path) as log:
-        log.emit("campaign_start", campaign="backfill", suites=["dsp"])
-        for wave in range(waves):
-            log.emit("wave_start", suite="dsp", wave=wave, jobs=results_per_wave)
-            for index in range(results_per_wave):
-                log.emit(
-                    "result",
-                    suite="dsp",
-                    wave=wave,
-                    key=f"k{wave}-{index}",
-                    label=f"cand-{index}",
-                    source="computed" if index else "cache",
-                    feasible=index % 2 == 0,
-                    area_slices=float(index),
-                    execution_time_ns=float(wave),
-                )
-            log.emit(
-                "frontier_update", suite="dsp", key=f"k{wave}-0", vector=[1.0, 1.0], size=1
-            )
-            log.emit(
-                "wave_end",
-                suite="dsp",
-                wave=wave,
-                results=results_per_wave,
-                rejected=1,
-                frontier_size=1,
-            )
-        log.emit("campaign_end", campaign="backfill", waves=waves)
-
-
-def test_import_event_log_rebuilds_spans_and_counters(tmp_path):
-    journal = tmp_path / "events.jsonl"
-    write_journal(journal, waves=2, results_per_wave=3)
-    db, facts = import_event_log(journal)
-    try:
-        assert facts["waves"] == 2
-        assert facts["results"] == 6
-        assert facts["spans"] == 3  # one campaign span + two wave spans
-        assert db.span_count("campaign") == 1
-        assert db.span_count("wave") == 2
-        assert db.counter("wave.count") == 2.0
-        assert db.counter("result.count") == 6.0
-        assert db.counter("result.source.cache") == 2.0
-        assert db.counter("result.source.computed") == 4.0
-        assert db.counter("result.feasible") == 4.0
-        assert db.counter("frontier.updates") == 2.0
-        campaign = db.spans(kind="campaign")[0]
-        assert campaign["name"] == "backfill"
-        waves = db.wave_timeline("dsp")
-        assert [w["attrs"]["jobs"] for w in waves] == [3, 3]
-        assert all(w["parent_id"] == campaign["span_id"] for w in waves)
-        assert db.get_meta("imported_from") == str(journal)
-    finally:
-        db.close()
-
-
 def test_open_trace_resolves_every_target_kind(tmp_path):
     # A directory with a trace.db -> readonly handle on it.
     traced = tmp_path / "traced"
@@ -252,24 +152,14 @@ def test_open_trace_resolves_every_target_kind(tmp_path):
     assert db.readonly
     db.close()
 
-    # A directory holding only an event journal -> in-memory backfill.
+    # Nothing usable: a directory without trace.db, a file that is not a
+    # .db (such as an old stream directory's events.jsonl), no path.
     streamed = tmp_path / "streamed"
     streamed.mkdir()
-    write_journal(streamed / "events.jsonl", waves=1, results_per_wave=1)
-    db = open_trace(streamed)
-    assert db.path is None
-    assert db.counter("wave.count") == 1.0
-    db.close()
-
-    # A bare journal file.
-    db = open_trace(streamed / "events.jsonl")
-    assert db.counter("result.count") == 1.0
-    db.close()
-
-    # Nothing usable.
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(TraceError, match="holds neither"):
-        open_trace(empty)
+    (streamed / "events.jsonl").write_text("{}\n")
+    with pytest.raises(TraceError, match="holds no trace.db"):
+        open_trace(streamed)
+    with pytest.raises(TraceError, match="not a trace database"):
+        open_trace(streamed / "events.jsonl")
     with pytest.raises(TraceError, match="no trace database"):
         open_trace(tmp_path / "nowhere")
