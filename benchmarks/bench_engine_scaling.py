@@ -1,4 +1,4 @@
-"""Benchmark: engine scaling — cache hits, early reject, tracing, numpy.
+"""Benchmark: engine scaling — cache hits, early reject, tracing, batching.
 
 Runs the nine-kernel paper domain over an enlarged candidate grid
 (``shr``/``shc`` in 0..7, pipeline stages in {1, 2, 3, 4} — 253
@@ -9,7 +9,7 @@ candidates) through the exploration engine and compares:
   JSON-lines store),
 * the full sweep against the dominance-based early-reject filter,
 * untraced against traced sweeps,
-* the scalar sweep against the vectorized batch path.
+* the scalar sweep against the batch path (memoised stall tables).
 
 All configurations must select the same design point as the scalar
 sweep.  The scalar side runs through the ``scalar_evaluation`` fixture,
@@ -195,9 +195,9 @@ def test_tracing_overhead_stays_under_five_percent(
     Gated on the scalar path (through ``scalar_evaluation``): the
     per-result cost is what's being bounded, so the denominator must be
     the per-candidate sweep the ceiling was calibrated against.  The same
-    observer over the vectorized sweep is recorded as
+    observer over the batch sweep is recorded as
     ``batch_overhead_fraction`` but not gated: the batch path shrinks the
-    sweep ~9x while the observer's per-result cost stays fixed."""
+    sweep ~10x while the observer's per-result cost stays fixed."""
     explorer, grid = paper_explorer, scaling_grid
     scalar_dir = tmp_path / "scalar"
     with scalar_evaluation():
@@ -246,25 +246,25 @@ def test_tracing_overhead_stays_under_five_percent(
         assert db.counter("result.source.computed") == pairs * traced.stats.evaluated
 
 
-#: The acceptance bar for the vectorized evaluation fast path.
+#: The acceptance bar for the batch evaluation fast path.
 BATCH_SPEEDUP_FLOOR = 5.0
 
 
 def test_batch_evaluation_speedup_on_cold_grid(
     paper_explorer, scaling_grid, bench_metrics, scalar_evaluation
 ):
-    """The acceptance bar for the vectorized wave evaluator: the numpy
-    batch path runs the 253-candidate cold grid at least 5x faster than
-    the scalar per-candidate walk, with byte-identical exploration
-    results."""
+    """The acceptance bar for the batch wave evaluator: answering stalls
+    from memoised per-profile tables runs the 253-candidate cold grid at
+    least 5x faster than the scalar per-candidate walk, with
+    byte-identical exploration results."""
     from repro.utils.serialization import to_json
 
     explorer, grid = paper_explorer, scaling_grid
 
     # Warm-ups, discarded: first calls pay one-time costs on both sides
-    # (numpy import and module caches) that are not the steady state a
-    # campaign sees.  The timed batch runs still rebuild the evaluator's
-    # profile tables every run — that cost is part of the fast path.
+    # (module caches) that are not the steady state a campaign sees.
+    # The timed batch runs still rebuild the evaluator's profile tables
+    # every run — that cost is part of the fast path.
     with scalar_evaluation():
         scalar_reference, _ = timed_run(explorer, grid)
     batch_reference, _ = timed_run(explorer, grid)

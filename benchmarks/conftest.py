@@ -53,7 +53,8 @@ def bench_metrics(request) -> Dict[str, object]:
 
 class ScalarEvaluator:
     """The scalar models behind the batch evaluator's interface: one
-    ``explorer.evaluate`` call per candidate (the vectorized path's oracle)."""
+    ``explorer.evaluate`` call per candidate, which walks the stall
+    estimator for every kernel (the batch path's oracle)."""
 
     def __init__(self, explorer):
         self.explorer = explorer
@@ -68,7 +69,8 @@ class ScalarEvaluator:
 @pytest.fixture
 def scalar_evaluation():
     """A context manager: while it is open, every engine evaluates its
-    waves through :class:`ScalarEvaluator` instead of numpy."""
+    waves through :class:`ScalarEvaluator` instead of the batch
+    evaluator's memoised stall tables."""
 
     @contextlib.contextmanager
     def substituted():

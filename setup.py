@@ -1,10 +1,8 @@
 """Setup shim enabling legacy editable installs on environments without the
-``wheel`` package.  The library needs numpy (the vectorized candidate
-evaluation of :mod:`repro.core.batch`) and nothing else outside the
-standard library."""
+``wheel`` package.  The library needs nothing outside the standard
+library; numpy and networkx are test and example dependencies only
+(``requirements-dev.txt``)."""
 
 from setuptools import setup
 
-setup(
-    install_requires=["numpy>=1.24"],
-)
+setup()

@@ -15,7 +15,7 @@ The package is organised as:
 * :mod:`repro.flow`      — the end-to-end RSP design flow of paper Figure 7,
 * :mod:`repro.flowgraph` — the declarative flow-graph runtime executing the
   mapping stages as a composable DAG,
-* :mod:`repro.engine`    — vectorized, cache-backed exploration campaigns
+* :mod:`repro.engine`    — batched, cache-backed exploration campaigns
   (``python -m repro.engine``).
 
 Quick start::
@@ -64,8 +64,8 @@ from repro.flow import FlowOutcome, run_rsp_flow
 __version__ = "1.0.0"
 
 #: Lazily-resolved public surface: name -> home module.  PEP 562 keeps
-#: ``import repro`` from dragging in numpy-heavy subsystems until a name
-#: is actually touched, while ``from repro import RSPMapper`` and friends
+#: ``import repro`` from importing every subsystem until a name is
+#: actually touched, while ``from repro import RSPMapper`` and friends
 #: remain the documented, stable spellings.
 _PUBLIC_API = {
     # architecture + kernels

@@ -44,10 +44,6 @@ class AreaBreakdown:
     shared_total: float
     array_total: float
 
-    @property
-    def reduction_vs(self) -> float:  # pragma: no cover - convenience only
-        return self.array_total
-
 
 class HardwareCostModel:
     """Area estimator implementing paper Eq. 2.

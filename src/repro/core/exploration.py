@@ -249,7 +249,7 @@ class RSPDesignSpaceExplorer:
         """Run the exploration over ``candidates`` (defaults to the standard sweep).
 
         This is a facade over :func:`repro.engine.executor.run_exploration`:
-        the engine evaluates the candidates (in vectorized waves, optionally
+        the engine evaluates the candidates (in batched waves, optionally
         through a persistent cache), applies the feasibility constraints,
         keeps the Pareto points and selects the knee.  The base point is
         evaluated exactly once, even when it appears in the candidate
@@ -267,15 +267,6 @@ class RSPDesignSpaceExplorer:
             cache=cache,
         )
         return outcome.result
-
-    def _is_feasible(
-        self,
-        evaluation: DesignPointEvaluation,
-        base: DesignPointEvaluation,
-        constraints: ExplorationConstraints,
-    ) -> bool:
-        """Apply the cost/performance rejection step of the paper's flow."""
-        return is_feasible(evaluation, base, constraints)
 
 
 def is_feasible(

@@ -20,6 +20,11 @@ cycle counts used for the paper's Tables 4/5 come from re-scheduling in
 :mod:`repro.mapping`; the estimator is intentionally pessimistic (an upper
 bound), which is what the exploration needs to reject under-provisioned
 designs safely.
+
+:class:`StallEstimator` walks the profile for every design and is the
+oracle; :class:`_ProfileTable` holds the same two rules in memoised form
+for :class:`repro.core.batch.BatchEvaluator`, so a change to either rule
+is made to both here.
 """
 
 from __future__ import annotations
@@ -229,3 +234,148 @@ class StallEstimator:
             if current != previous + 1:
                 runs += 1
         return runs * extra_per_occurrence
+
+
+class _ProfileTable:
+    """Precomputed stall structure of one :class:`ScheduleProfile`.
+
+    Holds everything the RS/RP estimators derive from the profile alone:
+
+    * the per-cycle critical issues, pre-sorted by the walk's grant key
+      ``(iteration, cycle, row, col)``;
+    * ``max_row_count`` / ``max_col_count`` — the largest number of
+      issues sharing a ``(cycle, row)`` / ``(cycle, col)`` slot, which
+      bound the capacities that can ever cause a stall;
+    * the RP ``runs`` constant (consecutive dependent-cycle runs);
+    * a memo of RS stall counts per ``(rows_shared, cols_shared)`` pair.
+    """
+
+    __slots__ = (
+        "key",
+        "kernel",
+        "length",
+        "by_cycle",
+        "last_cycle",
+        "max_row_count",
+        "max_col_count",
+        "rp_runs",
+        "_rs_memo",
+    )
+
+    def __init__(self, key: str, profile: ScheduleProfile) -> None:
+        self.key = key
+        self.kernel = profile.kernel
+        self.length = profile.length
+        by_cycle: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        row_counts: Dict[Tuple[int, int], int] = {}
+        col_counts: Dict[Tuple[int, int], int] = {}
+        for issue in profile.critical_issues:
+            entry = (issue.iteration, issue.cycle, issue.row, issue.col)
+            by_cycle.setdefault(issue.cycle, []).append(entry)
+            row_key = (issue.cycle, issue.row)
+            col_key = (issue.cycle, issue.col)
+            row_counts[row_key] = row_counts.get(row_key, 0) + 1
+            col_counts[col_key] = col_counts.get(col_key, 0) + 1
+        for entries in by_cycle.values():
+            entries.sort()
+        self.by_cycle = by_cycle
+        self.last_cycle = max(by_cycle) if by_cycle else -1
+        self.max_row_count = max(row_counts.values()) if row_counts else 0
+        self.max_col_count = max(col_counts.values()) if col_counts else 0
+        self.rp_runs = self._dependent_runs(profile)
+        self._rs_memo: Dict[Tuple[int, int], int] = {}
+
+    @staticmethod
+    def _dependent_runs(profile: ScheduleProfile) -> int:
+        """Runs of consecutive cycles issuing immediately-consumed results.
+
+        Mirrors :meth:`StallEstimator.estimate_rp_stalls`: RP stalls are
+        ``runs * (stages - 1)``, and ``runs`` is a pure profile property.
+        """
+        cycles = sorted(
+            {
+                issue.cycle
+                for issue in profile.critical_issues
+                if issue.has_immediate_dependent
+            }
+        )
+        if not cycles:
+            return 0
+        runs = 1
+        for previous, current in zip(cycles, cycles[1:]):
+            if current != previous + 1:
+                runs += 1
+        return runs
+
+    def rs_stalls(self, rows_capacity: int, cols_capacity: int) -> int:
+        """RS stalls for one capacity pair (memoized; walk only when needed).
+
+        Capacities at or above the profile's densest ``(cycle, row)`` /
+        ``(cycle, col)`` slot can never overflow: every cycle's fresh
+        issues are granted outright, nothing is ever carried, so the walk
+        would trivially count zero.  Only the small-capacity corner of
+        the grid pays for an actual cycle-walk — and that walk is a merge
+        of two pre-sorted lists instead of a per-cycle ``sorted()`` call.
+        """
+        if not self.by_cycle:
+            return 0
+        if rows_capacity >= self.max_row_count or cols_capacity >= self.max_col_count:
+            return 0
+        key = (rows_capacity, cols_capacity)
+        stalls = self._rs_memo.get(key)
+        if stalls is None:
+            stalls = self._walk(rows_capacity, cols_capacity)
+            self._rs_memo[key] = stalls
+        return stalls
+
+    def _walk(self, rows_capacity: int, cols_capacity: int) -> int:
+        """The scalar grant walk of :meth:`StallEstimator.estimate_rs_stalls`.
+
+        Semantically identical to the estimator's loop: per cycle the
+        carried backlog and the fresh issues are ordered by ``(iteration,
+        cycle, row, col)`` — ``sorted()`` is stable, so carried entries
+        precede fresh ones on key ties, which the ``<=`` merge below
+        preserves — then row capacity is granted before column capacity
+        and overflowing issues carry to the next cycle.  Every cycle past
+        the original schedule end costs one stall.
+        """
+        by_cycle = self.by_cycle
+        last_cycle = self.last_cycle
+        carried: List[Tuple[int, int, int, int]] = []
+        cycle = 0
+        extra_cycles = 0
+        while cycle <= last_cycle or carried:
+            fresh = by_cycle.get(cycle)
+            if carried and fresh:
+                pending: List[Tuple[int, int, int, int]] = []
+                i = j = 0
+                left, right = len(carried), len(fresh)
+                while i < left and j < right:
+                    if carried[i] <= fresh[j]:
+                        pending.append(carried[i])
+                        i += 1
+                    else:
+                        pending.append(fresh[j])
+                        j += 1
+                pending.extend(carried[i:])
+                pending.extend(fresh[j:])
+            else:
+                pending = carried if carried else (fresh or [])
+            carried = []
+            row_free: Dict[int, int] = {}
+            col_free: Dict[int, int] = {}
+            for entry in pending:
+                row, col = entry[2], entry[3]
+                free = row_free.get(row, rows_capacity)
+                if free > 0:
+                    row_free[row] = free - 1
+                    continue
+                free = col_free.get(col, cols_capacity)
+                if free > 0:
+                    col_free[col] = free - 1
+                else:
+                    carried.append(entry)
+            if cycle > last_cycle:
+                extra_cycles += 1
+            cycle += 1
+        return extra_cycles

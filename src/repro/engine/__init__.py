@@ -1,4 +1,4 @@
-"""repro.engine — vectorized, cache-backed exploration campaigns.
+"""repro.engine — batched, cache-backed exploration campaigns.
 
 The seed's :meth:`~repro.core.exploration.RSPDesignSpaceExplorer.explore`
 mirrors the paper's Figure 7 literally: every candidate is evaluated
@@ -34,10 +34,12 @@ Unified storage layer
 Wave evaluation
     The engine evaluates candidates in waves of
     :class:`~repro.engine.executor.ExecutorConfig` ``chunk_size`` jobs,
-    each wave in one vectorized
-    :class:`~repro.core.batch.BatchEvaluator` call that is bit-identical
-    to the scalar models.  A dominance-based early-reject filter can skip
-    provably dominated candidates before the expensive stall estimation.
+    each wave in one :class:`~repro.core.batch.BatchEvaluator` call: the
+    scalar cost and timing models per candidate, and stalls from
+    per-profile tables memoised by sharing capacity, so the results are
+    bit-identical to the scalar models.  A dominance-based early-reject
+    filter can skip provably dominated candidates before the stall
+    estimation.
 
 Incremental Pareto frontiers
     :class:`~repro.engine.frontier.ParetoFrontier` supports incremental

@@ -196,7 +196,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.backend != "serial" or args.workers != 1:
         raise ReproError(
             "the parallel evaluation backends were removed: every campaign "
-            "evaluates serially in vectorized waves; drop --backend/--workers "
+            "evaluates serially in batched waves; drop --backend/--workers "
             "or pass --backend serial --workers 1"
         )
     spec = CampaignSpec(

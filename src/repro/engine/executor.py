@@ -4,26 +4,23 @@ The engine turns a candidate list into
 :class:`~repro.engine.jobs.EvaluationJob`\\ s and evaluates them in
 *waves* of ``chunk_size`` pending jobs.  Each wave gets one batched cache
 lookup and — when enabled — a dominance-based **early-reject filter**:
-before the expensive stall estimation runs, a candidate's exact area and
-an execution-time *lower bound* (base cycles × candidate clock period;
+before the stall estimation runs, a candidate's exact area and an
+execution-time *lower bound* (base cycles × candidate clock period;
 stalls only ever add cycles) are compared against the incremental Pareto
 frontier of already-completed feasible points.  A candidate whose lower
 bound is already strictly beaten is provably dominated, can never join
 the Pareto front, and is skipped outright.  The wave's remaining jobs are
-evaluated by one vectorized :class:`~repro.core.batch.BatchEvaluator`
-call, stored with one ``put_many`` and merged into the frontier with one
-``add_many``.
+evaluated by one :class:`~repro.core.batch.BatchEvaluator` call, stored
+with one ``put_many`` and merged into the frontier with one ``add_many``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.core.batch import BatchEvaluator
-
+from repro.core.batch import BatchEvaluator
 from repro.core.exploration import (
     DesignPointEvaluation,
     ExplorationConstraints,
@@ -52,8 +49,8 @@ class ExecutorConfig:
     """Wave sizing for one engine run.
 
     ``chunk_size`` is the number of pending jobs per wave: the unit of
-    one batched cache lookup, one vectorized evaluation, one batched
-    store and one observer callback pair.
+    one batched cache lookup, one batch evaluation, one batched store
+    and one observer callback pair.
     """
 
     chunk_size: int = 8
@@ -141,11 +138,12 @@ def _chunked(items: Sequence, size: int) -> List[List]:
 
 
 class EvaluationEngine:
-    """Evaluates job lists through a cache, the reject filter and numpy.
+    """Evaluates job lists through a cache, the reject filter and the
+    batch evaluator.
 
     The engine wraps an :class:`RSPDesignSpaceExplorer` (which carries the
     profiles, the array and the calibrated models) and adds everything the
-    explorer's one-shot loop lacked: waves, vectorized evaluation,
+    explorer's one-shot loop lacked: waves, memoised stall tables,
     persistent memoisation and dominance pruning.
     """
 
@@ -160,7 +158,7 @@ class EvaluationEngine:
         self.config = config or ExecutorConfig()
         self.cache = cache
         self._context_hash = context_hash
-        self._batch_evaluator: Optional["BatchEvaluator"] = None
+        self._batch_evaluator: Optional[BatchEvaluator] = None
 
     @property
     def context_hash(self) -> str:
@@ -188,15 +186,14 @@ class EvaluationEngine:
             self._context_hash = cached
         return self._context_hash
 
-    def batch_evaluator(self) -> "BatchEvaluator":
-        """The vectorized wave evaluator (built once per engine).
+    def batch_evaluator(self) -> BatchEvaluator:
+        """The wave evaluator, built once per engine on first use.
 
-        :mod:`repro.core.batch` is imported here rather than at module
-        scope so that importing the engine does not import numpy.
+        :meth:`evaluate_jobs` asks for it only at a wave with a job to
+        evaluate, so a run served wholly from the cache builds no
+        profile tables.
         """
         if self._batch_evaluator is None:
-            from repro.core.batch import BatchEvaluator
-
             self._batch_evaluator = BatchEvaluator(
                 self.explorer.profiles,
                 array=self.explorer.array,
@@ -259,7 +256,6 @@ class EvaluationEngine:
                 return None
             return is_feasible(evaluation, base_evaluation, effective_constraints)
 
-        evaluator = self.batch_evaluator()
         waves = _chunked(range(len(jobs)), self.config.chunk_size)
 
         for wave_index, wave in enumerate(waves):
@@ -315,6 +311,7 @@ class EvaluationEngine:
 
             evaluations: List[DesignPointEvaluation] = []
             if misses:
+                evaluator = self.batch_evaluator()
                 with get_tracer().span("evaluate", kind="eval", jobs=len(misses)):
                     evaluations = evaluator.evaluate(
                         [jobs[index].parameters for index in misses],
@@ -407,7 +404,7 @@ def run_exploration(
     Reproduces the explorer's serial semantics exactly when
     ``early_reject`` is off: the same candidates in the same order, the
     same feasibility filter, the same Pareto front and the same knee-point
-    selection — only in waves, vectorized and cached.  With
+    selection — only in waves, batched and cached.  With
     ``early_reject`` on, provably dominated candidates are skipped; the
     front and the selected design are unchanged, but the ``evaluated`` and
     ``feasible`` lists omit the rejected points (returned separately).
@@ -427,15 +424,15 @@ def run_exploration(
     # The base point is evaluated exactly once, up front: it anchors the
     # feasibility constraints and stands in for any "base" candidates.
     base_job = EvaluationJob(parameters=base_parameters(), name="Base")
-    base_key = base_job.content_hash(engine.context_hash)
     hits_before = stats.cache_hits
     base_evaluation = engine.evaluate_job(base_job, stats)
-    base_source = "cache" if stats.cache_hits > hits_before else "computed"
     if observer is not None:
+        # Only the observer reads the base key; a run without a cache
+        # never hashes its context otherwise.
         observer.base_evaluated(
-            base_key,
+            base_job.content_hash(engine.context_hash),
             base_evaluation,
-            base_source,
+            "cache" if stats.cache_hits > hits_before else "computed",
             is_feasible(base_evaluation, base_evaluation, constraints),
         )
 

@@ -7,7 +7,7 @@ A campaign walks its suites in order.  For every suite the runner
    provider* — by default the staged mapping pipeline
    (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
    artifact store the base scheduling work is fetched instead of re-run,
-2. runs the candidate grid through the evaluation engine — in vectorized
+2. runs the candidate grid through the evaluation engine — in batched
    waves, backed by the persistent cache, optionally with the dominance
    early-reject filter,
 3. records the outcome as a :class:`SuiteReport`, including per-stage

@@ -97,14 +97,6 @@ class PipelineStats:
             tracer.record_span(stage, kind="stage", duration_s=seconds, hit=hit)
 
     @property
-    def total_hits(self) -> int:
-        return sum(timing.hits for timing in self.stages.values())
-
-    @property
-    def total_misses(self) -> int:
-        return sum(timing.misses for timing in self.stages.values())
-
-    @property
     def total_seconds(self) -> float:
         return sum(timing.seconds for timing in self.stages.values())
 
@@ -130,10 +122,6 @@ class PipelineStats:
             if delta.lookups or delta.seconds:
                 deltas[name] = delta
         return deltas
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-friendly per-node summary in dataflow order."""
-        return stage_timings_as_dict(self.stages)
 
 
 def stage_timings_as_dict(

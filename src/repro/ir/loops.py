@@ -112,10 +112,6 @@ class Kernel:
         """Operation-set mnemonics as printed in paper Table 3."""
         return [optype.value for optype in self.operation_set()]
 
-    def body_op_counts(self) -> Dict[OpType, int]:
-        """Histogram of operation types in a single iteration."""
-        return self.build_body().op_counts()
-
     def total_operations(self, iterations: Optional[int] = None) -> int:
         """Number of operations in the unrolled loop."""
         return len(self.build(iterations))

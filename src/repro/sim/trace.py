@@ -53,14 +53,6 @@ class ExecutionTrace:
         """Events of a given operation type."""
         return [event for event in self.events() if event.optype is optype]
 
-    def shared_unit_usage(self) -> Dict[Tuple[str, int, int], int]:
-        """How many operations each shared unit executed."""
-        usage: Dict[Tuple[str, int, int], int] = {}
-        for event in self._events:
-            if event.shared_unit is not None:
-                usage[event.shared_unit] = usage.get(event.shared_unit, 0) + 1
-        return usage
-
     def busiest_cycle(self) -> Tuple[int, int]:
         """(cycle, operation count) of the cycle with the most activity."""
         per_cycle: Dict[int, int] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -293,14 +294,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         if args.command == "summary":
-            return _cmd_summary(db, args.json)
-        if args.command == "tail":
-            return _cmd_tail(db, args.count, args.kind)
-        if args.command == "slow":
-            return _cmd_slow(db, args.count, args.kind)
-        if args.command == "stages":
-            return _cmd_stages(db)
-        return _cmd_export(db, args.output)
+            status = _cmd_summary(db, args.json)
+        elif args.command == "tail":
+            status = _cmd_tail(db, args.count, args.kind)
+        elif args.command == "slow":
+            status = _cmd_slow(db, args.count, args.kind)
+        elif args.command == "stages":
+            status = _cmd_stages(db)
+        else:
+            status = _cmd_export(db, args.output)
+        # Flush here so that a closed pipe surfaces inside this try block.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Python flushes stdout again
+        # at exit; point it at devnull so that flush cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     finally:
         db.close()
 

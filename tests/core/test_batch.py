@@ -1,4 +1,4 @@
-"""Tests for the vectorized wave evaluator against its scalar oracle."""
+"""Tests for the wave evaluator against its scalar oracle."""
 
 from __future__ import annotations
 
@@ -63,11 +63,6 @@ def grid():
     )
 
 
-@pytest.fixture(scope="module")
-def batch(evaluator, grid):
-    return evaluator.compute(evaluator.encode(grid))
-
-
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
@@ -103,34 +98,3 @@ def test_evaluate_honours_names(explorer, evaluator):
     for evaluation in vectorized:
         for estimate in evaluation.stall_estimates.values():
             assert estimate.architecture == evaluation.architecture.name
-
-
-# ----------------------------------------------------------------------
-# Encoding details
-# ----------------------------------------------------------------------
-def test_encode_columns_shape_and_pairs(evaluator, grid):
-    columns = evaluator.encode(grid)
-    assert len(columns) == len(grid)
-    assert len(columns.kind) == len(grid)
-    distinct = {
-        (candidate.rows_shared, candidate.cols_shared)
-        for candidate in grid
-        if candidate.uses_sharing
-    }
-    assert set(columns.pairs) == distinct
-    for position, candidate in enumerate(grid):
-        assert columns.sharing[position] == candidate.uses_sharing
-        assert columns.pipelined[position] == candidate.uses_pipelining
-        if candidate.uses_sharing:
-            pair = columns.pairs[int(columns.pair_index[position])]
-            assert pair == (candidate.rows_shared, candidate.cols_shared)
-
-
-def test_compute_totals_consistent(evaluator, grid, batch):
-    base_cycles = sum(table.length for table in evaluator.tables)
-    totals = batch.rs_stalls.sum(axis=0) + batch.rp_stalls.sum(axis=0)
-    assert (batch.total_stalls == totals).all()
-    assert (batch.total_cycles == base_cycles + totals).all()
-    assert (
-        batch.total_execution_time_ns == batch.total_cycles * batch.critical_path_ns
-    ).all()

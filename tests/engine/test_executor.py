@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.batch import BatchEvaluator
-from repro.core.exploration import (
-    ExplorationConstraints,
-    RSPDesignSpaceExplorer,
-    is_feasible,
-)
+from repro.core.exploration import RSPDesignSpaceExplorer
 from repro.core.rsp_params import enumerate_design_space, paper_parameters
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.engine.cache import EvaluationCache
@@ -163,17 +159,8 @@ def test_cache_hits_feed_the_reject_frontier(explorer, tmp_path):
     ]
 
 
-def test_feasibility_helper_matches_method(explorer):
-    result = explorer.explore()
-    constraints = ExplorationConstraints()
-    for evaluation in result.evaluated:
-        assert is_feasible(evaluation, result.base, constraints) == explorer._is_feasible(
-            evaluation, result.base, constraints
-        )
-
-
 # ----------------------------------------------------------------------
-# Vectorized batch path
+# Batch path
 # ----------------------------------------------------------------------
 def test_batch_path_engages_and_matches_scalar(explorer, scalar_evaluation):
     assert isinstance(EvaluationEngine(explorer).batch_evaluator(), BatchEvaluator)

@@ -1,10 +1,11 @@
-"""Property tests: vectorized evaluation ≡ scalar models, bulk ≡ sequential frontier.
+"""Property tests: wave evaluation ≡ scalar models, bulk ≡ sequential frontier.
 
 The scalar explorer is the oracle.  Over random schedule profiles and
 random (valid) RSP parameter grids, the :class:`BatchEvaluator` must
 produce *equal* ``DesignPointEvaluation`` objects — same architecture
-specs, bitwise-identical floats, same stall dictionaries — because every
-arithmetic operation is ordered exactly as in the scalar models.
+specs, bitwise-identical floats, same stall dictionaries — because it
+calls the same cost and timing models and its memoised stall tables must
+count what the stall estimator's walk counts.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ candidate_grid = st.lists(rsp_candidate(), min_size=1, max_size=12)
 
 
 # ----------------------------------------------------------------------
-# Vectorized ≡ scalar
+# Batch evaluation ≡ scalar
 # ----------------------------------------------------------------------
 @given(profiles=profile_set(), grid=candidate_grid)
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.trace.__main__ import build_parser, main
 from repro.trace.collect import TraceCollector
 from repro.trace.db import TRACE_DB_FILENAME
@@ -96,6 +101,27 @@ def test_export_writes_the_full_document(traced_dir, tmp_path, capsys):
     assert main(["export", str(traced_dir / TRACE_DB_FILENAME)]) == 0
     stdout_document = json.loads(capsys.readouterr().out)
     assert stdout_document["spans"] == document["spans"]
+
+
+@pytest.mark.parametrize("command", ["summary", "stages", "export"])
+def test_a_closed_pipe_exits_1_without_a_traceback(traced_dir, command):
+    """Piped into a reader that has already gone (``| head``), a command
+    exits 1 quietly instead of printing a ``BrokenPipeError``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.trace", command, str(traced_dir)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])),
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_target_exits_2(tmp_path, capsys):
