@@ -1,4 +1,4 @@
-"""Benchmark: engine scaling — cache hits, early reject, tracing, batching.
+"""Benchmark: engine scaling — cache hits, early reject, batching.
 
 Runs the nine-kernel paper domain over an enlarged candidate grid
 (``shr``/``shc`` in 0..7, pipeline stages in {1, 2, 3, 4} — 253
@@ -8,7 +8,6 @@ candidates) through the exploration engine and compares:
   and a warm cache (the second sweep must be served entirely from the
   JSON-lines store),
 * the full sweep against the dominance-based early-reject filter,
-* untraced against traced sweeps,
 * the scalar sweep against the batch path (memoised stall tables).
 
 All configurations must select the same design point as the scalar
@@ -30,11 +29,7 @@ from repro.engine.cache import EvaluationCache
 from repro.engine.executor import run_exploration
 from repro.kernels import paper_suite
 from repro.mapping.profile import extract_profile
-from repro.trace.collect import TraceCollector
 from repro.utils.tabulate import format_table
-
-#: Tracing must stay within this fraction of the untraced wall clock.
-TRACE_OVERHEAD_CEILING = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -132,120 +127,6 @@ def test_engine_scaling_on_enlarged_grid(
     assert rejecting.stats.evaluated < serial.stats.evaluated
 
 
-def fastest_traced_pairs(explorer, grid, directory, campaign):
-    """Fastest untraced and traced sweeps over interleaved pairs.
-
-    One sweep is short, and scheduler preemption inflates individual runs
-    by 10-30% (measured CV ~9%) while the timing floor — the true compute
-    time — stays sharp.  So interleave untraced/traced runs (both sides
-    see the same machine load) and compare fastest-of-N: the minimum
-    discards the preempted runs entirely instead of averaging their noise
-    into a statistic that cannot resolve a 5% bar.  Alternating which
-    side runs first keeps a slow stretch from starving one side of a
-    clean run; pairs keep coming until neither side's floor has improved
-    for ``patience`` consecutive pairs, so a drifting host gets extra
-    attempts instead of a fixed (and maybe unlucky) sample count.  GC is
-    paused inside the timed windows (and run between them) so collection
-    pauses — the traced side allocates more — do not land on either
-    clock.
-
-    Returns ``(untraced_seconds, traced_seconds, pairs, traced_outcome,
-    spans_flushed)``; the trace DB lands in ``directory``.
-    """
-    min_pairs, max_pairs, patience = 7, 25, 4
-    untraced_times = []
-    traced_times = []
-    timed_run(explorer, grid)  # warm-up, discarded
-
-    def timed_quiet(observer):
-        gc.collect()
-        gc.disable()
-        try:
-            return timed_run(explorer, grid, observer=observer)
-        finally:
-            gc.enable()
-
-    directory.mkdir(parents=True, exist_ok=True)
-    with TraceCollector(directory, campaign=campaign) as collector:
-        observer = collector.observer("paper")
-        pairs = stale = 0
-        while pairs < min_pairs or (stale < patience and pairs < max_pairs):
-            runs = [(untraced_times, None), (traced_times, observer)]
-            if pairs % 2:
-                runs.reverse()
-            improved = False
-            for times, wave_observer in runs:
-                outcome, seconds = timed_quiet(wave_observer)
-                improved = improved or not times or seconds < min(times)
-                times.append(seconds)
-                if wave_observer is not None:
-                    traced = outcome
-            stale = 0 if improved else stale + 1
-            pairs += 1
-    return min(untraced_times), min(traced_times), pairs, traced, collector.spans_flushed
-
-
-def test_tracing_overhead_stays_under_five_percent(
-    paper_explorer, scaling_grid, tmp_path, bench_metrics, scalar_evaluation
-):
-    """The acceptance bar for the trace layer: tracing the full
-    253-candidate sweep costs <5% wall clock, and the resulting DB
-    reproduces the run's wave/result/hit counts exactly.
-
-    Gated on the scalar path (through ``scalar_evaluation``): the
-    per-result cost is what's being bounded, so the denominator must be
-    the per-candidate sweep the ceiling was calibrated against.  The same
-    observer over the batch sweep is recorded as
-    ``batch_overhead_fraction`` but not gated: the batch path shrinks the
-    sweep ~10x while the observer's per-result cost stays fixed."""
-    explorer, grid = paper_explorer, scaling_grid
-    scalar_dir = tmp_path / "scalar"
-    with scalar_evaluation():
-        untraced, traced_seconds, pairs, traced, spans = fastest_traced_pairs(
-            explorer, grid, scalar_dir, "overhead"
-        )
-    overhead = traced_seconds / untraced - 1.0
-    batch_untraced, batch_traced, batch_pairs, _, _ = fastest_traced_pairs(
-        explorer, grid, tmp_path / "batch", "batch-overhead"
-    )
-    batch_overhead = batch_traced / batch_untraced - 1.0
-    print(
-        f"\ntracing overhead: untraced {untraced:.3f}s, "
-        f"traced {traced_seconds:.3f}s -> {100.0 * overhead:.2f}% "
-        f"(fastest of {pairs} interleaved pairs, {spans} spans); "
-        f"batched {batch_untraced:.4f}s -> {batch_traced:.4f}s, "
-        f"{100.0 * batch_overhead:.2f}% (fastest of {batch_pairs} pairs)"
-    )
-    bench_metrics.update(
-        {
-            "candidates": len(grid),
-            "repeats": pairs,
-            "untraced_seconds": round(untraced, 6),
-            "traced_seconds": round(traced_seconds, 6),
-            "overhead_fraction": round(overhead, 6),
-            "spans_flushed": spans,
-            "batch_untraced_seconds": round(batch_untraced, 6),
-            "batch_traced_seconds": round(batch_traced, 6),
-            "batch_overhead_fraction": round(batch_overhead, 6),
-        }
-    )
-    assert overhead < TRACE_OVERHEAD_CEILING, (
-        f"tracing cost {100.0 * overhead:.2f}% wall clock "
-        f"(ceiling {100.0 * TRACE_OVERHEAD_CEILING:.0f}%)"
-    )
-
-    # The DB reproduces the runs' counts exactly: every traced pair
-    # sweeps the identical grid, so the totals are exact multiples of
-    # one outcome.
-    from repro.trace.collect import open_trace
-
-    with open_trace(scalar_dir) as db:
-        assert db.counter("wave.count") == pairs * traced.stats.waves
-        assert db.span_count("wave") == pairs * traced.stats.waves
-        assert db.counter("result.count") == pairs * traced.stats.total_jobs
-        assert db.counter("result.source.computed") == pairs * traced.stats.evaluated
-
-
 #: The acceptance bar for the batch evaluation fast path.
 BATCH_SPEEDUP_FLOOR = 5.0
 
@@ -269,9 +150,11 @@ def test_batch_evaluation_speedup_on_cold_grid(
         scalar_reference, _ = timed_run(explorer, grid)
     batch_reference, _ = timed_run(explorer, grid)
 
-    # Interleaved fastest-of-N, same rationale as the tracing-overhead
-    # test: the minimum discards scheduler preemption instead of
-    # averaging it into a statistic that cannot resolve the 5x bar.
+    # Interleaved fastest-of-N: one sweep is short, and scheduler
+    # preemption inflates single runs by 10-30% while the timing floor
+    # stays sharp, so the minimum discards preempted runs instead of
+    # averaging them into a statistic that cannot resolve the 5x bar.
+    # Interleaving lets both sides see the same machine load.
     scalar_times = []
     batch_times = []
     for repeat in range(5):

@@ -81,7 +81,6 @@ _PUBLIC_API = {
     "Flow": "repro.flowgraph.core",
     "FlowContext": "repro.flowgraph.core",
     "Node": "repro.flowgraph.core",
-    "NodeEvent": "repro.flowgraph.core",
     "RetryPolicy": "repro.flowgraph.core",
     "Selector": "repro.flowgraph.core",
     "stage_key": "repro.flowgraph.core",
@@ -95,8 +94,6 @@ _PUBLIC_API = {
     "PipelineStats": "repro.flowgraph.stats",
     "StageTiming": "repro.flowgraph.stats",
     "stage_timings_as_dict": "repro.flowgraph.stats",
-    # observers
-    "CampaignObserver": "repro.observers",
     # engine
     "ArtifactStore": "repro.engine.artifacts",
     "CampaignRunner": "repro.engine.runner",

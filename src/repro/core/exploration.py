@@ -59,6 +59,15 @@ class ExplorationConstraints:
     max_execution_time_ratio: Optional[float] = None
     max_stall_cycles: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # A negative bound rejects every design, the base included, and a
+        # NaN one rejects none (every comparison with NaN is false); both
+        # fail here, before any mapping.  ``not value >= 0`` catches both.
+        for name in ("max_area_slices", "max_execution_time_ratio", "max_stall_cycles"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ExplorationError(f"{name} must be a non-negative number, got {value}")
+
 
 @dataclass
 class DesignPointEvaluation:

@@ -62,9 +62,6 @@ from repro.engine.executor import (
     EngineRunStats,
     EvaluationEngine,
     ExecutorConfig,
-    WaveObserver,
-    WaveOutcome,
-    WaveResult,
     run_exploration,
 )
 from repro.engine.frontier import ParetoFrontier, pareto_front_indices
@@ -97,9 +94,6 @@ __all__ = [
     "StoreJanitor",
     "StoreStats",
     "SuiteReport",
-    "WaveObserver",
-    "WaveOutcome",
-    "WaveResult",
     "evaluation_context_hash",
     "hash_payload",
     "pareto_front_indices",

@@ -135,15 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corrupt records and leftover temporary files)",
     )
     parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="span-based tracing: drain campaign/suite/wave/stage/eval "
-        "spans and counters into DIR/trace.db; inspect with "
-        "python -m repro.trace summary DIR",
-    )
-    parser.add_argument(
         "--flow",
         type=Path,
         default=None,
@@ -224,7 +215,6 @@ def _run(args: argparse.Namespace) -> int:
         artifact_dir=artifact_dir,
         gc_max_age=args.gc_max_age,
         compact=args.compact,
-        trace_dir=args.trace,
         flow=args.flow,
     )
     report, _ = runner.run()
@@ -262,15 +252,6 @@ def _run(args: argparse.Namespace) -> int:
                 f"flow: {report.flow['name']}  "
                 f"nodes: {', '.join(report.flow['nodes'])}  "
                 f"edges: {' ; '.join(report.flow['edges'])}"
-            )
-        if runner.trace_summary is not None:
-            facts = runner.trace_summary
-            counters = facts.get("counters", {})
-            print(
-                f"trace: {facts['db']}  spans: {facts['spans']}  "
-                f"waves: {counters.get('wave.count', 0)}  "
-                f"results: {counters.get('result.count', 0)}  "
-                f"(python -m repro.trace summary {args.trace})"
             )
 
     if args.output is not None:

@@ -43,14 +43,6 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.store import PickleDirBackend, StoreJanitor, StoreStats
 from repro.store.pickledir import DEFAULT_KEY_PREFIX_LENGTH
-from repro.trace.spans import get_tracer
-
-#: Artifact stat events mirrored into campaign trace counters.
-_TRACE_COUNTERS = {
-    "hits": "store.artifact.hit",
-    "misses": "store.artifact.miss",
-    "stores": "store.artifact.store",
-}
 
 #: Length of the key prefix used in artifact file names.  32 hex digits
 #: (128 bits) keeps paths short while making collisions implausible.
@@ -86,11 +78,6 @@ class ArtifactStoreStats:
         setattr(self, event, getattr(self, event) + 1)
         counters = self.by_stage.setdefault(stage, {"hits": 0, "misses": 0, "stores": 0})
         counters[event] += 1
-        # Every artifact hit/miss/store funnels through here, making this
-        # the one mirror point into a traced campaign's counters.
-        tracer = get_tracer()
-        if tracer.active and event in _TRACE_COUNTERS:
-            tracer.counter(_TRACE_COUNTERS[event])
 
 
 class ArtifactStore:

@@ -25,15 +25,18 @@ evaluation, keyed by the job's content hash::
 Only derived *numbers* are stored; the architecture object is rebuilt from
 the job's parameters on a hit, so the format stays small and stable.
 Corrupt or truncated lines (e.g. from an interrupted run) are skipped on
-load, counted in :attr:`EvaluationCache.corrupt_lines` and reported once
-via :class:`RuntimeWarning`; compaction (:meth:`EvaluationCache.janitor`)
-drops them from disk.  Because keys are content hashes, a record can never
-be stale: any change to the profiles, the array or the model calibration
-changes the context hash and therefore the file and the keys.
+load, counted in :attr:`EvaluationCache.corrupt_lines` and reported by a
+:class:`RuntimeWarning`, attributed to the code that opened the file,
+each time it is opened: they stay on disk until compaction
+(:meth:`EvaluationCache.janitor`, ``--compact`` on the CLI) drops them.
+Because keys are content hashes, a record can never be stale: any change
+to the profiles, the array or the model calibration changes the context
+hash and therefore the file and the keys.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +46,6 @@ from repro.core.exploration import DesignPointEvaluation
 from repro.core.stalls import StallEstimate
 from repro.engine.jobs import EvaluationJob
 from repro.store import MemoryBackend, ShardedJsonlBackend, StoreJanitor, StoreStats
-from repro.trace.spans import get_tracer
 
 
 @dataclass
@@ -75,6 +77,22 @@ def _valid_record(record: dict) -> bool:
     except (ValueError, KeyError, TypeError):
         return False
     return True
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` of the first caller outside this module.
+
+    Called from a method of this module, it skips every frame of this
+    module, so a warning names the line that opened the cache whether
+    that line called :class:`EvaluationCache` or
+    :meth:`EvaluationCache.for_context`.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def evaluation_record(evaluation: DesignPointEvaluation) -> dict:
@@ -150,9 +168,11 @@ class EvaluationCache:
         if self.corrupt_lines:
             warnings.warn(
                 f"evaluation cache {self.path}: skipped {self.corrupt_lines} "
-                f"corrupt line(s); the affected evaluations will be recomputed",
+                "corrupt line(s); their evaluations are recomputed, and the "
+                "lines stay in the file until it is compacted (--compact, or "
+                "EvaluationCache.janitor().sweep(compact=True))",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     @classmethod
@@ -188,9 +208,6 @@ class EvaluationCache:
         self._front[key] = record
         self._known_misses.discard(key)
         self.stats.stores += 1
-        tracer = get_tracer()
-        if tracer.active:
-            tracer.counter("store.eval.store")
 
     def put_many(self, evaluations: Mapping[str, DesignPointEvaluation]) -> int:
         """Batch :meth:`put`: one backend ``put_many`` for a whole wave.
@@ -210,9 +227,6 @@ class EvaluationCache:
         self._front.update(fresh)
         self._known_misses.difference_update(fresh)
         self.stats.stores += len(fresh)
-        tracer = get_tracer()
-        if tracer.active:
-            tracer.counter("store.eval.store", float(len(fresh)))
         return len(fresh)
 
     def prefetch(self, keys: Iterable[str]) -> int:
@@ -243,24 +257,17 @@ class EvaluationCache:
         The architecture is rebuilt from the job's parameters (cheap and
         deterministic), then populated with the cached numbers.
         """
-        tracer = get_tracer()
         record = self._front.get(key)
         if record is None:
             if key in self._known_misses:
                 self.stats.misses += 1
-                if tracer.active:
-                    tracer.counter("store.eval.miss")
                 return None
             hit, record = self.backend.get("", key)
             if not hit or not _valid_record(record):
                 self.stats.misses += 1
-                if tracer.active:
-                    tracer.counter("store.eval.miss")
                 return None
             self._front[key] = record
         self.stats.hits += 1
-        if tracer.active:
-            tracer.counter("store.eval.hit")
         return rehydrate_evaluation(record, job, array)
 
     # ------------------------------------------------------------------

@@ -34,8 +34,6 @@ from repro.engine.cache import EvaluationCache
 from repro.engine.frontier import ParetoFrontier
 from repro.engine.jobs import EvaluationJob, evaluation_context_hash
 from repro.errors import ExplorationError
-from repro.observers import CampaignObserver
-from repro.trace.spans import get_tracer
 
 #: The exploration's two objectives (both minimised).
 AREA_TIME_OBJECTIVES = (
@@ -49,8 +47,8 @@ class ExecutorConfig:
     """Wave sizing for one engine run.
 
     ``chunk_size`` is the number of pending jobs per wave: the unit of
-    one batched cache lookup, one batch evaluation, one batched store
-    and one observer callback pair.
+    one batched cache lookup, one batch evaluation and one batched
+    store.
     """
 
     chunk_size: int = 8
@@ -78,50 +76,6 @@ class EngineRunStats:
     def cache_hit_rate(self) -> float:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
-
-
-# ----------------------------------------------------------------------
-# Wave observation (the tracer's window into the engine)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WaveResult:
-    """One job completed during a wave, however it was obtained."""
-
-    index: int
-    key: str
-    label: str
-    evaluation: DesignPointEvaluation
-    #: ``"computed"`` (evaluated this wave) or ``"cache"`` (persistent
-    #: cache hit discovered while assembling the wave).
-    source: str
-    #: Feasibility against the run's base point; ``None`` when the run
-    #: carries no base evaluation (bare ``evaluate_jobs`` calls).
-    feasible: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class WaveOutcome:
-    """Everything one wave produced, in dispatch order."""
-
-    wave_index: int
-    results: Tuple[WaveResult, ...]
-    #: ``(index, key)`` of the candidates the early-reject filter skipped.
-    rejected: Tuple[Tuple[int, str], ...] = ()
-
-
-class WaveObserver(CampaignObserver):
-    """No-op base class for wave-level observers (subclass what you need).
-
-    Since the observer unification this is an alias of the repo-wide
-    :class:`repro.observers.CampaignObserver` protocol, kept under its
-    historical name for the engine-facing surface.  The engine calls
-    :meth:`wave_started` immediately before dispatching a wave and
-    :meth:`wave_finished` after its results (including cache hits
-    discovered while assembling it) are in.  :meth:`base_evaluated` fires
-    once per exploration for the up-front base-point job, which never
-    travels through a wave.  Subclasses may additionally override
-    :meth:`node_finished` to watch flow-graph node materialisations.
-    """
 
 
 @dataclass
@@ -236,7 +190,6 @@ class EvaluationEngine:
         lower_bound_cycles: int = 0,
         base_evaluation: Optional[DesignPointEvaluation] = None,
         constraints: Optional[ExplorationConstraints] = None,
-        observer: Optional[WaveObserver] = None,
     ) -> Tuple[Dict[int, DesignPointEvaluation], List[int]]:
         """Evaluate ``jobs``; returns (index → evaluation, rejected indices).
 
@@ -244,21 +197,17 @@ class EvaluationEngine:
         lower bound is already strictly beaten by a completed feasible
         point at no larger area are skipped before stall estimation, and
         feasible results are merged into the frontier as waves finish.
-        ``observer`` receives wave-level callbacks (see
-        :class:`WaveObserver`).
         """
         results: Dict[int, DesignPointEvaluation] = {}
         rejected: List[int] = []
         effective_constraints = constraints or ExplorationConstraints()
 
-        def feasibility(evaluation: DesignPointEvaluation) -> Optional[bool]:
-            if base_evaluation is None:
-                return None
-            return is_feasible(evaluation, base_evaluation, effective_constraints)
+        def feasible(evaluation: DesignPointEvaluation) -> bool:
+            return base_evaluation is not None and is_feasible(
+                evaluation, base_evaluation, effective_constraints
+            )
 
-        waves = _chunked(range(len(jobs)), self.config.chunk_size)
-
-        for wave_index, wave in enumerate(waves):
+        for wave in _chunked(range(len(jobs)), self.config.chunk_size):
             if self.cache is not None:
                 # One batched lookup per wave (one get_many on the
                 # backend); the per-key gets below are then answered from
@@ -266,10 +215,6 @@ class EvaluationEngine:
                 self.cache.prefetch(
                     [jobs[index].content_hash(self.context_hash) for index in wave]
                 )
-            if observer is not None:
-                observer.wave_started(wave_index, len(wave))
-            wave_events: List[WaveResult] = []
-            wave_rejected: List[Tuple[int, str]] = []
             misses: List[int] = []
             for index in wave:
                 job = jobs[index]
@@ -279,21 +224,9 @@ class EvaluationEngine:
                     if cached is not None:
                         stats.cache_hits += 1
                         results[index] = cached
-                        feasible = feasibility(cached)
-                        if reject_frontier is not None and feasible:
+                        if reject_frontier is not None and feasible(cached):
                             reject_frontier.add(
                                 (cached.area_slices, cached.total_execution_time_ns)
-                            )
-                        if observer is not None:
-                            wave_events.append(
-                                WaveResult(
-                                    index=index,
-                                    key=key,
-                                    label=job.label,
-                                    evaluation=cached,
-                                    source="cache",
-                                    feasible=feasible,
-                                )
                             )
                         continue
                     stats.cache_misses += 1
@@ -302,47 +235,27 @@ class EvaluationEngine:
                 ):
                     stats.early_rejected += 1
                     rejected.append(index)
-                    if observer is not None:
-                        wave_rejected.append(
-                            (index, job.content_hash(self.context_hash))
-                        )
                     continue
                 misses.append(index)
 
             evaluations: List[DesignPointEvaluation] = []
             if misses:
-                evaluator = self.batch_evaluator()
-                with get_tracer().span("evaluate", kind="eval", jobs=len(misses)):
-                    evaluations = evaluator.evaluate(
-                        [jobs[index].parameters for index in misses],
-                        names=[jobs[index].name for index in misses],
-                    )
+                evaluations = self.batch_evaluator().evaluate(
+                    [jobs[index].parameters for index in misses],
+                    names=[jobs[index].name for index in misses],
+                )
 
             fresh: Dict[str, DesignPointEvaluation] = {}
             computed_vectors: List[Tuple[float, float]] = []
             for index, evaluation in zip(misses, evaluations):
                 results[index] = evaluation
                 stats.evaluated += 1
-                feasible = feasibility(evaluation)
-                if reject_frontier is not None and feasible:
+                if reject_frontier is not None and feasible(evaluation):
                     computed_vectors.append(
                         (evaluation.area_slices, evaluation.total_execution_time_ns)
                     )
-                if self.cache is not None or observer is not None:
-                    key = jobs[index].content_hash(self.context_hash)
-                    if self.cache is not None:
-                        fresh[key] = evaluation
-                    if observer is not None:
-                        wave_events.append(
-                            WaveResult(
-                                index=index,
-                                key=key,
-                                label=jobs[index].label,
-                                evaluation=evaluation,
-                                source="computed",
-                                feasible=feasible,
-                            )
-                        )
+                if self.cache is not None:
+                    fresh[jobs[index].content_hash(self.context_hash)] = evaluation
             if reject_frontier is not None and computed_vectors:
                 # One bulk merge per wave instead of m binary insertions.
                 reject_frontier.add_many(computed_vectors)
@@ -351,15 +264,6 @@ class EvaluationEngine:
                 # cache).
                 self.cache.put_many(fresh)
             stats.waves += 1
-            if observer is not None:
-                wave_events.sort(key=lambda event: event.index)
-                observer.wave_finished(
-                    WaveOutcome(
-                        wave_index=wave_index,
-                        results=tuple(wave_events),
-                        rejected=tuple(wave_rejected),
-                    )
-                )
         return results, rejected
 
     def _early_reject(
@@ -396,7 +300,6 @@ def run_exploration(
     config: Optional[ExecutorConfig] = None,
     cache: Optional[EvaluationCache] = None,
     early_reject: bool = False,
-    observer: Optional[WaveObserver] = None,
     context_hash: Optional[str] = None,
 ) -> EngineExplorationOutcome:
     """Run a full exploration through the engine.
@@ -409,10 +312,9 @@ def run_exploration(
     front and the selected design are unchanged, but the ``evaluated`` and
     ``feasible`` lists omit the rejected points (returned separately).
 
-    ``observer`` receives the run's wave-level callbacks (see
-    :meth:`EvaluationEngine.evaluate_jobs`).  ``context_hash`` is the
-    :func:`evaluation_context_hash` of ``explorer`` when the caller has
-    already computed it (hashed here otherwise).
+    ``context_hash`` is the :func:`evaluation_context_hash` of
+    ``explorer`` when the caller has already computed it (hashed here,
+    only when a cache needs keys, otherwise).
     """
     started = time.perf_counter()
     constraints = constraints or ExplorationConstraints()
@@ -424,17 +326,7 @@ def run_exploration(
     # The base point is evaluated exactly once, up front: it anchors the
     # feasibility constraints and stands in for any "base" candidates.
     base_job = EvaluationJob(parameters=base_parameters(), name="Base")
-    hits_before = stats.cache_hits
     base_evaluation = engine.evaluate_job(base_job, stats)
-    if observer is not None:
-        # Only the observer reads the base key; a run without a cache
-        # never hashes its context otherwise.
-        observer.base_evaluated(
-            base_job.content_hash(engine.context_hash),
-            base_evaluation,
-            "cache" if stats.cache_hits > hits_before else "computed",
-            is_feasible(base_evaluation, base_evaluation, constraints),
-        )
 
     job_indices: List[int] = []
     jobs: List[EvaluationJob] = []
@@ -464,7 +356,6 @@ def run_exploration(
         lower_bound_cycles=lower_bound_cycles,
         base_evaluation=base_evaluation,
         constraints=constraints,
-        observer=observer,
     )
 
     by_candidate: Dict[int, DesignPointEvaluation] = {}

@@ -65,7 +65,7 @@ def hash_payload(payload: object) -> str:
 #: Memo for :meth:`EvaluationJob.content_hash`.  The digest is fully
 #: determined by ``(parameters, context_hash)`` — the optional job name is
 #: a display label, not part of the payload — and candidate grids reuse the
-#: same :class:`RSPParameters` values across sweeps, caches and observers,
+#: same :class:`RSPParameters` values across sweeps and caches,
 #: so repeated hashing of one candidate is pure waste.  Entries are tiny
 #: and the parameter space is enumerable, but cap it anyway so a pathological
 #: caller cannot grow it without bound.
@@ -111,10 +111,6 @@ class EvaluationJob:
 
     parameters: RSPParameters
     name: Optional[str] = None
-
-    @property
-    def label(self) -> str:
-        return self.name or self.parameters.describe()
 
     def content_hash(self, context_hash: str) -> str:
         """Cache key: candidate parameters + evaluation context (memoized)."""

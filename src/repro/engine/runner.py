@@ -3,10 +3,10 @@
 A campaign walks its suites in order.  For every suite the runner
 
 1. obtains each kernel's :class:`~repro.core.stalls.ScheduleProfile` (the
-   paper flow's "initial configuration contexts") through its *profile
-   provider* — by default the staged mapping pipeline
-   (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
-   artifact store the base scheduling work is fetched instead of re-run,
+   paper flow's "initial configuration contexts") from the staged mapping
+   pipeline (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a
+   warm artifact store the base scheduling work is fetched instead of
+   re-run,
 2. runs the candidate grid through the evaluation engine — in batched
    waves, backed by the persistent cache, optionally with the dominance
    early-reject filter,
@@ -23,10 +23,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exploration import ExplorationResult, RSPDesignSpaceExplorer
-from repro.core.stalls import ScheduleProfile
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.cache import EvaluationCache
 from repro.store import JanitorReport
@@ -36,13 +35,8 @@ from repro.engine.executor import (
     run_exploration,
 )
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
-from repro.ir.loops import Kernel
 from repro.mapping.mapper import RSPMapper
 from repro.flowgraph.stats import merge_stage_timings, stage_timings_as_dict
-
-#: Hook supplying the base-schedule profiles of one suite.  Receives the
-#: suite name and its kernels; returns profiles keyed by kernel name.
-ProfileProvider = Callable[[str, Sequence[Kernel]], Dict[str, ScheduleProfile]]
 
 
 @dataclass
@@ -110,10 +104,6 @@ class CampaignReport:
     #: flow): the executing flow's name, edge expressions and node names,
     #: straight from :meth:`~repro.mapping.pipeline.MappingPipeline.describe_flow`.
     flow: Dict[str, object] = field(default_factory=dict)
-    #: Trace block of a traced run (``{}`` otherwise): the trace DB path,
-    #: spans flushed and counter totals — the same numbers
-    #: ``python -m repro.trace summary`` reads back from that DB.
-    trace: Dict[str, object] = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -182,18 +172,6 @@ class CampaignRunner:
         same as ``cache_dir`` — the store nests under ``artifacts/``);
         ``None`` keeps artifacts in memory.  Ignored when ``mapper`` is
         supplied.
-    profile_provider:
-        Hook producing each suite's base-schedule profiles.  Defaults to
-        the mapper's staged pipeline, so warm artifact stores serve
-        profiles without re-mapping; replace it to feed pre-computed or
-        remotely fetched profiles into a campaign.
-    trace_dir:
-        Enable span-based tracing (:mod:`repro.trace`): a
-        :class:`~repro.trace.collect.TraceCollector` is installed for the
-        duration of the run and drains campaign/suite/wave/stage/eval
-        spans plus counters into ``<trace_dir>/trace.db``, which
-        ``python -m repro.trace`` renders as dashboards.  Untraced runs
-        keep the no-op tracer and pay nothing.
     flow:
         Custom mapping flow for the campaign — a flow config (dict or
         JSON path, see :mod:`repro.flowgraph.config`) or a pre-built
@@ -220,10 +198,8 @@ class CampaignRunner:
         cache_dir: Optional[Path] = None,
         mapper: Optional[RSPMapper] = None,
         artifact_dir: Optional[Path] = None,
-        profile_provider: Optional[ProfileProvider] = None,
         gc_max_age: Optional[float] = None,
         compact: bool = False,
-        trace_dir: Optional[Path] = None,
         flow=None,
     ) -> None:
         if gc_max_age is not None and gc_max_age < 0:
@@ -234,9 +210,6 @@ class CampaignRunner:
                 "pass flow= only when the runner builds the mapper"
             )
         self.spec = spec
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        #: Facts of the last traced run (``None`` outside trace mode).
-        self.trace_summary: Optional[Dict[str, object]] = None
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.gc_max_age = gc_max_age
@@ -246,33 +219,9 @@ class CampaignRunner:
             mapper = RSPMapper(store=ArtifactStore(self.artifact_dir), flow=flow)
         self.mapper = mapper
         self.pipeline = mapper.pipeline
-        self.profile_provider: ProfileProvider = profile_provider or self._pipeline_profiles
-
-    def _pipeline_profiles(
-        self, suite_name: str, kernels: Sequence[Kernel]
-    ) -> Dict[str, ScheduleProfile]:
-        """Default profile provider: the store-backed mapping pipeline."""
-        return self.pipeline.profiles_for(kernels)
 
     def run(self) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         """Run every suite; returns the report and per-suite exploration results."""
-        collector = None
-        if self.trace_dir is not None:
-            # Imported here, not at module scope: repro.trace.collect
-            # subclasses this package's WaveObserver, so a module-level
-            # import would be circular.
-            from repro.trace.collect import TraceCollector
-
-            collector = TraceCollector(self.trace_dir, campaign=self.spec.name)
-            collector.install()
-        try:
-            return self._run(collector)
-        finally:
-            if collector is not None:
-                collector.uninstall()
-                self.trace_summary = collector.close()
-
-    def _run(self, collector=None) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
         started = time.perf_counter()
         config = ExecutorConfig(chunk_size=self.spec.chunk_size)
         candidates = self.spec.candidate_grid()
@@ -285,45 +234,16 @@ class CampaignRunner:
         store_stats = self.pipeline.store.stats
         store_hits_before = store_stats.hits
         store_misses_before = store_stats.misses
-        campaign_span = None
-        if collector is not None:
-            campaign_span = collector.tracer.span(
-                self.spec.name,
-                kind="campaign",
-                suites=len(self.spec.suites),
-                candidates=len(candidates),
-            )
 
         for suite_name in self.spec.suites:
             stage_snapshot = self.pipeline.stats.snapshot()
             store_suite_hits = store_stats.hits
             store_suite_misses = store_stats.misses
-            suite_span = None
-            if collector is not None:
-                suite_span = collector.tracer.span(
-                    suite_name, kind="suite", suite=suite_name
-                )
-            observer = collector.observer(suite_name) if collector is not None else None
             profile_started = time.perf_counter()
             kernels = suite_kernels(suite_name)
-            # The same observer watches the suite end to end: the mapping
-            # flow's node events while profiles build, then the engine's
-            # waves.
-            self.pipeline.observer = observer
-            try:
-                profiles = self.profile_provider(suite_name, kernels)
-            finally:
-                self.pipeline.observer = None
+            profiles = self.pipeline.profiles_for(kernels)
             profile_seconds = time.perf_counter() - profile_started
             stage_delta = self.pipeline.stats.since(stage_snapshot)
-            if collector is not None:
-                collector.tracer.record_span(
-                    "profiles",
-                    kind="span",
-                    duration_s=profile_seconds,
-                    suite=suite_name,
-                    kernels=len(kernels),
-                )
 
             explorer = RSPDesignSpaceExplorer(profiles, array=self.mapper.base.array)
             cache: Optional[EvaluationCache] = None
@@ -346,7 +266,6 @@ class CampaignRunner:
                 config=config,
                 cache=cache,
                 early_reject=self.spec.early_reject,
-                observer=observer,
                 context_hash=context,
             )
             exploration = outcome.result
@@ -396,28 +315,10 @@ class CampaignRunner:
             totals.cache_misses += stats.cache_misses
             totals.early_rejected += stats.early_rejected
             totals.waves += stats.waves
-            if suite_span is not None:
-                suite_span.set("kernels", len(kernels))
-                suite_span.set("candidates", len(candidates))
-                suite_span.set("waves", stats.waves)
-                suite_span.set("feasible", len(exploration.feasible))
-                suite_span.set("pareto", len(exploration.pareto))
-                suite_span.end()
-                # One batched SQLite transaction per suite keeps the DB
-                # current for a live dashboard without per-span writes.
-                collector.flush()
 
         janitor_block: Optional[Dict[str, object]] = None
         if self.compact or self.gc_max_age is not None:
             janitor_block = self._run_janitors(caches)
-
-        trace_block: Dict[str, object] = {}
-        if collector is not None:
-            if campaign_span is not None:
-                campaign_span.set("jobs", totals.total_jobs)
-                campaign_span.set("waves", totals.waves)
-                campaign_span.end()
-            trace_block = collector.summary()
 
         run_delta = self.pipeline.stats.since(run_snapshot)
         artifact_directory = self.pipeline.store.directory
@@ -441,7 +342,6 @@ class CampaignRunner:
             mapping_stages=stage_timings_as_dict(run_delta),
             store_stats=self._store_stats_block(caches, janitor_block),
             waves=totals.waves,
-            trace=trace_block,
             flow=self.pipeline.describe_flow() if self.flow is not None else {},
         )
         return report, results

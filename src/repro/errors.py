@@ -72,10 +72,6 @@ class TimingModelError(ReproError):
     """Raised when the timing model receives invalid parameters."""
 
 
-class TraceError(ReproError):
-    """Raised when the tracing subsystem is misused or a trace DB is invalid."""
-
-
 class FlowError(ReproError):
     """Base class for flow-graph runtime errors (:mod:`repro.flowgraph`)."""
 

@@ -22,7 +22,6 @@ from repro.flowgraph.core import (
     Flow,
     FlowContext,
     Node,
-    NodeEvent,
     RetryPolicy,
     Selector,
     stage_key,
@@ -42,7 +41,6 @@ __all__ = [
     "Flow",
     "FlowContext",
     "Node",
-    "NodeEvent",
     "PipelineStats",
     "RetryPolicy",
     "Selector",

@@ -114,19 +114,6 @@ class Selector:
         return best, scores
 
 
-@dataclass(frozen=True)
-class NodeEvent:
-    """One materialised node execution, emitted to the run's observer."""
-
-    flow: str
-    node: str
-    output: str
-    key: str
-    hit: bool
-    seconds: float
-    routed: bool = False
-
-
 # ----------------------------------------------------------------------
 # Nodes
 # ----------------------------------------------------------------------
@@ -140,7 +127,7 @@ class Node:
     ----------
     name:
         Node name — also the artifact namespace in the store and the
-        stage name in stats/trace spans.
+        stage name in the per-node stats.
     fn:
         ``fn(ctx) -> value``; runs only on a store miss.  Inputs are read
         from the :class:`FlowContext` (``ctx["dfg"]`` …), which resolves
@@ -328,13 +315,11 @@ class _Runtime:
         ctx: FlowContext,
         store: Any,
         stats: PipelineStats,
-        observer: Any = None,
     ) -> None:
         self.flow = flow
         self.ctx = ctx
         self.store = store
         self.stats = stats
-        self.observer = observer
         #: Seconds spent materialising nodes nested inside the node being
         #: materialised now; subtracted so each node records its self-time.
         self._nested = 0.0
@@ -409,8 +394,6 @@ class _Runtime:
             return self._race(name, eligible)
         node = eligible[0]
         if routed:
-            # Recorded before materialisation so the node's NodeEvent
-            # carries routed=True.
             self.ctx.routes[name] = node.name
         artifact = self.materialise(node)
         self._adopt(name, artifact)
@@ -424,9 +407,6 @@ class _Runtime:
                 f"({', '.join(node.name for node in eligible)}) but the flow "
                 "declares no selector for it"
             )
-        # Seeded before the candidates materialise so their NodeEvents
-        # carry routed=True (the winner is only known afterwards).
-        self.ctx.raced.setdefault(name, {})
         artifacts = {node.name: self.materialise(node) for node in eligible}
         candidates = {node_name: artifact.value for node_name, artifact in artifacts.items()}
         if isinstance(selector, Selector):
@@ -497,7 +477,6 @@ class _Runtime:
         if node.adapt is not None:
             artifact.value = node.adapt(artifact.value, ctx)
         ctx.executed.append(node.name)
-        self._notify(node, artifact)
         return artifact
 
     def _compute(self, node: Node) -> Any:
@@ -517,24 +496,6 @@ class _Runtime:
                 if policy.backoff_s:
                     time.sleep(policy.backoff_s * attempt)
                 attempt += 1
-
-    def _notify(self, node: Node, artifact: Artifact) -> None:
-        if self.observer is None:
-            return
-        handler = getattr(self.observer, "node_finished", None)
-        if handler is None:
-            return
-        handler(
-            NodeEvent(
-                flow=self.flow.name,
-                node=node.name,
-                output=node.output,
-                key=artifact.key,
-                hit=artifact.from_store,
-                seconds=artifact.seconds,
-                routed=node.output in self.ctx.routes or node.output in self.ctx.raced,
-            )
-        )
 
 
 # ----------------------------------------------------------------------
@@ -759,14 +720,11 @@ class Flow:
         keys: Optional[Mapping[str, str]] = None,
         store: Any = None,
         stats: Optional[PipelineStats] = None,
-        observer: Any = None,
     ) -> FlowContext:
         """Resolve ``outputs`` (default: every terminal output) and return
         the context holding values, keys, artifacts and the routing record."""
         ctx = context if context is not None else FlowContext(values, keys)
-        runtime = _Runtime(
-            self, ctx, self._store(store), stats or PipelineStats(), observer
-        )
+        runtime = _Runtime(self, ctx, self._store(store), stats or PipelineStats())
         ctx._runtime = runtime
         for output in outputs if outputs is not None else self.outputs:
             runtime.resolve_value(output)

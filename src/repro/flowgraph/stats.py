@@ -7,11 +7,9 @@ mapping-specific.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.trace.db import percentile
-from repro.trace.spans import get_tracer
 
 #: Dataflow order of the canonical mapping flow's five nodes — the default
 #: report ordering of per-stage timing blocks.  Custom-flow node names not
@@ -23,6 +21,26 @@ DEFAULT_STAGE_ORDER: Tuple[str, ...] = (
     "rearrange",
     "generate_context",
 )
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of ``values`` by linear interpolation.
+
+    The repo's one percentile convention: the campaign report's
+    per-stage p50/p95 (:func:`stage_timings_as_dict`) go through it.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return float(ordered[0])
+    position = q * (len(ordered) - 1)
+    lower = math.floor(position)
+    upper = math.ceil(position)
+    if lower == upper:
+        return float(ordered[lower])
+    weight = position - lower
+    return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
 
 
 @dataclass
@@ -89,12 +107,6 @@ class PipelineStats:
             timing.misses += 1
         timing.seconds += seconds
         timing.durations.append(seconds)
-        # Single choke point for node observability: every flow execution
-        # path funnels through here, so span counts always equal hit + miss
-        # counts and ``python -m repro.trace stages`` matches the report.
-        tracer = get_tracer()
-        if tracer.active:
-            tracer.record_span(stage, kind="stage", duration_s=seconds, hit=hit)
 
     @property
     def total_seconds(self) -> float:
@@ -130,10 +142,9 @@ def stage_timings_as_dict(
     """JSON-friendly form of a per-node timing delta map.
 
     ``p50``/``p95`` come from the per-invocation duration samples through
-    :func:`repro.trace.db.percentile` — the same function the trace
-    dashboard applies to stage spans, so both views always agree.  The
-    canonical five mapping nodes lead in dataflow order; any other node
-    names (custom flow variants) follow in first-recorded order.
+    :func:`percentile`.  The canonical five mapping nodes lead in dataflow
+    order; any other node names (custom flow variants) follow in
+    first-recorded order.
     """
     order = DEFAULT_STAGE_ORDER if order is None else order
     ordered = [name for name in order if name in timings]

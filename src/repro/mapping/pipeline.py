@@ -138,9 +138,6 @@ class MappingPipeline:
         self.store = store
         self.generate_contexts = generate_contexts
         self.stats = PipelineStats()
-        #: Optional unified observer (:mod:`repro.observers`) receiving a
-        #: :class:`~repro.flowgraph.core.NodeEvent` per materialised node.
-        self.observer: Any = None
         self._base_fingerprint = architecture_fingerprint(self.base)
         self._dfg_memo: Dict[str, Artifact] = {}
         #: Stall-free rearranged lengths by (base-schedule key, array,
@@ -202,7 +199,6 @@ class MappingPipeline:
             context=self._flow_context(kernel, target, iterations),
             store=self.store,
             stats=self.stats,
-            observer=self.observer,
         )
 
     def describe_flow(self) -> Dict[str, Any]:
@@ -333,7 +329,6 @@ class MappingPipeline:
             outputs=outputs,
             store=self.store,
             stats=self.stats,
-            observer=self.observer,
         )
         rearranged: RearrangedSchedule = ctx["rearranged"]
         summary = rearranged.summary

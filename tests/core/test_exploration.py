@@ -83,6 +83,15 @@ def test_constraints_restrict_feasible_set(explorer):
         assert evaluation.total_stall_cycles == 0
 
 
+@pytest.mark.parametrize("value", [-1, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "field", ["max_area_slices", "max_execution_time_ratio", "max_stall_cycles"]
+)
+def test_constraints_reject_negative_or_nan_bounds(field, value):
+    with pytest.raises(ExplorationError, match=field):
+        ExplorationConstraints(**{field: value})
+
+
 def test_execution_time_ratio_constraint(explorer):
     # Disallow any slowdown at all: designs slower than the base are rejected.
     constrained = explorer.explore(

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.arch.template import default_array_spec
 from repro.core.cost_model import HardwareCostModel
 from repro.core.exploration import RSPDesignSpaceExplorer
-from repro.core.rsp_params import base_parameters, paper_parameters
+from repro.core.rsp_params import paper_parameters
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.core.timing_model import TimingModel
 from repro.engine.cache import EvaluationCache
@@ -84,13 +85,6 @@ def test_job_hash_depends_on_parameters_and_context(context_hash):
     assert job_a.content_hash(context_hash) == EvaluationJob(
         paper_parameters(1, pipelined=False)
     ).content_hash(context_hash)
-
-
-def test_job_label():
-    assert EvaluationJob(base_parameters(), name="Base").label == "Base"
-    assert EvaluationJob(paper_parameters(2, pipelined=True)).label == (
-        "rsp(shr=2,shc=0,stages=2)"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -172,11 +166,21 @@ def test_cache_skips_and_counts_corrupt_lines(tmp_path, context_hash):
         handle.write(json.dumps({"key": "missing-fields"}) + "\n")
         handle.write("\n")  # blank lines are not corruption
 
-    with pytest.warns(RuntimeWarning, match=r"skipped 2 corrupt line\(s\)"):
+    with pytest.warns(RuntimeWarning, match=r"skipped 2 corrupt line\(s\)") as record:
         reloaded = EvaluationCache(path)
     assert reloaded.corrupt_lines == 2
     assert len(reloaded) == 1
     assert reloaded.get(key, job, explorer.array) is not None
+    assert [Path(warning.filename) for warning in record] == [Path(__file__)]
+
+    # Opened through for_context, the warning still names the line that
+    # opened the cache, and it says how to drop the corrupt line.
+    opened = EvaluationCache.for_context(tmp_path / "campaign", context_hash)
+    with opened.path.open("a", encoding="utf-8") as handle:
+        handle.write("{torn json\n")
+    with pytest.warns(RuntimeWarning, match="--compact") as record:
+        EvaluationCache.for_context(tmp_path / "campaign", context_hash)
+    assert [Path(warning.filename) for warning in record] == [Path(__file__)]
 
 
 def test_cache_loads_clean_file_without_warning(tmp_path, context_hash):

@@ -92,27 +92,11 @@ def test_warm_artifact_store_skips_mapping(small_spec, tmp_path):
     assert [s.selected for s in warm.suites] == [s.selected for s in cold.suites]
 
 
-def test_profile_provider_hook_overrides_pipeline(small_spec):
-    seen = []
-
-    def provider(suite_name, kernels):
-        seen.append(suite_name)
-        pipeline = CampaignRunner(small_spec).pipeline
-        return pipeline.profiles_for(kernels)
-
-    report, _ = CampaignRunner(small_spec, profile_provider=provider).run()
-    assert seen == ["h264"]
-    # The runner's own pipeline was bypassed, so its stats stay empty.
-    assert report.mapping_stages == {}
-    assert report.suites[0].selected is not None
-
-
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-dir"])
 def test_two_suite_campaign_hashes_each_context_once(monkeypatch, tmp_path, cached):
     """The runner names the evaluation cache with the context digest and
     hands it to the engine, which does not hash the profiles again.  A
-    run without a cache or an observer reads no key, so it hashes
-    nothing."""
+    run without a cache reads no key, so it hashes nothing."""
     import repro.engine.executor as executor_module
     import repro.engine.runner as runner_module
 
@@ -329,13 +313,13 @@ def test_cli_accepts_only_the_serial_backend(capsys):
 
 
 @pytest.mark.parametrize("module", ["repro.engine.__main__", "repro.flow"])
-def test_entry_points_avoid_numpy_multiprocessing_http_client(module):
+def test_entry_points_skip_unused_modules(module):
     """numpy never loads (the library needs no third-party package), no
-    process pool is left, and no HTTP client: stores are local
-    directories."""
+    process pool is left, no HTTP client (stores are local directories)
+    and no sqlite3 (the campaign report is the one record of a run)."""
     code = (
         f"import sys, {module}; "
-        "print([name for name in ('numpy', 'multiprocessing', 'http.client') "
+        "print([name for name in ('numpy', 'multiprocessing', 'http.client', 'sqlite3') "
         "if name in sys.modules])"
     )
     source_root = Path(repro.__file__).resolve().parents[1]
@@ -380,6 +364,26 @@ def test_cli_reports_domain_errors_cleanly(capsys):
     assert "error: the parallel evaluation backends were removed" in captured.err
     assert main(["--suite", "h264", "--stages", "0", "--no-cache", "--quiet"]) == 2
     assert "invalid pipeline stage count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        ["--max-execution-time-ratio", "-1"],
+        ["--max-execution-time-ratio", "nan"],
+        ["--max-stall-cycles", "-5"],
+    ],
+    ids=["negative-ratio", "nan-ratio", "negative-stalls"],
+)
+def test_cli_rejects_negative_or_nan_constraints(tmp_path, capsys, bound):
+    """A bound no design can meet, or one that checks nothing, fails
+    before any mapping: exit 2 and no report."""
+    output = tmp_path / "report.json"
+    argv = ["--suite", "h264", "--no-cache", "--no-artifact-cache", "--quiet",
+            "--output", str(output)]
+    assert main(argv + bound) == 2
+    assert "must be a non-negative number" in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_cli_no_cache_and_quiet(tmp_path, capsys):

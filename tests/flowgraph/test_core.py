@@ -17,7 +17,6 @@ from repro.flowgraph.core import (
     Flow,
     FlowContext,
     Node,
-    NodeEvent,
     RetryPolicy,
     Selector,
     stage_key,
@@ -94,23 +93,15 @@ def test_node_seconds_are_self_times(monkeypatch):
         clock.now += 3.0
         return doubled ** 2
 
-    events = []
-
-    class Recorder:
-        def node_finished(self, event):
-            events.append(event)
-
     stats = PipelineStats()
     ctx = linear_flow(double, square).run(
-        context=seeded_context(x=3), store=ArtifactStore(None), stats=stats,
-        observer=Recorder(),
+        context=seeded_context(x=3), store=ArtifactStore(None), stats=stats
     )
     assert ctx["squared"] == 36
     assert stats.timing("double").seconds == 2.0
     assert stats.timing("square").seconds == 3.0
     assert stats.total_seconds == clock.now
     assert ctx.artifact("squared").seconds == 3.0
-    assert {event.node: event.seconds for event in events} == {"double": 2.0, "square": 3.0}
 
 
 def test_keys_derive_from_upstream_keys_not_values():
@@ -469,27 +460,8 @@ def test_node_constructor_validation():
 
 
 # ----------------------------------------------------------------------
-# Introspection + observation
+# Introspection
 # ----------------------------------------------------------------------
 def test_outputs_are_terminal_values():
     flow = linear_flow(lambda ctx: 0, lambda ctx: 0)
     assert flow.outputs == ("squared",)
-
-
-def test_observer_receives_node_events():
-    events = []
-
-    class Recorder:
-        def node_finished(self, event):
-            events.append(event)
-
-    flow = routed_flow({"left": False, "right": True})
-    flow.run(observer=Recorder())
-    assert [event.node for event in events] == ["seed", "right"]
-    last = events[-1]
-    assert isinstance(last, NodeEvent)
-    assert last.flow == "routed"
-    assert last.output == "out"
-    assert last.hit is False
-    assert last.routed is True
-    assert events[0].routed is False
