@@ -248,10 +248,12 @@ class _ProfileTable:
       bound the capacities that can ever cause a stall;
     * the RP ``runs`` constant (consecutive dependent-cycle runs);
     * a memo of RS stall counts per ``(rows_shared, cols_shared)`` pair.
+
+    :meth:`of` keeps one table per profile object, so every evaluator
+    over that profile (one per suite of a campaign) shares its walks.
     """
 
     __slots__ = (
-        "key",
         "kernel",
         "length",
         "by_cycle",
@@ -262,8 +264,21 @@ class _ProfileTable:
         "_rs_memo",
     )
 
-    def __init__(self, key: str, profile: ScheduleProfile) -> None:
-        self.key = key
+    @classmethod
+    def of(cls, profile: ScheduleProfile) -> "_ProfileTable":
+        """The table of ``profile``, built on first use and kept with it.
+
+        It lives in the instance ``__dict__``, like
+        :meth:`ScheduleProfile.issues_by_cycle`.  The mapping pipeline
+        stores a profile when it extracts it, before any evaluator reads
+        it, so stored profiles carry no table.
+        """
+        table = profile.__dict__.get("_table")
+        if table is None:
+            table = profile.__dict__["_table"] = cls(profile)
+        return table
+
+    def __init__(self, profile: ScheduleProfile) -> None:
         self.kernel = profile.kernel
         self.length = profile.length
         by_cycle: Dict[int, List[Tuple[int, int, int, int]]] = {}

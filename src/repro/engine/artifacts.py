@@ -22,16 +22,25 @@ the stage name and the SHA-256 *input* hash computed by the pipeline
 (:func:`repro.mapping.pipeline.stage_key`).  Because keys are content
 hashes over the full upstream input chain, a record can never be stale:
 any change to the kernel DFG, the architecture or an upstream stage
-changes the key.  Corrupt or truncated files (e.g. from an interrupted
-run) are treated as misses, counted in :attr:`ArtifactStoreStats.corrupt`
-and reported via :class:`RuntimeWarning`; the next store overwrites them
-and a janitor compaction removes them.
+changes the key.  A file that does not unpickle (truncated by an
+interrupted run, or overwritten) is treated as a miss, counted in
+:attr:`ArtifactStoreStats.corrupt` and reported via a
+:class:`RuntimeWarning` that names the code which asked for the mapping
+(the first caller outside this module, :mod:`repro.flowgraph` and
+:mod:`repro.mapping`); the next store overwrites it and a janitor
+compaction removes it.
 
 An in-memory layer fronts the disk so a value is unpickled at most once
 per process; with no root directory the store is purely in-memory, which
 is what gives :class:`~repro.mapping.pipeline.MappingPipeline` (and the
 :class:`~repro.mapping.mapper.RSPMapper` facade over it) the seed's
 within-run memoisation behaviour for free.
+
+The store also holds the mapping stages' in-process memos (built DFGs,
+re-timing plans, stall-free lengths), so every pipeline on one store
+computes each of them once.  They are plain dictionaries beside the
+artifacts: never persisted, and never counted in :attr:`ArtifactStore.stats`
+or ``len(store)``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.store import PickleDirBackend, StoreJanitor, StoreStats
 from repro.store.pickledir import DEFAULT_KEY_PREFIX_LENGTH
+from repro.utils.callers import caller_stacklevel
 
 #: Length of the key prefix used in artifact file names.  32 hex digits
 #: (128 bits) keeps paths short while making collisions implausible.
@@ -95,6 +105,16 @@ class ArtifactStore:
         self.root = Path(root) if root is not None else None
         self.stats = ArtifactStoreStats()
         self._memory: Dict[Tuple[str, str], Any] = {}
+        #: ``build_dfg`` artifacts by kernel definition
+        #: (:func:`~repro.mapping.fingerprints.kernel_definition`), each
+        #: with the kernel it was built from.
+        self.dfgs: Dict[Any, Tuple[Any, Any]] = {}
+        #: Re-timing plans of the ``rearrange`` node by base-schedule key.
+        self.retiming_plans: Dict[str, Any] = {}
+        #: Stall-free rearranged lengths by (base-schedule key, array,
+        #: multiplier latency, uses sharing): everything the
+        #: unlimited-shared pass of the ``rearrange`` node reads.
+        self.stall_free_lengths: Dict[Tuple[Any, ...], int] = {}
         self.backend: Optional[PickleDirBackend] = None
         if self.root is not None:
             self.backend = PickleDirBackend(self.root / ARTIFACT_SUBDIR)
@@ -146,7 +166,7 @@ class ArtifactStore:
                     f"{stage}/{key[:KEY_PREFIX_LENGTH]} treated as a miss; "
                     "the stage will be recomputed",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=caller_stacklevel(__name__, "repro.flowgraph", "repro.mapping"),
                 )
             if hit:
                 self._memory[memory_key] = value

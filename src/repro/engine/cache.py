@@ -36,7 +36,6 @@ hash and therefore the file and the keys.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +45,7 @@ from repro.core.exploration import DesignPointEvaluation
 from repro.core.stalls import StallEstimate
 from repro.engine.jobs import EvaluationJob
 from repro.store import MemoryBackend, ShardedJsonlBackend, StoreJanitor, StoreStats
+from repro.utils.callers import caller_stacklevel
 
 
 @dataclass
@@ -77,22 +77,6 @@ def _valid_record(record: dict) -> bool:
     except (ValueError, KeyError, TypeError):
         return False
     return True
-
-
-def _caller_stacklevel() -> int:
-    """The ``stacklevel`` of the first caller outside this module.
-
-    Called from a method of this module, it skips every frame of this
-    module, so a warning names the line that opened the cache whether
-    that line called :class:`EvaluationCache` or
-    :meth:`EvaluationCache.for_context`.
-    """
-    frame = sys._getframe(1)
-    level = 1
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        frame = frame.f_back
-        level += 1
-    return level
 
 
 def evaluation_record(evaluation: DesignPointEvaluation) -> dict:
@@ -172,7 +156,9 @@ class EvaluationCache:
                 "lines stay in the file until it is compacted (--compact, or "
                 "EvaluationCache.janitor().sweep(compact=True))",
                 RuntimeWarning,
-                stacklevel=_caller_stacklevel(),
+                # The line that opened the cache, whether it called
+                # EvaluationCache or EvaluationCache.for_context.
+                stacklevel=caller_stacklevel(__name__),
             )
 
     @classmethod

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchEvaluator
+from repro.core.batch import BatchEvaluator, price_design
 from repro.core.exploration import (
     DesignPointEvaluation,
     ExplorationConstraints,
@@ -274,18 +274,21 @@ class EvaluationEngine:
     ) -> bool:
         """True when ``job`` is provably dominated before stall estimation.
 
-        The candidate's area and clock period come from the cheap cost and
-        timing models; its execution time is at least ``lower_bound_cycles``
-        (the stall-free base schedule) times the period.  If a completed
-        feasible point with no larger area already achieves a *strictly*
-        smaller time than that bound, the candidate's true objective vector
-        is dominated regardless of its stall count.
+        The candidate's area and clock period are its price
+        (:func:`~repro.core.batch.price_design`, which the batch evaluation
+        of a surviving candidate then reuses); its execution time is at
+        least ``lower_bound_cycles`` (the stall-free base schedule) times
+        the period.  If a completed feasible point with no larger area
+        already achieves a *strictly* smaller time than that bound, the
+        candidate's true objective vector is dominated regardless of its
+        stall count.
         """
         if not len(frontier):
             return False
-        architecture = job.parameters.to_architecture(self.explorer.array, name=job.name)
-        area = self.explorer.cost_model.array_area(architecture)
-        period = self.explorer.timing_model.critical_path_ns(architecture)
+        explorer = self.explorer
+        _, area, period = price_design(
+            job.parameters, job.name, explorer.array, explorer.cost_model, explorer.timing_model
+        )
         lower_bound_time = lower_bound_cycles * period
         return frontier.min_second_objective_at_or_below(area) < lower_bound_time
 

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.cost_model import HardwareCostModel
 from repro.core.exploration import ExplorationResult, RSPDesignSpaceExplorer
+from repro.core.timing_model import TimingModel
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.cache import EvaluationCache
 from repro.store import JanitorReport
@@ -234,6 +236,11 @@ class CampaignRunner:
         store_stats = self.pipeline.store.stats
         store_hits_before = store_stats.hits
         store_misses_before = store_stats.misses
+        # One model pair for every suite: a design's price depends only on
+        # the design and the models, so each design is priced once per run
+        # (see repro.core.batch.price_design).
+        cost_model = HardwareCostModel()
+        timing_model = TimingModel()
 
         for suite_name in self.spec.suites:
             stage_snapshot = self.pipeline.stats.snapshot()
@@ -245,7 +252,12 @@ class CampaignRunner:
             profile_seconds = time.perf_counter() - profile_started
             stage_delta = self.pipeline.stats.since(stage_snapshot)
 
-            explorer = RSPDesignSpaceExplorer(profiles, array=self.mapper.base.array)
+            explorer = RSPDesignSpaceExplorer(
+                profiles,
+                array=self.mapper.base.array,
+                cost_model=cost_model,
+                timing_model=timing_model,
+            )
             cache: Optional[EvaluationCache] = None
             context: Optional[str] = None
             if self.cache_dir is not None:

@@ -153,8 +153,8 @@ def node_registry(pipeline: "MappingPipeline") -> Dict[str, Callable[[], Node]]:
         )
 
     def rearrange() -> Node:
-        stall_free_lengths = pipeline._stall_free_memo
-        plans = pipeline._retiming_plans
+        stall_free_lengths = pipeline.store.stall_free_lengths
+        plans = pipeline.store.retiming_plans
 
         def compute(ctx: FlowContext) -> RearrangedSchedule:
             base = ctx["schedule"]

@@ -30,9 +30,13 @@ construction that *defines* the fingerprint.
 Kernels carry Python callables, so the kernel itself cannot be content
 hashed; the built DFG can (:func:`dfg_fingerprint` digests
 :meth:`repro.ir.dfg.DFG.to_dict`).  The ``build_dfg`` stage is therefore
-memoised in memory only and marked non-persistent: its output hash seeds
-every downstream key, which also makes the store self-validating — a
-changed kernel body changes the DFG, the fingerprint and every key.
+memoised in memory only, by the kernel's definition
+(:func:`~repro.mapping.fingerprints.kernel_definition`), and marked
+non-persistent: its output hash seeds every downstream key, which also
+makes the store self-validating — a changed kernel body changes the DFG,
+the fingerprint and every key.  The DFG memo and the ``rearrange`` node's
+memos live on the artifact store, so pipelines that share a store build
+each DFG once.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ from repro.ir.loops import Kernel
 from repro.mapping.fingerprints import (
     architecture_fingerprint,
     dfg_fingerprint,
+    kernel_definition,
     stage_key,
 )
-from repro.mapping.rearrange import RearrangedSchedule, RetimingPlan
+from repro.mapping.rearrange import RearrangedSchedule
 from repro.mapping.schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -139,13 +144,6 @@ class MappingPipeline:
         self.generate_contexts = generate_contexts
         self.stats = PipelineStats()
         self._base_fingerprint = architecture_fingerprint(self.base)
-        self._dfg_memo: Dict[str, Artifact] = {}
-        #: Stall-free rearranged lengths by (base-schedule key, array,
-        #: multiplier latency, uses sharing): everything the
-        #: unlimited-shared pass of the ``rearrange`` node reads.
-        self._stall_free_memo: Dict[Tuple[Any, ...], int] = {}
-        #: Re-timing plans of the ``rearrange`` node by base-schedule key.
-        self._retiming_plans: Dict[str, RetimingPlan] = {}
         if isinstance(flow, Flow):
             self.flow = flow
         else:
@@ -218,14 +216,16 @@ class MappingPipeline:
         The artifact key is the *content* fingerprint of the built DFG,
         which seeds every downstream stage key.  Kernel bodies are Python
         callables and cannot be hashed, so this stage always runs at least
-        once per process and is never persisted.  (This is the canonical
-        flow's ``build_dfg`` resolver.)
+        once per process and is never persisted; within the process it is
+        memoised on the store by the kernel's definition, so two kernels
+        that share a name but not a body get their own DFGs.  (This is
+        the canonical flow's ``build_dfg`` resolver.)
         """
-        memo_key = f"{kernel.name}@{iterations or kernel.iterations}"
-        if memo_key in self._dfg_memo:
-            artifact = self._dfg_memo[memo_key]
+        memo_key = kernel_definition(kernel, iterations)
+        memoised = self.store.dfgs.get(memo_key)
+        if memoised is not None:
             self.stats.record("build_dfg", hit=True, seconds=0.0)
-            return artifact
+            return memoised[1]
         started = time.perf_counter()
         dfg = kernel.build(iterations)
         artifact = Artifact(
@@ -234,7 +234,9 @@ class MappingPipeline:
             value=dfg,
             seconds=time.perf_counter() - started,
         )
-        self._dfg_memo[memo_key] = artifact
+        # The kernel is held with its DFG: the definition key may name
+        # closure values by identity.
+        self.store.dfgs[memo_key] = (kernel, artifact)
         self.stats.record("build_dfg", hit=False, seconds=artifact.seconds)
         return artifact
 
@@ -280,8 +282,8 @@ class MappingPipeline:
         summary (actual and stall-free lengths), matching
         :func:`~repro.mapping.rearrange.evaluate_rearrangement`.  The
         actual pass runs once per target; the stall-free pass runs once
-        per base schedule, array, multiplier latency and sharing flag in
-        this pipeline, because it reads nothing else of the target.
+        per base schedule, array, multiplier latency and sharing flag on
+        this pipeline's store, because it reads nothing else of the target.
         With a custom flow, the returned artifact is whatever branch the
         flow routed (or raced) the ``rearranged`` output through.
         """

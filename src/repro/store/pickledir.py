@@ -43,8 +43,6 @@ from repro.store.locks import locked
 #: short while making collisions implausible.
 DEFAULT_KEY_PREFIX_LENGTH = 32
 
-_PICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError, ImportError)
-
 #: Hidden stem the advisory lock of a directory is derived from; the lock
 #: file lives *inside* the directory (``<dir>/.dir.lock``) so sibling
 #: listings of the namespace root stay clean.
@@ -110,7 +108,9 @@ class PickleDirBackend(StoreBackend):
             # Absent, or removed by a concurrent GC eviction: a plain miss.
             self.counters.misses += 1
             return False, None
-        except _PICKLE_ERRORS:
+        except Exception:
+            # Whatever the bytes make pickle raise (UnpicklingError,
+            # EOFError, ValueError, ...), the entry is unreadable.
             self.counters.corrupt += 1
             self.counters.misses += 1
             return False, None
@@ -251,7 +251,7 @@ class PickleDirBackend(StoreBackend):
                     try:
                         with path.open("rb") as handle:
                             pickle.load(handle)
-                    except _PICKLE_ERRORS:
+                    except Exception:  # undecodable, as in get()
                         report.dropped_corrupt += 1
                         report.reclaimed_bytes += path.stat().st_size if path.exists() else 0
                         path.unlink(missing_ok=True)

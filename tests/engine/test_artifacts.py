@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.engine.artifacts import ARTIFACT_SUBDIR, ArtifactStore
+from repro.engine.jobs import CampaignSpec
+from repro.engine.runner import CampaignRunner
+from repro.kernels import get_kernel
+from repro.mapping import RSPMapper
+from repro.utils.serialization import from_json, to_json
 
 
 @pytest.fixture()
@@ -110,3 +116,53 @@ class TestStoreMaintenance:
         assert snapshot.backend == "pickle"
         assert snapshot.entries == 1
         assert snapshot.disk_bytes > 0
+
+
+# ----------------------------------------------------------------------
+# Corrupt artifacts in a campaign
+# ----------------------------------------------------------------------
+#: Ways an artifact file goes bad, from its good bytes.
+CORRUPTIONS = {
+    "garbage": lambda good: b"garbage\n",
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[: len(good) // 2],
+}
+
+#: Report fields that differ between two runs of one campaign: timings,
+#: and the store counters a corrupt entry moves.
+_RUN_FIELDS = ("wall_seconds", "mapping_seconds", "profile_seconds", "explore_seconds")
+_COUNTER_FIELDS = ("artifact_hits", "artifact_misses", "mapping_stages", "store_stats")
+
+
+def _answers(report):
+    payload = from_json(to_json(report))
+    for block in [payload] + payload["suites"]:
+        for name in _RUN_FIELDS + _COUNTER_FIELDS:
+            block.pop(name, None)
+    return payload
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_campaign_recomputes_a_corrupt_artifact(tmp_path, corruption):
+    spec = CampaignSpec(name="h264", suites=("h264",), max_rows_shared=1, max_cols_shared=1)
+    clean, _ = CampaignRunner(spec, artifact_dir=tmp_path).run()
+    path = sorted((tmp_path / ARTIFACT_SUBDIR / "extract_profile").glob("*.pkl"))[0]
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.warns(RuntimeWarning, match="corrupt artifact extract_profile/"):
+        report, _ = CampaignRunner(spec, artifact_dir=tmp_path).run()
+    assert report.store_stats["artifacts"].corrupt == 1
+    assert report.artifact_misses == 1
+    assert _answers(report) == _answers(clean)
+
+
+def test_corrupt_artifact_warning_names_the_caller(tmp_path):
+    """The warning names the line that asked for the mapping, not a line
+    of the store, the flow runtime or the pipeline."""
+    kernel = get_kernel("MVM")
+    RSPMapper(store=ArtifactStore(tmp_path)).base_schedule(kernel)
+    path = next((tmp_path / ARTIFACT_SUBDIR / "base_schedule").glob("*.pkl"))
+    path.write_bytes(b"garbage\n")
+    mapper = RSPMapper(store=ArtifactStore(tmp_path))
+    with pytest.warns(RuntimeWarning, match="corrupt artifact base_schedule/") as record:
+        mapper.map_kernel(kernel)
+    assert [Path(warning.filename) for warning in record] == [Path(__file__)]

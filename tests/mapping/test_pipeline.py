@@ -20,14 +20,17 @@ from repro.engine.artifacts import ArtifactStore
 from repro.engine.jobs import SUITE_NAMES, suite_kernels
 from repro.errors import MappingError
 from repro.flowgraph.stats import DEFAULT_STAGE_ORDER
-from repro.kernels import get_kernel
+from repro.ir.loops import Kernel
+from repro.kernels import get_kernel, matrix_multiplication
 from repro.mapping import (
     MappingPipeline,
+    RSPMapper,
     RearrangedSchedule,
     architecture_fingerprint,
     dfg_fingerprint,
     stage_key,
 )
+from repro.mapping.fingerprints import kernel_definition
 from repro.mapping.rearrange import evaluate_rearrangement
 from repro.utils.serialization import content_hash
 
@@ -110,6 +113,120 @@ class TestFingerprints:
         assert stage_key("a", x="1") != stage_key("b", x="1")
         assert stage_key("a", x="1") != stage_key("a", x="2")
         assert stage_key("a", x="1") == stage_key("a", x="1")
+
+
+def _scaled_copy(name, iterations, factor):
+    """A kernel storing ``factor * A[i]``: its closure holds ``factor``."""
+
+    def body(builder, index, state):
+        value = builder.load("A", index)
+        builder.store("B", index, builder.mul(value, builder.const(factor)))
+
+    return Kernel(name=name, body=body, iterations=iterations)
+
+
+class TestKernelDefinition:
+    """The DFG memo's key: a kernel's name, iteration count and the
+    definitions of its ``body`` and ``finalize``."""
+
+    def test_equal_across_factory_calls_of_every_campaign_kernel(self):
+        for suite in ("paper", "h264"):
+            for first, second in zip(suite_kernels(suite), suite_kernels(suite)):
+                assert first is not second
+                assert kernel_definition(first) == kernel_definition(second), first.name
+
+    def test_closure_values_iterations_and_name_tell_kernels_apart(self):
+        assert kernel_definition(matrix_multiplication(4, 1)) != kernel_definition(
+            matrix_multiplication(4, 3)
+        )
+        one = _scaled_copy("Scale", 4, 2)
+        assert kernel_definition(one) == kernel_definition(_scaled_copy("Scale", 4, 2))
+        assert kernel_definition(one) != kernel_definition(_scaled_copy("Scale", 4, 3))
+        assert kernel_definition(one) != kernel_definition(_scaled_copy("Other", 4, 2))
+        assert kernel_definition(one) != kernel_definition(one, 8)
+        assert kernel_definition(one, 4) == kernel_definition(one)
+
+    def test_closed_over_functions_and_unhashable_values(self):
+        def kernel_over(coefficients):
+            def scale(builder, value, index):
+                return builder.mul(value, builder.const(coefficients[index]))
+
+            def body(builder, index, state):
+                builder.store("B", index, scale(builder, builder.load("A", index), index))
+
+            return Kernel(name="Table", body=body, iterations=2)
+
+        # A list is keyed by identity: the same list gives one key, an
+        # equal but separate one another (it could be changed in place).
+        shared = [3, 5]
+        assert kernel_definition(kernel_over(shared)) == kernel_definition(kernel_over(shared))
+        assert kernel_definition(kernel_over(shared)) != kernel_definition(kernel_over([3, 5]))
+        # A tuple is keyed by value, through the closed-over helper.
+        assert kernel_definition(kernel_over((3, 5))) == kernel_definition(kernel_over((3, 5)))
+        assert kernel_definition(kernel_over((3, 5))) != kernel_definition(kernel_over((3, 6)))
+
+    def test_a_function_that_closes_over_itself(self):
+        def body(builder, index, state, depth=1):
+            value = builder.load("A", index)
+            if depth:
+                body(builder, index + 2, state, depth - 1)
+            builder.store("B", index, value)
+
+        kernel = Kernel(name="Recursive", body=body, iterations=2)
+        assert kernel_definition(kernel) == kernel_definition(kernel)
+        assert len(kernel.build()) == 8
+
+
+class TestSameNamedKernels:
+    """Two kernels with one name but different bodies each get their own
+    DFG from one mapper: the memo is keyed by definition, not name."""
+
+    def test_matrix_multiplications_with_different_constants(self):
+        target = rsp_architecture(2)
+        mapper = RSPMapper()
+        mapper.map_kernel(matrix_multiplication(4, 1), target)
+        scaled = mapper.map_kernel(matrix_multiplication(4, 3), target)
+        fresh = RSPMapper().map_kernel(matrix_multiplication(4, 3), target)
+        assert matrix_multiplication(4, 1).name == matrix_multiplication(4, 3).name
+        assert (len(scaled.dfg), scaled.cycles) == (len(fresh.dfg), fresh.cycles) == (288, 16)
+
+    def test_user_kernel_named_like_a_registry_kernel(self):
+        registry = get_kernel("MVM")
+
+        def body(builder, index, state):
+            product = builder.mul(builder.load("A", index), builder.load("X", index))
+            builder.store("Y", index, product)
+
+        user = Kernel(name="MVM", body=body, iterations=registry.iterations)
+        target = rsp_architecture(2)
+        mapper = RSPMapper()
+        registry_result = mapper.map_kernel(registry, target)
+        user_result = mapper.map_kernel(user, target)
+        fresh = RSPMapper().map_kernel(user, target)
+        assert user_result.cycles == fresh.cycles != registry_result.cycles
+        assert len(user_result.dfg) == len(fresh.dfg) == 4 * registry.iterations
+
+    def test_pipelines_on_one_store_build_each_dfg_once(self, monkeypatch, mvm):
+        builds = []
+        build = Kernel.build
+
+        def counted(kernel, iterations=None):
+            builds.append(kernel.name)
+            return build(kernel, iterations)
+
+        monkeypatch.setattr(Kernel, "build", counted)
+        store = ArtifactStore()
+        first = MappingPipeline(store=store).dfg_artifact(mvm)
+        second = MappingPipeline(store=store).dfg_artifact(get_kernel("MVM"))
+        assert second is first
+        assert builds == ["MVM"]
+        # The memo is not an artifact: the store counts and holds nothing.
+        assert (store.stats.hits, store.stats.misses, store.stats.stores, len(store)) == (
+            0,
+            0,
+            0,
+            0,
+        )
 
 
 class TestPipelineBehaviour:
