@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.arch.template import ArchitectureSpec
 from repro.errors import ExplorationError

@@ -26,12 +26,12 @@ module (lazily) without a cycle.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.arch.config_cache import ConfigurationContext
 from repro.core.stalls import ScheduleProfile
 from repro.flowgraph.config import ConfigSource, flow_from_config
-from repro.flowgraph.core import Flow, FlowContext, Node, Selector
+from repro.flowgraph.core import Flow, FlowContext, Node
 from repro.flowgraph.dsl import parse_edges
 from repro.ir.dfg import DFG
 from repro.mapping.context_gen import generate_context

@@ -15,7 +15,7 @@ elimination* kernel ``x[i] = z[i] * (y[i] - x[i-1])``::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import DFGError
 from repro.ir.dfg import DFG, Operation, OpType
@@ -70,28 +70,19 @@ class DFGBuilder:
         index: Optional[int] = None,
         immediate: Optional[int] = None,
         comment: str = "",
-        name: Optional[str] = None,
     ) -> str:
-        op_name = name or self._dfg.fresh_name(f"{optype.value}_i{self._iteration}")
-        operation = Operation(
-            name=op_name,
-            optype=optype,
-            iteration=self._iteration,
-            array=array,
-            index=index,
-            immediate=immediate,
-            comment=comment,
-        )
-        self._dfg.add_operation(operation)
-        seen: List[str] = []
+        dfg = self._dfg
+        iteration = self._iteration
+        # ``_value_`` reads the member's value without the slow ``value`` property.
+        op_name = dfg.fresh_name(f"{optype._value_}_i{iteration}")
+        dfg.add_operation(Operation(op_name, optype, iteration, array, index, immediate, comment))
         for port, operand in enumerate(operands):
             # The dependence graph stores one edge per (producer, consumer)
             # pair, so an operation consuming the same value on both ports
             # (e.g. squaring) routes the second use through a register move.
-            if operand in seen:
+            if operand in operands[:port]:
                 operand = self.mov(operand, comment="duplicate operand copy")
-            seen.append(operand)
-            self._dfg.add_dependence(operand, op_name, port=port)
+            dfg.add_dependence(operand, op_name, port)
         return op_name
 
     def load(self, array: str, index: Optional[int] = None, *, comment: str = "") -> str:

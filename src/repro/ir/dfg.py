@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DFGError, DFGValidationError, UnknownOperationError
@@ -216,16 +218,19 @@ class DFG:
         on two ports reads the second through a ``mov`` copy, as
         :class:`~repro.ir.builder.DFGBuilder` arranges.
         """
-        for name in (producer, consumer):
-            if name not in self._ops:
-                raise UnknownOperationError(f"unknown operation: {name!r}")
+        # ``_succ`` and ``_pred`` hold a dict for every operation, so the
+        # lookups double as the membership checks.
+        successors = self._succ.get(producer)
+        predecessors = self._pred.get(consumer)
+        if successors is None or predecessors is None:
+            unknown = producer if successors is None else consumer
+            raise UnknownOperationError(f"unknown operation: {unknown!r}")
         if producer == consumer:
             raise DFGError(f"self dependence on {producer!r} is not allowed")
-        successors = self._succ[producer]
         if consumer in successors:
             raise DFGError(f"duplicate dependence {producer!r} -> {consumer!r}")
         successors[consumer] = port
-        self._pred[consumer][producer] = port
+        predecessors[producer] = port
 
     # ------------------------------------------------------------------
     # Queries
@@ -458,6 +463,39 @@ class DFG:
             ],
         }
 
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON, written without building it.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":"))``: the same keys in sorted order, and every
+        value as ``json.dumps`` writes it.  This is the text
+        :func:`~repro.mapping.fingerprints.dfg_fingerprint` hashes, so it
+        must change only together with :meth:`to_dict`.
+        """
+        value = _json_value
+        operations = ",".join(
+            [
+                f'{{"array":{value(op.array)},"comment":{value(op.comment)},'
+                f'"immediate":{value(op.immediate)},"index":{value(op.index)},'
+                f'"iteration":{value(op.iteration)},"name":{value(op.name)},'
+                f'"optype":{encode_basestring_ascii(op.optype._value_)}}}'
+                for op in self._ops.values()
+            ]
+        )
+        edges: List[str] = []
+        for producer, successors in self._succ.items():
+            if successors:
+                producer_json = value(producer)
+                edges.extend(
+                    f'{{"consumer":{value(consumer)},"port":{value(port)},'
+                    f'"producer":{producer_json}}}'
+                    for consumer, port in successors.items()
+                )
+        return (
+            f'{{"edges":[{",".join(edges)}],"name":{value(self.name)},'
+            f'"operations":[{operations}]}}'
+        )
+
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "DFG":
         """Rebuild a graph from :meth:`to_dict` output."""
@@ -487,3 +525,19 @@ class DFG:
             f"DFG(name={self.name!r}, operations={len(self)}, "
             f"edges={self.number_of_edges()})"
         )
+
+
+def _json_value(value: object) -> str:
+    """``value`` as ``json.dumps`` writes it in :meth:`DFG.canonical_json`.
+
+    ``None``, exact strings and exact ints, nearly every field of a DFG,
+    are written directly.  Anything else (floats, bools, subclasses of
+    ``int`` or ``str``, containers) goes through ``json.dumps`` itself.
+    """
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

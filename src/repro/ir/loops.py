@@ -9,8 +9,8 @@ mapping and simulation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import KernelError
 from repro.ir.builder import DFGBuilder

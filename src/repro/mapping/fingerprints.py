@@ -3,7 +3,9 @@
 Leaf module (imports nothing from the rest of :mod:`repro.mapping`) so
 both the legacy pipeline facade and the flow-graph node definitions in
 :mod:`repro.flowgraph.mapping` can share one set of formulas.  Changing
-any of these invalidates every persisted artifact store.
+any of these invalidates every persisted artifact store: the DFG
+fingerprint's text, written directly by :meth:`DFG.canonical_json`, must
+stay byte-identical to the canonical JSON of :meth:`DFG.to_dict`.
 
 :func:`kernel_definition` is the one key here that never reaches a store:
 it names a kernel's DFG within one process.
@@ -11,6 +13,7 @@ it names a kernel's DFG within one process.
 
 from __future__ import annotations
 
+import hashlib
 from types import FunctionType
 from typing import Any, Hashable, Optional, Set
 from weakref import WeakKeyDictionary
@@ -19,7 +22,7 @@ from repro.arch.template import ArchitectureSpec
 from repro.flowgraph.core import stage_key
 from repro.ir.dfg import DFG
 from repro.ir.loops import Kernel
-from repro.utils.serialization import content_hash, json_hash
+from repro.utils.serialization import content_hash
 
 __all__ = ["architecture_fingerprint", "dfg_fingerprint", "kernel_definition", "stage_key"]
 
@@ -32,10 +35,13 @@ _ARCHITECTURE_FINGERPRINTS: "WeakKeyDictionary[ArchitectureSpec, str]" = WeakKey
 def dfg_fingerprint(dfg: DFG) -> str:
     """SHA-256 digest of a DFG's full content (operations and edges).
 
-    :meth:`DFG.to_dict` returns plain JSON types, so the digest equals
-    ``content_hash(dfg.to_dict())`` without its generic dataclass walk.
+    Hashes :meth:`DFG.canonical_json`, the graph's canonical JSON written
+    directly rather than through :meth:`DFG.to_dict`, so the digest equals
+    ``json_hash(dfg.to_dict())`` (and ``content_hash(dfg.to_dict())``)
+    without building a dict per operation and per edge and sorting their
+    keys.
     """
-    return json_hash(dfg.to_dict())
+    return hashlib.sha256(dfg.canonical_json().encode("utf-8")).hexdigest()
 
 
 def architecture_fingerprint(spec: ArchitectureSpec) -> str:

@@ -24,13 +24,15 @@ kernel DFG fingerprint and the architecture fingerprints alone — without
 doing any mapping work.  That is what lets a warm
 :class:`~repro.engine.artifacts.ArtifactStore` serve base schedules,
 profiles, rearranged schedules and configuration contexts across
-processes and campaigns while the only recomputed step is the cheap DFG
-construction that *defines* the fingerprint.
+processes and campaigns while the only recomputed step is the DFG
+construction that *defines* the fingerprint, paid once per kernel and
+process.
 
 Kernels carry Python callables, so the kernel itself cannot be content
-hashed; the built DFG can (:func:`dfg_fingerprint` digests
-:meth:`repro.ir.dfg.DFG.to_dict`).  The ``build_dfg`` stage is therefore
-memoised in memory only, by the kernel's definition
+hashed; the built DFG can (:func:`dfg_fingerprint` digests the canonical
+JSON that :meth:`repro.ir.dfg.DFG.canonical_json` writes directly, equal
+to that of :meth:`repro.ir.dfg.DFG.to_dict`).  The ``build_dfg`` stage is
+therefore memoised in memory only, by the kernel's definition
 (:func:`~repro.mapping.fingerprints.kernel_definition`), and marked
 non-persistent: its output hash seeds every downstream key, which also
 makes the store self-validating — a changed kernel body changes the DFG,

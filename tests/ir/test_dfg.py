@@ -81,8 +81,10 @@ class TestDFGConstruction:
     def test_duplicate_name_rejected(self):
         dfg = DFG()
         dfg.add_operation(Operation("a", OpType.LOAD, array="x"))
-        with pytest.raises(DFGError):
+        with pytest.raises(DFGError) as raised:
             dfg.add_operation(Operation("a", OpType.ADD))
+        assert str(raised.value) == "duplicate operation name: 'a'"
+        assert dfg.operation("a").optype is OpType.LOAD
 
     def test_edge_to_unknown_operation_rejected(self):
         dfg = DFG()
@@ -122,6 +124,27 @@ class TestDFGConstruction:
         dfg = DFG()
         names = {dfg.fresh_name("op") for _ in range(50)}
         assert len(names) == 50
+
+    @pytest.mark.parametrize(
+        "producer, consumer, error, message",
+        [
+            ("ghost", "a", UnknownOperationError, "unknown operation: 'ghost'"),
+            ("a", "ghost", UnknownOperationError, "unknown operation: 'ghost'"),
+            ("ghost", "phantom", UnknownOperationError, "unknown operation: 'ghost'"),
+            ("a", "a", DFGError, "self dependence on 'a' is not allowed"),
+            ("a", "b", DFGError, "duplicate dependence 'a' -> 'b'"),
+        ],
+    )
+    def test_rejected_dependence_messages(self, producer, consumer, error, message):
+        dfg = DFG()
+        dfg.add_operation(Operation("a", OpType.LOAD, array="x"))
+        dfg.add_operation(Operation("b", OpType.ADD))
+        dfg.add_dependence("a", "b", port=0)
+        with pytest.raises(error) as raised:
+            dfg.add_dependence(producer, consumer, port=1)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+        assert dfg.to_dict()["edges"] == [{"producer": "a", "consumer": "b", "port": 0}]
 
 
 class TestDFGQueries:
