@@ -7,24 +7,18 @@ points and selects a design for the domain.
 
 from __future__ import annotations
 
-from repro.core import RSPDesignSpaceExplorer
+from repro.engine.runner import explore_domain
 from repro.eval.figures import render_exploration_flow, render_pareto_plot
 from repro.kernels import paper_suite
-from repro.mapping.profile import extract_profile
 from repro.utils.tabulate import format_table
 
 
-def run_exploration(mapper):
-    profiles = {}
-    for kernel in paper_suite():
-        schedule = mapper.base_schedule(kernel)
-        profiles[kernel.name] = extract_profile(schedule, mapper.build_dfg(kernel))
-    explorer = RSPDesignSpaceExplorer(profiles)
-    return explorer.explore()
+def explore_paper_suite(mapper):
+    return explore_domain(mapper.pipeline, paper_suite()).result
 
 
 def test_fig7_design_space_exploration(benchmark, mapper):
-    result = benchmark.pedantic(run_exploration, args=(mapper,), rounds=1, iterations=1)
+    result = benchmark.pedantic(explore_paper_suite, args=(mapper,), rounds=1, iterations=1)
     print()
     print(render_exploration_flow())
     print()

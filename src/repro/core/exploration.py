@@ -2,7 +2,7 @@
 
 Given the base architecture, the initial configuration contexts of the
 domain's critical loops (summarised as :class:`~repro.core.stalls.ScheduleProfile`
-objects) and a set of candidate RSP parameters, the explorer
+objects) and a set of candidate RSP parameters, the exploration
 
 1. estimates the hardware cost of every candidate with the Eq. 2 cost
    model,
@@ -11,6 +11,9 @@ objects) and a set of candidate RSP parameters, the explorer
    low,
 4. keeps only the Pareto-optimal candidates (area vs. execution time), and
 5. selects a single optimum.
+
+:func:`~repro.engine.executor.run_exploration` runs these steps with the
+per-candidate estimates of :class:`RSPDesignSpaceExplorer`.
 
 The exploration deliberately works on *estimates*; the exact numbers of the
 paper's Tables 4/5 are produced afterwards by re-mapping the selected
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.array import ArraySpec
 from repro.arch.template import ArchitectureSpec, default_array_spec
@@ -31,10 +34,6 @@ from repro.core.rsp_params import RSPParameters
 from repro.core.stalls import ScheduleProfile, StallEstimate, StallEstimator
 from repro.core.timing_model import TimingModel
 from repro.errors import ExplorationError
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.engine.cache import EvaluationCache
-    from repro.engine.executor import ExecutorConfig
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,6 @@ class DesignPointEvaluation:
         """Estimated execution time over the whole domain (cycles x period)."""
         return self.total_estimated_cycles * self.critical_path_ns
 
-    @property
-    def area_delay_product(self) -> float:
-        """Area x execution-time product, a common single-figure merit."""
-        return self.area_slices * self.total_execution_time_ns
-
 
 @dataclass
 class ExplorationResult:
@@ -163,7 +157,7 @@ class ExplorationResult:
 
 
 class RSPDesignSpaceExplorer:
-    """The RSP exploration engine.
+    """Cost and performance estimates of candidate designs for one domain.
 
     Parameters
     ----------
@@ -192,41 +186,6 @@ class RSPDesignSpaceExplorer:
         self.timing_model = timing_model or TimingModel()
         self.stall_estimator = StallEstimator()
 
-    @classmethod
-    def for_kernels(
-        cls,
-        kernels: Sequence,
-        array: Optional[ArraySpec] = None,
-        cost_model: Optional[HardwareCostModel] = None,
-        timing_model: Optional[TimingModel] = None,
-        store=None,
-    ) -> "RSPDesignSpaceExplorer":
-        """Build an explorer by profiling ``kernels`` through the mapping pipeline.
-
-        This is the upper half of the paper's Figure 7 as a one-liner: the
-        kernels are scheduled on the base architecture and summarised into
-        :class:`~repro.core.stalls.ScheduleProfile` objects via the staged
-        pipeline (:mod:`repro.mapping.pipeline`).  Pass a persistent
-        ``store`` (:class:`~repro.engine.artifacts.ArtifactStore`) to fetch
-        previously computed schedules and profiles instead of re-mapping.
-        """
-        from repro.arch.template import base_architecture
-        from repro.mapping.pipeline import MappingPipeline
-
-        array_spec = array or default_array_spec()
-        pipeline = MappingPipeline(
-            base=base_architecture(array_spec.rows, array_spec.cols), store=store
-        )
-        return cls(
-            pipeline.profiles_for(kernels),
-            array=array_spec,
-            cost_model=cost_model,
-            timing_model=timing_model,
-        )
-
-    # ------------------------------------------------------------------
-    # Evaluation of a single candidate
-    # ------------------------------------------------------------------
     def evaluate(self, parameters: RSPParameters, name: Optional[str] = None) -> DesignPointEvaluation:
         """Estimate cost and performance of one RSP parameter assignment."""
         architecture = parameters.to_architecture(self.array, name=name)
@@ -243,39 +202,6 @@ class RSPDesignSpaceExplorer:
             critical_path_ns=period,
             stall_estimates=stall_estimates,
         )
-
-    # ------------------------------------------------------------------
-    # Full exploration
-    # ------------------------------------------------------------------
-    def explore(
-        self,
-        candidates: Optional[Sequence[RSPParameters]] = None,
-        constraints: Optional[ExplorationConstraints] = None,
-        *,
-        executor: Optional["ExecutorConfig"] = None,
-        cache: Optional["EvaluationCache"] = None,
-    ) -> ExplorationResult:
-        """Run the exploration over ``candidates`` (defaults to the standard sweep).
-
-        This is a facade over :func:`repro.engine.executor.run_exploration`:
-        the engine evaluates the candidates (in batched waves, optionally
-        through a persistent cache), applies the feasibility constraints,
-        keeps the Pareto points and selects the knee.  The base point is
-        evaluated exactly once, even when it appears in the candidate
-        list.  Pass ``executor``/``cache`` to set the wave size or opt into
-        memoised evaluation; campaign-level features (early reject,
-        reports, the CLI) live in :mod:`repro.engine`.
-        """
-        from repro.engine.executor import run_exploration
-
-        outcome = run_exploration(
-            self,
-            candidates=candidates,
-            constraints=constraints,
-            config=executor,
-            cache=cache,
-        )
-        return outcome.result
 
 
 def is_feasible(

@@ -1,17 +1,16 @@
 """repro.engine — batched, cache-backed exploration campaigns.
 
-The seed's :meth:`~repro.core.exploration.RSPDesignSpaceExplorer.explore`
-mirrors the paper's Figure 7 literally: every candidate is evaluated
-serially, from scratch, and the Pareto front is recomputed with an O(n²)
-scan.  This package turns that one-shot loop into repeatable,
-cache-backed campaigns:
+The paper's Figure 7 evaluates every candidate design on estimates and
+keeps the Pareto front.  :func:`~repro.engine.runner.explore_domain` runs
+that flow for one kernel set, and :func:`repro.flow.run_rsp_flow`,
+campaigns and :func:`repro.eval.report.build_report` all run it.  This
+package turns it into repeatable, cache-backed campaigns:
 
 Campaign lifecycle
     A :class:`~repro.engine.jobs.CampaignSpec` names the kernel suites,
     the candidate grid, the feasibility constraints and the wave size.
-    The :class:`~repro.engine.runner.CampaignRunner` profiles each
-    suite's kernels on the base architecture, evaluates the grid through
-    the engine and emits a :class:`~repro.engine.runner.CampaignReport`
+    The :class:`~repro.engine.runner.CampaignRunner` runs that flow for
+    each suite and emits a :class:`~repro.engine.runner.CampaignReport`
     (a dataclass tree that serialises via
     :func:`repro.utils.serialization.to_json`).
 
@@ -73,7 +72,7 @@ from repro.engine.jobs import (
     hash_payload,
     suite_kernels,
 )
-from repro.engine.runner import CampaignReport, CampaignRunner, SuiteReport
+from repro.engine.runner import CampaignReport, CampaignRunner, SuiteReport, explore_domain
 from repro.store import StoreJanitor, StoreStats
 
 __all__ = [
@@ -95,6 +94,7 @@ __all__ = [
     "StoreStats",
     "SuiteReport",
     "evaluation_context_hash",
+    "explore_domain",
     "hash_payload",
     "pareto_front_indices",
     "run_exploration",

@@ -96,9 +96,9 @@ class EvaluationEngine:
     batch evaluator.
 
     The engine wraps an :class:`RSPDesignSpaceExplorer` (which carries the
-    profiles, the array and the calibrated models) and adds everything the
-    explorer's one-shot loop lacked: waves, memoised stall tables,
-    persistent memoisation and dominance pruning.
+    profiles, the array and the calibrated models, and estimates one
+    candidate at a time) and adds waves, memoised stall tables, persistent
+    memoisation and dominance pruning.
     """
 
     def __init__(
@@ -294,7 +294,7 @@ class EvaluationEngine:
 
 
 # ----------------------------------------------------------------------
-# The engine's exploration loop (the explorer facade delegates here)
+# The engine's exploration loop
 # ----------------------------------------------------------------------
 def run_exploration(
     explorer: RSPDesignSpaceExplorer,
@@ -307,13 +307,13 @@ def run_exploration(
 ) -> EngineExplorationOutcome:
     """Run a full exploration through the engine.
 
-    Reproduces the explorer's serial semantics exactly when
-    ``early_reject`` is off: the same candidates in the same order, the
-    same feasibility filter, the same Pareto front and the same knee-point
-    selection — only in waves, batched and cached.  With
-    ``early_reject`` on, provably dominated candidates are skipped; the
-    front and the selected design are unchanged, but the ``evaluated`` and
-    ``feasible`` lists omit the rejected points (returned separately).
+    With ``early_reject`` off, the result is that of a serial walk of
+    :meth:`RSPDesignSpaceExplorer.evaluate`: the same candidates in the
+    same order, feasibility filter, Pareto front and knee-point selection,
+    only in waves, batched and cached.  With ``early_reject`` on, provably
+    dominated candidates are skipped; the front and the selected design
+    are unchanged, but the ``evaluated`` and ``feasible`` lists omit the
+    rejected points (returned separately).
 
     ``context_hash`` is the :func:`evaluation_context_hash` of
     ``explorer`` when the caller has already computed it (hashed here,

@@ -1,21 +1,22 @@
-"""Campaign runner: multi-suite exploration with reports.
+"""The Figure-7 flow for one kernel set, and the campaign runner.
 
-A campaign walks its suites in order.  For every suite the runner
+:func:`explore_domain` runs the paper's Figure-7 flow for one kernel set.
+It obtains each kernel's :class:`~repro.core.stalls.ScheduleProfile` (the
+paper flow's "initial configuration contexts") from the staged mapping
+pipeline (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
+artifact store the base scheduling work is fetched instead of re-run.  It
+runs the candidate grid through the evaluation engine on the pipeline's
+base array, in batched waves, backed by the persistent cache and
+optionally with the dominance early-reject filter.  On request it maps
+every kernel onto the selected design.
 
-1. obtains each kernel's :class:`~repro.core.stalls.ScheduleProfile` (the
-   paper flow's "initial configuration contexts") from the staged mapping
-   pipeline (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a
-   warm artifact store the base scheduling work is fetched instead of
-   re-run,
-2. runs the candidate grid through the evaluation engine — in batched
-   waves, backed by the persistent cache, optionally with the dominance
-   early-reject filter,
-3. records the outcome as a :class:`SuiteReport`, including per-stage
-   mapping timings and artifact-store hit counts.
-
-The aggregate :class:`CampaignReport` is a plain dataclass tree, so it
-serialises losslessly through :func:`repro.utils.serialization.to_json`
-and is what ``python -m repro.engine`` writes to disk.
+:func:`repro.flow.run_rsp_flow`, :func:`repro.eval.report.build_report` and
+:class:`CampaignRunner` all run it.  A campaign records each suite's
+outcome as a :class:`SuiteReport`, including per-stage mapping timings and
+artifact-store hit counts.  The aggregate :class:`CampaignReport` is a
+plain dataclass tree, so it serialises losslessly through
+:func:`repro.utils.serialization.to_json` and is what ``python -m
+repro.engine`` writes to disk.
 """
 
 from __future__ import annotations
@@ -26,19 +27,86 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import HardwareCostModel
-from repro.core.exploration import ExplorationResult, RSPDesignSpaceExplorer
+from repro.core.exploration import ExplorationConstraints, ExplorationResult, RSPDesignSpaceExplorer
+from repro.core.rsp_params import RSPParameters
+from repro.core.stalls import ScheduleProfile
 from repro.core.timing_model import TimingModel
 from repro.engine.artifacts import ArtifactStore
 from repro.engine.cache import EvaluationCache
 from repro.store import JanitorReport
 from repro.engine.executor import (
+    EngineExplorationOutcome,
     EngineRunStats,
     ExecutorConfig,
     run_exploration,
 )
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
+from repro.ir.loops import Kernel
 from repro.mapping.mapper import RSPMapper
-from repro.flowgraph.stats import merge_stage_timings, stage_timings_as_dict
+from repro.mapping.pipeline import MappingPipeline, MappingResult
+from repro.flowgraph.stats import stage_timings_as_dict
+
+
+@dataclass
+class DomainExploration:
+    """What :func:`explore_domain` found for one kernel set."""
+
+    profiles: Dict[str, ScheduleProfile]
+    outcome: EngineExplorationOutcome
+    profile_seconds: float
+    cache: Optional[EvaluationCache] = None
+    #: Each kernel mapped onto the selected design (``map_selected`` only).
+    mappings: Dict[str, MappingResult] = field(default_factory=dict)
+
+    @property
+    def result(self) -> ExplorationResult:
+        return self.outcome.result
+
+
+def explore_domain(
+    pipeline: MappingPipeline,
+    kernels: Sequence[Kernel],
+    candidates: Optional[Sequence[RSPParameters]] = None,
+    constraints: Optional[ExplorationConstraints] = None,
+    *,
+    cost_model: Optional[HardwareCostModel] = None,
+    timing_model: Optional[TimingModel] = None,
+    config: Optional[ExecutorConfig] = None,
+    cache_dir: Optional[Path] = None,
+    early_reject: bool = False,
+    map_selected: bool = False,
+) -> DomainExploration:
+    """Profile ``kernels``, explore ``candidates`` and map the selection.
+
+    Profiling, exploration and mapping all read ``pipeline.base``'s array.
+    ``cache_dir`` holds the evaluation cache; ``map_selected`` maps every
+    kernel onto the selected design, the base included.
+    """
+    started = time.perf_counter()
+    profiles = pipeline.profiles_for(kernels)
+    profile_seconds = time.perf_counter() - started
+    explorer = RSPDesignSpaceExplorer(profiles, pipeline.base.array, cost_model, timing_model)
+    cache: Optional[EvaluationCache] = None
+    context: Optional[str] = None
+    if cache_dir is not None:
+        context = evaluation_context_hash(
+            profiles, explorer.array, explorer.cost_model, explorer.timing_model
+        )
+        cache = EvaluationCache.for_context(cache_dir, context)
+    outcome = run_exploration(
+        explorer,
+        candidates=candidates,
+        constraints=constraints,
+        config=config,
+        cache=cache,
+        early_reject=early_reject,
+        context_hash=context,
+    )
+    mappings: Dict[str, MappingResult] = {}
+    selected = outcome.result.selected
+    if map_selected and selected is not None:
+        mappings = {kernel.name: pipeline.run(kernel, selected.architecture) for kernel in kernels}
+    return DomainExploration(profiles, outcome, profile_seconds, cache, mappings)
 
 
 @dataclass
@@ -219,7 +287,6 @@ class CampaignRunner:
         self.flow = flow
         if mapper is None:
             mapper = RSPMapper(store=ArtifactStore(self.artifact_dir), flow=flow)
-        self.mapper = mapper
         self.pipeline = mapper.pipeline
 
     def run(self) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
@@ -229,7 +296,6 @@ class CampaignRunner:
         candidates = self.spec.candidate_grid()
         suite_reports: List[SuiteReport] = []
         results: Dict[str, ExplorationResult] = {}
-        cache_paths: List[str] = []
         caches: List[EvaluationCache] = []
         totals = EngineRunStats()
         run_snapshot = self.pipeline.stats.snapshot()
@@ -246,56 +312,30 @@ class CampaignRunner:
             stage_snapshot = self.pipeline.stats.snapshot()
             store_suite_hits = store_stats.hits
             store_suite_misses = store_stats.misses
-            profile_started = time.perf_counter()
             kernels = suite_kernels(suite_name)
-            profiles = self.pipeline.profiles_for(kernels)
-            profile_seconds = time.perf_counter() - profile_started
-            stage_delta = self.pipeline.stats.since(stage_snapshot)
-
-            explorer = RSPDesignSpaceExplorer(
-                profiles,
-                array=self.mapper.base.array,
+            # Custom flows earn their keep below the profile stages: mapping
+            # the suite onto the selected design runs the routed/raced
+            # branches, and they land in this suite's mapping_stages block.
+            domain = explore_domain(
+                self.pipeline,
+                kernels,
+                candidates,
+                self.spec.constraints,
                 cost_model=cost_model,
                 timing_model=timing_model,
-            )
-            cache: Optional[EvaluationCache] = None
-            context: Optional[str] = None
-            if self.cache_dir is not None:
-                context = evaluation_context_hash(
-                    profiles,
-                    explorer.array,
-                    explorer.cost_model,
-                    explorer.timing_model,
-                )
-                cache = EvaluationCache.for_context(self.cache_dir, context)
-                cache_paths.append(str(cache.path))
-                caches.append(cache)
-
-            outcome = run_exploration(
-                explorer,
-                candidates=candidates,
-                constraints=self.spec.constraints,
                 config=config,
-                cache=cache,
+                cache_dir=self.cache_dir,
                 early_reject=self.spec.early_reject,
-                context_hash=context,
+                map_selected=self.flow is not None,
             )
+            stage_delta = self.pipeline.stats.since(stage_snapshot)
+            if domain.cache is not None:
+                caches.append(domain.cache)
+            outcome = domain.outcome
             exploration = outcome.result
             stats = outcome.stats
             results[suite_name] = exploration
-
             selected = exploration.selected
-            if self.flow is not None and selected is not None:
-                # Custom flows earn their keep below the profile stages:
-                # map the suite onto the selected design point so the
-                # routed/raced branches (rearrange vs remap vs skip) run
-                # and land in this suite's mapping_stages block.
-                route_snapshot = self.pipeline.stats.snapshot()
-                for kernel in kernels:
-                    self.pipeline.run(kernel, selected.architecture)
-                stage_delta = merge_stage_timings(
-                    stage_delta, self.pipeline.stats.since(route_snapshot)
-                )
             suite_reports.append(
                 SuiteReport(
                     suite=suite_name,
@@ -314,7 +354,7 @@ class CampaignRunner:
                     ),
                     cache_hits=stats.cache_hits,
                     cache_misses=stats.cache_misses,
-                    profile_seconds=profile_seconds,
+                    profile_seconds=domain.profile_seconds,
                     explore_seconds=stats.wall_seconds,
                     artifact_hits=store_stats.hits - store_suite_hits,
                     artifact_misses=store_stats.misses - store_suite_misses,
@@ -341,7 +381,7 @@ class CampaignRunner:
             workers=1,
             chunk_size=config.chunk_size,
             early_reject=self.spec.early_reject,
-            cache_path=";".join(cache_paths) if cache_paths else None,
+            cache_path=";".join(str(cache.path) for cache in caches) if caches else None,
             total_jobs=totals.total_jobs,
             cache_hits=totals.cache_hits,
             cache_misses=totals.cache_misses,

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.exploration import ExplorationResult, RSPDesignSpaceExplorer
+from repro.core.exploration import ExplorationResult
 from repro.core.timing_model import TimingModel
+from repro.engine.runner import explore_domain
 from repro.eval.tables import (
     PerformanceTable,
     Table1Entry,
@@ -25,7 +26,6 @@ from repro.eval.tables import (
 )
 from repro.kernels.registry import paper_suite
 from repro.mapping.mapper import RSPMapper
-from repro.mapping.profile import extract_profile
 from repro.synthesis.calibration import PAPER_HEADLINE
 from repro.synthesis.synth_model import SynthesisEstimate
 from repro.utils.tabulate import format_markdown_table
@@ -70,12 +70,8 @@ def build_report(
     headline = compute_headline_claims(table2, table4, table5)
     exploration = None
     if include_exploration:
-        profiles = {}
-        for kernel in paper_suite():
-            base_schedule = mapper.base_schedule(kernel)
-            profiles[kernel.name] = extract_profile(base_schedule, mapper.build_dfg(kernel))
-        explorer = RSPDesignSpaceExplorer(profiles, timing_model=timing_model)
-        exploration = explorer.explore()
+        domain = explore_domain(mapper.pipeline, paper_suite(), timing_model=timing_model)
+        exploration = domain.result
     return ExperimentReport(
         table1=table1,
         table2=table2,

@@ -160,23 +160,3 @@ def stage_timings_as_dict(
         for name in ordered
     }
 
-
-def merge_stage_timings(
-    *deltas: Dict[str, StageTiming],
-) -> Dict[str, StageTiming]:
-    """Combine several per-node timing delta maps into one.
-
-    The campaign runner uses this to fold separate accounting windows of
-    the same suite (profile mapping, then the selected-point mapping of a
-    custom flow) into a single ``mapping_stages`` block.
-    """
-    merged: Dict[str, StageTiming] = {}
-    for delta in deltas:
-        for name, timing in delta.items():
-            into = merged.setdefault(name, StageTiming(stage=name))
-            into.hits += timing.hits
-            into.misses += timing.misses
-            into.seconds += timing.seconds
-            into.durations.extend(timing.durations)
-    return merged
-

@@ -141,6 +141,10 @@ class DFGBuilder:
 
     def binary(self, optype: OpType, lhs: str, rhs: str, *, comment: str = "") -> str:
         """Create an arbitrary two-operand operation of type ``optype``."""
+        # The one creator that takes its optype from the caller: check it
+        # before a name is minted (``_new_op`` trusts its optype).
+        if not isinstance(optype, OpType):
+            raise DFGError(f"optype must be an OpType, got {optype!r}")
         return self._new_op(optype, (lhs, rhs), comment=comment)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.mapping.rearrange import (
     remap_schedule,
 )
 from repro.mapping.context_gen import context_statistics, generate_context
-from repro.mapping.profile import extract_profile, extract_profiles
+from repro.mapping.profile import extract_profile
 from repro.mapping.fingerprints import (
     architecture_fingerprint,
     dfg_fingerprint,
@@ -45,7 +45,6 @@ __all__ = [
     "context_statistics",
     "generate_context",
     "extract_profile",
-    "extract_profiles",
     "MappingResult",
     "RSPMapper",
 ]

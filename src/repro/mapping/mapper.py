@@ -19,7 +19,7 @@ True
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.arch.template import ArchitectureSpec
 from repro.ir.dfg import DFG
@@ -96,19 +96,3 @@ class RSPMapper:
         """Map ``kernel`` onto ``architecture`` (defaults to the base design)."""
         return self.pipeline.run(kernel, architecture, iterations)
 
-    def map_suite(
-        self,
-        kernels: Sequence[Kernel],
-        architectures: Sequence[ArchitectureSpec],
-    ) -> Dict[str, Dict[str, MappingResult]]:
-        """Map every kernel onto every architecture.
-
-        Returns a nested mapping ``{kernel name: {architecture name: result}}``.
-        """
-        results: Dict[str, Dict[str, MappingResult]] = {}
-        for kernel in kernels:
-            per_arch: Dict[str, MappingResult] = {}
-            for architecture in architectures:
-                per_arch[architecture.name] = self.map_kernel(kernel, architecture)
-            results[kernel.name] = per_arch
-        return results

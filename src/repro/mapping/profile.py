@@ -10,7 +10,7 @@ condition under which pipelining the multiplier forces an RP stall).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
 from repro.ir.dfg import DFG, OpType
@@ -63,10 +63,3 @@ def extract_profile(schedule: Schedule, dfg: DFG) -> ScheduleProfile:
         cols=schedule.architecture.array.cols,
     )
 
-
-def extract_profiles(schedules: Dict[str, Schedule], dfgs: Dict[str, DFG]) -> Dict[str, ScheduleProfile]:
-    """Profile a set of base schedules keyed by kernel name."""
-    profiles: Dict[str, ScheduleProfile] = {}
-    for kernel_name, schedule in schedules.items():
-        profiles[kernel_name] = extract_profile(schedule, dfgs[kernel_name])
-    return profiles

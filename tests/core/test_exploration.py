@@ -12,6 +12,7 @@ from repro.core.exploration import (
 )
 from repro.core.rsp_params import enumerate_design_space, paper_parameters
 from repro.core.stalls import CriticalOpIssue, ScheduleProfile
+from repro.engine.executor import run_exploration
 from repro.errors import ExplorationError
 
 
@@ -46,11 +47,10 @@ def test_evaluate_single_candidate(explorer):
     assert set(evaluation.stall_estimates) == {"heavy", "light"}
     assert evaluation.total_estimated_cycles >= 12 + 20
     assert evaluation.total_execution_time_ns > 0
-    assert evaluation.area_delay_product > 0
 
 
 def test_explore_default_sweep(explorer):
-    result = explorer.explore()
+    result = run_exploration(explorer).result
     assert isinstance(result, ExplorationResult)
     assert len(result.evaluated) == len(enumerate_design_space())
     # Every feasible design is cheaper than the base (paper Eq. 2 constraint).
@@ -64,7 +64,7 @@ def test_explore_default_sweep(explorer):
 
 
 def test_pareto_members_are_feasible(explorer):
-    result = explorer.explore()
+    result = run_exploration(explorer).result
     feasible_names = {evaluation.architecture.name for evaluation in result.feasible}
     for evaluation in result.pareto:
         assert evaluation.architecture.name in feasible_names
@@ -72,13 +72,13 @@ def test_pareto_members_are_feasible(explorer):
 
 def test_selected_design_uses_sharing(explorer):
     """With mult-heavy kernels the knee point is an RS/RSP design, not base."""
-    result = explorer.explore()
+    result = run_exploration(explorer).result
     assert result.selected.parameters.kind in ("rs", "rsp")
 
 
 def test_constraints_restrict_feasible_set(explorer):
     tight = ExplorationConstraints(max_stall_cycles=0)
-    result = explorer.explore(constraints=tight)
+    result = run_exploration(explorer, constraints=tight).result
     for evaluation in result.feasible:
         assert evaluation.total_stall_cycles == 0
 
@@ -94,16 +94,16 @@ def test_constraints_reject_negative_or_nan_bounds(field, value):
 
 def test_execution_time_ratio_constraint(explorer):
     # Disallow any slowdown at all: designs slower than the base are rejected.
-    constrained = explorer.explore(
-        constraints=ExplorationConstraints(max_execution_time_ratio=1.0)
-    )
+    constrained = run_exploration(
+        explorer, constraints=ExplorationConstraints(max_execution_time_ratio=1.0)
+    ).result
     base_time = constrained.base.total_execution_time_ns
     for evaluation in constrained.feasible:
         assert evaluation.total_execution_time_ns <= base_time * 1.0 + 1e-9
 
 
 def test_by_name_lookup(explorer):
-    result = explorer.explore()
+    result = run_exploration(explorer).result
     base_evaluation = result.by_name("Base")
     assert base_evaluation.parameters.kind == "base"
     with pytest.raises(ExplorationError):
@@ -111,7 +111,7 @@ def test_by_name_lookup(explorer):
 
 
 def test_summary_rows_shape(explorer):
-    result = explorer.explore()
+    result = run_exploration(explorer).result
     rows = result.summary_rows()
     assert len(rows) == len(result.evaluated)
     assert all(len(row) == 9 for row in rows)
@@ -121,6 +121,6 @@ def test_summary_rows_shape(explorer):
 
 def test_explicit_candidates_only(explorer):
     candidates = [paper_parameters(design, pipelined=True) for design in range(1, 5)]
-    result = explorer.explore(candidates)
+    result = run_exploration(explorer, candidates).result
     assert len(result.evaluated) == 4
     assert all(evaluation.parameters.kind == "rsp" for evaluation in result.evaluated)

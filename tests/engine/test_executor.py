@@ -50,17 +50,6 @@ def test_executor_config_validation():
 
 
 # ----------------------------------------------------------------------
-# Facade parity
-# ----------------------------------------------------------------------
-def test_engine_matches_explorer_facade(explorer, serial_reference):
-    facade = explorer.explore()
-    assert [e.parameters for e in facade.evaluated] == [
-        e.parameters for e in serial_reference.evaluated
-    ]
-    assert facade.selected.parameters == serial_reference.selected.parameters
-
-
-# ----------------------------------------------------------------------
 # Cache integration
 # ----------------------------------------------------------------------
 def test_second_run_is_fully_cached(explorer, tmp_path):

@@ -276,15 +276,50 @@ RECORDED_SUITES = {
 }
 
 
+#: The three identity grids: grid options, total jobs, early-rejected jobs,
+#: and each suite's candidate and feasible counts (the latter without the
+#: early-rejected points).  Every grid finds what RECORDED_SUITES records
+#: apart from those two counts.
+IDENTITY_GRIDS = {
+    "default": ({}, 68, 0, 17, dict.fromkeys(RECORDED_SUITES, 17)),
+    "3x3-early-reject": (
+        dict(
+            max_rows_shared=3,
+            max_cols_shared=3,
+            stage_options=(1, 2, 3),
+            early_reject=True,
+            chunk_size=2,
+        ),
+        184,
+        108,
+        46,
+        {"paper": 21, "h264": 19, "livermore": 13, "dsp": 23},
+    ),
+    "7x7": (
+        dict(max_rows_shared=7, max_cols_shared=7, stage_options=(1, 2, 3, 4)),
+        1012,
+        0,
+        253,
+        dict.fromkeys(RECORDED_SUITES, 88),
+    ),
+}
+
+
 def test_four_suite_campaign_finds_the_recorded_answers():
-    spec = CampaignSpec(name="recorded", suites=("paper", "h264", "livermore", "dsp"))
-    report, _ = CampaignRunner(spec).run()
-    assert report.total_jobs == 68
-    found = {
-        suite.suite: {field: getattr(suite, field) for field in RECORDED_SUITES[suite.suite]}
-        for suite in report.suites
-    }
-    assert found == RECORDED_SUITES
+    for grid_name, grid in IDENTITY_GRIDS.items():
+        options, total_jobs, early_rejected, candidates, feasible = grid
+        spec = CampaignSpec(name="recorded", suites=tuple(RECORDED_SUITES), **options)
+        report, _ = CampaignRunner(spec).run()
+        assert (report.total_jobs, report.early_rejected) == (total_jobs, early_rejected), grid_name
+        found = {
+            suite.suite: {field: getattr(suite, field) for field in RECORDED_SUITES[suite.suite]}
+            for suite in report.suites
+        }
+        expected = {
+            suite: dict(fields, num_candidates=candidates, num_feasible=feasible[suite])
+            for suite, fields in RECORDED_SUITES.items()
+        }
+        assert found == expected, grid_name
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +556,19 @@ def test_campaign_with_custom_flow_reports_routed_stages(small_spec):
     assert default_report.flow == {}
     assert [s.selected for s in report.suites] == [s.selected for s in default_report.suites]
     assert results["h264"].selected is not None
+
+
+def test_custom_flow_maps_a_base_selection_too():
+    """Under a custom flow the suite is mapped onto the selected design
+    even when that design is the base: the base-only grid of h264 reads
+    each DFG three times and each base schedule twice."""
+    flow = Path(__file__).resolve().parents[2] / "examples" / "flows" / "race_mappers.json"
+    spec = CampaignSpec(suites=("h264",), max_rows_shared=0, max_cols_shared=0)
+    report, _ = CampaignRunner(spec, flow=flow).run()
+    assert report.suites[0].selected_kind == "base"
+    expected = [("build_dfg", (4, 2)), ("base_schedule", (2, 2)), ("extract_profile", (0, 2))]
+    assert list(_stage_counts(report.mapping_stages).items()) == expected
+    assert list(_stage_counts(report.suites[0].mapping_stages).items()) == expected
 
 
 def test_runner_rejects_mapper_and_flow_together(small_spec):

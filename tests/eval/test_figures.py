@@ -72,9 +72,10 @@ def test_exploration_flow_lists_all_steps():
 def test_pareto_plot_markers():
     from repro.core import RSPDesignSpaceExplorer
     from repro.core.stalls import ScheduleProfile
+    from repro.engine.executor import run_exploration
 
     profiles = {"k": ScheduleProfile(kernel="k", length=10, critical_issues=(), rows=8, cols=8)}
-    result = RSPDesignSpaceExplorer(profiles).explore()
+    result = run_exploration(RSPDesignSpaceExplorer(profiles)).result
     text = render_pareto_plot(result.evaluated, result.pareto)
     assert "P" in text
     assert "execution time" in text

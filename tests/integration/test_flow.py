@@ -98,14 +98,77 @@ def test_flow_with_artifact_store_is_identical_and_warm(tmp_path):
 
 
 def test_explorer_for_kernels_matches_flow_profiles(tmp_path):
-    """The explorer convenience constructor profiles through the pipeline."""
-    from repro.core.exploration import RSPDesignSpaceExplorer
+    """``explore_domain`` profiles a kernel set through its pipeline's store."""
     from repro.engine.artifacts import ArtifactStore
+    from repro.engine.runner import explore_domain
+    from repro.mapping.pipeline import MappingPipeline
 
     kernels = [get_kernel("ICCG"), get_kernel("MVM")]
-    explorer = RSPDesignSpaceExplorer.for_kernels(kernels, store=ArtifactStore(tmp_path))
-    assert set(explorer.profiles) == {"ICCG", "MVM"}
-    assert explorer.profiles == run_rsp_flow(kernels).profiles
-    # Second construction from the same store: profiles come back identical.
-    rebuilt = RSPDesignSpaceExplorer.for_kernels(kernels, store=ArtifactStore(tmp_path))
-    assert rebuilt.profiles == explorer.profiles
+    cold = explore_domain(MappingPipeline(store=ArtifactStore(tmp_path)), kernels)
+    assert set(cold.profiles) == {"ICCG", "MVM"}
+    assert cold.profiles == run_rsp_flow(kernels).profiles
+    # A second pipeline on the same directory fetches identical profiles.
+    warm_pipeline = MappingPipeline(store=ArtifactStore(tmp_path))
+    warm = explore_domain(warm_pipeline, kernels)
+    assert warm.profiles == cold.profiles
+    assert warm_pipeline.store.stats.misses == 0
+
+
+#: What ``run_rsp_flow`` finds per suite: (selected design, total base
+#: cycles, total selected cycles).  A change that moves one on purpose
+#: updates these literals in its own diff.
+RECORDED_FLOWS = {
+    "paper": ("rsp(shr=0,shc=1,stages=2)", 183, 243),
+    "h264": ("rsp(shr=0,shc=1,stages=2)", 22, 31),
+    "livermore": ("rsp(shr=0,shc=1,stages=2)", 77, 102),
+    "dsp": ("rsp(shr=1,shc=0,stages=2)", 106, 133),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(RECORDED_FLOWS))
+def test_flow_finds_the_recorded_answers(suite):
+    from repro.engine.jobs import suite_kernels
+
+    outcome = run_rsp_flow(suite_kernels(suite))
+    found = (outcome.selected_name, outcome.total_base_cycles(), outcome.total_selected_cycles())
+    assert found == RECORDED_FLOWS[suite]
+
+
+def _mapping_facts(result):
+    return (
+        result.kernel,
+        result.architecture,
+        result.cycles,
+        result.stall_cycles,
+        result.base_cycles,
+        result.schedule.length,
+        list(result.schedule.operations()),
+    )
+
+
+def test_explore_domain_reads_the_pipelines_base_array_throughout():
+    """A base with one read bus per row is profiled, explored and mapped
+    on that one array.  The profiles add up to its 116 base cycles for
+    MVM, Hydro and SAD (the paper's two-bus array takes 71)."""
+    from repro.arch.array import ArraySpec
+    from repro.arch.bus import RowBusSpec
+    from repro.arch.template import ArchitectureSpec
+    from repro.engine.runner import explore_domain
+    from repro.mapping.mapper import RSPMapper
+
+    base = ArchitectureSpec(
+        name="Base", array=ArraySpec(row_buses=RowBusSpec(read_buses=1, write_buses=1))
+    )
+    kernels = [get_kernel("MVM"), get_kernel("Hydro"), get_kernel("SAD")]
+    domain = explore_domain(RSPMapper(base=base).pipeline, kernels, map_selected=True)
+
+    selected = domain.result.selected
+    assert {design.architecture.array for design in domain.result.evaluated} == {base.array}
+    assert selected.architecture.array == base.array
+    assert sum(profile.length for profile in domain.profiles.values()) == 116
+    assert selected.parameters.describe() == "rs(shr=0,shc=1,stages=1)"
+    fresh = RSPMapper(base=base)
+    for kernel in kernels:
+        assert _mapping_facts(domain.mappings[kernel.name]) == _mapping_facts(
+            fresh.map_kernel(kernel, selected.architecture)
+        )

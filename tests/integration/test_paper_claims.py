@@ -11,15 +11,15 @@ import pytest
 from repro.arch import base_architecture, paper_architectures, rs_architecture, rsp_architecture
 from repro.core import (
     HardwareCostModel,
-    RSPDesignSpaceExplorer,
     TimingModel,
     classify_components,
     ResourceClass,
 )
 from repro.arch.components import default_component_library
+from repro.engine.runner import explore_domain
 from repro.eval.metrics import execution_time_ns
 from repro.kernels import get_kernel, paper_suite
-from repro.mapping import RSPMapper, extract_profile
+from repro.mapping import RSPMapper
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +154,7 @@ def test_claim_best_designs_are_rsp_architectures(module_mapper, timing):
 
 def test_claim_exploration_keeps_only_pareto_designs(module_mapper):
     """Section 4: the exploration rejects over-budget designs and keeps Pareto points."""
-    profiles = {}
-    for kernel in paper_suite():
-        schedule = module_mapper.base_schedule(kernel)
-        profiles[kernel.name] = extract_profile(schedule, module_mapper.build_dfg(kernel))
-    explorer = RSPDesignSpaceExplorer(profiles)
-    outcome = explorer.explore()
+    outcome = explore_domain(module_mapper.pipeline, paper_suite()).result
     assert outcome.pareto
     # No Pareto member is dominated by another evaluated design.
     for member in outcome.pareto:

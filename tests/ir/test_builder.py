@@ -117,6 +117,21 @@ def test_binary_generic_op():
     assert builder.dfg.operation(result).optype is OpType.XOR
 
 
+def test_binary_rejects_a_non_optype_before_minting_a_name():
+    builder = DFGBuilder()
+    a = builder.load("x", 0)
+    b = builder.load("y", 0)
+    with pytest.raises(DFGError, match=r"^optype must be an OpType, got 'add'$"):
+        builder.binary("add", a, b)
+    assert len(builder.dfg) == 2
+    # The failed call took no name: the next operation gets the name it
+    # would have had without it.
+    expected = DFGBuilder()
+    expected.load("x", 0)
+    expected.load("y", 0)
+    assert builder.add(a, b) == expected.add(a, b)
+
+
 def test_min_max_abs_mov():
     builder = DFGBuilder()
     a = builder.load("x", 0)

@@ -8,7 +8,7 @@ from repro.arch import base_architecture, paper_architectures, rs_architecture, 
 from repro.core.stalls import ScheduleProfile, StallEstimator
 from repro.errors import MappingError
 from repro.kernels import get_kernel, matrix_multiplication
-from repro.mapping import RSPMapper, extract_profile, extract_profiles
+from repro.mapping import RSPMapper, extract_profile
 from repro.mapping.mapper import MappingResult
 
 
@@ -36,15 +36,6 @@ class TestProfileExtraction:
         profile = extract_profile(schedule, mapper.build_dfg(kernel))
         assert profile.critical_issues == ()
         assert profile.max_critical_per_cycle == 0
-
-    def test_extract_profiles_batch(self, mapper, hydro_kernel, mvm_kernel):
-        schedules = {
-            "Hydro": mapper.base_schedule(hydro_kernel),
-            "MVM": mapper.base_schedule(mvm_kernel),
-        }
-        dfgs = {"Hydro": mapper.build_dfg(hydro_kernel), "MVM": mapper.build_dfg(mvm_kernel)}
-        profiles = extract_profiles(schedules, dfgs)
-        assert set(profiles) == {"Hydro", "MVM"}
 
     def test_estimator_tracks_exact_rearrangement_stalls(self, mapper, hydro_kernel):
         """The fast estimate and the exact rearrangement agree on RS#1 pressure.
@@ -107,13 +98,6 @@ class TestRSPMapper:
         result = with_context.map_kernel(mvm_kernel, rs_architecture(2))
         assert result.context is not None
         assert result.context.active_word_count() == len(result.schedule)
-
-    def test_map_suite_shape(self, mapper, mvm_kernel, hydro_kernel):
-        architectures = [base_architecture(), rs_architecture(2), rsp_architecture(2)]
-        results = mapper.map_suite([mvm_kernel, hydro_kernel], architectures)
-        assert set(results) == {"MVM", "Hydro"}
-        for per_arch in results.values():
-            assert set(per_arch) == {"Base", "RS#2", "RSP#2"}
 
     def test_iteration_override_changes_dfg_size(self, mapper, mvm_kernel):
         short = mapper.build_dfg(mvm_kernel, iterations=8)

@@ -68,6 +68,7 @@ def test_dataclass_to_dict_passes_scalars_through():
 def small_exploration_result():
     from repro.core.exploration import RSPDesignSpaceExplorer
     from repro.core.stalls import CriticalOpIssue, ScheduleProfile
+    from repro.engine.executor import run_exploration
 
     issues = tuple(
         CriticalOpIssue(cycle=cycle, row=index, col=index, iteration=index,
@@ -78,7 +79,7 @@ def small_exploration_result():
     profiles = {
         "k": ScheduleProfile(kernel="k", length=8, critical_issues=issues, rows=8, cols=8)
     }
-    return RSPDesignSpaceExplorer(profiles).explore()
+    return run_exploration(RSPDesignSpaceExplorer(profiles)).result
 
 
 def test_exploration_result_round_trips_through_json():
