@@ -8,7 +8,7 @@ and records through ``bench_metrics``:
 * ``seconds``: wall time of the 144 mappings (an uncounted pass; the base
   schedules are made before the clock starts),
 * ``rearrange_passes``: ``rearrange_schedule`` calls of the ``rearrange``
-  flow node,
+  stage,
 * ``feasibility_probes``: ``ResourceTracker.try_claim`` calls, one per
   (operation, cycle) the re-timing loop tries,
 * ``placed_operations``: ``try_claim`` calls that placed the operation,

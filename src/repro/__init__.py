@@ -13,8 +13,7 @@ The package is organised as:
 * :mod:`repro.synthesis` — the analytical synthesis surrogate and published reference data,
 * :mod:`repro.eval`      — regeneration of the paper's tables and figures,
 * :mod:`repro.flow`      — the end-to-end RSP design flow of paper Figure 7,
-* :mod:`repro.flowgraph` — the declarative flow-graph runtime executing the
-  mapping stages as a composable DAG,
+* :mod:`repro.flowgraph` — the executor of the five mapping stages,
 * :mod:`repro.engine`    — batched, cache-backed exploration campaigns
   (``python -m repro.engine``).
 
@@ -29,9 +28,9 @@ Quick start::
     print(result.cycles, result.stall_cycles)
 
 The package root re-exports the stable public surface (``repro.RSPMapper``,
-``repro.Flow``, ``repro.CampaignRunner``, …); everything in ``__all__``
-resolves lazily, so ``import repro`` stays cheap and subsystem imports only
-happen when their names are touched.
+``repro.MappingPipeline``, ``repro.CampaignRunner``, …); everything in
+``__all__`` resolves lazily, so ``import repro`` stays cheap and subsystem
+imports only happen when their names are touched.
 """
 
 from repro.errors import (
@@ -52,13 +51,6 @@ from repro.errors import (
     UnknownKernelError,
     UnknownOperationError,
 )
-from repro.errors import (
-    FlowError,
-    FlowExecutionError,
-    FlowParseError,
-    FlowRoutingError,
-    FlowValidationError,
-)
 from repro.flow import FlowOutcome, run_rsp_flow
 
 __version__ = "1.0.0"
@@ -77,19 +69,8 @@ _PUBLIC_API = {
     "RSPMapper": "repro.mapping.mapper",
     "MappingPipeline": "repro.mapping.pipeline",
     "MappingResult": "repro.mapping.pipeline",
-    # flow-graph runtime
-    "Flow": "repro.flowgraph.core",
-    "FlowContext": "repro.flowgraph.core",
-    "Node": "repro.flowgraph.core",
-    "RetryPolicy": "repro.flowgraph.core",
-    "Selector": "repro.flowgraph.core",
+    # per-stage keys and accounting
     "stage_key": "repro.flowgraph.core",
-    "parse_edges": "repro.flowgraph.dsl",
-    "render_edges": "repro.flowgraph.dsl",
-    "flow_from_config": "repro.flowgraph.config",
-    "load_flow_config": "repro.flowgraph.config",
-    "build_mapping_flow": "repro.flowgraph.mapping",
-    # per-node accounting
     "Artifact": "repro.flowgraph.stats",
     "PipelineStats": "repro.flowgraph.stats",
     "StageTiming": "repro.flowgraph.stats",
@@ -123,11 +104,6 @@ __all__ = [
     "DFGError",
     "DFGValidationError",
     "ExplorationError",
-    "FlowError",
-    "FlowExecutionError",
-    "FlowParseError",
-    "FlowRoutingError",
-    "FlowValidationError",
     "KernelError",
     "MappingError",
     "PlacementError",

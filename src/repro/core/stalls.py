@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.arch.template import ArchitectureSpec
@@ -91,21 +90,6 @@ class ScheduleProfile:
             raise ExplorationError("schedule profile length must be positive")
         if self.rows <= 0 or self.cols <= 0:
             raise ExplorationError("schedule profile dimensions must be positive")
-
-    @cached_property
-    def max_critical_per_cycle(self) -> int:
-        """Maximum number of critical operations issued in any single cycle.
-
-        Cached: the dataclass is frozen, ``critical_issues`` never changes,
-        and every ``StallEstimator.estimate`` call used to rebuild this
-        from scratch (``cached_property`` writes the instance ``__dict__``
-        directly, which works on frozen dataclasses and stays invisible
-        to field-based serialization and hashing).
-        """
-        per_cycle: Dict[int, int] = defaultdict(int)
-        for issue in self.critical_issues:
-            per_cycle[issue.cycle] += 1
-        return max(per_cycle.values()) if per_cycle else 0
 
     def issues_by_cycle(self) -> Dict[int, List[CriticalOpIssue]]:
         """Critical issues grouped by their base-schedule cycle.

@@ -135,17 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "corrupt records and leftover temporary files)",
     )
     parser.add_argument(
-        "--flow",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="custom mapping-flow config (JSON; see repro.flowgraph.config): "
-        "the campaign's pipeline executes this flow instead of the "
-        "canonical five-node mapping flow, after each suite the kernels "
-        "are mapped onto the selected design point so routed/raced nodes "
-        "land in mapping_stages, and the report gains a 'flow' block",
-    )
-    parser.add_argument(
         "--output", type=Path, default=None, help="write the JSON campaign report here"
     )
     parser.add_argument("--quiet", action="store_true", help="suppress the summary table")
@@ -215,7 +204,6 @@ def _run(args: argparse.Namespace) -> int:
         artifact_dir=artifact_dir,
         gc_max_age=args.gc_max_age,
         compact=args.compact,
-        flow=args.flow,
     )
     report, _ = runner.run()
 
@@ -247,12 +235,6 @@ def _run(args: argparse.Namespace) -> int:
             + (f"  [{stage_summary}]" if stage_summary else "")
         )
         print(_store_summary(report))
-        if report.flow:
-            print(
-                f"flow: {report.flow['name']}  "
-                f"nodes: {', '.join(report.flow['nodes'])}  "
-                f"edges: {' ; '.join(report.flow['edges'])}"
-            )
 
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -26,9 +26,9 @@ changes the key.  A file that does not unpickle (truncated by an
 interrupted run, or overwritten) is treated as a miss, counted in
 :attr:`ArtifactStoreStats.corrupt` and reported via a
 :class:`RuntimeWarning` that names the code which asked for the mapping
-(the first caller outside this module, :mod:`repro.flowgraph` and
-:mod:`repro.mapping`); the next store overwrites it and a janitor
-compaction removes it.
+(the first caller outside this module, the stage executor in
+:mod:`repro.flowgraph` and :mod:`repro.mapping`); the next store
+overwrites it and a janitor compaction removes it.
 
 An in-memory layer fronts the disk so a value is unpickled at most once
 per process; with no root directory the store is purely in-memory, which
@@ -109,11 +109,11 @@ class ArtifactStore:
         #: (:func:`~repro.mapping.fingerprints.kernel_definition`), each
         #: with the kernel it was built from.
         self.dfgs: Dict[Any, Tuple[Any, Any]] = {}
-        #: Re-timing plans of the ``rearrange`` node by base-schedule key.
+        #: Re-timing plans of the ``rearrange`` stage by base-schedule key.
         self.retiming_plans: Dict[str, Any] = {}
         #: Stall-free rearranged lengths by (base-schedule key, array,
         #: multiplier latency, uses sharing): everything the
-        #: unlimited-shared pass of the ``rearrange`` node reads.
+        #: unlimited-shared pass of the ``rearrange`` stage reads.
         self.stall_free_lengths: Dict[Tuple[Any, ...], int] = {}
         self.backend: Optional[PickleDirBackend] = None
         if self.root is not None:
@@ -175,17 +175,12 @@ class ArtifactStore:
         self.stats.record(stage, "misses")
         return False, None
 
-    def put(self, stage: str, key: str, value: Any, persist: bool = True) -> None:
-        """Record ``value`` under ``(stage, key)``, persisting when backed.
-
-        ``persist=False`` keeps the value in the in-memory layer only —
-        used for stages declared non-persistent in the pipeline.
-        """
+    def put(self, stage: str, key: str, value: Any) -> None:
+        """Record ``value`` under ``(stage, key)``, persisting when backed."""
         self._memory[(stage, key)] = value
         self.stats.record(stage, "stores")
-        if self.backend is None or not persist:
-            return
-        self.backend.put(stage, key, value)
+        if self.backend is not None:
+            self.backend.put(stage, key, value)
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -7,8 +7,7 @@ pipeline (:class:`~repro.mapping.pipeline.MappingPipeline`), so with a warm
 artifact store the base scheduling work is fetched instead of re-run.  It
 runs the candidate grid through the evaluation engine on the pipeline's
 base array, in batched waves, backed by the persistent cache and
-optionally with the dominance early-reject filter.  On request it maps
-every kernel onto the selected design.
+optionally with the dominance early-reject filter.
 
 :func:`repro.flow.run_rsp_flow`, :func:`repro.eval.report.build_report` and
 :class:`CampaignRunner` all run it.  A campaign records each suite's
@@ -43,7 +42,7 @@ from repro.engine.executor import (
 from repro.engine.jobs import CampaignSpec, evaluation_context_hash, suite_kernels
 from repro.ir.loops import Kernel
 from repro.mapping.mapper import RSPMapper
-from repro.mapping.pipeline import MappingPipeline, MappingResult
+from repro.mapping.pipeline import MappingPipeline
 from repro.flowgraph.stats import stage_timings_as_dict
 
 
@@ -55,8 +54,6 @@ class DomainExploration:
     outcome: EngineExplorationOutcome
     profile_seconds: float
     cache: Optional[EvaluationCache] = None
-    #: Each kernel mapped onto the selected design (``map_selected`` only).
-    mappings: Dict[str, MappingResult] = field(default_factory=dict)
 
     @property
     def result(self) -> ExplorationResult:
@@ -74,13 +71,11 @@ def explore_domain(
     config: Optional[ExecutorConfig] = None,
     cache_dir: Optional[Path] = None,
     early_reject: bool = False,
-    map_selected: bool = False,
 ) -> DomainExploration:
-    """Profile ``kernels``, explore ``candidates`` and map the selection.
+    """Profile ``kernels`` and explore ``candidates``.
 
-    Profiling, exploration and mapping all read ``pipeline.base``'s array.
-    ``cache_dir`` holds the evaluation cache; ``map_selected`` maps every
-    kernel onto the selected design, the base included.
+    Profiling and exploration both read ``pipeline.base``'s array.
+    ``cache_dir`` holds the evaluation cache.
     """
     started = time.perf_counter()
     profiles = pipeline.profiles_for(kernels)
@@ -102,11 +97,7 @@ def explore_domain(
         early_reject=early_reject,
         context_hash=context,
     )
-    mappings: Dict[str, MappingResult] = {}
-    selected = outcome.result.selected
-    if map_selected and selected is not None:
-        mappings = {kernel.name: pipeline.run(kernel, selected.architecture) for kernel in kernels}
-    return DomainExploration(profiles, outcome, profile_seconds, cache, mappings)
+    return DomainExploration(profiles, outcome, profile_seconds, cache)
 
 
 @dataclass
@@ -170,10 +161,6 @@ class CampaignReport:
     store_stats: Dict[str, object] = field(default_factory=dict)
     #: Total evaluation waves across all suites.
     waves: int = 0
-    #: Flow block of a custom-flow campaign (``{}`` on the canonical
-    #: flow): the executing flow's name, edge expressions and node names,
-    #: straight from :meth:`~repro.mapping.pipeline.MappingPipeline.describe_flow`.
-    flow: Dict[str, object] = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -242,17 +229,6 @@ class CampaignRunner:
         same as ``cache_dir`` — the store nests under ``artifacts/``);
         ``None`` keeps artifacts in memory.  Ignored when ``mapper`` is
         supplied.
-    flow:
-        Custom mapping flow for the campaign — a flow config (dict or
-        JSON path, see :mod:`repro.flowgraph.config`) or a pre-built
-        :class:`~repro.flowgraph.core.Flow`.  The runner's pipeline then
-        executes that flow instead of the canonical five-node mapping
-        flow, the report gains a ``flow`` block describing it, and after
-        each suite's exploration the kernels are additionally mapped onto
-        the selected design point, so conditionally routed / raced nodes
-        (``rearrange`` vs ``remap`` vs skip) show up in the suite's
-        ``mapping_stages``.  Incompatible with ``mapper`` (a supplied
-        mapper already carries its pipeline and flow).
     gc_max_age:
         When set, a post-campaign janitor pass evicts store entries not
         written or read for this many seconds.  Must be non-negative.
@@ -270,23 +246,16 @@ class CampaignRunner:
         artifact_dir: Optional[Path] = None,
         gc_max_age: Optional[float] = None,
         compact: bool = False,
-        flow=None,
     ) -> None:
         if gc_max_age is not None and gc_max_age < 0:
             raise ValueError(f"gc_max_age must be non-negative, got {gc_max_age}")
-        if mapper is not None and flow is not None:
-            raise ValueError(
-                "a supplied mapper already carries its pipeline and flow; "
-                "pass flow= only when the runner builds the mapper"
-            )
         self.spec = spec
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.gc_max_age = gc_max_age
         self.compact = compact
-        self.flow = flow
         if mapper is None:
-            mapper = RSPMapper(store=ArtifactStore(self.artifact_dir), flow=flow)
+            mapper = RSPMapper(store=ArtifactStore(self.artifact_dir))
         self.pipeline = mapper.pipeline
 
     def run(self) -> Tuple[CampaignReport, Dict[str, ExplorationResult]]:
@@ -313,9 +282,6 @@ class CampaignRunner:
             store_suite_hits = store_stats.hits
             store_suite_misses = store_stats.misses
             kernels = suite_kernels(suite_name)
-            # Custom flows earn their keep below the profile stages: mapping
-            # the suite onto the selected design runs the routed/raced
-            # branches, and they land in this suite's mapping_stages block.
             domain = explore_domain(
                 self.pipeline,
                 kernels,
@@ -326,7 +292,6 @@ class CampaignRunner:
                 config=config,
                 cache_dir=self.cache_dir,
                 early_reject=self.spec.early_reject,
-                map_selected=self.flow is not None,
             )
             stage_delta = self.pipeline.stats.since(stage_snapshot)
             if domain.cache is not None:
@@ -394,7 +359,6 @@ class CampaignRunner:
             mapping_stages=stage_timings_as_dict(run_delta),
             store_stats=self._store_stats_block(caches, janitor_block),
             waves=totals.waves,
-            flow=self.pipeline.describe_flow() if self.flow is not None else {},
         )
         return report, results
 

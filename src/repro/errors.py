@@ -70,32 +70,3 @@ class CostModelError(ReproError):
 
 class TimingModelError(ReproError):
     """Raised when the timing model receives invalid parameters."""
-
-
-class FlowError(ReproError):
-    """Base class for flow-graph runtime errors (:mod:`repro.flowgraph`)."""
-
-
-class FlowParseError(FlowError):
-    """Raised when an edge-expression string cannot be parsed."""
-
-
-class FlowValidationError(FlowError):
-    """Raised when a flow graph is structurally invalid.
-
-    Every validation message names the offending node and, where one
-    applies, the edge expression it came from — cycles list the full node
-    path, undeclared inputs name the consuming node and the missing value,
-    duplicate outputs name both producers.
-    """
-
-
-class FlowRoutingError(FlowError):
-    """Raised when conditional routing leaves an output with no producer
-    (no branch condition matched) or an unresolvable race (several branches
-    ran but no selector was declared for their shared output)."""
-
-
-class FlowExecutionError(FlowError):
-    """Raised when a node's compute function fails after exhausting its
-    retry policy; the message names the node and the final exception."""

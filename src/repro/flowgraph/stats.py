@@ -1,19 +1,17 @@
-"""Per-node execution accounting shared by every flow.
+"""Per-stage accounting of the mapping stages.
 
-One :class:`StageTiming` per node name and one :class:`Artifact` per
-materialised output: they describe *any* flow's execution, not something
-mapping-specific.
+One :class:`StageTiming` per stage name and one :class:`Artifact` per
+resolved output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-#: Dataflow order of the canonical mapping flow's five nodes — the default
-#: report ordering of per-stage timing blocks.  Custom-flow node names not
-#: listed here sort after these, in first-recorded order.
+#: Dataflow order of the five mapping stages — the report ordering of
+#: per-stage timing blocks.
 DEFAULT_STAGE_ORDER: Tuple[str, ...] = (
     "build_dfg",
     "base_schedule",
@@ -45,22 +43,22 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 @dataclass
 class Artifact:
-    """One node output together with its provenance.
+    """One stage output together with its provenance.
 
     Attributes
     ----------
     stage:
-        Name of the producing node (its artifact namespace in the store).
+        Name of the producing stage (its artifact namespace in the store).
     key:
         SHA-256 input hash that identifies the artifact in the store.
     value:
-        The node's output object.
+        The stage's output object.
     from_store:
         True when the value was served by the artifact store rather than
         computed in this call.
     seconds:
         Self-time spent obtaining the value (compute time on a miss,
-        fetch time on a hit), excluding upstream nodes materialised
+        fetch time on a hit), excluding upstream stages resolved
         meanwhile.
     """
 
@@ -73,7 +71,7 @@ class Artifact:
 
 @dataclass
 class StageTiming:
-    """Hit/miss counters, self-time and duration samples of one node."""
+    """Hit/miss counters, self-time and duration samples of one stage."""
 
     stage: str
     hits: int = 0
@@ -89,7 +87,7 @@ class StageTiming:
 
 
 class PipelineStats:
-    """Per-node counters of one flow-backed pipeline."""
+    """Per-stage counters of one mapping pipeline."""
 
     def __init__(self) -> None:
         self.stages: Dict[str, StageTiming] = {}
@@ -107,10 +105,6 @@ class PipelineStats:
             timing.misses += 1
         timing.seconds += seconds
         timing.durations.append(seconds)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(timing.seconds for timing in self.stages.values())
 
     def snapshot(self) -> Dict[str, Tuple[int, int, float, int]]:
         """Freeze the current counters (used to compute per-suite deltas)."""
@@ -136,19 +130,12 @@ class PipelineStats:
         return deltas
 
 
-def stage_timings_as_dict(
-    timings: Dict[str, StageTiming], order: Optional[Sequence[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """JSON-friendly form of a per-node timing delta map.
+def stage_timings_as_dict(timings: Dict[str, StageTiming]) -> Dict[str, Dict[str, float]]:
+    """JSON-friendly form of a per-stage timing delta map, in dataflow order.
 
     ``p50``/``p95`` come from the per-invocation duration samples through
-    :func:`percentile`.  The canonical five mapping nodes lead in dataflow
-    order; any other node names (custom flow variants) follow in
-    first-recorded order.
+    :func:`percentile`.
     """
-    order = DEFAULT_STAGE_ORDER if order is None else order
-    ordered = [name for name in order if name in timings]
-    ordered += [name for name in timings if name not in order]
     return {
         name: {
             "hits": timings[name].hits,
@@ -157,6 +144,7 @@ def stage_timings_as_dict(
             "p50": round(percentile(timings[name].durations, 0.50), 6),
             "p95": round(percentile(timings[name].durations, 0.95), 6),
         }
-        for name in ordered
+        for name in DEFAULT_STAGE_ORDER
+        if name in timings
     }
 

@@ -1,11 +1,11 @@
 """Content fingerprints that seed every mapping artifact key.
 
 Leaf module (imports nothing from the rest of :mod:`repro.mapping`) so
-both the legacy pipeline facade and the flow-graph node definitions in
-:mod:`repro.flowgraph.mapping` can share one set of formulas.  Changing
-any of these invalidates every persisted artifact store: the DFG
-fingerprint's text, written directly by :meth:`DFG.canonical_json`, must
-stay byte-identical to the canonical JSON of :meth:`DFG.to_dict`.
+the pipeline and the stage executor in :mod:`repro.flowgraph.core` can
+share one set of formulas.  Changing any of these invalidates every
+persisted artifact store: the DFG fingerprint's text, written directly
+by :meth:`DFG.canonical_json`, must stay byte-identical to the canonical
+JSON of :meth:`DFG.to_dict`.
 
 :func:`kernel_definition` is the one key here that never reaches a store:
 it names a kernel's DFG within one process.

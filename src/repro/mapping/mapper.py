@@ -52,11 +52,6 @@ class RSPMapper:
         memoisation (the seed behaviour).
     pipeline:
         An existing pipeline to wrap; overrides the other arguments.
-    flow:
-        Custom mapping flow forwarded to :class:`MappingPipeline` — a
-        pre-built :class:`~repro.flowgraph.core.Flow` or a flow config
-        (dict or JSON path).  ``None`` keeps the canonical five-node flow.
-        Ignored when ``pipeline`` is supplied.
     """
 
     def __init__(
@@ -65,10 +60,9 @@ class RSPMapper:
         generate_contexts: bool = False,
         store: Optional["ArtifactStore"] = None,
         pipeline: Optional[MappingPipeline] = None,
-        flow=None,
     ) -> None:
         self.pipeline = pipeline or MappingPipeline(
-            base=base, store=store, generate_contexts=generate_contexts, flow=flow
+            base=base, store=store, generate_contexts=generate_contexts
         )
         self.base = self.pipeline.base
         self.generate_contexts = self.pipeline.generate_contexts

@@ -1,4 +1,4 @@
-"""Staged mapping pipeline, executed as a declarative flow graph.
+"""Staged mapping pipeline.
 
 The seed's :class:`~repro.mapping.mapper.RSPMapper` bundled the paper's
 Figure-7 mapping flow into one monolithic call; this module makes the
@@ -7,13 +7,9 @@ stages explicit and independently runnable::
     build_dfg -> base_schedule -> extract_profile        (upper half)
                        \\-> rearrange -> generate_context (lower half)
 
-Since the flow-graph refactor the stages are :class:`repro.flowgraph.Node`
-definitions (:mod:`repro.flowgraph.mapping`) executed by the
-:class:`repro.flowgraph.Flow` runtime; :class:`MappingPipeline` is the
-canonical facade over the default five-node flow and accepts custom flow
-configs (skip-rearrange routing, raced mapper variants) through its
-``flow`` parameter.  The execution discipline is unchanged and the
-produced artifacts are byte-identical to the pre-flow pipeline.
+:class:`MappingPipeline` runs them through the executor
+:class:`repro.flowgraph.core.Flow`, one flow per (kernel, target) call;
+the stage bodies live in :mod:`repro.flowgraph.mapping`.
 
 Every stage consumes and produces :class:`~repro.flowgraph.stats.Artifact`
 values whose identity is a SHA-256 *input* hash (:func:`stage_key`, built
@@ -33,10 +29,10 @@ hashed; the built DFG can (:func:`dfg_fingerprint` digests the canonical
 JSON that :meth:`repro.ir.dfg.DFG.canonical_json` writes directly, equal
 to that of :meth:`repro.ir.dfg.DFG.to_dict`).  The ``build_dfg`` stage is
 therefore memoised in memory only, by the kernel's definition
-(:func:`~repro.mapping.fingerprints.kernel_definition`), and marked
-non-persistent: its output hash seeds every downstream key, which also
-makes the store self-validating — a changed kernel body changes the DFG,
-the fingerprint and every key.  The DFG memo and the ``rearrange`` node's
+(:func:`~repro.mapping.fingerprints.kernel_definition`), and never
+persisted: its output hash seeds every downstream key, which also makes
+the store self-validating — a changed kernel body changes the DFG, the
+fingerprint and every key.  The DFG memo and the ``rearrange`` stage's
 memos live on the artifact store, so pipelines that share a store build
 each DFG once.
 """
@@ -46,13 +42,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from repro.arch.config_cache import ConfigurationContext
 from repro.arch.template import ArchitectureSpec, base_architecture
 from repro.core.stalls import ScheduleProfile
 from repro.errors import MappingError
-from repro.flowgraph.core import Flow, FlowContext
+from repro.flowgraph.core import Flow
 from repro.flowgraph.stats import Artifact, PipelineStats
 from repro.ir.dfg import DFG
 from repro.ir.loops import Kernel
@@ -67,7 +63,6 @@ from repro.mapping.schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.engine.artifacts import ArtifactStore
-    from repro.flowgraph.config import ConfigSource
 
 
 # ----------------------------------------------------------------------
@@ -92,17 +87,12 @@ class MappingResult:
         """Peak multiplications executing in one cycle (paper Table 3 metric)."""
         return self.base_schedule.max_multiplications_per_cycle()
 
-    @property
-    def cycle_overhead_vs_base(self) -> int:
-        """Extra cycles relative to the base architecture mapping."""
-        return self.cycles - self.base_cycles
-
 
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
 class MappingPipeline:
-    """Runs the mapping flow against an artifact store.
+    """Runs the mapping stages against an artifact store.
 
     Parameters
     ----------
@@ -117,12 +107,6 @@ class MappingPipeline:
         campaigns.
     generate_contexts:
         Whether :meth:`run` produces configuration contexts.
-    flow:
-        The flow to execute: ``None`` for the canonical five-node flow, a
-        pre-built :class:`~repro.flowgraph.core.Flow`, or a flow config
-        (dict or JSON path, see :mod:`repro.flowgraph.config`) rewiring
-        the registered mapping nodes — e.g. skipping ``rearrange`` for
-        balanced profiles or racing ``rearrange`` against ``remap``.
     """
 
     def __init__(
@@ -130,7 +114,6 @@ class MappingPipeline:
         base: Optional[ArchitectureSpec] = None,
         store: Optional[Union["ArtifactStore", str, Path]] = None,
         generate_contexts: bool = False,
-        flow: Union[Flow, "ConfigSource", None] = None,
     ) -> None:
         self.base = base or base_architecture()
         if not self.base.is_base:
@@ -145,69 +128,7 @@ class MappingPipeline:
         self.store = store
         self.generate_contexts = generate_contexts
         self.stats = PipelineStats()
-        self._base_fingerprint = architecture_fingerprint(self.base)
-        if isinstance(flow, Flow):
-            self.flow = flow
-        else:
-            # Imported lazily: repro.flowgraph.mapping imports the leaf
-            # modules of repro.mapping, so a module-level import here
-            # would be circular.
-            from repro.flowgraph.mapping import build_mapping_flow
-
-            self.flow = build_mapping_flow(self, flow)
-
-    # ------------------------------------------------------------------
-    # Flow plumbing
-    # ------------------------------------------------------------------
-    def _flow_context(
-        self,
-        kernel: Kernel,
-        target: ArchitectureSpec,
-        iterations: Optional[int] = None,
-    ) -> FlowContext:
-        """A fresh execution context seeded with this call's inputs.
-
-        Seed architectures are pre-keyed with their structural
-        fingerprints so node key derivations never re-hash them.
-        """
-        values: Dict[str, Any] = {
-            "kernel": kernel,
-            "base_architecture": self.base,
-            "target_architecture": target,
-        }
-        if iterations is not None:
-            values["iterations"] = iterations
-        keys = {
-            "base_architecture": self._base_fingerprint,
-            "target_architecture": (
-                self._base_fingerprint
-                if target is self.base
-                else architecture_fingerprint(target)
-            ),
-        }
-        return FlowContext(values, keys)
-
-    def _resolve(
-        self,
-        output: str,
-        kernel: Kernel,
-        target: ArchitectureSpec,
-        iterations: Optional[int] = None,
-    ) -> Artifact:
-        return self.flow.resolve(
-            output,
-            context=self._flow_context(kernel, target, iterations),
-            store=self.store,
-            stats=self.stats,
-        )
-
-    def describe_flow(self) -> Dict[str, Any]:
-        """JSON-friendly description of the executing flow (for reports)."""
-        return {
-            "name": self.flow.name,
-            "edges": list(self.flow.edge_graph.expressions),
-            "nodes": [node.name for node in self.flow.nodes],
-        }
+        self.base_fingerprint = architecture_fingerprint(self.base)
 
     # ------------------------------------------------------------------
     # Stage 1: build_dfg
@@ -220,8 +141,7 @@ class MappingPipeline:
         callables and cannot be hashed, so this stage always runs at least
         once per process and is never persisted; within the process it is
         memoised on the store by the kernel's definition, so two kernels
-        that share a name but not a body get their own DFGs.  (This is
-        the canonical flow's ``build_dfg`` resolver.)
+        that share a name but not a body get their own DFGs.
         """
         memo_key = kernel_definition(kernel, iterations)
         memoised = self.store.dfgs.get(memo_key)
@@ -247,7 +167,7 @@ class MappingPipeline:
     # ------------------------------------------------------------------
     def base_schedule_artifact(self, kernel: Kernel, iterations: Optional[int] = None) -> Artifact:
         """Schedule ``kernel`` on the base architecture (loop pipelining)."""
-        return self._resolve("schedule", kernel, self.base, iterations)
+        return Flow(self, kernel, self.base, iterations).resolve("schedule")
 
     # ------------------------------------------------------------------
     # Stage 3: extract_profile
@@ -256,10 +176,9 @@ class MappingPipeline:
         """Extract the stall-estimation profile of the base schedule.
 
         On a warm store this never materialises the schedule: the profile
-        key is derived from the schedule *key*, not its value (the flow
-        runtime resolves keys without fetching values).
+        key is derived from the schedule *key*, not its value.
         """
-        return self._resolve("profile", kernel, self.base, iterations)
+        return Flow(self, kernel, self.base, iterations).resolve("profile")
 
     def profiles_for(
         self, kernels: Sequence[Kernel], iterations: Optional[int] = None
@@ -286,12 +205,10 @@ class MappingPipeline:
         actual pass runs once per target; the stall-free pass runs once
         per base schedule, array, multiplier latency and sharing flag on
         this pipeline's store, because it reads nothing else of the target.
-        With a custom flow, the returned artifact is whatever branch the
-        flow routed (or raced) the ``rearranged`` output through.
         """
         if target.is_base:
             raise MappingError("the rearrange stage applies to non-base design points only")
-        return self._resolve("rearranged", kernel, target, iterations)
+        return Flow(self, kernel, target, iterations).resolve("rearranged")
 
     # ------------------------------------------------------------------
     # Stage 5: generate_context
@@ -303,7 +220,7 @@ class MappingPipeline:
         iterations: Optional[int] = None,
     ) -> Artifact:
         """Generate the configuration context of ``kernel`` on ``target``."""
-        return self._resolve("context", kernel, target or self.base, iterations)
+        return Flow(self, kernel, target or self.base, iterations).resolve("context")
 
     # ------------------------------------------------------------------
     # End-to-end run
@@ -314,11 +231,13 @@ class MappingPipeline:
         architecture: Optional[ArchitectureSpec] = None,
         iterations: Optional[int] = None,
     ) -> MappingResult:
-        """Map ``kernel`` onto ``architecture`` through the flow.
+        """Map ``kernel`` onto ``architecture`` through the stages.
 
         Produces a :class:`MappingResult` bit-identical to the seed
         mapper's ``map_kernel`` for the same inputs, with every stage
-        served from the artifact store when warm.
+        served from the artifact store when warm.  The pipeline's base
+        keeps its base schedule; another base design raises
+        :class:`~repro.errors.MappingError`.
         """
         target = architecture or self.base
         if target.array.rows != self.base.array.rows or target.array.cols != self.base.array.cols:
@@ -328,22 +247,17 @@ class MappingPipeline:
         outputs: Tuple[str, ...] = ("dfg", "schedule", "rearranged")
         if self.generate_contexts:
             outputs += ("context",)
-        ctx = self.flow.run(
-            context=self._flow_context(kernel, target, iterations),
-            outputs=outputs,
-            store=self.store,
-            stats=self.stats,
-        )
-        rearranged: RearrangedSchedule = ctx["rearranged"]
+        artifacts = Flow(self, kernel, target, iterations).run(outputs)
+        rearranged: RearrangedSchedule = artifacts["rearranged"].value
         summary = rearranged.summary
         return MappingResult(
             kernel=kernel.name,
             architecture=target,
-            dfg=ctx["dfg"],
-            base_schedule=ctx["schedule"],
+            dfg=artifacts["dfg"].value,
+            base_schedule=artifacts["schedule"].value,
             schedule=rearranged.schedule,
             cycles=summary.cycles,
             stall_cycles=summary.stall_cycles,
             base_cycles=summary.base_cycles,
-            context=ctx["context"] if self.generate_contexts else None,
+            context=artifacts["context"].value if self.generate_contexts else None,
         )

@@ -38,7 +38,7 @@ pass.
 RS stalls are counted against a stall-free pass with unlimited shared
 multipliers (``unlimited_shared=True``).  That pass reads the target only
 through its array, its multiplier latency and whether it shares, so the
-``rearrange`` flow node (:mod:`repro.flowgraph.mapping`) runs it once per
+``rearrange`` stage (:mod:`repro.flowgraph.mapping`) runs it once per
 such constraint set, and builds one plan per base schedule for all its
 passes; :func:`evaluate_rearrangement` is the uncached two-pass reference.
 """

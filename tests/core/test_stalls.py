@@ -38,8 +38,8 @@ def test_profile_validation():
 
 def test_profile_max_per_cycle_and_grouping():
     profile = burst_profile(6)
-    assert profile.max_critical_per_cycle == 6
     assert set(profile.issues_by_cycle()) == {2}
+    assert len(profile.issues_by_cycle()[2]) == 6
 
 
 def test_no_stalls_on_base_architecture():

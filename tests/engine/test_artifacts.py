@@ -157,7 +157,7 @@ def test_campaign_recomputes_a_corrupt_artifact(tmp_path, corruption):
 
 def test_corrupt_artifact_warning_names_the_caller(tmp_path):
     """The warning names the line that asked for the mapping, not a line
-    of the store, the flow runtime or the pipeline."""
+    of the store, the stage executor or the pipeline."""
     kernel = get_kernel("MVM")
     RSPMapper(store=ArtifactStore(tmp_path)).base_schedule(kernel)
     path = next((tmp_path / ARTIFACT_SUBDIR / "base_schedule").glob("*.pkl"))

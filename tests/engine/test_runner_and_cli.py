@@ -305,6 +305,18 @@ IDENTITY_GRIDS = {
 }
 
 
+#: Hits and misses of each mapping stage, campaign-wide and per suite, on
+#: every identity grid.  Each kernel's DFG is built once per process, and
+#: livermore and dsp read the profiles paper already made from the store.
+RECORDED_STAGE_COUNTS = {
+    "campaign": {"build_dfg": (9, 11), "base_schedule": (0, 11), "extract_profile": (9, 11)},
+    "paper": {"build_dfg": (0, 9), "base_schedule": (0, 9), "extract_profile": (0, 9)},
+    "h264": {"build_dfg": (0, 2), "base_schedule": (0, 2), "extract_profile": (0, 2)},
+    "livermore": {"build_dfg": (5, 0), "extract_profile": (5, 0)},
+    "dsp": {"build_dfg": (4, 0), "extract_profile": (4, 0)},
+}
+
+
 def test_four_suite_campaign_finds_the_recorded_answers():
     for grid_name, grid in IDENTITY_GRIDS.items():
         options, total_jobs, early_rejected, candidates, feasible = grid
@@ -320,6 +332,9 @@ def test_four_suite_campaign_finds_the_recorded_answers():
             for suite, fields in RECORDED_SUITES.items()
         }
         assert found == expected, grid_name
+        counts = {"campaign": _stage_counts(report.mapping_stages)}
+        counts.update({suite.suite: _stage_counts(suite.mapping_stages) for suite in report.suites})
+        assert counts == RECORDED_STAGE_COUNTS, grid_name
 
 
 # ----------------------------------------------------------------------
@@ -522,72 +537,3 @@ def test_cli_no_batch_matches_default_report(tmp_path, capsys, scalar_evaluation
     assert fast_payload["suite_selections"] == slow_payload["suite_selections"]
     for key in ("total_jobs", "cache_hits", "early_rejected", "waves"):
         assert fast_payload["report"][key] == slow_payload["report"][key]
-
-
-# ----------------------------------------------------------------------
-# Custom mapping flows
-# ----------------------------------------------------------------------
-RACE_FLOW = {
-    "name": "race",
-    "edges": [
-        "build_dfg >> base_schedule >> extract_profile",
-        "base_schedule >> (rearrange | remap | passthrough) >> generate_context",
-    ],
-    "nodes": {
-        "rearrange": {"when": "!target_is_base"},
-        "remap": {"when": "!target_is_base"},
-        "passthrough": {"when": "target_is_base"},
-    },
-    "select": {"rearranged": {"metric": "summary.cycles", "mode": "min"}},
-}
-
-
-def test_campaign_with_custom_flow_reports_routed_stages(small_spec):
-    report, results = CampaignRunner(small_spec, flow=RACE_FLOW).run()
-    assert report.flow["name"] == "race"
-    assert "remap" in report.flow["nodes"]
-    suite = report.suites[0]
-    # The post-exploration mapping pass drove both raced branches.
-    for stage in ("rearrange", "remap"):
-        counts = suite.mapping_stages[stage]
-        assert counts["hits"] + counts["misses"] > 0
-    # The exploration itself is flow-agnostic: same selection as default.
-    default_report, _ = CampaignRunner(small_spec).run()
-    assert default_report.flow == {}
-    assert [s.selected for s in report.suites] == [s.selected for s in default_report.suites]
-    assert results["h264"].selected is not None
-
-
-def test_custom_flow_maps_a_base_selection_too():
-    """Under a custom flow the suite is mapped onto the selected design
-    even when that design is the base: the base-only grid of h264 reads
-    each DFG three times and each base schedule twice."""
-    flow = Path(__file__).resolve().parents[2] / "examples" / "flows" / "race_mappers.json"
-    spec = CampaignSpec(suites=("h264",), max_rows_shared=0, max_cols_shared=0)
-    report, _ = CampaignRunner(spec, flow=flow).run()
-    assert report.suites[0].selected_kind == "base"
-    expected = [("build_dfg", (4, 2)), ("base_schedule", (2, 2)), ("extract_profile", (0, 2))]
-    assert list(_stage_counts(report.mapping_stages).items()) == expected
-    assert list(_stage_counts(report.suites[0].mapping_stages).items()) == expected
-
-
-def test_runner_rejects_mapper_and_flow_together(small_spec):
-    from repro.mapping.mapper import RSPMapper
-
-    with pytest.raises(ValueError, match="already carries its pipeline and flow"):
-        CampaignRunner(small_spec, mapper=RSPMapper(), flow=RACE_FLOW)
-
-
-def test_cli_flow_runs_and_reports_routed_nodes(tmp_path, capsys):
-    flow_path = tmp_path / "flow.json"
-    flow_path.write_text(json.dumps(RACE_FLOW))
-    output = tmp_path / "report.json"
-    assert main([
-        "--suite", "h264", "--max-rows-shared", "1", "--max-cols-shared", "1",
-        "--no-cache", "--flow", str(flow_path), "--output", str(output),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "flow: race" in out
-    payload = json.loads(output.read_text())
-    assert payload["report"]["flow"]["name"] == "race"
-    assert "remap" in payload["report"]["mapping_stages"]

@@ -1,11 +1,10 @@
-"""Pin the artifact-key formulas of the canonical mapping flow.
+"""Pin the artifact-key formulas of the mapping stages.
 
 The warm-store contract (every on-disk and served campaign store)
-depends on the flow producing *exactly* the keys the legacy
+depends on the stage executor producing *exactly* the keys the legacy
 staged pipeline produced.  These tests spell the formulas out by hand —
-hashing helpers only, no flow machinery — so an accidental change to
-key derivation fails loudly instead of silently cold-missing every
-existing store.
+hashing helpers only — so an accidental change to key derivation fails
+loudly instead of silently cold-missing every existing store.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.arch import base_architecture, rsp_architecture
+from repro.flowgraph.core import Flow
 from repro.kernels import get_kernel
 from repro.mapping.fingerprints import (
     architecture_fingerprint,
@@ -68,25 +68,22 @@ def test_lower_half_keys_match_on_a_shared_target(pipeline, kernel):
 
 
 def test_base_target_passthrough_reuses_the_schedule_key(pipeline, kernel):
-    """The passthrough branch is virtual: the 'rearranged' artifact of a
-    base target carries the base-schedule key itself, so downstream keys
-    (and stores written before the flow refactor) are unchanged."""
+    """For the pipeline's own base, 'rearranged' is the base schedule under
+    the base-schedule key, so downstream keys (and stores written before
+    the executor existed) are unchanged."""
     schedule_key = pipeline.base_schedule_artifact(kernel).key
     result = pipeline.run(kernel, pipeline.base)
-    assert result.schedule is not None
+    assert result.schedule is result.base_schedule
 
-    ctx = pipeline.flow.run(
-        context=pipeline._flow_context(kernel, pipeline.base),
-        outputs=("rearranged", "context"),
-        store=pipeline.store,
-        stats=pipeline.stats,
-    )
-    assert ctx.key_of("rearranged") == schedule_key
-    assert ctx.key_of("context") == stage_key(
+    flow = Flow(pipeline, kernel, pipeline.base)
+    assert flow.key("rearranged") == schedule_key
+    context_key = stage_key(
         "generate_context",
         schedule=schedule_key,
         dfg=pipeline.dfg_artifact(kernel).key,
     )
+    assert flow.key("context") == context_key
+    assert pipeline.context_artifact(kernel).key == context_key
 
 
 def test_architecture_fingerprint_ignores_the_name():

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+import repro.flowgraph.core as flow_core
 import repro.flowgraph.mapping as mapping_nodes
+import repro.mapping.pipeline as pipeline_module
 from repro.arch import (
+    ArchitectureSpec,
     ArraySpec,
     PipeliningSpec,
     RowBusSpec,
@@ -23,6 +27,7 @@ from repro.flowgraph.stats import DEFAULT_STAGE_ORDER
 from repro.ir.loops import Kernel
 from repro.kernels import get_kernel, matrix_multiplication
 from repro.mapping import (
+    LoopPipeliningScheduler,
     MappingPipeline,
     RSPMapper,
     RearrangedSchedule,
@@ -57,35 +62,137 @@ def mvm():
     return get_kernel("MVM")
 
 
-class TestStageDeclarations:
-    """The default flow's node declarations are the pipeline's stage contract."""
+#: Clock seconds each stage body (or DFG build) spends per call under
+#: the fake clock of :class:`TestStageExecutor`.
+FAKE_STAGE_SECONDS = {
+    "build_dfg": 1.0,
+    "base_schedule": 2.0,
+    "extract_profile": 4.0,
+    "rearrange": 8.0,
+    "generate_context": 16.0,
+}
 
-    @pytest.fixture(scope="class")
-    def flow(self):
-        return MappingPipeline().flow
 
-    def test_stage_order_is_the_paper_flow(self, flow):
-        stages = tuple(node.name for node in flow.nodes if not node.virtual)
-        assert stages == (
-            "build_dfg",
-            "base_schedule",
-            "extract_profile",
-            "rearrange",
-            "generate_context",
+#: Self-times of a cold non-base mapping with contexts under that clock:
+#: rearrangement makes two passes, the actual and the stall-free one.
+NON_BASE_SECONDS = {
+    "build_dfg": 1.0,
+    "base_schedule": 2.0,
+    "rearrange": 16.0,
+    "generate_context": 16.0,
+}
+
+
+class TestStageExecutor:
+    """What the executor guarantees every call of the five real stages."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        """A fake clock in the executor and the pipeline, advanced only
+        by the stage functions it wraps."""
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(perf_counter=lambda: clock.now)
+        monkeypatch.setattr(flow_core, "time", fake_time)
+        monkeypatch.setattr(pipeline_module, "time", fake_time)
+
+        def advancing(owner, name, stage):
+            original = getattr(owner, name)
+
+            def timed(*args, **kwargs):
+                result = original(*args, **kwargs)
+                clock.now += FAKE_STAGE_SECONDS[stage]
+                return result
+
+            monkeypatch.setattr(owner, name, timed)
+
+        advancing(Kernel, "build", "build_dfg")
+        advancing(LoopPipeliningScheduler, "schedule", "base_schedule")
+        advancing(mapping_nodes, "extract_profile", "extract_profile")
+        advancing(mapping_nodes, "rearrange_schedule", "rearrange")
+        advancing(mapping_nodes, "generate_context", "generate_context")
+        return clock
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (
+                lambda pipeline, kernel: pipeline.profile_artifact(kernel),
+                {"build_dfg": 1.0, "base_schedule": 2.0, "extract_profile": 4.0},
+            ),
+            (
+                lambda pipeline, kernel: pipeline.run(kernel, rsp_architecture(2)),
+                NON_BASE_SECONDS,
+            ),
+            (
+                # The context resolves the rearranged schedule, which
+                # resolves the base schedule, each inside the other's call.
+                lambda pipeline, kernel: pipeline.context_artifact(kernel, rsp_architecture(2)),
+                NON_BASE_SECONDS,
+            ),
+        ],
+        ids=["profile", "run", "context"],
+    )
+    def test_stage_seconds_are_self_times(self, clock, mvm, call, expected):
+        pipeline = MappingPipeline(generate_contexts=True)
+        call(pipeline, mvm)
+        seconds = {name: timing.seconds for name, timing in pipeline.stats.stages.items()}
+        assert seconds == expected
+        assert sum(seconds.values()) == clock.now
+
+    def test_stages_record_in_dataflow_order(self, tmp_path, mvm):
+        """A cold non-base run with contexts runs every stage but
+        ``extract_profile``; a profile first adds it in its place.  Every
+        stage but ``build_dfg`` lands on disk."""
+        pipeline = MappingPipeline(generate_contexts=True)
+        pipeline.run(mvm, rsp_architecture(2))
+        assert tuple(pipeline.stats.stages) == tuple(
+            stage for stage in DEFAULT_STAGE_ORDER if stage != "extract_profile"
         )
-        assert stages == DEFAULT_STAGE_ORDER
+        pipeline = MappingPipeline(store=ArtifactStore(tmp_path), generate_contexts=True)
+        pipeline.profile_artifact(mvm)
+        pipeline.run(mvm, rsp_architecture(2))
+        assert tuple(pipeline.stats.stages) == DEFAULT_STAGE_ORDER
+        stages_on_disk = {path.name for path in (tmp_path / "artifacts").iterdir()}
+        assert stages_on_disk == set(DEFAULT_STAGE_ORDER) - {"build_dfg"}
 
-    def test_stage_io_chains(self, flow):
-        by_name = flow.by_name
-        assert by_name["build_dfg"].output == "dfg"
-        assert "dfg" in by_name["base_schedule"].inputs
-        assert by_name["base_schedule"].output in by_name["extract_profile"].inputs
-        assert by_name["base_schedule"].output in by_name["rearrange"].inputs
-        assert by_name["rearrange"].output in by_name["generate_context"].inputs
+    def test_a_served_value_of_another_type_names_its_stage(self, tmp_path, mvm):
+        pipeline = MappingPipeline(store=ArtifactStore(tmp_path))
+        profile_key = pipeline.profile_artifact(mvm).key
+        ArtifactStore(tmp_path).put("extract_profile", profile_key, "not a profile")
+        served = "stage 'extract_profile' was served a value of type str"
+        with pytest.raises(MappingError, match=served):
+            MappingPipeline(store=ArtifactStore(tmp_path)).profile_artifact(mvm)
 
-    def test_only_build_dfg_is_non_persistent(self, flow):
-        transient = [node.name for node in flow.nodes if not node.persistent]
-        assert transient == ["build_dfg"]
+
+#: The paper's base array with one read and one write bus per row.
+NARROW_BASE = ArchitectureSpec(
+    name="Base-1bus", array=ArraySpec(row_buses=RowBusSpec(read_buses=1, write_buses=1))
+)
+
+
+class TestBaseDesigns:
+    """Only the pipeline's own base design keeps the base schedule."""
+
+    def test_another_base_design_is_refused(self, mvm):
+        pipeline = MappingPipeline()
+        for map_it in (
+            lambda: pipeline.run(mvm, NARROW_BASE),
+            lambda: RSPMapper().map_kernel(mvm, NARROW_BASE),
+            lambda: pipeline.context_artifact(mvm, NARROW_BASE),
+        ):
+            with pytest.raises(MappingError, match="'Base-1bus' is not the pipeline's base 'Base'"):
+                map_it()
+
+    def test_a_pipeline_built_on_it_maps_it(self, mvm):
+        result = RSPMapper(base=NARROW_BASE).map_kernel(mvm, NARROW_BASE)
+        assert result.cycles == 24
+        assert result.schedule.architecture.array.row_buses.read_buses == 1
+
+    def test_a_renamed_base_keeps_the_base_schedule(self, mvm):
+        pipeline = MappingPipeline()
+        result = pipeline.run(mvm, base_architecture().with_name("Base-alias"))
+        assert result.schedule is result.base_schedule
+        assert result.cycles == 17
 
 
 class TestFingerprints:
