@@ -18,7 +18,9 @@ A :class:`Flow` resolves the outputs of one (kernel, target) call of a
 Each stage records its self-time: a stage resolved while another one
 computes is not counted twice.  For the pipeline's own base design,
 ``rearranged`` is the base schedule itself, under the base schedule's key,
-neither stored nor counted.
+neither stored nor counted.  A target whose array has other dimensions
+than the base's is refused when its flow is made, whichever output the
+caller asks for.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class Flow:
         self.target = target
         self.iterations = iterations
         self._stages = stages
+        self._check_array()
         base_key = pipeline.base_fingerprint
         self._keys: Dict[str, str] = {
             "base": base_key,
@@ -120,6 +123,15 @@ class Flow:
                 )
             self._keys[output] = key
         return key
+
+    def _check_array(self) -> None:
+        """Refuse a target whose array is not the base's: every schedule
+        is rearranged from a base schedule, PE for PE."""
+        array, base_array = self.target.array, self.pipeline.base.array
+        if array.rows != base_array.rows or array.cols != base_array.cols:
+            raise MappingError(
+                "the target architecture must have the same array dimensions as the base"
+            )
 
     def _passes_through(self) -> bool:
         """Whether ``rearranged`` is the base schedule itself.

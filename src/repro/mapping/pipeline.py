@@ -236,14 +236,11 @@ class MappingPipeline:
         Produces a :class:`MappingResult` bit-identical to the seed
         mapper's ``map_kernel`` for the same inputs, with every stage
         served from the artifact store when warm.  The pipeline's base
-        keeps its base schedule; another base design raises
-        :class:`~repro.errors.MappingError`.
+        keeps its base schedule; another base design, or a design on an
+        array of other dimensions, raises :class:`~repro.errors.MappingError`
+        (as every stage method does).
         """
         target = architecture or self.base
-        if target.array.rows != self.base.array.rows or target.array.cols != self.base.array.cols:
-            raise MappingError(
-                "the target architecture must have the same array dimensions as the base"
-            )
         outputs: Tuple[str, ...] = ("dfg", "schedule", "rearranged")
         if self.generate_contexts:
             outputs += ("context",)

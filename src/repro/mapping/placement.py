@@ -16,17 +16,20 @@ that has to scan many PEs ORs the masks over an operation's occupancy once
 only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`.
 
 A probe's PE, bus and shared-unit rules are written once, in
-``ResourceTracker._fit``.  :meth:`ResourceTracker.placement_feasible`
-answers with them; :meth:`ResourceTracker.try_claim` applies them and, when
-the placement fits, records it in the same pass, which is how the
-rearrangement probes (most of its probes succeed).
+``ResourceTracker._fit``, and a placement's records once, in
+``ResourceTracker._record``.  :meth:`ResourceTracker.placement_feasible`
+answers with the rules; :meth:`ResourceTracker.try_claim` applies them and,
+when the placement fits, records it in the same pass, which is how the
+rearrangement probes (most of its probes succeed).  Each of the two is one
+Python frame: the re-timing loop pays for three calls per placed
+operation, so neither calls a helper on the path that places.
 
-Claims are atomic: :meth:`ResourceTracker.claim`,
-:meth:`ResourceTracker.claim_pe` and :meth:`ResourceTracker.claim_bus`
-check every resource they would take — PE, row bus and shared unit —
-before they record any, so a :class:`PlacementError` leaves the tracker
-exactly as it was.  A failed :meth:`ResourceTracker.try_claim` records
-nothing.
+:meth:`ResourceTracker.claim` records a placement the caller already
+chose, with the shared unit it chose.  It checks every resource it would
+take — PE, row bus and shared unit — before it records any, so a
+:class:`PlacementError` names what blocks the placement and leaves the
+tracker exactly as it was.  A failed :meth:`ResourceTracker.try_claim`
+records nothing.
 
 The same tracker is used by the base mapper (:mod:`repro.mapping.loop_pipelining`)
 and by the context rearrangement (:mod:`repro.mapping.rearrange`), which is
@@ -77,15 +80,18 @@ class ResourceTracker:
             tuple(("col", col, ordinal) for ordinal in range(sharing.cols_shared))
             for col in range(array.cols)
         ]
-        # Shared units reachable from each PE, indexed by the PE's bit.
+        # Shared units reachable from each PE, indexed by the PE's bit, row
+        # units first and lower ordinals first: the order units are granted.
         self._reachable: List[Tuple[SharedUnitId, ...]] = [
             row_units[row] + col_units[col]
             for row in range(array.rows)
             for col in range(array.cols)
         ]
-        # Busy-PE bitmask per cycle, and the operation holding each busy PE.
+        # Busy-PE bitmask per cycle.
         self._busy: Dict[int, int] = {}
-        self._holders: Dict[Tuple[int, int, int], str] = {}
+        # (PE bit, first cycle, cycles, operation name) of every placement,
+        # in claim order; read only to name the holder of a busy PE.
+        self._claims: List[Tuple[int, int, int, str]] = []
         # Loads, stores and multiplications issued per (cycle, row).
         self._loads: Dict[Tuple[int, int], int] = {}
         self._stores: Dict[Tuple[int, int], int] = {}
@@ -111,40 +117,6 @@ class ResourceTracker:
             mask |= busy.get(offset_cycle, 0)
         return mask
 
-    def pe_free(self, cycle: int, row: int, col: int, duration: int) -> bool:
-        """True when PE (row, col) is idle for ``duration`` cycles from ``cycle``."""
-        bit = 1 << self._index(row, col)
-        busy = self._busy
-        for offset_cycle in range(cycle, cycle + duration):
-            if busy.get(offset_cycle, 0) & bit:
-                return False
-        return True
-
-    def claim_pe(self, cycle: int, row: int, col: int, duration: int, name: str) -> None:
-        """Mark PE (row, col) busy for ``duration`` cycles starting at ``cycle``."""
-        bit = 1 << self._index(row, col)
-        self._check_pe(cycle, row, col, duration, bit)
-        self._mark_pe(cycle, row, col, duration, bit, name)
-
-    def _check_pe(self, cycle: int, row: int, col: int, duration: int, bit: int) -> None:
-        """One scan of the masks; raises, naming the holder, if PE ``bit`` is busy."""
-        busy = self._busy
-        for offset_cycle in range(cycle, cycle + duration):
-            if busy.get(offset_cycle, 0) & bit:
-                holder = self._holders[(offset_cycle, row, col)]
-                raise PlacementError(
-                    f"PE ({row},{col}) already busy at cycle {offset_cycle} with {holder!r}"
-                )
-
-    def _mark_pe(
-        self, cycle: int, row: int, col: int, duration: int, bit: int, name: str
-    ) -> None:
-        busy = self._busy
-        holders = self._holders
-        for offset_cycle in range(cycle, cycle + duration):
-            busy[offset_cycle] = busy.get(offset_cycle, 0) | bit
-            holders[(offset_cycle, row, col)] = name
-
     # ------------------------------------------------------------------
     # Row data buses
     # ------------------------------------------------------------------
@@ -155,67 +127,6 @@ class ResourceTracker:
         if optype is _STORE:
             return self._stores.get((cycle, row), 0) < self._write_buses
         return True
-
-    def claim_bus(self, cycle: int, row: int, optype: OpType) -> None:
-        """Consume one bus slot for ``optype`` on row ``row`` at ``cycle``."""
-        self._check_bus(cycle, row, optype)
-        self._mark_bus(cycle, row, optype)
-
-    def _check_bus(self, cycle: int, row: int, optype: OpType) -> None:
-        if not self.bus_free(cycle, row, optype):
-            kind = "read" if optype is _LOAD else "write"
-            raise PlacementError(f"row {row} has no free {kind} bus at cycle {cycle}")
-
-    def _mark_bus(self, cycle: int, row: int, optype: OpType) -> None:
-        counts = self._loads if optype is _LOAD else self._stores
-        key = (cycle, row)
-        counts[key] = counts.get(key, 0) + 1
-
-    # ------------------------------------------------------------------
-    # Shared multipliers
-    # ------------------------------------------------------------------
-    def reachable_units(self, row: int, col: int) -> List[SharedUnitId]:
-        """Shared-unit identifiers reachable from PE (row, col)."""
-        return list(self._reachable[self._index(row, col)])
-
-    def available_shared_unit(self, cycle: int, row: int, col: int) -> Optional[SharedUnitId]:
-        """A reachable shared unit with a free issue slot at ``cycle``, if any.
-
-        Row units are preferred over column units, and lower ordinals over
-        higher ones, so the assignment is deterministic.
-        """
-        if self.unlimited_shared:
-            return self._mint_unit(cycle, row)
-        return self._free_unit(cycle, self._index(row, col))
-
-    def _mint_unit(self, cycle: int, row: int) -> SharedUnitId:
-        """A fresh pseudo-unit of row ``row`` (unlimited mode never runs out)."""
-        key = (cycle, row)
-        ordinal = self._unlimited_counter.get(key, 0)
-        self._unlimited_counter[key] = ordinal + 1
-        return ("row", row, ordinal)
-
-    def _free_unit(self, cycle: int, index: int) -> Optional[SharedUnitId]:
-        """The first unit reachable from PE bit ``index`` not issuing at ``cycle``."""
-        issues = self._unit_issues
-        for unit in self._reachable[index]:
-            if (unit, cycle) not in issues:
-                return unit
-        return None
-
-    def claim_shared_unit(self, unit: SharedUnitId, cycle: int, name: str) -> None:
-        """Record that ``unit`` accepts the multiplication ``name`` at ``cycle``."""
-        if self.unlimited_shared:
-            return
-        self._check_shared_unit(unit, cycle)
-        self._unit_issues[(unit, cycle)] = name
-
-    def _check_shared_unit(self, unit: SharedUnitId, cycle: int) -> None:
-        key = (unit, cycle)
-        if not self.unlimited_shared and key in self._unit_issues:
-            raise PlacementError(
-                f"shared unit {unit} already issues {self._unit_issues[key]!r} at cycle {cycle}"
-            )
 
     # ------------------------------------------------------------------
     # Combined feasibility check
@@ -228,15 +139,22 @@ class ResourceTracker:
         The one statement of the placement rules: the PE is idle for
         ``duration`` cycles, a load or store finds a free row bus slot, and
         a multiplication on a sharing architecture finds a reachable shared
-        unit with a free issue slot.  In unlimited mode a multiplication
-        always fits, on a freshly minted pseudo-unit of its row.
+        unit with a free issue slot (row units before column units, lower
+        ordinals first).  In unlimited mode a multiplication always fits,
+        on a freshly minted pseudo-unit of its row.
         """
-        index = self._index(row, col)
+        if not (0 <= row < self._rows and 0 <= col < self._cols):
+            self._index(row, col)  # raises
+        index = row * self._cols + col
         bit = 1 << index
         busy = self._busy
-        for offset_cycle in range(cycle, cycle + duration):
-            if busy.get(offset_cycle, 0) & bit:
+        if duration == 1:
+            if busy.get(cycle, 0) & bit:
                 return None
+        else:
+            for offset_cycle in range(cycle, cycle + duration):
+                if busy.get(offset_cycle, 0) & bit:
+                    return None
         if optype is _LOAD:
             if self._loads.get((cycle, row), 0) >= self._read_buses:
                 return None
@@ -245,11 +163,16 @@ class ResourceTracker:
                 return None
         elif optype is _MUL and self._uses_sharing:
             if self.unlimited_shared:
-                return bit, self._mint_unit(cycle, row)
-            unit = self._free_unit(cycle, index)
-            if unit is None:
-                return None
-            return bit, unit
+                key = (cycle, row)
+                minted = self._unlimited_counter
+                ordinal = minted.get(key, 0)
+                minted[key] = ordinal + 1
+                return bit, ("row", row, ordinal)
+            issues = self._unit_issues
+            for unit in self._reachable[index]:
+                if (unit, cycle) not in issues:
+                    return bit, unit
+            return None
         return bit, None
 
     def placement_feasible(
@@ -289,7 +212,7 @@ class ResourceTracker:
         if fit is None:
             return False, None
         bit, shared_unit = fit
-        self._record(operation, cycle, row, col, duration, bit, shared_unit)
+        self._record(operation, cycle, row, duration, bit, shared_unit)
         return True, shared_unit
 
     def claim(
@@ -308,35 +231,61 @@ class ResourceTracker:
         store, and ``shared_unit``'s issue slot for a multiplication.
         """
         bit = 1 << self._index(row, col)
-        self._check_pe(cycle, row, col, duration, bit)
+        busy = self._busy
+        for offset_cycle in range(cycle, cycle + duration):
+            if busy.get(offset_cycle, 0) & bit:
+                holder = next(
+                    name
+                    for held, first, cycles, name in self._claims
+                    if held == bit and first <= offset_cycle < first + cycles
+                )
+                raise PlacementError(
+                    f"PE ({row},{col}) already busy at cycle {offset_cycle} with {holder!r}"
+                )
         optype = operation.optype
         if optype is _LOAD or optype is _STORE:
-            self._check_bus(cycle, row, optype)
-        elif optype is _MUL and shared_unit is not None:
-            self._check_shared_unit(shared_unit, cycle)
-        self._record(operation, cycle, row, col, duration, bit, shared_unit)
+            if not self.bus_free(cycle, row, optype):
+                kind = "read" if optype is _LOAD else "write"
+                raise PlacementError(f"row {row} has no free {kind} bus at cycle {cycle}")
+        elif optype is _MUL and shared_unit is not None and not self.unlimited_shared:
+            holder = self._unit_issues.get((shared_unit, cycle))
+            if holder is not None:
+                raise PlacementError(
+                    f"shared unit {shared_unit} already issues {holder!r} at cycle {cycle}"
+                )
+        self._record(operation, cycle, row, duration, bit, shared_unit)
 
     def _record(
         self,
         operation: Operation,
         cycle: int,
         row: int,
-        col: int,
         duration: int,
         bit: int,
         shared_unit: Optional[SharedUnitId],
     ) -> None:
         """Record a checked placement: PE, row bus, row multiplications, unit issue."""
         name = operation.name
+        busy = self._busy
+        if duration == 1:
+            busy[cycle] = busy.get(cycle, 0) | bit
+        else:
+            for offset_cycle in range(cycle, cycle + duration):
+                busy[offset_cycle] = busy.get(offset_cycle, 0) | bit
+        self._claims.append((bit, cycle, duration, name))
         optype = operation.optype
-        self._mark_pe(cycle, row, col, duration, bit, name)
-        if optype is _LOAD or optype is _STORE:
-            self._mark_bus(cycle, row, optype)
+        if optype is _LOAD:
+            counts = self._loads
+        elif optype is _STORE:
+            counts = self._stores
         elif optype is _MUL:
-            key = (cycle, row)
-            self._row_mults[key] = self._row_mults.get(key, 0) + 1
+            counts = self._row_mults
             if shared_unit is not None and not self.unlimited_shared:
                 self._unit_issues[(shared_unit, cycle)] = name
+        else:
+            return
+        key = (cycle, row)
+        counts[key] = counts.get(key, 0) + 1
 
     def multiplications_in_row(self, cycle: int, row: int) -> int:
         """Multiplications already issued by the PEs of ``row`` at ``cycle``.

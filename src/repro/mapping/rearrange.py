@@ -25,15 +25,19 @@ re-mapping for comparison (used by the ablation benchmarks).
 
 The re-timing loop costs per operation, not per search (most operations
 place at their first probe), so it is kept lean.  What it needs from the
-base schedule and the DFG alone — the visit order, each operation's PE and
-base cycle, and which earlier visits produce its operands — is a
-re-timing plan (:func:`retiming_plan`); a pass then reads operand
-finish cycles by visit index, caches latency and PE occupancy per
-operation class and appends each placement to the schedule's columns
-(:meth:`Schedule.append`) without building entry objects.  Every probe is a
+base schedule and the DFG alone is a re-timing plan (:func:`retiming_plan`):
+columns in visit order of the operations, their base cycles, rows, columns
+and multiplication flags, and the visit indices of the earlier visits
+producing their operands.  A pass asks the target's latency model about a
+multiplication and about any other operation once, fills the latency and
+occupancy columns from the flags, and then only finds each visit's cycle:
+an operand is ready at its producer's cycle plus latency, and the loop
+appends just the cycle and the shared unit.  Every probe is a
 :meth:`ResourceTracker.try_claim`, which checks a cycle with the rules the
 base scheduler applies and, when it fits, records the claims in the same
-pass.
+pass.  The finished columns become the schedule whole
+(:meth:`Schedule.from_columns`); no entry object is built, and no column is
+shared with the plan or another schedule.
 
 RS stalls are counted against a stall-free pass with unlimited shared
 multipliers (``unlimited_shared=True``).  That pass reads the target only
@@ -46,11 +50,12 @@ passes; :func:`evaluate_rearrangement` is the uncached two-pass reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
 from repro.errors import MappingError, SchedulingError
-from repro.ir.dfg import DFG, OpType
+from repro.ir.dfg import DFG, Operation, OpType
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
 from repro.mapping.placement import ResourceTracker
 from repro.mapping.schedule import Schedule
@@ -63,14 +68,23 @@ _UNSCHEDULED_OPTYPES = (OpType.CONST, OpType.NOP)
 _MAX_PUSH = 100000
 
 
-#: One visit of a re-timing plan: the operation's position in the base
-#: schedule's columns, its base cycle, row and column, the indices of the
-#: earlier visits producing its operands, and whether it multiplies.
-RetimingStep = Tuple[int, int, int, int, Tuple[int, ...], bool]
+class RetimingPlan(NamedTuple):
+    """The part of a rearrangement that depends only on the base schedule.
 
-#: The part of a rearrangement that depends only on the base schedule: its
-#: entries in (base cycle, iteration, col, row) visit order.
-RetimingPlan = Tuple[RetimingStep, ...]
+    One column per field, in (base cycle, iteration, col, row) visit order:
+    the operation, its base cycle, row and column, whether it multiplies,
+    and the visit indices of the earlier visits producing its operands.
+    ``samples`` holds the first visited operation of each multiplication
+    flag, which a pass asks the target's latency model about.
+    """
+
+    operations: Tuple[Operation, ...]
+    cycles: Tuple[int, ...]
+    rows: Tuple[int, ...]
+    cols: Tuple[int, ...]
+    multiplications: Tuple[bool, ...]
+    producers: Tuple[Tuple[int, ...], ...]
+    samples: Dict[bool, Operation]
 
 
 def retiming_plan(base_schedule: Schedule, dfg: DFG) -> RetimingPlan:
@@ -91,13 +105,15 @@ def retiming_plan(base_schedule: Schedule, dfg: DFG) -> RetimingPlan:
             rows[position],
         ),
     )
+    visited = [operations[position] for position in order]
     # Visit index of each placed operation that produces a value.
     visit_of: Dict[str, int] = {}
-    steps: List[RetimingStep] = []
-    for visit, position in enumerate(order):
-        operation = operations[position]
+    producers: List[Tuple[int, ...]] = []
+    multiplications: List[bool] = []
+    samples: Dict[bool, Operation] = {}
+    for visit, operation in enumerate(visited):
         name = operation.name
-        producers: List[int] = []
+        operands: List[int] = []
         for producer in dfg.predecessors(name):
             producer_visit = visit_of.get(producer)
             if producer_visit is None:
@@ -107,21 +123,23 @@ def retiming_plan(base_schedule: Schedule, dfg: DFG) -> RetimingPlan:
                     f"operation {name!r} depends on {producer!r} which is "
                     f"not part of the base schedule"
                 )
-            producers.append(producer_visit)
+            operands.append(producer_visit)
+        producers.append(tuple(operands))
         optype = operation.optype
         if optype not in _UNSCHEDULED_OPTYPES:
             visit_of[name] = visit
-        steps.append(
-            (
-                position,
-                cycles[position],
-                rows[position],
-                cols[position],
-                tuple(producers),
-                optype is OpType.MUL,
-            )
-        )
-    return tuple(steps)
+        multiplication = optype is OpType.MUL
+        multiplications.append(multiplication)
+        samples.setdefault(multiplication, operation)
+    return RetimingPlan(
+        operations=tuple(visited),
+        cycles=tuple(cycles[position] for position in order),
+        rows=tuple(rows[position] for position in order),
+        cols=tuple(cols[position] for position in order),
+        multiplications=tuple(multiplications),
+        producers=tuple(producers),
+        samples=samples,
+    )
 
 
 def rearrange_schedule(
@@ -153,33 +171,29 @@ def rearrange_schedule(
     Returns
     -------
     Schedule
-        The rearranged schedule on ``target``.
+        The rearranged schedule on ``target``, its entries in visit order.
     """
     if plan is None:
         plan = retiming_plan(base_schedule, dfg)
     scheduler = LoopPipeliningScheduler(target)
-    tracker = ResourceTracker(target, unlimited_shared=unlimited_shared)
-    rearranged = Schedule(target, kernel_name=base_schedule.kernel_name)
-    try_claim = tracker.try_claim
-    append = rearranged.append
-    operations = base_schedule.columns().operations
-    # Finish cycle of every visit so far, by visit index.
-    finish_cycles: List[int] = []
-    record_finish = finish_cycles.append
-    # (latency, PE occupancy) on ``target``.  The scheduler's model depends
-    # on an operation only through whether it is a multiplication.
-    timing: Dict[bool, Tuple[int, int]] = {}
-    for position, earliest, row, col, producers, multiplication in plan:
-        operation = operations[position]
-        known = timing.get(multiplication)
-        if known is None:
-            known = timing[multiplication] = (
-                scheduler.latency_of(operation),
-                scheduler.occupancy_of(operation),
-            )
-        latency, occupancy = known
+    try_claim = ResourceTracker(target, unlimited_shared=unlimited_shared).try_claim
+    operations = plan.operations
+    # Latency and PE occupancy on ``target``: the scheduler's model reads an
+    # operation only through whether it is a multiplication.
+    latency_of = {flag: scheduler.latency_of(op) for flag, op in plan.samples.items()}
+    occupancy_of = {flag: scheduler.occupancy_of(op) for flag, op in plan.samples.items()}
+    latencies = list(map(latency_of.__getitem__, plan.multiplications))
+    occupancies = list(map(occupancy_of.__getitem__, plan.multiplications))
+    # Issue cycle and shared unit of every visit so far, by visit index.
+    cycles: List[int] = []
+    shared_units: List[Optional[SharedUnitId]] = []
+    record_cycle = cycles.append
+    record_unit = shared_units.append
+    for operation, earliest, row, col, producers, occupancy in zip(
+        operations, plan.cycles, plan.rows, plan.cols, plan.producers, occupancies
+    ):
         for producer in producers:
-            finish = finish_cycles[producer]
+            finish = cycles[producer] + latencies[producer]
             if finish > earliest:
                 earliest = finish
         cycle = earliest
@@ -193,9 +207,19 @@ def rearrange_schedule(
                 f"operation {operation.name!r} could not be rearranged onto "
                 f"architecture {target.name!r}"
             )
-        append(operation, cycle, row, col, latency, occupancy, shared_unit)
-        record_finish(cycle + latency)
-    return rearranged
+        record_cycle(cycle)
+        record_unit(shared_unit)
+    return Schedule.from_columns(
+        target,
+        base_schedule.kernel_name,
+        list(operations),
+        cycles,
+        list(plan.rows),
+        list(plan.cols),
+        latencies,
+        occupancies,
+        shared_units,
+    )
 
 
 def rebind_schedule(schedule: Schedule, target: ArchitectureSpec) -> Schedule:
@@ -205,14 +229,16 @@ def rebind_schedule(schedule: Schedule, target: ArchitectureSpec) -> Schedule:
     order, so ``schedule.architecture`` reports the caller's spec (figures
     and the simulator read the name from there).
     """
-    rebound = Schedule(target, kernel_name=schedule.kernel_name)
-    append = rebound.append
-    # A placement is (operation, cycle, row, col, ...); sort by (cycle, col, row).
-    for placement in sorted(
-        zip(*schedule.columns()), key=lambda placement: (placement[1], placement[3], placement[2])
-    ):
-        append(*placement)
-    return rebound
+    columns = schedule.columns()
+    cycles, rows, cols = columns.cycles, columns.rows, columns.cols
+    order = sorted(
+        range(len(cycles)), key=lambda position: (cycles[position], cols[position], rows[position])
+    )
+    return Schedule.from_columns(
+        target,
+        schedule.kernel_name,
+        *([column[position] for position in order] for column in columns),
+    )
 
 
 def remap_schedule(dfg: DFG, target: ArchitectureSpec, kernel_name: Optional[str] = None) -> Schedule:

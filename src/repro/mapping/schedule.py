@@ -10,33 +10,41 @@ example.
 A schedule stores its entries by column: one list per
 :class:`ScheduledOperation` field (operation, cycle, row, col, latency,
 occupancy and shared unit) in insertion order, plus a name → position
-dictionary.  Every writer — :meth:`Schedule.add`, the base scheduler, the
-rearrangement, :func:`_restore_schedule` — goes through
-:meth:`Schedule.append`, which applies the checks of
-:class:`ScheduledOperation` and :meth:`Schedule.add` without building an
-entry object.  Hot readers (profile extraction, the rearrangement) read the
-lists through :meth:`Schedule.columns`.  :class:`ScheduledOperation` entries
-are built from the lists only when a caller reads entries
+dictionary.  Writers that place one operation at a time — the base
+scheduler and :meth:`Schedule.add` — go through :meth:`Schedule.append`,
+which applies the checks of :class:`ScheduledOperation` and
+:meth:`Schedule.add` without building an entry object.  Writers that hold
+every entry already — the rearrangement, ``rebind_schedule`` and
+:func:`_restore_schedule` — hand whole columns to
+:meth:`Schedule.from_columns`, which applies the same checks to each column
+at once and replays the columns through :meth:`Schedule.append` when one
+fails, so a bad entry raises what appending it would.  Hot readers
+(profile extraction, the rearrangement) read the lists through
+:meth:`Schedule.columns`.  :class:`ScheduledOperation` entries are built
+from the lists only when a caller reads entries
 (:meth:`Schedule.entries_by_name`, :meth:`Schedule.get`,
 :meth:`Schedule.operations`, :meth:`Schedule.operations_at`,
 :meth:`Schedule.validate` and the statistics), and kept until the next
 append.  Building them is idempotent: a position's fields never change once
-appended, and a stored schedule is never appended to.
+appended, and a stored schedule is never appended to.  No two schedules
+share a column list.
 
 A schedule pickles by column: its architecture and kernel name, then one
 list per :class:`Operation` field and one each for cycle, row, col,
 latency, occupancy and shared unit, in insertion order.
-:func:`_restore_schedule` rebuilds it through :meth:`Schedule.append`.
-Pickles of the earlier instance-dict form, which held the entry objects,
-still load (:meth:`Schedule.__setstate__`).
+:func:`_restore_schedule` rebuilds it through :meth:`Schedule.from_columns`;
+columns of unequal length raise a :class:`SchedulingError` instead of
+loading a schedule that silently lacks entries.  Pickles of the earlier
+instance-dict form, which held the entry objects, still load
+(:meth:`Schedule.__setstate__`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from operator import add, attrgetter
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
@@ -202,6 +210,62 @@ class Schedule:
         finish = cycle + latency
         if finish > self._length:
             self._length = finish
+
+    @classmethod
+    def from_columns(
+        cls,
+        architecture: ArchitectureSpec,
+        kernel_name: str,
+        operations: List[Operation],
+        cycles: List[int],
+        rows: List[int],
+        cols: List[int],
+        latencies: List[int],
+        occupancies: List[Optional[int]],
+        shared_units: List[Optional[SharedUnitId]],
+    ) -> "Schedule":
+        """A schedule of whole columns, one per :class:`ScheduleColumns` field.
+
+        Applies :meth:`append`'s checks to each column at once.  When any
+        entry fails one, the columns are appended entry by entry, so the
+        first bad entry raises exactly what :meth:`append` raises.  Columns
+        of unequal length raise a :class:`SchedulingError` naming the
+        lengths.  The schedule keeps the lists it is given: pass lists that
+        nothing else holds.
+        """
+        columns = ScheduleColumns(
+            operations, cycles, rows, cols, latencies, occupancies, shared_units
+        )
+        _check_lengths(kernel_name, ScheduleColumns._fields, columns)
+        schedule = cls(architecture, kernel_name)
+        if not operations:
+            return schedule
+        positions = {operation.name: position for position, operation in enumerate(operations)}
+        array = architecture.array
+        if (
+            len(positions) != len(operations)
+            or min(cycles) < 0
+            or min(latencies) < 1
+            or min(rows) < 0
+            or min(cols) < 0
+            or max(rows) >= array.rows
+            or max(cols) >= array.cols
+            or any(occupancy is not None and occupancy < 1 for occupancy in occupancies)
+        ):
+            append = schedule.append
+            for placement in zip(*columns):
+                append(*placement)
+            return schedule
+        schedule._operations = operations
+        schedule._cycles = cycles
+        schedule._rows = rows
+        schedule._cols = cols
+        schedule._latencies = latencies
+        schedule._occupancies = occupancies
+        schedule._shared_units = shared_units
+        schedule._positions = positions
+        schedule._length = max(map(add, cycles, latencies))
+        return schedule
 
     def add(self, scheduled: ScheduledOperation) -> None:
         """Add one scheduled operation; operation names must be unique."""
@@ -473,7 +537,8 @@ class Schedule:
 #: Column getters of a pickled schedule's operations: every
 #: :class:`Operation` field, in constructor order.  The other columns
 #: follow the remaining :class:`ScheduledOperation` fields in order.
-_OPERATION_COLUMNS = tuple(attrgetter(field.name) for field in fields(Operation))
+_OPERATION_FIELDS = tuple(field.name for field in fields(Operation))
+_OPERATION_COLUMNS = tuple(map(attrgetter, _OPERATION_FIELDS))
 
 
 def _restore_schedule(
@@ -487,8 +552,17 @@ def _restore_schedule(
     Pickles name this function, so its module and name are part of the
     stored format.
     """
-    schedule = Schedule(architecture, kernel_name)
-    append = schedule.append
-    for operation_fields, entry_fields in zip(zip(*operation_columns), zip(*entry_columns)):
-        append(Operation(*operation_fields), *entry_fields)
-    return schedule
+    _check_lengths(kernel_name, _OPERATION_FIELDS, operation_columns)
+    return Schedule.from_columns(
+        architecture, kernel_name, list(map(Operation, *operation_columns)), *entry_columns
+    )
+
+
+def _check_lengths(kernel_name: str, names: Sequence[str], columns: Sequence[List[Any]]) -> None:
+    """Raise a :class:`SchedulingError` unless every column has one length."""
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        described = ", ".join(f"{name} {length}" for name, length in zip(names, lengths))
+        raise SchedulingError(
+            f"the columns of schedule {kernel_name!r} differ in length: {described}"
+        )

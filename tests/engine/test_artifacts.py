@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch import rsp_architecture
 from repro.engine.artifacts import ARTIFACT_SUBDIR, ArtifactStore
 from repro.engine.jobs import CampaignSpec
 from repro.engine.runner import CampaignRunner
@@ -166,3 +167,36 @@ def test_corrupt_artifact_warning_names_the_caller(tmp_path):
     with pytest.warns(RuntimeWarning, match="corrupt artifact base_schedule/") as record:
         mapper.map_kernel(kernel)
     assert [Path(warning.filename) for warning in record] == [Path(__file__)]
+
+
+class _ShortColumnSchedule:
+    """Pickles as ``schedule`` with its cycle column cut by five entries."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def __reduce__(self):
+        restore, (architecture, kernel_name, operation_columns, entry_columns) = (
+            self.schedule.__reduce__()
+        )
+        cycles, *rest = entry_columns
+        return restore, (architecture, kernel_name, operation_columns, [cycles[:-5], *rest])
+
+
+def test_a_stored_schedule_with_a_short_column_is_recomputed(tmp_path):
+    kernel = get_kernel("MVM")
+    target = rsp_architecture(1)
+    clean = RSPMapper(store=ArtifactStore(tmp_path)).map_kernel(kernel, target)
+    path = next((tmp_path / ARTIFACT_SUBDIR / "base_schedule").glob("*.pkl"))
+    path.write_bytes(pickle.dumps(_ShortColumnSchedule(clean.base_schedule)))
+    store = ArtifactStore(tmp_path)
+    with pytest.warns(RuntimeWarning, match="corrupt artifact base_schedule/"):
+        result = RSPMapper(store=store).map_kernel(kernel, target)
+    assert store.stats.corrupt == 1
+    assert (len(result.base_schedule), result.base_schedule.length) == (256, 17)
+    for got, expected in (
+        (result.base_schedule, clean.base_schedule),
+        (result.schedule, clean.schedule),
+    ):
+        assert pickle.dumps(got) == pickle.dumps(expected)
+    assert (result.cycles, result.stall_cycles) == (clean.cycles, clean.stall_cycles)

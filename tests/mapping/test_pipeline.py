@@ -183,6 +183,20 @@ class TestBaseDesigns:
             with pytest.raises(MappingError, match="'Base-1bus' is not the pipeline's base 'Base'"):
                 map_it()
 
+    def test_a_design_on_another_array_is_refused_by_every_entry(self, mvm):
+        pipeline = MappingPipeline()
+        small = rsp_architecture(2, rows=4, cols=4)
+        for map_it in (
+            lambda: pipeline.run(mvm, small),
+            lambda: pipeline.rearrange_artifact(mvm, small),
+            lambda: pipeline.context_artifact(mvm, small),
+            lambda: pipeline.context_artifact(mvm, base_architecture(rows=4, cols=4)),
+            lambda: RSPMapper().map_kernel(mvm, small),
+        ):
+            with pytest.raises(MappingError, match="the same array dimensions as the base"):
+                map_it()
+        assert pipeline.store.stats.hits + pipeline.store.stats.misses == 0
+
     def test_a_pipeline_built_on_it_maps_it(self, mvm):
         result = RSPMapper(base=NARROW_BASE).map_kernel(mvm, NARROW_BASE)
         assert result.cycles == 24

@@ -18,72 +18,68 @@ def load_op(name="ld"):
     return Operation(name, OpType.LOAD, array="x", index=0)
 
 
+def store_op(name="st"):
+    return Operation(name, OpType.STORE, array="z", index=0)
+
+
 def mul_op(name="mul"):
     return Operation(name, OpType.MUL)
 
 
-def answers(tracker, cycles=4):
-    """Everything the tracker reports about its first ``cycles`` cycles."""
-    spec = tracker.architecture.array
-    pes = [(row, col) for row in range(spec.rows) for col in range(spec.cols)]
-    return [
-        (
-            tracker.busy_mask(cycle, 1),
-            [tracker.pe_free(cycle, row, col, 1) for row, col in pes],
-            [tracker.available_shared_unit(cycle, row, col) for row, col in pes],
-            [
-                (
-                    tracker.bus_free(cycle, row, OpType.LOAD),
-                    tracker.bus_free(cycle, row, OpType.STORE),
-                    tracker.multiplications_in_row(cycle, row),
-                )
-                for row in range(spec.rows)
-            ],
-        )
-        for cycle in range(cycles)
-    ]
+def add_op(name="add"):
+    return Operation(name, OpType.ADD)
+
+
+def pe_free(tracker, cycle, row, col, duration):
+    """Whether an operation that needs nothing but its PE fits there."""
+    return tracker.placement_feasible(add_op(), cycle, row, col, duration)[0]
+
+
+def snapshot(tracker):
+    """Everything the tracker records."""
+    return copy.deepcopy(vars(tracker))
 
 
 class TestPEOccupancy:
     def test_claim_and_conflict(self, base_arch):
         tracker = ResourceTracker(base_arch)
-        assert tracker.pe_free(0, 0, 0, duration=2)
-        tracker.claim_pe(0, 0, 0, duration=2, name="a")
-        assert not tracker.pe_free(1, 0, 0, duration=1)
-        assert tracker.pe_free(2, 0, 0, duration=1)
+        assert pe_free(tracker, 0, 0, 0, duration=2)
+        tracker.claim(add_op("a"), 0, 0, 0, 2, None)
+        assert not pe_free(tracker, 1, 0, 0, duration=1)
+        assert pe_free(tracker, 2, 0, 0, duration=1)
         with pytest.raises(PlacementError):
-            tracker.claim_pe(1, 0, 0, duration=1, name="b")
+            tracker.claim(add_op("b"), 1, 0, 0, 1, None)
 
     def test_corner_pes_of_a_non_square_array(self):
         tracker = ResourceTracker(base_architecture(rows=3, cols=5))
         corners = [(0, 0), (0, 4), (2, 0), (2, 4)]
         for row, col in corners:
-            tracker.claim_pe(0, row, col, duration=1, name=f"op{row}{col}")
+            tracker.claim(add_op(f"op{row}{col}"), 0, row, col, 1, None)
         # Bit ``row * cols + col`` of the cycle's mask belongs to PE (row, col).
         assert tracker.busy_mask(0, 1) == (1 << 0) | (1 << 4) | (1 << 10) | (1 << 14)
         for row in range(3):
             for col in range(5):
-                assert tracker.pe_free(0, row, col, 1) == ((row, col) not in corners)
-                assert tracker.pe_free(1, row, col, 1)
+                assert pe_free(tracker, 0, row, col, 1) == ((row, col) not in corners)
+                assert pe_free(tracker, 1, row, col, 1)
 
     def test_multi_cycle_occupancy(self):
         tracker = ResourceTracker(base_architecture(rows=3, cols=5))
-        tracker.claim_pe(1, 2, 4, duration=3, name="mul")
+        tracker.claim(mul_op(), 1, 2, 4, 3, None)
         bit = 1 << 14
         assert [tracker.busy_mask(cycle, 1) for cycle in range(5)] == [0, bit, bit, bit, 0]
         assert tracker.busy_mask(0, 2) == bit
-        assert tracker.pe_free(0, 2, 4, duration=1)
-        assert not tracker.pe_free(0, 2, 4, duration=2)
-        assert tracker.pe_free(4, 2, 4, duration=5)
+        assert pe_free(tracker, 0, 2, 4, duration=1)
+        assert not pe_free(tracker, 0, 2, 4, duration=2)
+        assert pe_free(tracker, 4, 2, 4, duration=5)
         # A neighbour in the same row or column is unaffected.
-        assert tracker.pe_free(1, 2, 3, duration=3)
-        assert tracker.pe_free(1, 1, 4, duration=3)
+        assert pe_free(tracker, 1, 2, 3, duration=3)
+        assert pe_free(tracker, 1, 1, 4, duration=3)
 
     def test_full_cycle_sets_every_bit(self):
         tracker = ResourceTracker(base_architecture(rows=3, cols=5))
         for row in range(3):
             for col in range(5):
-                tracker.claim_pe(0, row, col, duration=1, name=f"op{row}{col}")
+                tracker.claim(add_op(f"op{row}{col}"), 0, row, col, 1, None)
         assert tracker.busy_mask(0, 1) == (1 << 15) - 1
         assert tracker.busy_mask(1, 1) == 0
 
@@ -91,101 +87,129 @@ class TestPEOccupancy:
         tracker = ResourceTracker(rs_architecture(1, rows=3, cols=5))
         # (0, 5) would otherwise alias the bit of PE (1, 0).
         for row, col in [(0, 5), (3, 0), (-1, 0), (0, -1)]:
-            with pytest.raises(PlacementError, match="outside the 3x5 array"):
-                tracker.pe_free(0, row, col, 1)
-            with pytest.raises(PlacementError, match="outside the 3x5 array"):
-                tracker.claim_pe(0, row, col, 1, "op")
-            with pytest.raises(PlacementError, match="outside the 3x5 array"):
-                tracker.available_shared_unit(0, row, col)
+            for operation in (add_op(), load_op(), mul_op()):
+                with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                    tracker.placement_feasible(operation, 0, row, col, 1)
+                with pytest.raises(PlacementError, match="outside the 3x5 array"):
+                    tracker.claim(operation, 0, row, col, 1, None)
         assert tracker.busy_mask(0, 1) == 0
+        assert vars(tracker) == vars(ResourceTracker(rs_architecture(1, rows=3, cols=5)))
 
     def test_double_booking_names_the_holder(self):
         tracker = ResourceTracker(base_architecture(rows=3, cols=5))
-        tracker.claim_pe(2, 1, 3, duration=2, name="holder")
+        tracker.claim(add_op("before"), 0, 1, 3, 2, None)
+        tracker.claim(mul_op("holder"), 2, 1, 3, 2, None)
+        tracker.claim(add_op("neighbour"), 3, 1, 2, 1, None)
         message = r"PE \(1,3\) already busy at cycle 3 with 'holder'"
         with pytest.raises(PlacementError, match=message):
-            tracker.claim_pe(3, 1, 3, duration=1, name="intruder")
+            tracker.claim(add_op("intruder"), 3, 1, 3, 1, None)
 
     def test_failed_claim_pe_leaves_the_tracker_unchanged(self, base_arch):
         tracker = ResourceTracker(base_arch)
-        tracker.claim_pe(2, 0, 0, duration=1, name="a")
-        before = answers(tracker)
+        tracker.claim(add_op("a"), 2, 0, 0, 1, None)
+        before = snapshot(tracker)
         with pytest.raises(PlacementError, match="'a'"):
-            tracker.claim_pe(0, 0, 0, duration=3, name="b")
-        assert answers(tracker) == before
-        assert tracker.pe_free(0, 0, 0, duration=2)
+            tracker.claim(add_op("b"), 0, 0, 0, 3, None)
+        assert vars(tracker) == before
+        assert pe_free(tracker, 0, 0, 0, duration=2)
 
 
 class TestBusSlots:
     def test_read_bus_limit(self, base_arch):
         tracker = ResourceTracker(base_arch)
         assert tracker.bus_free(0, 0, OpType.LOAD)
-        tracker.claim_bus(0, 0, OpType.LOAD)
-        tracker.claim_bus(0, 0, OpType.LOAD)
+        tracker.claim(load_op("l1"), 0, 0, 0, 1, None)
+        tracker.claim(load_op("l2"), 0, 0, 1, 1, None)
         assert not tracker.bus_free(0, 0, OpType.LOAD)
+        assert tracker.placement_feasible(load_op("l3"), 0, 0, 2, 1) == (False, None)
         # Other rows and other cycles are unaffected.
         assert tracker.bus_free(0, 1, OpType.LOAD)
         assert tracker.bus_free(1, 0, OpType.LOAD)
+        assert tracker.placement_feasible(load_op("l3"), 0, 1, 2, 1) == (True, None)
+        assert tracker.placement_feasible(load_op("l3"), 1, 0, 2, 1) == (True, None)
 
     def test_write_bus_limit(self, base_arch):
         tracker = ResourceTracker(base_arch)
-        tracker.claim_bus(0, 0, OpType.STORE)
+        tracker.claim(store_op("s1"), 0, 0, 0, 1, None)
         assert not tracker.bus_free(0, 0, OpType.STORE)
+        assert tracker.placement_feasible(store_op("s2"), 0, 0, 1, 1) == (False, None)
 
     def test_compute_ops_do_not_need_buses(self, base_arch):
         tracker = ResourceTracker(base_arch)
         assert tracker.bus_free(0, 0, OpType.ADD)
+        for col in range(base_arch.array.cols):
+            assert tracker.try_claim(add_op(f"a{col}"), 0, 0, col, 1) == (True, None)
+        assert tracker.bus_free(0, 0, OpType.LOAD) and tracker.bus_free(0, 0, OpType.STORE)
 
     def test_claim_bus_beyond_the_limit_is_rejected(self, base_arch):
         tracker = ResourceTracker(base_arch)
-        tracker.claim_bus(3, 2, OpType.STORE)
-        before = answers(tracker)
+        tracker.claim(store_op("s1"), 3, 2, 0, 1, None)
+        before = snapshot(tracker)
         with pytest.raises(PlacementError, match="row 2 has no free write bus at cycle 3"):
-            tracker.claim_bus(3, 2, OpType.STORE)
-        assert answers(tracker) == before
+            tracker.claim(store_op("s2"), 3, 2, 1, 1, None)
+        assert vars(tracker) == before
 
 
 class TestSharedUnits:
     def test_reachable_units_row_and_column(self):
+        # PE (2, 5) of RS#3 reaches two units of row 2 and one of column 5.
         tracker = ResourceTracker(rs_architecture(3))
-        units = tracker.reachable_units(2, 5)
-        assert ("row", 2, 0) in units and ("row", 2, 1) in units
-        assert ("col", 5, 0) in units
-        assert len(units) == 3
+        units = []
+        for name, (row, col) in (("m1", (2, 0)), ("m2", (2, 1)), ("m3", (0, 5))):
+            feasible, unit = tracker.placement_feasible(mul_op(), 0, 2, 5, 1)
+            assert feasible
+            units.append(unit)
+            # Take that unit from another PE of its row or column.
+            tracker.claim(mul_op(name), 0, row, col, 1, unit)
+        assert sorted(units) == [("col", 5, 0), ("row", 2, 0), ("row", 2, 1)]
+        assert tracker.placement_feasible(mul_op(), 0, 2, 5, 1) == (False, None)
+        # PEs of other rows and columns reach units of their own.
+        assert tracker.placement_feasible(mul_op(), 0, 1, 4, 1) == (True, ("row", 1, 0))
+        assert tracker.placement_feasible(mul_op(), 0, 2, 4, 1) == (True, ("col", 4, 0))
 
     def test_no_units_on_base(self, base_arch):
         tracker = ResourceTracker(base_arch)
-        assert tracker.reachable_units(0, 0) == []
+        for col in range(base_arch.array.cols):
+            assert tracker.try_claim(mul_op(f"m{col}"), 0, 0, col, 1) == (True, None)
+        assert vars(tracker)["_unit_issues"] == {}
 
     def test_allocation_prefers_row_then_column(self):
         tracker = ResourceTracker(rs_architecture(3))
-        first = tracker.available_shared_unit(0, 2, 5)
-        assert first == ("row", 2, 0)
-        tracker.claim_shared_unit(first, 0, "m1")
-        second = tracker.available_shared_unit(0, 2, 5)
-        assert second == ("row", 2, 1)
-        tracker.claim_shared_unit(second, 0, "m2")
-        third = tracker.available_shared_unit(0, 2, 5)
-        assert third == ("col", 5, 0)
-        tracker.claim_shared_unit(third, 0, "m3")
-        assert tracker.available_shared_unit(0, 2, 5) is None
+        assert tracker.try_claim(mul_op("m1"), 0, 2, 5, 1) == (True, ("row", 2, 0))
+        assert tracker.try_claim(mul_op("m2"), 0, 2, 4, 1) == (True, ("row", 2, 1))
+        assert tracker.try_claim(mul_op("m3"), 0, 1, 5, 1) == (True, ("row", 1, 0))
+        # Row 2's units are taken: PE (2, 3) falls back to its column unit.
+        assert tracker.try_claim(mul_op("m4"), 0, 2, 3, 1) == (True, ("col", 3, 0))
+        assert tracker.try_claim(mul_op("m5"), 0, 2, 2, 1) == (True, ("col", 2, 0))
+        assert vars(tracker)["_unit_issues"] == {
+            (("row", 2, 0), 0): "m1",
+            (("row", 2, 1), 0): "m2",
+            (("row", 1, 0), 0): "m3",
+            (("col", 3, 0), 0): "m4",
+            (("col", 2, 0), 0): "m5",
+        }
         # The next cycle is free again.
-        assert tracker.available_shared_unit(1, 2, 5) == ("row", 2, 0)
+        assert tracker.placement_feasible(mul_op(), 1, 2, 5, 1) == (True, ("row", 2, 0))
 
     def test_double_claim_rejected(self):
         tracker = ResourceTracker(rs_architecture(1))
-        unit = tracker.available_shared_unit(0, 0, 0)
-        tracker.claim_shared_unit(unit, 0, "m1")
-        with pytest.raises(PlacementError):
-            tracker.claim_shared_unit(unit, 0, "m2")
+        feasible, unit = tracker.placement_feasible(mul_op(), 0, 0, 0, 1)
+        assert feasible
+        tracker.claim(mul_op("m1"), 0, 0, 0, 1, unit)
+        before = snapshot(tracker)
+        with pytest.raises(PlacementError, match=r"already issues 'm1' at cycle 0"):
+            tracker.claim(mul_op("m2"), 0, 0, 1, 1, unit)
+        assert vars(tracker) == before
 
     def test_unlimited_mode_never_runs_out(self):
         tracker = ResourceTracker(rs_architecture(1), unlimited_shared=True)
-        units = {tracker.available_shared_unit(0, 0, 0) for _ in range(20)}
+        units = {tracker.placement_feasible(mul_op(), 0, 0, 0, 1)[1] for _ in range(20)}
         assert len(units) == 20
-        # Claims are no-ops in unlimited mode.
-        tracker.claim_shared_unit(("row", 0, 0), 0, "m")
-        tracker.claim_shared_unit(("row", 0, 0), 0, "m2")
+        # Claims record no unit issue in unlimited mode.
+        tracker.claim(mul_op("m"), 0, 0, 0, 1, ("row", 0, 0))
+        tracker.claim(mul_op("m2"), 0, 0, 1, 1, ("row", 0, 0))
+        assert vars(tracker)["_unit_issues"] == {}
+        assert tracker.multiplications_in_row(0, 0) == 2
 
 
 class TestCombinedFeasibility:
@@ -216,13 +240,13 @@ class TestCombinedFeasibility:
         tracker = ResourceTracker(base_arch)
         for col in range(limit):
             tracker.claim(Operation(f"m{col}", optype, array="x", index=col), 1, 0, col, 1, None)
-        before = answers(tracker)
+        before = snapshot(tracker)
         extra = Operation("extra", optype, array="x", index=limit)
         assert tracker.placement_feasible(extra, 1, 0, limit, duration=1) == (False, None)
         with pytest.raises(PlacementError, match=f"row 0 has no free {kind} bus at cycle 1"):
             tracker.claim(extra, 1, 0, limit, 1, None)
-        assert answers(tracker) == before
-        assert tracker.pe_free(1, 0, limit, duration=1)
+        assert vars(tracker) == before
+        assert pe_free(tracker, 1, 0, limit, duration=1)
         # The same row in the next cycle, and another row, still take it.
         tracker.claim(extra, 2, 0, limit, 1, None)
         tracker.claim(Operation("other", optype, array="x", index=0), 1, 1, 0, 1, None)
@@ -230,11 +254,11 @@ class TestCombinedFeasibility:
     def test_failed_claim_leaves_the_tracker_unchanged(self):
         tracker = ResourceTracker(rs_architecture(1))
         tracker.claim(mul_op("m1"), 0, 0, 0, 1, ("row", 0, 0))
-        before = answers(tracker)
+        before = snapshot(tracker)
         with pytest.raises(PlacementError, match="'m1'"):
             tracker.claim(mul_op("m2"), 0, 0, 1, 1, ("row", 0, 0))
-        assert answers(tracker) == before
-        assert tracker.pe_free(0, 0, 1, duration=1)
+        assert vars(tracker) == before
+        assert pe_free(tracker, 0, 0, 1, duration=1)
         assert tracker.multiplications_in_row(0, 0) == 1
 
     def test_mult_row_balancing_counter(self, base_arch):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from repro.arch import base_architecture, rs_architecture, rsp_architecture
 from repro.errors import SchedulingError
 from repro.ir import DFGBuilder, Operation, OpType
-from repro.kernels import paper_suite
+from repro.kernels import get_kernel, paper_suite
 from repro.mapping.loop_pipelining import LoopPipeliningScheduler
-from repro.mapping.rearrange import rearrange_schedule
+from repro.mapping.rearrange import rearrange_schedule, rebind_schedule, retiming_plan
 from repro.mapping.schedule import Schedule, ScheduledOperation, _restore_schedule
 
 from dfg_strategies import random_kernel_dfg
@@ -283,6 +283,16 @@ class EntryLayoutSchedule:
         )
 
 
+class _Reduced:
+    """Pickles as a schedule with the given columns, as they are."""
+
+    def __init__(self, *arguments):
+        self.arguments = arguments
+
+    def __reduce__(self):
+        return _restore_schedule, self.arguments
+
+
 def legacy_pickle(schedule: Schedule) -> bytes:
     """``schedule`` in the format written before schedules pickled by column.
 
@@ -382,24 +392,36 @@ class TestSchedulePickle:
 
 
 class TestColumnBuild:
-    """:meth:`Schedule.append` against the entry path it replaces: building
-    a :class:`ScheduledOperation` and :meth:`Schedule.add`-ing it."""
+    """:meth:`Schedule.append` and :meth:`Schedule.from_columns` against the
+    entry path they replace: building a :class:`ScheduledOperation` and
+    :meth:`Schedule.add`-ing it."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(random_kernel_dfg(), st.sampled_from(PICKLED_DESIGNS))
     def test_column_build_equals_entry_build(self, dfg, target):
-        # Every placement the scheduler and the rearrangement append, as
-        # passed, by the schedule it went to.
+        # Every placement the scheduler appends and the rearrangement hands
+        # over by whole columns, as passed, by the schedule it went to.
         placements = defaultdict(list)
+        built_by_columns = set()
         append = Schedule.append
+        from_columns = Schedule.from_columns
 
         def recorded(schedule, *args, **kwargs):
             placements[id(schedule)].append((args, kwargs))
             return append(schedule, *args, **kwargs)
 
-        with mock.patch.object(Schedule, "append", recorded):
+        def recorded_columns(cls, architecture, kernel_name, *columns):
+            schedule = from_columns(architecture, kernel_name, *columns)
+            placements[id(schedule)].extend((placement, {}) for placement in zip(*columns))
+            built_by_columns.add(id(schedule))
+            return schedule
+
+        with mock.patch.object(Schedule, "append", recorded), mock.patch.object(
+            Schedule, "from_columns", classmethod(recorded_columns)
+        ):
             base = LoopPipeliningScheduler(base_architecture()).schedule(dfg)
             rearranged = rearrange_schedule(base, dfg, target)
+        assert id(rearranged) in built_by_columns and id(base) not in built_by_columns
         for by_columns in (base, rearranged):
             reference = EntryLayoutSchedule(by_columns.architecture, by_columns.kernel_name)
             by_entries = Schedule(by_columns.architecture, by_columns.kernel_name)
@@ -460,7 +482,58 @@ class TestColumnBuild:
             errors.append(str(raised.value))
             assert len(schedule) == 1 and schedule.length == 1
             assert list(schedule.entries_by_name()) == [a]
-        assert errors[0] == errors[1]
+        # The same two entries as whole columns.
+        first = (dfg.operation(a), 0, 0, 0, 1, None, None)
+        columns = [list(pair) for pair in zip(first, placement.values())]
+        with pytest.raises(SchedulingError, match=message) as raised:
+            Schedule.from_columns(base_arch, "tiny", *columns)
+        errors.append(str(raised.value))
+        assert errors[0] == errors[1] == errors[2]
+
+    def test_columns_of_unequal_length_are_rejected(self, base_arch):
+        dfg, (a, b, _) = tiny_dfg()
+        operations = [dfg.operation(a), dfg.operation(b)]
+        message = (
+            r"the columns of schedule 'tiny' differ in length: operations 2, cycles 1, "
+            r"rows 2, cols 2, latencies 2, occupancies 2, shared_units 2"
+        )
+        with pytest.raises(SchedulingError, match=message):
+            Schedule.from_columns(
+                base_arch, "tiny", operations, [0], [0, 1], [0, 0], [1, 1], [1, 1], [None, None]
+            )
+
+    def test_a_pickle_with_a_short_column_does_not_load(self, mapper):
+        schedule = mapper.base_schedule(get_kernel("MVM"))
+        assert (len(schedule), schedule.length) == (256, 17)
+        architecture, kernel_name, operation_columns, entry_columns = schedule.__reduce__()[1]
+        for cut_operations, cut_entries in (([], [0]), ([5], [])):
+            cut = [list(column) for column in operation_columns]
+            for index in cut_operations:
+                cut[index] = cut[index][:-5]
+            entries = [list(column) for column in entry_columns]
+            for index in cut_entries:
+                entries[index] = entries[index][:-5]
+            data = pickle.dumps(_Reduced(architecture, kernel_name, cut, entries))
+            with pytest.raises(SchedulingError, match="differ in length: .* 251"):
+                pickle.loads(data)
+
+    def test_rearranged_schedules_share_no_column(self, mapper):
+        kernel = get_kernel("MVM")
+        base = mapper.base_schedule(kernel)
+        dfg = mapper.build_dfg(kernel)
+        plan = retiming_plan(base, dfg)
+        first, second = (
+            rearrange_schedule(base, dfg, target, plan=plan)
+            for target in (rs_architecture(2), rs_architecture(2))
+        )
+        assert full_entries(first) == full_entries(second)
+        owners = [base, first, second, rebind_schedule(first, rs_architecture(1))]
+        lists = [id(column) for schedule in owners for column in schedule.columns()]
+        assert len(set(lists)) == len(lists)
+        before = (len(second), second.length, [list(column) for column in second.columns()])
+        first.append(Operation("extra", OpType.ADD), first.length + 3, 0, 0)
+        assert (len(first), first.length) == (len(second) + 1, second.length + 4)
+        assert (len(second), second.length, [list(column) for column in second.columns()]) == before
 
     def test_entries_are_built_on_read_and_kept_until_the_next_append(self, base_arch):
         dfg, (a, b, c) = tiny_dfg()
