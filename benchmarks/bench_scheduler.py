@@ -4,14 +4,19 @@ Schedules every ``paper`` and ``h264`` kernel on the base architecture,
 the scheduling a cold ``--suite paper --suite h264`` campaign does once
 per kernel, and records through ``bench_metrics``:
 
-* ``seconds``: wall time of the base schedules (an uncounted pass),
+* ``seconds``: wall time of the base schedules, the fastest of five
+  uncounted passes,
 * ``placed_operations``: operations placed,
 * ``feasibility_probes``: ``ResourceTracker.placement_feasible`` calls,
+* ``claims``: ``ResourceTracker.claim`` calls,
 * ``probe_hit_ratio``: placed operations per probe.
 
-The only gate is a count, not a wall-clock race: at most four probes per
-placed operation.  A scheduler that probes busy PEs, or re-proves in every
-cycle that the array is full, makes ~170.
+The gates are counts, not a wall-clock race: every placed operation is
+claimed exactly once, and at most one probe is made per placed operation.
+On the base array a probe can fail only on a busy PE or a full row bus,
+and the scheduler skips both unprobed; a scheduler that probes bus-full
+rows makes ~2.3 probes per operation, one that re-proves in every cycle
+that the array is full ~170.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from repro.mapping.placement import ResourceTracker
 from repro.utils.tabulate import format_table
 
 #: Upper bound on feasibility probes per placed operation.
-MAX_PROBES_PER_OPERATION = 4
+MAX_PROBES_PER_OPERATION = 1
+
+#: Timed passes; ``seconds`` is the fastest.
+TIMED_PASSES = 5
 
 
 def schedule_all(kernels) -> int:
@@ -43,33 +51,38 @@ def test_base_scheduling_probes_per_operation(monkeypatch, bench_metrics):
         for kernel in suite_kernels(suite)
     ]
 
-    started = time.perf_counter()
-    placed = schedule_all(kernels)
-    seconds = time.perf_counter() - started
+    seconds = float("inf")
+    for _ in range(TIMED_PASSES):
+        started = time.perf_counter()
+        placed = schedule_all(kernels)
+        seconds = min(seconds, time.perf_counter() - started)
 
-    probes = 0
-    feasible = ResourceTracker.placement_feasible
+    calls = {"placement_feasible": 0, "claim": 0}
+    for method in calls:
+        original = getattr(ResourceTracker, method)
 
-    def counted(self, *args, **kwargs):
-        nonlocal probes
-        probes += 1
-        return feasible(self, *args, **kwargs)
+        def counted(self, *args, _original=original, _method=method, **kwargs):
+            calls[_method] += 1
+            return _original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ResourceTracker, "placement_feasible", counted)
+        monkeypatch.setattr(ResourceTracker, method, counted)
     assert schedule_all(kernels) == placed
+    probes = calls["placement_feasible"]
 
     bench_metrics.update(
         seconds=round(seconds, 4),
         placed_operations=placed,
         feasibility_probes=probes,
+        claims=calls["claim"],
         probe_hit_ratio=round(placed / probes, 4),
     )
     print()
     print(
         format_table(
-            [[len(kernels), placed, probes, round(placed / probes, 3), round(seconds, 3)]],
-            headers=["schedules", "placed ops", "probes", "hit ratio", "seconds"],
+            [[len(kernels), placed, probes, calls["claim"], round(placed / probes, 3), round(seconds, 3)]],
+            headers=["schedules", "placed ops", "probes", "claims", "hit ratio", "seconds"],
             title="base scheduling of the paper + h264 kernels",
         )
     )
+    assert calls["claim"] == placed
     assert probes <= MAX_PROBES_PER_OPERATION * placed

@@ -273,6 +273,17 @@ class DFG:
         except KeyError:
             raise UnknownOperationError(f"unknown operation: {name!r}") from None
 
+    def adjacency(
+        self,
+    ) -> Tuple[Dict[str, Dict[str, Optional[int]]], Dict[str, Dict[str, Optional[int]]]]:
+        """The ``consumer -> {producer: port}`` and ``producer -> {consumer: port}`` maps.
+
+        The graph's own dicts, for readers that walk every edge without the
+        copies :meth:`predecessors` and :meth:`successors` make: treat them
+        as read-only.
+        """
+        return self._pred, self._succ
+
     def port(self, producer: str, consumer: str) -> Optional[int]:
         """Operand port of ``consumer`` fed by the edge from ``producer``."""
         try:

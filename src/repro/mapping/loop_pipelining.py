@@ -24,26 +24,40 @@ scheduler:
 
 Ready operations compete in (iteration, criticality) order, matching the
 paper's rule that shared resources are granted in loop-iteration order.
+Within a column, rows already holding the operation's predecessors come
+first, and a multiplication prefers the rows that have issued the fewest
+multiplications in the cycle.
 
-Two shortcuts keep the scheduler from re-proving that the array is full;
-neither changes a single placement:
+:meth:`LoopPipeliningScheduler.schedule` works out once per call what
+every placement reads: each operation's latency, occupancy, resource class
+(PE only, read bus, write bus or shared multiplier), column order and rank.
+It keeps the ready operations across cycles, each filed under the cycle its
+operands arrive and merged into the rank-sorted ready list when that cycle
+comes, and hands the finished columns to :meth:`Schedule.from_columns`.
 
-* :meth:`LoopPipeliningScheduler._find_placement` ORs the tracker's
-  per-cycle PE masks over the operation's occupancy once, skips busy PEs
-  with a bit test and probes :meth:`ResourceTracker.placement_feasible`
-  only on PE-free candidates.
-* Within one cycle, an operation's feasibility at a PE depends on the
-  operation only through its *exhausted key* ``(occupancy, class)``, where
-  the class is LOAD, STORE, MUL on a sharing architecture, or other.  When
-  no PE takes an operation, no later candidate with the same key is
-  probed in that cycle: the search visits every column and row, and the
-  claims made later in the cycle only remove capacity.
+Every claim starts at the cycle being filled, so a PE busy in any later
+cycle is busy now: the current cycle's PE mask alone decides whether a PE
+is free for any occupancy.  Two shortcuts follow, and neither changes a
+placement:
+
+* A probe is made only where it can succeed on its PE and row bus.  Each
+  cycle keeps a mask of blocked PEs per resource class: the rows whose
+  read or write bus a claim has filled (:meth:`ResourceTracker.bus_free`),
+  and for shared multiplications the PEs whose reachable units were all
+  found taken.  Claims made later in the cycle only remove capacity, so a
+  blocked PE stays blocked, and an operation whose class leaves no PE
+  unblocked waits without a probe.
+* Once the cycle's PE mask is full, the cycle ends.
+
+Probes still go through :meth:`ResourceTracker.placement_feasible` and
+records through :meth:`ResourceTracker.claim`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.arch.array import SharedUnitId
 from repro.arch.template import ArchitectureSpec
 from repro.errors import SchedulingError
 from repro.ir.dfg import DFG, Operation, OpType
@@ -53,11 +67,29 @@ from repro.mapping.schedule import Schedule
 #: Operation types that never occupy a PE slot (resolved at configuration time).
 _UNSCHEDULED_OPTYPES = (OpType.CONST, OpType.NOP)
 
+_LOAD = OpType.LOAD
+_STORE = OpType.STORE
+_MUL = OpType.MUL
+
+#: Resource classes: what, besides a free PE, an operation needs.  A class
+#: indexes the per-cycle blocked masks and :data:`_BUS_OPTYPES`.
+_PE_ONLY, _READ_BUS, _WRITE_BUS, _SHARED_UNIT = range(4)
+
+#: The optype whose row bus each class uses, ``None`` for no bus.
+_BUS_OPTYPES = (None, _LOAD, _STORE, None)
+
 
 class LoopPipeliningScheduler:
-    """Resource-constrained list scheduler for one architecture design point."""
+    """Resource-constrained list scheduler for one architecture design point.
+
+    ``max_cycles`` bounds the last cycle a placement may start in (``None``
+    for ``10 * operations + 1000``); a kernel that needs more raises a
+    :class:`SchedulingError`.
+    """
 
     def __init__(self, architecture: ArchitectureSpec, max_cycles: Optional[int] = None) -> None:
+        if max_cycles is not None and max_cycles < 0:
+            raise ValueError(f"max_cycles must be None or >= 0, got {max_cycles}")
         self.architecture = architecture
         self.max_cycles = max_cycles
 
@@ -87,162 +119,190 @@ class LoopPipeliningScheduler:
     # ------------------------------------------------------------------
     def schedule(self, dfg: DFG, kernel_name: Optional[str] = None) -> Schedule:
         """Map ``dfg`` onto the architecture and return the schedule."""
+        architecture = self.architecture
         name = kernel_name or dfg.name
-        result = Schedule(self.architecture, kernel_name=name)
+        predecessors, successors = dfg.adjacency()
         schedulable = [
             op for op in dfg.operations() if op.optype not in _UNSCHEDULED_OPTYPES
         ]
-        if not schedulable:
-            return result
 
-        priorities = self._downstream_priorities(dfg)
-        pending_preds: Dict[str, int] = {}
-        earliest: Dict[str, int] = {}
+        # Latency and occupancy, asked of the model once per multiplication
+        # flag: it reads an operation only through whether it multiplies.
+        timings: Dict[bool, Tuple[int, int]] = {}
+        latency_by_name: Dict[str, int] = {}
         for op in schedulable:
-            real_preds = [
-                pred
-                for pred in dfg.predecessors(op.name)
-                if dfg.operation(pred).optype not in _UNSCHEDULED_OPTYPES
-            ]
-            pending_preds[op.name] = len(real_preds)
-            earliest[op.name] = 0
+            flag = op.optype is _MUL
+            timing = timings.get(flag)
+            if timing is None:
+                timing = timings[flag] = (self.latency_of(op), self.occupancy_of(op))
+            latency_by_name[op.name] = timing[0]
 
-        ready: Set[str] = {
-            op.name for op in schedulable if pending_preds[op.name] == 0
-        }
-        unscheduled = {op.name for op in schedulable}
-        operations = {op.name: op for op in schedulable}
-        rank = {op.name: (op.iteration, -priorities[op.name], op.name) for op in schedulable}
-        exhausted_keys = {
-            op.name: (self.occupancy_of(op), self._resource_class(op)) for op in schedulable
-        }
-        tracker = ResourceTracker(self.architecture)
-        placements: Dict[str, Tuple[int, int]] = {}
-        cols = self.architecture.array.cols
+        # Rank: iteration, then the longest downstream chain (in cycles)
+        # first, then name.
+        downstream: Dict[str, int] = {}
+        for op_name in reversed(dfg.topological_order()):
+            downstream[op_name] = latency_by_name.get(op_name, 0) + max(
+                map(downstream.__getitem__, successors[op_name]), default=0
+            )
+        ranked = sorted(
+            schedulable, key=lambda op: (op.iteration, -downstream[op.name], op.name)
+        )
+
+        # Facts of every operation, by rank.
+        count = len(ranked)
+        rank_of = {op.name: rank for rank, op in enumerate(ranked)}
+        spec = architecture.array
+        rows, cols = spec.rows, spec.cols
         column_orders = [column_preference(preferred, cols) for preferred in range(cols)]
+        shares = architecture.uses_sharing
+        latencies: List[int] = []
+        occupancies: List[int] = []
+        classes: List[int] = []
+        multiplies: List[bool] = []
+        columns: List[List[int]] = []
+        pending = [0] * count
+        for rank, op in enumerate(ranked):
+            optype = op.optype
+            latency, occupancy = timings[optype is _MUL]
+            latencies.append(latency)
+            occupancies.append(occupancy)
+            if optype is _LOAD:
+                classes.append(_READ_BUS)
+            elif optype is _STORE:
+                classes.append(_WRITE_BUS)
+            else:
+                classes.append(_SHARED_UNIT if shares and optype is _MUL else _PE_ONLY)
+            multiplies.append(optype is _MUL)
+            columns.append(column_orders[op.iteration % cols])
+            for producer in predecessors[op.name]:
+                if producer in rank_of:
+                    pending[rank] += 1
+        earliest = [0] * count
+        row_of = [0] * count
 
-        limit = self.max_cycles or (10 * len(schedulable) + 1000)
+        tracker = ResourceTracker(architecture)
+        probe = tracker.placement_feasible
+        claim = tracker.claim
+        bus_free = tracker.bus_free
+        full = (1 << (rows * cols)) - 1
+        all_rows = list(range(rows))
+        row_masks = [((1 << cols) - 1) << (row * cols) for row in all_rows]
+        # Bit of PE (row, col) at ``pe_bits[col][row]``, and each column's bits.
+        pe_bits = [[1 << (row * cols + col) for row in all_rows] for col in range(cols)]
+        column_masks = [sum(bits) for bits in pe_bits]
+
+        placed: List[int] = []
+        placed_cycles: List[int] = []
+        placed_rows: List[int] = []
+        placed_cols: List[int] = []
+        shared_units: List[Optional[SharedUnitId]] = []
+        # Ranks of the ready operations not placed yet, sorted, and of those
+        # whose operands arrive later, by arrival cycle.
+        ready = [rank for rank in range(count) if not pending[rank]]
+        arriving: Dict[int, List[int]] = {}
+
+        limit = self.max_cycles if self.max_cycles is not None else 10 * count + 1000
+        remaining = count
         cycle = 0
-        while unscheduled:
+        while remaining:
             if cycle > limit:
                 raise SchedulingError(
                     f"kernel {name!r} did not finish scheduling within {limit} cycles "
-                    f"on architecture {self.architecture.name!r}"
+                    f"on architecture {architecture.name!r}"
                 )
-            candidates = sorted(
-                (op_name for op_name in ready if earliest[op_name] <= cycle),
-                key=rank.__getitem__,
-            )
-            exhausted: Set[Tuple[int, Optional[OpType]]] = set()
-            for op_name in candidates:
-                key = exhausted_keys[op_name]
-                if key in exhausted:
-                    continue
-                operation = operations[op_name]
-                occupancy = key[0]
-                placement = self._find_placement(
-                    operation,
-                    cycle,
-                    occupancy,
-                    tracker,
-                    dfg,
-                    placements,
-                    column_orders[operation.iteration % cols],
-                )
-                if placement is None:
-                    exhausted.add(key)
-                    continue
-                row, col, shared_unit = placement
-                latency = self.latency_of(operation)
-                tracker.claim(operation, cycle, row, col, occupancy, shared_unit)
-                result.append(operation, cycle, row, col, latency, occupancy, shared_unit)
-                placements[op_name] = (row, col)
-                ready.discard(op_name)
-                unscheduled.discard(op_name)
-                finish = cycle + latency
-                for successor in dfg.successors(op_name):
-                    successor_op = dfg.operation(successor)
-                    if successor_op.optype in _UNSCHEDULED_OPTYPES:
+            arrivals = arriving.pop(cycle, None)
+            if arrivals is not None:
+                ready += arrivals
+                ready.sort()
+            busy = tracker.busy_mask(cycle, 1)
+            if ready and busy != full:
+                waiting: List[int] = []
+                # PEs each class cannot take this cycle besides the busy ones.
+                blocked = [0, 0, 0, 0]
+                # Multiplications issued per row this cycle, once there is one.
+                row_mults: Optional[List[int]] = None
+                for position, rank in enumerate(ready):
+                    resource = classes[rank]
+                    taken = busy | blocked[resource]
+                    if taken == full:
+                        waiting.append(rank)
                         continue
-                    earliest[successor] = max(earliest[successor], finish)
-                    pending_preds[successor] -= 1
-                    if pending_preds[successor] == 0:
-                        ready.add(successor)
+                    operation = ranked[rank]
+                    op_name = operation.name
+                    preferred: List[int] = []
+                    for producer in predecessors[op_name]:
+                        producer_rank = rank_of.get(producer)
+                        if producer_rank is not None and row_of[producer_rank] not in preferred:
+                            preferred.append(row_of[producer_rank])
+                    row_order = (
+                        preferred + [row for row in all_rows if row not in preferred]
+                        if preferred
+                        else all_rows
+                    )
+                    if row_mults is not None and multiplies[rank]:
+                        row_order = sorted(row_order, key=row_mults.__getitem__)
+                    occupancy = occupancies[rank]
+                    for col in columns[rank]:
+                        column_mask = column_masks[col]
+                        if (taken & column_mask) == column_mask:
+                            continue
+                        bits = pe_bits[col]
+                        for row in row_order:
+                            if not taken & bits[row]:
+                                feasible, shared_unit = probe(
+                                    operation, cycle, row, col, occupancy
+                                )
+                                if feasible:
+                                    break
+                                blocked[resource] |= bits[row]
+                                taken |= bits[row]
+                        else:
+                            continue
+                        break
+                    else:
+                        waiting.append(rank)
+                        continue
+                    claim(operation, cycle, row, col, occupancy, shared_unit)
+                    busy |= bits[row]
+                    bus_optype = _BUS_OPTYPES[resource]
+                    if bus_optype is not None and not bus_free(cycle, row, bus_optype):
+                        blocked[resource] |= row_masks[row]
+                    if multiplies[rank]:
+                        if row_mults is None:
+                            row_mults = [0] * rows
+                        row_mults[row] += 1
+                    placed.append(rank)
+                    placed_cycles.append(cycle)
+                    placed_rows.append(row)
+                    placed_cols.append(col)
+                    shared_units.append(shared_unit)
+                    row_of[rank] = row
+                    remaining -= 1
+                    finish = cycle + latencies[rank]
+                    for successor in successors[op_name]:
+                        successor_rank = rank_of.get(successor)
+                        if successor_rank is None:
+                            continue
+                        if finish > earliest[successor_rank]:
+                            earliest[successor_rank] = finish
+                        pending[successor_rank] -= 1
+                        if not pending[successor_rank]:
+                            arriving.setdefault(earliest[successor_rank], []).append(
+                                successor_rank
+                            )
+                    if busy == full:
+                        waiting += ready[position + 1 :]
+                        break
+                ready = waiting
             cycle += 1
-        return result
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _downstream_priorities(self, dfg: DFG) -> Dict[str, int]:
-        """Longest downstream dependence chain of every operation (in cycles)."""
-        priorities: Dict[str, int] = {}
-        for op_name in reversed(dfg.topological_order()):
-            operation = dfg.operation(op_name)
-            latency = self.latency_of(operation) if operation.optype not in _UNSCHEDULED_OPTYPES else 0
-            downstream = 0
-            for successor in dfg.successors(op_name):
-                downstream = max(downstream, priorities[successor])
-            priorities[op_name] = latency + downstream
-        return priorities
-
-    def _resource_class(self, operation: Operation) -> Optional[OpType]:
-        """What, besides its occupancy, decides which PEs can take ``operation``.
-
-        Loads and stores also need a row bus slot and, on sharing
-        architectures, multiplications a shared-unit issue slot; every
-        other operation needs only a free PE (class ``None``).
-        """
-        if operation.is_memory or (
-            operation.is_multiplication and self.architecture.uses_sharing
-        ):
-            return operation.optype
-        return None
-
-    def _find_placement(
-        self,
-        operation: Operation,
-        cycle: int,
-        duration: int,
-        tracker: ResourceTracker,
-        dfg: DFG,
-        placements: Dict[str, Tuple[int, int]],
-        columns: List[int],
-    ) -> Optional[Tuple[int, int, Optional[Tuple[str, int, int]]]]:
-        """Pick a PE (and shared unit) for ``operation`` at ``cycle``.
-
-        Columns are visited in preference order (``columns``, the
-        iteration's column first); within a column, rows already holding
-        the operation's predecessors are preferred so operands stay local.
-        A PE whose bit (``row * cols + col``) is set in the tracker's busy
-        mask over ``duration`` cycles is skipped unprobed.
-        """
-        busy = tracker.busy_mask(cycle, duration)
-        spec = self.architecture.array
-        preferred_rows = [
-            placements[pred][0]
-            for pred in dfg.predecessors(operation.name)
-            if pred in placements
-        ]
-        row_order = list(dict.fromkeys(preferred_rows)) + [
-            row for row in range(spec.rows) if row not in preferred_rows
-        ]
-        if operation.is_multiplication:
-            # Spread concurrent multiplications over the rows so the per-row
-            # demand on row-shared multipliers stays balanced; ties fall back
-            # to the operand-locality order computed above.
-            rank = {row: index for index, row in enumerate(row_order)}
-            row_order = sorted(
-                row_order,
-                key=lambda row: (tracker.multiplications_in_row(cycle, row), rank[row]),
-            )
-        for col in columns:
-            for row in row_order:
-                if busy >> (row * spec.cols + col) & 1:
-                    continue
-                feasible, shared_unit = tracker.placement_feasible(
-                    operation, cycle, row, col, duration
-                )
-                if feasible:
-                    return row, col, shared_unit
-        return None
+        return Schedule.from_columns(
+            architecture,
+            name,
+            list(map(ranked.__getitem__, placed)),
+            placed_cycles,
+            placed_rows,
+            placed_cols,
+            list(map(latencies.__getitem__, placed)),
+            list(map(occupancies.__getitem__, placed)),
+            shared_units,
+        )

@@ -14,6 +14,9 @@ a cycle's mask is set while PE (row, col) is busy in that cycle.  A caller
 that has to scan many PEs ORs the masks over an operation's occupancy once
 (:meth:`ResourceTracker.busy_mask`) and skips busy PEs with a bit test, so
 only PE-free candidates reach :meth:`ResourceTracker.placement_feasible`.
+The shared units each PE reaches depend only on the array's shape and the
+sharing topology, so trackers of one such topology share one table
+(:func:`reachable_units`).
 
 A probe's PE, bus and shared-unit rules are written once, in
 ``ResourceTracker._fit``, and a placement's records once, in
@@ -38,6 +41,7 @@ what keeps the two paths consistent.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.array import SharedUnitId
@@ -72,30 +76,17 @@ class ResourceTracker:
         self._read_buses = array.row_buses.read_buses
         self._write_buses = array.row_buses.write_buses
         self._uses_sharing = architecture.uses_sharing
-        row_units = [
-            tuple(("row", row, ordinal) for ordinal in range(sharing.rows_shared))
-            for row in range(array.rows)
-        ]
-        col_units = [
-            tuple(("col", col, ordinal) for ordinal in range(sharing.cols_shared))
-            for col in range(array.cols)
-        ]
-        # Shared units reachable from each PE, indexed by the PE's bit, row
-        # units first and lower ordinals first: the order units are granted.
-        self._reachable: List[Tuple[SharedUnitId, ...]] = [
-            row_units[row] + col_units[col]
-            for row in range(array.rows)
-            for col in range(array.cols)
-        ]
+        self._reachable = reachable_units(
+            array.rows, array.cols, sharing.rows_shared, sharing.cols_shared
+        )
         # Busy-PE bitmask per cycle.
         self._busy: Dict[int, int] = {}
         # (PE bit, first cycle, cycles, operation name) of every placement,
         # in claim order; read only to name the holder of a busy PE.
         self._claims: List[Tuple[int, int, int, str]] = []
-        # Loads, stores and multiplications issued per (cycle, row).
+        # Loads and stores issued per (cycle, row).
         self._loads: Dict[Tuple[int, int], int] = {}
         self._stores: Dict[Tuple[int, int], int] = {}
-        self._row_mults: Dict[Tuple[int, int], int] = {}
         self._unit_issues: Dict[Tuple[SharedUnitId, int], str] = {}
         # Counter used to mint pseudo-unit ordinals in unlimited mode.
         self._unlimited_counter: Dict[Tuple[int, int], int] = {}
@@ -264,7 +255,7 @@ class ResourceTracker:
         bit: int,
         shared_unit: Optional[SharedUnitId],
     ) -> None:
-        """Record a checked placement: PE, row bus, row multiplications, unit issue."""
+        """Record a checked placement: PE, row bus, unit issue."""
         name = operation.name
         busy = self._busy
         if duration == 1:
@@ -278,23 +269,30 @@ class ResourceTracker:
             counts = self._loads
         elif optype is _STORE:
             counts = self._stores
-        elif optype is _MUL:
-            counts = self._row_mults
-            if shared_unit is not None and not self.unlimited_shared:
-                self._unit_issues[(shared_unit, cycle)] = name
         else:
+            if optype is _MUL and shared_unit is not None and not self.unlimited_shared:
+                self._unit_issues[(shared_unit, cycle)] = name
             return
         key = (cycle, row)
         counts[key] = counts.get(key, 0) + 1
 
-    def multiplications_in_row(self, cycle: int, row: int) -> int:
-        """Multiplications already issued by the PEs of ``row`` at ``cycle``.
 
-        The base mapper uses this to spread concurrent multiplications over
-        the rows of the array, which keeps the per-row demand on row-shared
-        multipliers balanced (the situation the RS designs are built for).
-        """
-        return self._row_mults.get((cycle, row), 0)
+@functools.lru_cache(maxsize=None)
+def reachable_units(
+    rows: int, cols: int, rows_shared: int, cols_shared: int
+) -> Tuple[Tuple[SharedUnitId, ...], ...]:
+    """Shared units reachable from each PE, indexed by the PE's bit.
+
+    Row units come first and lower ordinals first: the order units are
+    granted.  Built once per topology and shared by its trackers.
+    """
+    row_units = [
+        tuple(("row", row, ordinal) for ordinal in range(rows_shared)) for row in range(rows)
+    ]
+    col_units = [
+        tuple(("col", col, ordinal) for ordinal in range(cols_shared)) for col in range(cols)
+    ]
+    return tuple(row_units[row] + col_units[col] for row in range(rows) for col in range(cols))
 
 
 def column_preference(iteration: int, cols: int) -> List[int]:

@@ -10,15 +10,15 @@ example.
 A schedule stores its entries by column: one list per
 :class:`ScheduledOperation` field (operation, cycle, row, col, latency,
 occupancy and shared unit) in insertion order, plus a name → position
-dictionary.  Writers that place one operation at a time — the base
-scheduler and :meth:`Schedule.add` — go through :meth:`Schedule.append`,
-which applies the checks of :class:`ScheduledOperation` and
-:meth:`Schedule.add` without building an entry object.  Writers that hold
-every entry already — the rearrangement, ``rebind_schedule`` and
-:func:`_restore_schedule` — hand whole columns to
-:meth:`Schedule.from_columns`, which applies the same checks to each column
-at once and replays the columns through :meth:`Schedule.append` when one
-fails, so a bad entry raises what appending it would.  Hot readers
+dictionary.  :meth:`Schedule.add` places one operation at a time through
+:meth:`Schedule.append`, which applies the checks of
+:class:`ScheduledOperation` and :meth:`Schedule.add` without building an
+entry object.  Writers that hold every entry already — the base scheduler,
+the rearrangement, ``rebind_schedule`` and :func:`_restore_schedule` — hand
+whole columns to :meth:`Schedule.from_columns`, which applies the same
+checks to each column at once and replays the columns through
+:meth:`Schedule.append` when one fails, so a bad entry raises what
+appending it would.  Hot readers
 (profile extraction, the rearrangement) read the lists through
 :meth:`Schedule.columns`.  :class:`ScheduledOperation` entries are built
 from the lists only when a caller reads entries

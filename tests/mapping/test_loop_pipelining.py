@@ -143,6 +143,21 @@ def test_max_cycle_guard_raises():
         scheduler.schedule(dfg)
 
 
+def test_max_cycles_zero_is_a_limit():
+    # Zero allows placements in cycle 0 only: one load fits, MVM does not.
+    scheduler = LoopPipeliningScheduler(base_architecture(), max_cycles=0)
+    builder = DFGBuilder("one-load")
+    builder.load("x", 0)
+    assert scheduler.schedule(builder.build()).length == 1
+    with pytest.raises(SchedulingError, match="did not finish scheduling within 0 cycles"):
+        scheduler.schedule(get_kernel("MVM").build())
+
+
+def test_negative_max_cycles_is_rejected():
+    with pytest.raises(ValueError, match="max_cycles must be None or >= 0, got -1"):
+        LoopPipeliningScheduler(base_architecture(), max_cycles=-1)
+
+
 def test_paper_kernel_base_cycles_in_plausible_range(mapper):
     """Base-architecture schedule lengths land in the same range as paper Tables 4/5."""
     expectations = {

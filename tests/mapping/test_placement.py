@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.arch import base_architecture, rs_architecture, rsp_architecture
 from repro.errors import PlacementError
 from repro.ir import Operation, OpType
-from repro.mapping.placement import ResourceTracker, column_preference
+from repro.mapping.placement import ResourceTracker, column_preference, reachable_units
 
 
 def load_op(name="ld"):
@@ -167,6 +167,35 @@ class TestSharedUnits:
         assert tracker.placement_feasible(mul_op(), 0, 1, 4, 1) == (True, ("row", 1, 0))
         assert tracker.placement_feasible(mul_op(), 0, 2, 4, 1) == (True, ("col", 4, 0))
 
+    def test_reachable_unit_table_lists_row_units_first(self):
+        # A 3x4 array with two row units per row and three column units per
+        # column: each PE's entry is its row's units, then its column's,
+        # each by ordinal, at the PE's bit.
+        table = reachable_units(3, 4, 2, 3)
+        assert len(table) == 12
+        for row in range(3):
+            for col in range(4):
+                assert table[row * 4 + col] == (
+                    ("row", row, 0),
+                    ("row", row, 1),
+                    ("col", col, 0),
+                    ("col", col, 1),
+                    ("col", col, 2),
+                )
+        assert reachable_units(2, 2, 0, 0) == ((), (), (), ())
+
+    def test_trackers_of_one_topology_share_the_table(self):
+        # RSP#2 shares RS#2's topology at another depth; RS#3 has another.
+        rs2, rsp2, rs3 = rs_architecture(2), rsp_architecture(2, stages=3), rs_architecture(3)
+        tables = [
+            vars(ResourceTracker(design, unlimited_shared))["_reachable"]
+            for design, unlimited_shared in ((rs2, False), (rsp2, False), (rs2, True), (rs3, False))
+        ]
+        assert tables[0] is tables[1] is tables[2]
+        assert tables[3] is not tables[0] and tables[3] != tables[0]
+        assert isinstance(tables[0], tuple)
+        assert all(isinstance(units, tuple) for units in tables[0])
+
     def test_no_units_on_base(self, base_arch):
         tracker = ResourceTracker(base_arch)
         for col in range(base_arch.array.cols):
@@ -209,7 +238,7 @@ class TestSharedUnits:
         tracker.claim(mul_op("m"), 0, 0, 0, 1, ("row", 0, 0))
         tracker.claim(mul_op("m2"), 0, 0, 1, 1, ("row", 0, 0))
         assert vars(tracker)["_unit_issues"] == {}
-        assert tracker.multiplications_in_row(0, 0) == 2
+        assert tracker.busy_mask(0, 1) == 0b11
 
 
 class TestCombinedFeasibility:
@@ -259,15 +288,6 @@ class TestCombinedFeasibility:
             tracker.claim(mul_op("m2"), 0, 0, 1, 1, ("row", 0, 0))
         assert vars(tracker) == before
         assert pe_free(tracker, 0, 0, 1, duration=1)
-        assert tracker.multiplications_in_row(0, 0) == 1
-
-    def test_mult_row_balancing_counter(self, base_arch):
-        tracker = ResourceTracker(base_arch)
-        assert tracker.multiplications_in_row(0, 3) == 0
-        tracker.claim(mul_op("m1"), 0, 3, 0, 1, None)
-        assert tracker.multiplications_in_row(0, 3) == 1
-        tracker.claim(mul_op("m2"), 0, 3, 1, 1, None)
-        assert tracker.multiplications_in_row(0, 3) == 2
 
 
 #: Small arrays so random placements collide: a base design, an RS design
